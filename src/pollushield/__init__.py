@@ -5,7 +5,7 @@ every peer runs its own trust manager, plus the adversary strategies and
 canned experiments used to evaluate the pipeline against pollution attacks.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .behaviors import (
     BehaviorKind,
@@ -16,8 +16,6 @@ from .behaviors import (
 from .metrics import MetricsReport, PeerSummary, emit_csv
 from .scenarios import (
     EXPERIMENT_IDS,
-    Policy,
-    PolicyKind,
     ScenarioConfig,
     build_experiment,
     build_world,
@@ -66,8 +64,6 @@ __all__ = [
     "PeerSummary",
     "emit_csv",
     "EXPERIMENT_IDS",
-    "Policy",
-    "PolicyKind",
     "ScenarioConfig",
     "build_experiment",
     "build_world",

@@ -104,10 +104,6 @@ class PeerBehavior:
         return max(1, round(1.0 / self.on_ratio))
 
     @property
-    def is_requester_default(self) -> bool:
-        return self.kind in (BehaviorKind.HONEST, BehaviorKind.BADMOUTH)
-
-    @property
     def label(self) -> str:
         if self.kind is BehaviorKind.ONOFF:
             return f"onoff({self.on_ratio:g})"

@@ -7,16 +7,16 @@ experiment id, 3 output location unwritable.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Sequence
 
 from .metrics import emit_csv
 from .scenarios import (
     EXPERIMENT_IDS,
+    ScenarioConfig,
     build_experiment,
     load_config,
     run_scenario,
@@ -81,8 +81,16 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
         path = args.scenario
         try:
             cfg = load_config(path)
-        except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+        builder_only = sorted(set(overrides) - {f.name for f in fields(ScenarioConfig)})
+        if builder_only:
+            print(
+                f"error: {', '.join(builder_only)} can only be overridden for an "
+                f"--experiment, not in scenario {path!r}",
+                file=sys.stderr,
+            )
             return EXIT_BAD_CONFIG
         if overrides:
             cfg = replace(cfg, **overrides)
@@ -118,7 +126,12 @@ def run_command(argv: Sequence[str]) -> int:
     target = run_p.add_mutually_exclusive_group(required=True)
     target.add_argument("--experiment", choices=EXPERIMENT_IDS, help="canned experiment id")
     target.add_argument("--scenario", help="path to a scenario config file")
-    run_p.add_argument("--seed", type=int, default=1, help="base RNG seed (default 1)")
+    run_p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="base RNG seed (default: 1 for experiments, the file's own for scenarios)",
+    )
     run_p.add_argument("--rounds", type=int, default=None, help="override round count")
     run_p.add_argument("--out", default="./out", help="output directory (default ./out)")
     run_p.add_argument(
@@ -130,9 +143,7 @@ def run_command(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
 
     base_overrides: dict = {}
-    if args.experiment is not None:
-        base_overrides["seed"] = args.seed
-    elif args.seed != 1:
+    if args.seed is not None:
         base_overrides["seed"] = args.seed
     if args.rounds is not None:
         base_overrides["rounds"] = args.rounds

@@ -12,9 +12,12 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Any, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
@@ -23,39 +26,6 @@ from .sim_engine import World, evaluate_components, run_round
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 EXPERIMENT_IDS = ("e1", "e2", "e3", "e4", "e5", "e6")
-
-
-class PolicyKind(Enum):
-    PROPOSED = "proposed"    # double threshold (theta_p, theta_g, chi)
-    SINGLE = "single"        # transact iff trust >= theta
-    PEERTRUST = "peertrust"  # fixed-weight baseline with a single threshold
-
-
-@dataclass(frozen=True)
-class Policy:
-    kind: PolicyKind = PolicyKind.PROPOSED
-    theta: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PolicyKind.SINGLE and self.theta is None:
-            raise ValueError("single-threshold policy requires theta")
-
-    @classmethod
-    def proposed(cls) -> "Policy":
-        return cls(PolicyKind.PROPOSED)
-
-    @classmethod
-    def single(cls, theta: float) -> "Policy":
-        return cls(PolicyKind.SINGLE, theta)
-
-    @classmethod
-    def peertrust(cls) -> "Policy":
-        return cls(PolicyKind.PEERTRUST, 0.5)
-
-
-# Baseline trust pipeline: ratio-based direct trust, fixed half/half weight
-# between direct and indirect evidence, no decay, one threshold.
-PEERTRUST_THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,7 +39,6 @@ class ScenarioConfig:
     param_overrides: Tuple[Tuple[int, TrustParams], ...] = ()
     loss_rate_range: Optional[Tuple[float, float]] = None
     observed_pairs: Tuple[Tuple[int, int], ...] = ()
-    policy: Policy = field(default_factory=Policy.proposed)
     requesters: Tuple[int, ...] = ()
     candidate_map: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
     request_budgets: Tuple[Tuple[int, int], ...] = ()  # non-default (peer, budget)
@@ -133,123 +102,80 @@ class ScenarioConfig:
 
 # --- serialization -----------------------------------------------------------
 
-def _behavior_to_dict(b: PeerBehavior) -> dict:
-    return {
-        "kind": b.kind.value,
-        "loss_rate": b.loss_rate,
-        "on_ratio": b.on_ratio,
-        "target_set": list(b.target_set),
-        "slander_prob": b.slander_prob,
-        "group": list(b.group),
-        "designated_polluter": b.designated_polluter,
-        "rotation_period": b.rotation_period,
-    }
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """(name, resolved annotation) of each field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
-def _behavior_from_dict(d: dict) -> PeerBehavior:
-    return PeerBehavior(
-        kind=BehaviorKind(d["kind"]),
-        loss_rate=d["loss_rate"],
-        on_ratio=d["on_ratio"],
-        target_set=tuple(d["target_set"]),
-        slander_prob=d["slander_prob"],
-        group=tuple(d["group"]),
-        designated_polluter=d["designated_polluter"],
-        rotation_period=d["rotation_period"],
-    )
+_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
-def _params_to_dict(p: TrustParams) -> dict:
-    return {
-        "cf_model": p.cf_model.value,
-        "cf_constant": p.cf_constant,
-        "c": p.c,
-        "beta": p.beta,
-        "dt_model": p.dt_model.value,
-        "rho": p.rho,
-        "eta": p.eta,
-        "forgetting": p.forgetting,
-        "forgiving": p.forgiving,
-        "theta_p": p.theta_p,
-        "theta_g": p.theta_g,
-        "chi": p.chi,
-        "k_providers": p.k_providers,
-        "k_recommenders": p.k_recommenders,
-        "cold_start_trust": p.cold_start_trust,
-    }
+def _encode(value: Any) -> Any:
+    """JSON-ready form of a config value: enums by value, tuples as lists,
+    dataclasses as objects keyed by field name. Scalars are tested first,
+    and tuple items inline, because configs hold thousands of peer ids."""
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    if cls is tuple:
+        return [v if type(v) in _SCALARS else _encode(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return {name: _encode(getattr(value, name)) for name, _ in _field_types(cls)}
 
 
-def _params_from_dict(d: dict) -> TrustParams:
-    d = dict(d)
-    d["cf_model"] = CFModel(d["cf_model"])
-    d["dt_model"] = DTModel(d["dt_model"])
-    return TrustParams(**d)
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """Rebuild a value of annotation `tp` from its JSON form, or raise
+    ValueError naming the offending field."""
+    if tp is int or tp is float or tp is str:
+        # JSON numbers may fill float fields; bool is never an int
+        if type(value) is tp or (tp is float and type(value) is int):
+            return value
+        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (inner,) = [a for a in get_args(tp) if a is not type(None)]
+        return _decode(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        args = get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(
+            _decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ValueError(f"{where}: unknown {tp.__name__} {value!r}") from None
+    # a config dataclass
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {value!r}")
+    types = _field_types(tp)
+    names = {name for name, _ in types}
+    unknown = set(value) - names
+    if unknown:
+        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
+    missing = names - set(value)
+    if missing:
+        raise ValueError(f"missing {where} fields: {sorted(missing)}")
+    return tp(**{name: _decode(t, value[name], f"{where}.{name}") for name, t in types})
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "n_peers": cfg.n_peers,
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
-        "behavior_mix": [
-            {"behavior": _behavior_to_dict(b), "count": n} for b, n in cfg.behavior_mix
-        ],
-        "params": _params_to_dict(cfg.params),
-        "param_overrides": [
-            [pid, _params_to_dict(p)] for pid, p in cfg.param_overrides
-        ],
-        "loss_rate_range": list(cfg.loss_rate_range) if cfg.loss_rate_range else None,
-        "observed_pairs": [list(pair) for pair in cfg.observed_pairs],
-        "policy": {"kind": cfg.policy.kind.value, "theta": cfg.policy.theta},
-        "requesters": list(cfg.requesters),
-        "candidate_map": [[pid, list(c)] for pid, c in cfg.candidate_map],
-        "request_budgets": [list(rb) for rb in cfg.request_budgets],
-        "warmup_rounds": cfg.warmup_rounds,
-        "warmup_budget": cfg.warmup_budget,
-        "detection_threshold": cfg.detection_threshold,
-        "measure_from": cfg.measure_from,
-        "ads_per_round": cfg.ads_per_round,
-    }
+    return _encode(cfg)
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    known = {
-        "name", "n_peers", "rounds", "seed", "behavior_mix", "params",
-        "param_overrides", "loss_rate_range", "observed_pairs", "policy",
-        "requesters", "candidate_map", "request_budgets", "warmup_rounds",
-        "warmup_budget", "detection_threshold", "measure_from", "ads_per_round",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    missing = known - set(d)
-    if missing:
-        raise ValueError(f"missing config fields: {sorted(missing)}")
-    cfg = ScenarioConfig(
-        name=d["name"],
-        n_peers=d["n_peers"],
-        rounds=d["rounds"],
-        seed=d["seed"],
-        behavior_mix=tuple(
-            (_behavior_from_dict(e["behavior"]), e["count"]) for e in d["behavior_mix"]
-        ),
-        params=_params_from_dict(d["params"]),
-        param_overrides=tuple(
-            (pid, _params_from_dict(p)) for pid, p in d["param_overrides"]
-        ),
-        loss_rate_range=tuple(d["loss_rate_range"]) if d["loss_rate_range"] else None,
-        observed_pairs=tuple((o, s) for o, s in d["observed_pairs"]),
-        policy=Policy(PolicyKind(d["policy"]["kind"]), d["policy"]["theta"]),
-        requesters=tuple(d["requesters"]),
-        candidate_map=tuple((pid, tuple(c)) for pid, c in d["candidate_map"]),
-        request_budgets=tuple((pid, b) for pid, b in d["request_budgets"]),
-        warmup_rounds=d["warmup_rounds"],
-        warmup_budget=d["warmup_budget"],
-        detection_threshold=d["detection_threshold"],
-        measure_from=d["measure_from"],
-        ads_per_round=d["ads_per_round"],
-    )
+    cfg = _decode(ScenarioConfig, d, "config")
     cfg.validate()
     return cfg
 
@@ -403,6 +329,33 @@ _POP_CANDIDATES = 10
 _POP_REQUESTERS = 150
 
 
+# PeerTrust baseline (Xiong & Liu, IEEE TKDE 2004): ratio-based direct
+# trust, fixed half/half weight between direct and indirect evidence, no
+# decay, one threshold at 0.5.
+_PEERTRUST_BASELINE = TrustParams(
+    cf_model=CFModel.CONSTANT,
+    cf_constant=0.5,
+    dt_model=DTModel.DTMA,
+    theta_p=0.5,
+    theta_g=0.5,
+    k_providers=_POP_CANDIDATES,
+    k_recommenders=5,
+)
+
+
+def _admission_params(policy: str, params: TrustParams, single_theta: float) -> TrustParams:
+    """Trust parameters for a builder's `policy` override: "proposed" keeps
+    the double threshold, "single" collapses it to one threshold at
+    single_theta, "peertrust" swaps in the PeerTrust baseline pipeline."""
+    if policy == "proposed":
+        return params
+    if policy == "single":
+        return replace(params, theta_p=single_theta, theta_g=single_theta)
+    if policy == "peertrust":
+        return _PEERTRUST_BASELINE
+    raise ValueError(f"unknown policy {policy!r}")
+
+
 def _population_config(
     name: str,
     seed: int,
@@ -411,32 +364,13 @@ def _population_config(
     n_persistent: int,
     n_onoff: int,
     loss_range: Tuple[float, float],
-    policy: Policy,
+    params: TrustParams,
     warmup_rounds: int = _POP_WARMUP,
     warmup_budget: int = _POP_WARMUP_BUDGET,
     measure_from: Optional[int] = None,
-    forgetting: float = _POP_FORGETTING,
-    forgiving: float = _POP_FORGIVING,
     ads_per_round: Optional[int] = None,
 ) -> ScenarioConfig:
     n_peers = n_honest + n_persistent + n_onoff
-    if policy.kind is PolicyKind.PEERTRUST:
-        params = TrustParams(
-            cf_model=CFModel.CONSTANT,
-            cf_constant=0.5,
-            dt_model=DTModel.DTMA,
-            theta_p=0.0,
-            theta_g=1.0,
-            k_providers=_POP_CANDIDATES,
-            k_recommenders=5,
-        )
-    else:
-        params = _base_params(
-            forgetting=forgetting,
-            forgiving=forgiving,
-            k_providers=_POP_CANDIDATES,
-            k_recommenders=5,
-        )
     mix = (
         (PeerBehavior.honest(), n_honest),
         (PeerBehavior.persistent(), n_persistent),
@@ -456,7 +390,6 @@ def _population_config(
         behavior_mix=mix,
         params=params,
         loss_rate_range=loss_range,
-        policy=policy,
         requesters=requesters,
         candidate_map=cand_map,
         warmup_rounds=warmup_rounds,
@@ -465,20 +398,6 @@ def _population_config(
         measure_from=measure_from,
         ads_per_round=ads_per_round,
     )
-
-
-def _parse_policy(value, default: Policy, single_theta: float) -> Policy:
-    if value is None:
-        return default
-    if isinstance(value, Policy):
-        return value
-    if value == "proposed":
-        return Policy.proposed()
-    if value == "single":
-        return Policy.single(single_theta)
-    if value == "peertrust":
-        return Policy.peertrust()
-    raise ValueError(f"unknown policy {value!r}")
 
 
 def build_e3(**overrides) -> ScenarioConfig:
@@ -492,7 +411,12 @@ def build_e3(**overrides) -> ScenarioConfig:
     seed = ov.get("seed", 1)
     rounds = ov.get("rounds", _POP_ROUNDS)
     loss = ov.get("loss_rate", 0.02)
-    policy = _parse_policy(ov.get("policy"), Policy.proposed(), 0.8)
+    params = _base_params(
+        forgetting=_POP_FORGETTING,
+        forgiving=_POP_FORGIVING,
+        k_providers=_POP_CANDIDATES,
+        k_recommenders=5,
+    )
     return _population_config(
         name="e3",
         seed=seed,
@@ -501,7 +425,7 @@ def build_e3(**overrides) -> ScenarioConfig:
         n_persistent=50,
         n_onoff=50,
         loss_range=(loss, loss),
-        policy=policy,
+        params=_admission_params(ov.get("policy", "proposed"), params, 0.8),
     )
 
 
@@ -628,29 +552,17 @@ def build_e6(**overrides) -> ScenarioConfig:
     fraction = ov.get("malicious_fraction", 0.2)
     if not 0.0 <= fraction <= 0.9:
         raise ValueError("malicious_fraction must lie in [0, 0.9]")
-    policy = _parse_policy(ov.get("policy"), Policy.proposed(), PEERTRUST_THETA)
     n_peers = 500
     n_malicious = round(n_peers * fraction)
     n_persistent = n_malicious // 2
     n_onoff = n_malicious - n_persistent
 
-    if policy.kind is PolicyKind.PEERTRUST:
-        params = TrustParams(
-            cf_model=CFModel.CONSTANT,
-            cf_constant=0.5,
-            dt_model=DTModel.DTMA,
-            theta_p=0.0,
-            theta_g=1.0,
-            k_providers=_POP_CANDIDATES,
-            k_recommenders=5,
-        )
-    else:
-        params = _base_params(
-            forgetting=0.0,
-            forgiving=0.03,
-            k_providers=_POP_CANDIDATES,
-            k_recommenders=5,
-        )
+    params = _base_params(
+        forgetting=0.0,
+        forgiving=0.03,
+        k_providers=_POP_CANDIDATES,
+        k_recommenders=5,
+    )
 
     layout_rng = random.Random(f"{seed}:layout:e6")
     ids = list(range(n_peers))
@@ -684,9 +596,8 @@ def build_e6(**overrides) -> ScenarioConfig:
         rounds=rounds,
         seed=seed,
         behavior_mix=tuple(mix),
-        params=params,
+        params=_admission_params(ov.get("policy", "proposed"), params, 0.5),
         loss_rate_range=(0.0, 0.02),
-        policy=policy,
         requesters=requesters,
         candidate_map=cand_map,
         warmup_rounds=24,
@@ -721,12 +632,6 @@ def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
 def build_world(cfg: ScenarioConfig) -> World:
     """Materialize a World from a validated config."""
     cfg.validate()
-    if cfg.policy.kind is PolicyKind.PROPOSED:
-        single = None
-    elif cfg.policy.kind is PolicyKind.SINGLE:
-        single = cfg.policy.theta
-    else:
-        single = PEERTRUST_THETA
     world = World(
         seed=cfg.seed,
         detection_threshold=(
@@ -736,7 +641,6 @@ def build_world(cfg: ScenarioConfig) -> World:
         ),
         warmup_rounds=cfg.warmup_rounds,
         warmup_budget=cfg.warmup_budget,
-        single_threshold=single,
         ads_per_round=cfg.ads_per_round,
     )
     behaviors: List[PeerBehavior] = []

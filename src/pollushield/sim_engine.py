@@ -1,8 +1,8 @@
 """Round-based mesh overlay simulator.
 
 Each round every requesting peer asks for one chunk: it ranks the peers
-advertising to it by trust, admits the top K through the configured
-threshold policy, and records the qualities of the chunks it receives.
+advertising to it by trust, admits the top K through its double-threshold
+rule, and records the qualities of the chunks it receives.
 Trust lives entirely inside per-peer tables; there is no shared registry.
 
 The world advances single-threaded in peer-id order, so a (config, seed)
@@ -90,7 +90,6 @@ class World:
         detection_threshold: float = 0.5,
         warmup_rounds: int = 0,
         warmup_budget: int = 0,
-        single_threshold: Optional[float] = None,
         ads_per_round: Optional[int] = None,
     ) -> None:
         self.seed = seed
@@ -105,7 +104,6 @@ class World:
         self.detection_threshold = detection_threshold
         self.warmup_rounds = warmup_rounds
         self.warmup_budget = warmup_budget
-        self.single_threshold = single_threshold
         # chunk scarcity: per round, each requester sees only this many of its
         # candidates advertising the chunk it wants (None: all of them)
         self.ads_per_round = ads_per_round
@@ -129,11 +127,6 @@ class World:
             self.requesters.append(pid)
             self.requesters.sort()
         return rec
-
-    def admission_probability(self, trust: float, params: TrustParams) -> float:
-        if self.single_threshold is not None:
-            return 1.0 if trust >= self.single_threshold else 0.0
-        return transaction_probability(trust, params)
 
 
 def query_indirect(world: World, observer: int, subject: int) -> Optional[float]:
@@ -198,7 +191,7 @@ def evaluate_trust(world: World, observer: int, subject: int) -> float:
     return evaluate_components(world, observer, subject).combined
 
 
-def _select_with_trust(
+def select_providers(
     world: World,
     requester: int,
     candidates: Sequence[int],
@@ -206,7 +199,9 @@ def _select_with_trust(
     rng: random.Random,
 ) -> List[Tuple[int, float]]:
     """Rank candidates by trust, keep the top k, pass each through the
-    admission policy. During warmup rounds the policy is bypassed."""
+    requester's double-threshold rule. During warmup rounds the rule is
+    bypassed. Returns (provider, trust) pairs, best trust first (ties:
+    lowest id)."""
     req = world.peers[requester]
     scored: List[Tuple[int, float]] = []
     for pid in candidates:
@@ -221,24 +216,13 @@ def _select_with_trust(
     admitted: List[Tuple[int, float]] = []
     for pid, t in scored[:k]:
         if gating:
-            p = world.admission_probability(t, req.params)
+            p = transaction_probability(t, req.params)
             if p <= 0.0:
                 continue
             if p < 1.0 and rng.random() >= p:
                 continue
         admitted.append((pid, t))
     return admitted
-
-
-def select_providers(
-    world: World,
-    requester: int,
-    candidates: Sequence[int],
-    k: int,
-    rng: random.Random,
-) -> List[int]:
-    """Ids of the admitted providers, best trust first (ties: lowest id)."""
-    return [pid for pid, _ in _select_with_trust(world, requester, candidates, k, rng)]
 
 
 def run_round(world: World) -> World:
@@ -256,7 +240,7 @@ def run_round(world: World) -> World:
         else:
             advertising = req.candidates
         budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
-        admitted = _select_with_trust(
+        admitted = select_providers(
             world, rid, advertising, req.params.k_providers, req.rng
         )
         for pid, trust_at_selection in admitted[:budget]:

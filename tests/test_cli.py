@@ -5,7 +5,7 @@ import pytest
 
 from pollushield.cli import run_command
 from pollushield.metrics import MetricsReport, PeerSummary, emit_csv
-from pollushield.scenarios import build_experiment, save_config
+from pollushield.scenarios import build_experiment, config_to_dict, save_config
 
 
 def read(path):
@@ -37,6 +37,38 @@ class TestRunCommand:
         assert run_command(["run", "--scenario", str(path), "--out", str(out)]) == 0
         lines = (out / "pair_trajectories.csv").read_text().splitlines()
         assert len(lines) == 51  # header + 50 rounds
+
+    def test_seed_flag_overrides_scenario_seed(self, tmp_path):
+        path = tmp_path / "s5.cfg"
+        save_config(build_experiment("e2", seed=5), str(path))
+        out = tmp_path / "out"
+        assert run_command(
+            ["run", "--scenario", str(path), "--seed", "1", "--out", str(out)]
+        ) == 0
+        assert json.loads((out / "e2_meta.json").read_text())["seed"] == 1
+
+    @pytest.mark.parametrize(
+        "sweep",
+        ["loss_rate=0,0.02", "malicious_fraction=0.1", "policy=single", "mode=static",
+         "group_size=5"],
+    )
+    def test_sweep_on_builder_only_key_rejected(self, tmp_path, capsys, sweep):
+        path = tmp_path / "e2.cfg"
+        save_config(build_experiment("e2"), str(path))
+        code = run_command(
+            ["run", "--scenario", str(path), "--sweep", sweep, "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert sweep.partition("=")[0] in capsys.readouterr().err
+
+    def test_pre_0_2_0_scenario_with_policy_rejected(self, tmp_path, capsys):
+        d = config_to_dict(build_experiment("e2"))
+        d["behavior_mix"] = [{"behavior": b, "count": n} for b, n in d["behavior_mix"]]
+        d["policy"] = {"kind": "proposed", "theta": None}
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert "policy" in capsys.readouterr().err
 
     def test_missing_scenario_names_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

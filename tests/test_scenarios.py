@@ -5,8 +5,6 @@ import pytest
 from pollushield.behaviors import BehaviorKind, PeerBehavior
 from pollushield.scenarios import (
     EXPERIMENT_IDS,
-    Policy,
-    PolicyKind,
     ScenarioConfig,
     build_experiment,
     build_world,
@@ -63,9 +61,10 @@ class TestBuilders:
         assert counts[BehaviorKind.ONOFF] == 50
 
     def test_e3_policy_override(self):
-        single = build_experiment("e3", policy="single")
-        assert single.policy == Policy.single(0.8)
-        assert build_experiment("e3").policy.kind is PolicyKind.PROPOSED
+        single = build_experiment("e3", policy="single").params
+        assert (single.theta_p, single.theta_g) == (0.8, 0.8)
+        default = build_experiment("e3").params
+        assert (default.theta_p, default.theta_g) == (0.5, 0.9)
 
     def test_e4_modes(self):
         rot = build_experiment("e4", mode="rotating", group_size=5)
@@ -85,7 +84,8 @@ class TestBuilders:
                 counts[b.kind] += n
         assert counts[BehaviorKind.PERSISTENT] == 100
         assert counts[BehaviorKind.ONOFF] == 100
-        assert build_experiment("e6", policy="peertrust").policy.kind is PolicyKind.PEERTRUST
+        peertrust = build_experiment("e6", policy="peertrust").params
+        assert (peertrust.theta_p, peertrust.theta_g) == (0.5, 0.5)
 
     def test_paper_constants(self):
         cfg = build_experiment("e3")
@@ -120,6 +120,28 @@ class TestConfigFiles:
         d = config_to_dict(build_experiment("e2"))
         del d["rounds"]
         with pytest.raises(ValueError, match="missing config fields"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("seed",), 1.5),
+            (("rounds",), True),
+            (("n_peers",), "5"),
+            (("params", "theta_p"), "0.5"),
+            (("behavior_mix", 0, 0, "kind"), "bogus"),
+            (("policy",), {"kind": "proposed", "theta": None}),
+        ],
+        ids=["seed_float", "rounds_bool", "n_peers_str", "theta_p_str", "kind_bogus",
+             "policy_leftover"],
+    )
+    def test_wrong_type_or_unknown_value_rejected(self, path, value):
+        d = config_to_dict(build_experiment("e2"))
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=str(path[-1])):
             config_from_dict(d)
 
 

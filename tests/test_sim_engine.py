@@ -114,7 +114,7 @@ class TestSelectProviders:
         world = self.build([(9, 1), (19, 1), (1, 4), (3, 7)], params)  # .9 .95 .2 .3
         world.now = 1.0  # past warmup: the admission policy is active
         got = select_providers(world, 0, [1, 2, 3, 4], 2, world.peers[0].rng)
-        assert got == [2, 1]  # highest trust first, low-trust pair never admitted
+        assert [pid for pid, _ in got] == [2, 1]  # highest trust first, low-trust pair never admitted
 
     def test_all_below_threshold_yields_empty(self):
         params = TrustParams(
@@ -123,7 +123,7 @@ class TestSelectProviders:
         world = self.build([(1, 4), (3, 7)], params)
         world.now = 1.0
         got = select_providers(world, 0, [1, 2], 2, world.peers[0].rng)
-        assert got == []
+        assert [pid for pid, _ in got] == []
 
     def test_tie_break_ascending_id(self):
         params = TrustParams(
@@ -132,7 +132,7 @@ class TestSelectProviders:
         world = self.build([(5, 0), (5, 0), (5, 0)], params)
         world.now = 1.0
         got = select_providers(world, 0, [3, 1, 2], 2, world.peers[0].rng)
-        assert got == [1, 2]
+        assert [pid for pid, _ in got] == [1, 2]
 
     def test_detection_recorded_during_selection(self):
         params = TrustParams(
