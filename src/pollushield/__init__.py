@@ -29,6 +29,7 @@ from .scenarios import (
 from .sim_engine import (
     PeerRecord,
     TransactionOutcome,
+    TrustCache,
     TrustComponents,
     World,
     evaluate_components,
@@ -75,6 +76,7 @@ __all__ = [
     "save_config",
     "PeerRecord",
     "TransactionOutcome",
+    "TrustCache",
     "TrustComponents",
     "World",
     "evaluate_components",

@@ -22,7 +22,7 @@ from typing import (
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import World, evaluate_components, run_round
+from .sim_engine import TrustCache, World, evaluate_components, run_round
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 EXPERIMENT_IDS = ("e1", "e2", "e3", "e4", "e5", "e6")
@@ -676,8 +676,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
     for _ in range(cfg.rounds):
         run_round(world)
+        # no deliveries happen between the queries of one round's loop
+        cache = TrustCache()
         for observer, subject in cfg.observed_pairs:
-            comp = evaluate_components(world, observer, subject)
+            comp = evaluate_components(world, observer, subject, cache)
             trajectories[(observer, subject)].append(
                 (world.round, comp.direct, comp.indirect, comp.alpha, comp.combined)
             )

@@ -186,8 +186,9 @@ def apply_decay(state: TrustState, now: float, params: TrustParams) -> TrustStat
         )
     if dt == 0.0:
         return state
-    keep_clean = math.exp(-params.forgetting * dt)
-    keep_polluted = math.exp(-params.forgiving * dt)
+    # a zero rate keeps everything; exp(-0.0 * dt) is exactly 1.0 anyway
+    keep_clean = math.exp(-params.forgetting * dt) if params.forgetting else 1.0
+    keep_polluted = math.exp(-params.forgiving * dt) if params.forgiving else 1.0
     return TrustState(
         n_clean=state.n_clean * keep_clean,
         n_polluted=state.n_polluted * keep_polluted,

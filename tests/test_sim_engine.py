@@ -2,6 +2,7 @@ import pytest
 
 from pollushield.behaviors import PeerBehavior
 from pollushield.sim_engine import (
+    TrustCache,
     World,
     evaluate_components,
     evaluate_trust,
@@ -97,6 +98,35 @@ class TestQueryIndirect:
         seed_history(world, 2, 1, n_clean=5)
         # peer 2 knows the subject but the observer has never received from it
         assert query_indirect(world, 0, 1) is None
+
+    def test_repeat_query_sees_direct_table_edits(self):
+        # each call without a cache reads the tables as they are now
+        world = make_world(4)
+        seed_history(world, 2, 1, n_clean=4, n_polluted=1)  # recommends 0.8
+        seed_history(world, 3, 1, n_clean=1, n_polluted=4)  # recommends 0.2
+        seed_history(world, 0, 2, n_clean=3)                # credibility 1.0
+        seed_history(world, 0, 3, n_clean=3)                # credibility 1.0
+        world.now = 2.0
+        assert query_indirect(world, 0, 1) == pytest.approx(0.5)
+        world.peers[0].trust_table[3] = TrustState(1.0, 3.0, 4.0, 2.0)  # credibility 0.25
+        assert query_indirect(world, 0, 1) == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
+        world.peers[2].trust_table[1] = TrustState(0.0, 5.0, 5.0, 2.0)  # recommends 0.0
+        assert query_indirect(world, 0, 1) == pytest.approx(0.25 * 0.2 / 1.25)
+
+    def test_shared_cache_drops_recommender_whose_count_decays_to_zero(self):
+        # the first query decays peer 2's record to nothing and still counts
+        # it; later queries of the batch, like uncached ones, skip it
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMB, forgetting=200.0)
+        world = make_world(4, params=params)
+        for subject in (1, 3):
+            seed_history(world, 2, subject, n_clean=4)
+        seed_history(world, 0, 2, n_clean=3)
+        world.now = 5.0
+        cache = TrustCache()
+        assert query_indirect(world, 0, 1, cache) is not None
+        assert world.peers[0].trust_table[2].n_transactions == 0.0
+        assert query_indirect(world, 0, 3, cache) is None
+        assert query_indirect(world, 0, 3) is None
 
 
 class TestSelectProviders:

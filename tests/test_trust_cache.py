@@ -1,0 +1,240 @@
+"""The memoised trust path against an uncached oracle, and its work budget.
+
+The oracle below is the straightforward evaluation: every query decays and
+scores every co-observer and every recommender's view of the subject from
+scratch, and decay always calls `exp`. It lives here only, as the reference
+the memoised `sim_engine` path must match bit for bit.
+"""
+
+import math
+import warnings
+from typing import List, Optional, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pollushield import scenarios, sim_engine
+from pollushield.behaviors import PeerBehavior, recommendation_value
+from pollushield.scenarios import ScenarioConfig, build_experiment, run_scenario
+from pollushield.trust_core import (
+    EMPTY_STATE,
+    CFModel,
+    DTModel,
+    TrustParams,
+    TrustState,
+    combine_trust,
+    confidence_factor,
+    direct_trust,
+    indirect_trust,
+)
+
+
+# --- oracle ------------------------------------------------------------------
+
+def oracle_apply_decay(state, now, params):
+    dt = now - state.last_update
+    if dt < 0:
+        raise ValueError("time regression")
+    if dt == 0.0:
+        return state
+    keep_clean = math.exp(-params.forgetting * dt)
+    keep_polluted = math.exp(-params.forgiving * dt)
+    return TrustState(
+        n_clean=state.n_clean * keep_clean,
+        n_polluted=state.n_polluted * keep_polluted,
+        n_transactions=state.n_transactions * keep_clean,
+        last_update=now,
+    )
+
+
+def oracle_query_indirect(world, observer, subject, cache=None) -> Optional[float]:
+    if observer == subject:
+        raise ValueError("a peer cannot query indirect trust about itself")
+    obs = world.peers[observer]
+    now = world.now
+    eligible: List[Tuple[float, int]] = []
+    for k in world.observers_of.get(subject, ()):
+        if k == observer or k == subject:
+            continue
+        s = obs.trust_table.get(k)
+        if s is None or s.n_transactions <= 0.0:
+            continue
+        s = oracle_apply_decay(s, now, obs.params)
+        obs.trust_table[k] = s
+        eligible.append((direct_trust(s, obs.params), k))
+    if not eligible:
+        return None
+    eligible.sort(key=lambda ck: (-ck[0], ck[1]))
+    recommendations: List[Tuple[float, float]] = []
+    for cred, k in eligible[: obs.params.k_recommenders]:
+        rec = world.peers[k]
+        kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
+        honest = direct_trust(kst, rec.params)
+        value = recommendation_value(rec.behavior, k, subject, honest, rec.rng)
+        recommendations.append((cred, value))
+    return indirect_trust(recommendations)
+
+
+def oracle_evaluate_components(world, observer, subject, cache=None):
+    if observer == subject:
+        raise ValueError("a peer cannot evaluate trust of itself")
+    obs = world.peers[observer]
+    s = obs.trust_table.get(subject)
+    if s is not None:
+        s = oracle_apply_decay(s, world.now, obs.params)
+        obs.trust_table[subject] = s
+    else:
+        s = EMPTY_STATE
+    d = direct_trust(s, obs.params)
+    a = confidence_factor(s, obs.params)
+    ind = oracle_query_indirect(world, observer, subject)
+    cold = obs.params.cold_start_trust
+    combined = combine_trust(d, ind, a, cold)
+    return sim_engine.TrustComponents(d, cold if ind is None else ind, a, combined)
+
+
+def run_capturing_world(cfg):
+    """Run the scenario and return its report with the final world."""
+    worlds = []
+    build = scenarios.build_world
+
+    def capture(c):
+        worlds.append(build(c))
+        return worlds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "build_world", capture)
+        report = run_scenario(cfg)
+    return report, worlds[0]
+
+
+def run_with_oracle(cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "apply_decay", oracle_apply_decay)
+        mp.setattr(sim_engine, "query_indirect", oracle_query_indirect)
+        mp.setattr(sim_engine, "evaluate_components", oracle_evaluate_components)
+        mp.setattr(scenarios, "evaluate_components", oracle_evaluate_components)
+        return run_capturing_world(cfg)
+
+
+def fingerprint(report, world):
+    """Everything a run leaves behind, as exact reprs (floats round-trip)."""
+    return {
+        "event_log": repr(world.event_log),
+        "tables": repr({pid: rec.trust_table for pid, rec in world.peers.items()}),
+        "detections": repr(world.detections),
+        "trajectories": repr(report.trajectories),
+        "summary": repr(report.summary),
+        "rng": [rec.rng.getstate() for rec in world.peers.values()],
+        "ads_rng": world.ads_rng.getstate(),
+    }
+
+
+# --- small worlds --------------------------------------------------------------
+
+RATES = st.sampled_from([0.0, 0.0, 0.05, 0.4, 100.0])  # 100: counts underflow to 0
+
+
+@st.composite
+def small_worlds(draw):
+    n = draw(st.integers(3, 8))
+    ids = list(range(n))
+    kinds = draw(st.lists(
+        st.sampled_from(["honest", "onoff", "badmouth", "collab"]), min_size=n, max_size=n))
+    group = tuple(pid for pid in ids if kinds[pid] == "collab")
+    rotating = draw(st.booleans())
+    behaviors = []
+    for pid, kind in enumerate(kinds):
+        if kind == "honest":
+            b = PeerBehavior.honest(loss_rate=draw(st.sampled_from([0.0, 0.3])))
+        elif kind == "onoff":
+            b = PeerBehavior.onoff(draw(st.sampled_from([0.2, 0.5])))
+        elif kind == "badmouth":
+            others = [x for x in ids if x != pid]
+            targets = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+            b = PeerBehavior.badmouther(
+                targets, slander_prob=draw(st.floats(0.05, 0.95)),
+                loss_rate=draw(st.sampled_from([0.0, 0.2])))
+        elif rotating:
+            b = PeerBehavior.collab_rotating(group)
+        else:
+            b = PeerBehavior.collab_static(group, designated=group[0])
+        behaviors.append(b)
+
+    def params():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # forgetting <= forgiving is allowed
+            theta_p = draw(st.sampled_from([0.0, 0.3, 0.5]))
+            return TrustParams(
+                cf_model=draw(st.sampled_from([CFModel.CFDA, CFModel.CFDB])),
+                dt_model=draw(st.sampled_from(list(DTModel))),
+                forgetting=draw(RATES),
+                forgiving=draw(RATES),
+                theta_p=theta_p,
+                theta_g=max(theta_p, draw(st.sampled_from([0.0, 0.6, 0.9]))),
+                k_providers=draw(st.integers(1, 4)),
+                k_recommenders=draw(st.integers(1, 4)),
+            )
+
+    base = params()
+    overridden = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+    requesters = tuple(sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
+    cand_map = tuple(
+        (rid, tuple(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
+                                  min_size=1, unique=True))))
+        for rid in requesters
+    )
+    rounds = draw(st.integers(2, 12))
+    pairs = [(o, s) for o in ids for s in ids if o != s]
+    return ScenarioConfig(
+        name="fuzz",
+        n_peers=n,
+        rounds=rounds,
+        seed=draw(st.integers(0, 2 ** 32)),
+        behavior_mix=tuple((b, 1) for b in behaviors),
+        params=base,
+        param_overrides=tuple((pid, params()) for pid in overridden),
+        observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
+        requesters=requesters,
+        candidate_map=cand_map,
+        request_budgets=tuple(
+            (rid, draw(st.integers(1, 3))) for rid in requesters if draw(st.booleans())),
+        warmup_rounds=draw(st.integers(0, rounds - 1)),
+        warmup_budget=draw(st.integers(0, 3)),
+        ads_per_round=draw(st.one_of(st.none(), st.integers(1, 3))),
+    )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_worlds())
+def test_memoised_path_matches_oracle(cfg):
+    got = fingerprint(*run_capturing_world(cfg))
+    want = fingerprint(*run_with_oracle(cfg))
+    for key in want:
+        assert got[key] == want[key], key
+
+
+# --- work budget -------------------------------------------------------------
+
+def test_dense_collusion_work_counts(monkeypatch):
+    """e4 rotating, group 24, 40 rounds: the memos cut the decay and scoring
+    work, while the recommendation draws (and so the RNG streams) and the
+    traced entry points keep their call counts."""
+    names = ("recommendation_value", "query_indirect", "evaluate_trust",
+             "direct_trust", "apply_decay")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sim_engine, name, counting(name, getattr(sim_engine, name)))
+    run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
+    assert calls["recommendation_value"] == 313_651
+    assert calls["query_indirect"] == 23_080    # 23 040 selections + 40 observations
+    assert calls["evaluate_trust"] == 23_040
+    assert calls["direct_trust"] <= 100_000     # 650 382 without the memos
+    assert calls["apply_decay"] <= 100_000      # 645 078 without the memos

@@ -1,8 +1,10 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
+from pollushield import trust_core
 from pollushield.trust_core import (
     CFModel,
     ChunkQuality,
@@ -133,6 +135,30 @@ class TestDecay:
         params = TrustParams()
         with pytest.raises(ValueError, match="time regression"):
             apply_decay(state(1, 0, 1, last_update=5), 4, params)
+
+    @pytest.mark.parametrize("forgetting, forgiving, exp_calls", [
+        (0.0, 0.0, 0), (0.0, 0.3, 1), (0.3, 0.0, 1), (0.3, 0.7, 2)])
+    def test_zero_rate_skips_exp_bit_identically(
+        self, monkeypatch, forgetting, forgiving, exp_calls
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # forgetting <= forgiving is allowed
+            params = TrustParams(forgetting=forgetting, forgiving=forgiving)
+        st = state(7.3, 2.9, 10.2, last_update=1.5)
+        dt = 4.25
+        keep_clean = math.exp(-forgetting * dt)
+        keep_polluted = math.exp(-forgiving * dt)
+        want = (7.3 * keep_clean, 2.9 * keep_polluted, 10.2 * keep_clean, 1.5 + dt)
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(trust_core, "math", SimpleNamespace(exp=exp))
+        got = apply_decay(st, 1.5 + dt, params)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert len(calls) == exp_calls
 
 
 class TestRecordDelivery:
