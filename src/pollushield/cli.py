@@ -11,11 +11,12 @@ import logging
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .metrics import emit_csv
 from .scenarios import (
     EXPERIMENT_IDS,
+    EXPERIMENT_OVERRIDES,
     ScenarioConfig,
     build_experiment,
     load_config,
@@ -29,16 +30,6 @@ EXIT_BAD_CONFIG = 1
 EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_UNWRITABLE = 3
 
-_SWEEP_KEYS = {
-    "seed": int,
-    "rounds": int,
-    "loss_rate": float,
-    "malicious_fraction": float,
-    "policy": str,
-    "mode": str,
-    "group_size": int,
-}
-
 
 def _configure_logging() -> None:
     level = os.environ.get("POLLUSHIELD_LOG", "info").lower()
@@ -49,12 +40,24 @@ def _configure_logging() -> None:
     logging.basicConfig(level=numeric, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_sweep(spec: str) -> List[tuple]:
+def _sweep_keys(experiment: Optional[str]) -> Dict[str, type]:
+    """Override name -> type for an experiment; a scenario file takes only
+    the overrides that are config fields."""
+    if experiment is not None:
+        return EXPERIMENT_OVERRIDES[experiment]
+    config_fields = {f.name for f in fields(ScenarioConfig)}
+    return {
+        k: t for keys in EXPERIMENT_OVERRIDES.values() for k, t in keys.items()
+        if k in config_fields
+    }
+
+
+def _parse_sweep(spec: str, keys: Dict[str, type]) -> List[tuple]:
     try:
         key, _, raw = spec.partition("=")
-        if key not in _SWEEP_KEYS:
-            raise ValueError(f"unknown sweep key {key!r}")
-        cast = _SWEEP_KEYS[key]
+        if key not in keys:
+            raise ValueError(f"unknown sweep key {key!r} (valid: {', '.join(keys)})")
+        cast = keys[key]
         values = [cast(v) for v in raw.split(",") if v != ""]
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -83,14 +86,6 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
             cfg = load_config(path)
         except (OSError, ValueError) as exc:
             print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        builder_only = sorted(set(overrides) - {f.name for f in fields(ScenarioConfig)})
-        if builder_only:
-            print(
-                f"error: {', '.join(builder_only)} can only be overridden for an "
-                f"--experiment, not in scenario {path!r}",
-                file=sys.stderr,
-            )
             return EXIT_BAD_CONFIG
         if overrides:
             cfg = replace(cfg, **overrides)
@@ -138,7 +133,9 @@ def run_command(argv: Sequence[str]) -> int:
         "--sweep",
         default=None,
         metavar="KEY=V1,V2,...",
-        help="run once per value of an override key",
+        help="run once per value of an override key ("
+        + "; ".join(f"{exp}: {', '.join(_sweep_keys(exp))}" for exp in EXPERIMENT_IDS)
+        + f"; scenario files: {', '.join(_sweep_keys(None))})",
     )
     args = parser.parse_args(argv)
 
@@ -151,7 +148,7 @@ def run_command(argv: Sequence[str]) -> int:
     if args.sweep is None:
         return _run_one(args, base_overrides, "")
     try:
-        points = _parse_sweep(args.sweep)
+        points = _parse_sweep(args.sweep, _sweep_keys(args.experiment))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -31,9 +31,6 @@ class MetricsReport:
     summary: List[PeerSummary]
     run_meta: Dict[str, object]
 
-    def final_trust(self, observer: int, subject: int) -> float:
-        return self.trajectories[(observer, subject)][-1][4]
-
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"

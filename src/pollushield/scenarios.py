@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from typing import (
     Any, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
 )
@@ -24,8 +24,6 @@ from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import TrustCache, World, evaluate_components, run_round
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
-
-EXPERIMENT_IDS = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 
 @dataclass(frozen=True)
@@ -199,28 +197,9 @@ def config_digest(cfg: ScenarioConfig) -> str:
 
 
 # --- experiment builders -----------------------------------------------------
-
-def _base_params(**kwargs) -> TrustParams:
-    defaults = dict(
-        cf_model=CFModel.CFDA,
-        c=1.0,
-        dt_model=DTModel.PDTM,
-        rho=math.log(2.0),  # ln(1 + 1/eta) with eta = 1: the boundary setting
-        eta=1.0,
-        theta_p=0.5,
-        theta_g=0.9,
-        chi=0.5,
-    )
-    defaults.update(kwargs)
-    return TrustParams(**defaults)
-
-
-def _pop_overrides(overrides: dict, allowed: Sequence[str]) -> dict:
-    unknown = set(overrides) - set(allowed)
-    if unknown:
-        raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    return overrides
-
+#
+# Each builder's keyword parameters are its overrides: the one place that
+# declares an override's name, default and type.
 
 def _sample_candidates(
     rng: random.Random, pid: int, pool: Sequence[int], count: int
@@ -231,7 +210,7 @@ def _sample_candidates(
     return tuple(sorted(rng.sample(eligible, count)))
 
 
-def build_e1(**overrides) -> ScenarioConfig:
+def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     """Constant vs dynamic confidence weighting under bad-mouthing.
 
     Two observers watch one spotless uploader whose reputation is slandered
@@ -239,14 +218,11 @@ def build_e1(**overrides) -> ScenarioConfig:
     0.5. Transactions are forced (thresholds zeroed) so trust trajectories
     run for the full horizon.
     """
-    ov = _pop_overrides(overrides, ("seed", "rounds"))
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", 50)
     n_recommenders = 10
     n_liars = 8
     subject = 2
     recommenders = tuple(range(3, 3 + n_recommenders))
-    params = _base_params(
+    params = TrustParams(
         dt_model=DTModel.DTMA,
         theta_p=0.0,
         theta_g=0.0,
@@ -279,17 +255,14 @@ def build_e1(**overrides) -> ScenarioConfig:
     )
 
 
-def build_e2(**overrides) -> ScenarioConfig:
+def build_e2(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     """Direct trust models against on-off uploaders at 50/20/10 percent.
 
     One victim scores with the exponential-penalty model, a second with the
     plain clean/total ratio; both receive one chunk per attacker per round.
     """
-    ov = _pop_overrides(overrides, ("seed", "rounds"))
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", 50)
     attackers = (2, 3, 4)
-    params = _base_params(theta_p=0.0, theta_g=0.0, k_providers=3)
+    params = TrustParams(theta_p=0.0, theta_g=0.0, k_providers=3)
     dtma = replace(params, dt_model=DTModel.DTMA)
     mix = (
         (PeerBehavior.honest(), 2),
@@ -315,19 +288,7 @@ def build_e2(**overrides) -> ScenarioConfig:
     )
 
 
-# Loss-sweep tuning: slow forgetting keeps honest evidence deep; the
-# forgiving rate is set so light loss leaves honest trust above the
-# unconditional-accept threshold while sustained loss pulls it through the
-# gray zone, where only probabilistic probing keeps serving. Other
-# experiments pick their own decay rates.
-_POP_FORGETTING = 0.01
-_POP_FORGIVING = 0.066
-_POP_ROUNDS = 44
-_POP_WARMUP = 24
-_POP_WARMUP_BUDGET = 3
 _POP_CANDIDATES = 10
-_POP_REQUESTERS = 150
-
 
 # PeerTrust baseline (Xiong & Liu, IEEE TKDE 2004): ratio-based direct
 # trust, fixed half/half weight between direct and indirect evidence, no
@@ -360,89 +321,85 @@ def _population_config(
     name: str,
     seed: int,
     rounds: int,
-    n_honest: int,
-    n_persistent: int,
-    n_onoff: int,
-    loss_range: Tuple[float, float],
+    behaviors: Sequence[PeerBehavior],
     params: TrustParams,
-    warmup_rounds: int = _POP_WARMUP,
-    warmup_budget: int = _POP_WARMUP_BUDGET,
+    loss_range: Tuple[float, float],
     measure_from: Optional[int] = None,
-    ads_per_round: Optional[int] = None,
 ) -> ScenarioConfig:
-    n_peers = n_honest + n_persistent + n_onoff
-    mix = (
-        (PeerBehavior.honest(), n_honest),
-        (PeerBehavior.persistent(), n_persistent),
-        (PeerBehavior.onoff(0.2), n_onoff),
+    """A lossy population with one behaviour per peer id, in id order. The
+    first 150 honest peers request, each from 10 sampled candidates; the
+    first 24 rounds are warmup with a budget of 3 deliveries."""
+    requesters = tuple(
+        [pid for pid, b in enumerate(behaviors) if b.kind is BehaviorKind.HONEST][:150]
     )
-    requesters = tuple(range(min(_POP_REQUESTERS, n_honest)))
     rng = random.Random(f"{seed}:topology:{name}")
-    pool = list(range(n_peers))
+    pool = range(len(behaviors))
     cand_map = tuple(
         (rid, _sample_candidates(rng, rid, pool, _POP_CANDIDATES)) for rid in requesters
     )
     return ScenarioConfig(
         name=name,
-        n_peers=n_peers,
+        n_peers=len(behaviors),
         rounds=rounds,
         seed=seed,
-        behavior_mix=mix,
+        behavior_mix=tuple((b, sum(1 for _ in run)) for b, run in groupby(behaviors)),
         params=params,
         loss_rate_range=loss_range,
         requesters=requesters,
         candidate_map=cand_map,
-        warmup_rounds=warmup_rounds,
-        warmup_budget=warmup_budget,
+        warmup_rounds=24,
+        warmup_budget=3,
         detection_threshold=0.5,
         measure_from=measure_from,
-        ads_per_round=ads_per_round,
     )
 
 
-def build_e3(**overrides) -> ScenarioConfig:
+def build_e3(
+    *, seed: int = 1, rounds: int = 44, loss_rate: float = 0.02, policy: str = "proposed"
+) -> ScenarioConfig:
     """Double thresholds vs a single 0.8 threshold under uniform loss.
 
     500 peers, 20% malicious (half persistent, half 20% on-off). The loss
     rate applies identically to every honest upload; sweep it to compare
     how each policy treats good peers with degraded records.
     """
-    ov = _pop_overrides(overrides, ("seed", "rounds", "loss_rate", "policy"))
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", _POP_ROUNDS)
-    loss = ov.get("loss_rate", 0.02)
-    params = _base_params(
-        forgetting=_POP_FORGETTING,
-        forgiving=_POP_FORGIVING,
+    # Loss-sweep tuning: slow forgetting keeps honest evidence deep; the
+    # forgiving rate is set so light loss leaves honest trust above the
+    # unconditional-accept threshold while sustained loss pulls it through
+    # the gray zone, where only probabilistic probing keeps serving. Other
+    # experiments pick their own decay rates.
+    params = TrustParams(
+        forgetting=0.01,
+        forgiving=0.066,
         k_providers=_POP_CANDIDATES,
         k_recommenders=5,
     )
+    behaviors = (
+        [PeerBehavior.honest()] * 400
+        + [PeerBehavior.persistent()] * 50
+        + [PeerBehavior.onoff(0.2)] * 50
+    )
     return _population_config(
-        name="e3",
-        seed=seed,
-        rounds=rounds,
-        n_honest=400,
-        n_persistent=50,
-        n_onoff=50,
-        loss_range=(loss, loss),
-        params=_admission_params(ov.get("policy", "proposed"), params, 0.8),
+        "e3", seed, rounds, behaviors,
+        _admission_params(policy, params, 0.8),
+        loss_range=(loss_rate, loss_rate),
     )
 
 
-def build_e4(**overrides) -> ScenarioConfig:
+def build_e4(
+    *, seed: int = 1, rounds: int = 200, mode: str = "rotating", group_size: int = 10
+) -> ScenarioConfig:
     """Collaborative attack on one victim: rotating or static polluter duty.
 
     The victim receives one chunk from every group member each round;
     members exchange chunks among themselves so each has first-hand history
     to lie about. Transactions are forced so trajectories run to the end.
     """
-    ov = _pop_overrides(overrides, ("seed", "rounds", "mode", "group_size"))
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", 200)
-    mode = ov.get("mode", "rotating")
-    group_size = ov.get("group_size", 10)
     if mode not in ("rotating", "static"):
         raise ValueError(f"unknown collaboration mode {mode!r}")
+    min_size = 2 if mode == "static" else 1
+    if group_size < min_size:
+        raise ValueError(f"group_size must be >= {min_size} in {mode} mode, got {group_size}")
     members = tuple(range(1, group_size + 1))
     if mode == "rotating":
         behavior = PeerBehavior.collab_rotating(members, period=1)
@@ -450,7 +407,7 @@ def build_e4(**overrides) -> ScenarioConfig:
     else:
         behavior = PeerBehavior.collab_static(members, designated=members[0])
         observed = ((0, members[0]), (0, members[1]))
-    params = _base_params(
+    params = TrustParams(
         theta_p=0.0,
         theta_g=0.0,
         k_providers=group_size,
@@ -476,7 +433,7 @@ def build_e4(**overrides) -> ScenarioConfig:
     )
 
 
-def build_e5(**overrides) -> ScenarioConfig:
+def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     """Do high-trust peers attract more data requests?
 
     100 providers with spread trust profiles (lossy honest peers plus both
@@ -487,14 +444,11 @@ def build_e5(**overrides) -> ScenarioConfig:
     advertisement subsets spread demand across providers in proportion to
     their local trust ranking.
     """
-    ov = _pop_overrides(overrides, ("seed", "rounds"))
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", 50)
     n_honest_prov, n_persistent, n_onoff, n_req = 60, 20, 20, 30
     providers = tuple(range(100))
     reqs = tuple(range(100, 100 + n_req))
     newcomer = 100 + n_req
-    params = _base_params(
+    params = TrustParams(
         forgetting=0.0,
         forgiving=0.15,
         k_providers=12,
@@ -533,7 +487,13 @@ def build_e5(**overrides) -> ScenarioConfig:
     )
 
 
-def build_e6(**overrides) -> ScenarioConfig:
+def build_e6(
+    *,
+    seed: int = 1,
+    rounds: int = 56,
+    malicious_fraction: float = 0.2,
+    policy: str = "proposed",
+) -> ScenarioConfig:
     """Proposed pipeline vs the fixed-weight single-threshold baseline while
     the malicious fraction sweeps from 0 to 50 percent.
 
@@ -544,65 +504,30 @@ def build_e6(**overrides) -> ScenarioConfig:
     difference is how long each pipeline keeps feeding from an on-off
     uploader it has already been burned by.
     """
-    ov = _pop_overrides(
-        overrides, ("seed", "rounds", "malicious_fraction", "policy")
-    )
-    seed = ov.get("seed", 1)
-    rounds = ov.get("rounds", 56)
-    fraction = ov.get("malicious_fraction", 0.2)
-    if not 0.0 <= fraction <= 0.9:
+    if not 0.0 <= malicious_fraction <= 0.9:
         raise ValueError("malicious_fraction must lie in [0, 0.9]")
     n_peers = 500
-    n_malicious = round(n_peers * fraction)
-    n_persistent = n_malicious // 2
-    n_onoff = n_malicious - n_persistent
-
-    params = _base_params(
+    n_malicious = round(n_peers * malicious_fraction)
+    layout_rng = random.Random(f"{seed}:layout:e6")
+    malicious = sorted(layout_rng.sample(range(n_peers), n_malicious))
+    persistent = set(layout_rng.sample(malicious, n_malicious // 2))
+    onoff = set(malicious) - persistent
+    behaviors = [
+        PeerBehavior.persistent() if pid in persistent
+        else PeerBehavior.onoff(0.2) if pid in onoff
+        else PeerBehavior.honest()
+        for pid in range(n_peers)
+    ]
+    params = TrustParams(
         forgetting=0.0,
         forgiving=0.03,
         k_providers=_POP_CANDIDATES,
         k_recommenders=5,
     )
-
-    layout_rng = random.Random(f"{seed}:layout:e6")
-    ids = list(range(n_peers))
-    malicious = sorted(layout_rng.sample(ids, n_malicious))
-    persistent_ids = set(sorted(layout_rng.sample(malicious, n_persistent)))
-    onoff_ids = set(malicious) - persistent_ids
-    behaviors: List[PeerBehavior] = []
-    for pid in ids:
-        if pid in persistent_ids:
-            behaviors.append(PeerBehavior.persistent())
-        elif pid in onoff_ids:
-            behaviors.append(PeerBehavior.onoff(0.2))
-        else:
-            behaviors.append(PeerBehavior.honest())
-    mix: List[Tuple[PeerBehavior, int]] = []
-    for behavior in behaviors:
-        if mix and mix[-1][0] == behavior:
-            mix[-1] = (behavior, mix[-1][1] + 1)
-        else:
-            mix.append((behavior, 1))
-
-    honest_ids = [pid for pid in ids if pid not in persistent_ids and pid not in onoff_ids]
-    requesters = tuple(honest_ids[:_POP_REQUESTERS])
-    rng = random.Random(f"{seed}:topology:e6")
-    cand_map = tuple(
-        (rid, _sample_candidates(rng, rid, ids, _POP_CANDIDATES)) for rid in requesters
-    )
-    return ScenarioConfig(
-        name="e6",
-        n_peers=n_peers,
-        rounds=rounds,
-        seed=seed,
-        behavior_mix=tuple(mix),
-        params=_admission_params(ov.get("policy", "proposed"), params, 0.5),
-        loss_rate_range=(0.0, 0.02),
-        requesters=requesters,
-        candidate_map=cand_map,
-        warmup_rounds=24,
-        warmup_budget=3,
-        detection_threshold=0.5,
+    return _population_config(
+        "e6", seed, rounds, behaviors,
+        _admission_params(policy, params, 0.5),
+        loss_range=(0.0, 0.02),
         measure_from=0,
     )
 
@@ -615,13 +540,26 @@ _BUILDERS = {
     "e5": build_e5,
     "e6": build_e6,
 }
+EXPERIMENT_IDS = tuple(_BUILDERS)
+
+# experiment id -> {override name: type}, read from the builder signatures
+EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
+    exp: {name: tp for name, tp in get_type_hints(builder).items() if name != "return"}
+    for exp, builder in _BUILDERS.items()
+}
 
 
 def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
-    """Deterministic config for one of the canned experiments e1..e6."""
+    """Deterministic, validated config for one of the canned experiments
+    e1..e6. Overrides are the builder's keyword parameters (listed per
+    experiment in EXPERIMENT_OVERRIDES); any other key raises ValueError,
+    and an unknown experiment id raises KeyError."""
     key = exp_id.lower()
     if key not in _BUILDERS:
         raise KeyError(f"unknown experiment id {exp_id!r}")
+    unknown = set(overrides) - set(EXPERIMENT_OVERRIDES[key])
+    if unknown:
+        raise ValueError(f"unsupported overrides: {sorted(unknown)}")
     cfg = _BUILDERS[key](**overrides)
     cfg.validate()
     return cfg

@@ -63,7 +63,8 @@ class TrustParams:
     c: float = 1.0                 # CFDA: transactions needed to reach weight 0.5
     beta: float = 0.5              # CFDB base, in (0, 1)
     dt_model: DTModel = DTModel.PDTM
-    rho: float = math.log(2.0)     # PDTM penalty exponent per polluted chunk
+    rho: float = math.log(2.0)     # PDTM penalty exponent per polluted chunk;
+                                   # ln(1 + 1/eta) at eta = 1: the boundary setting
     eta: float = 1.0               # PDTM clean-count offset
     forgetting: float = 0.0        # per-round decay rate of clean evidence
     forgiving: float = 0.0         # per-round decay rate of polluted evidence

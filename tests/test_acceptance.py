@@ -239,7 +239,7 @@ def test_criterion_7_requests_follow_trust():
     rep = run_scenario(cfg)
     providers = list(range(100))
     newcomer = 130
-    final_trust = [rep.final_trust(newcomer, p) for p in providers]
+    final_trust = [rep.trajectories[(newcomer, p)][-1][4] for p in providers]
     rows = {s.peer: s for s in rep.summary}
     requests = [rows[p].requests_received for p in providers]
     rho, _ = spearmanr(final_trust, requests)

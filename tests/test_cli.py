@@ -120,12 +120,15 @@ class TestRunCommand:
         assert (out / "e1_seed_1_trajectories.csv").exists()
         assert (out / "e1_seed_2_trajectories.csv").exists()
 
-    def test_bad_sweep_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sweep", ["volume=11", "loss_rate=0.1"])
+    def test_bad_sweep_key(self, tmp_path, capsys, sweep):
         code = run_command(
-            ["run", "--experiment", "e1", "--sweep", "volume=11", "--out", str(tmp_path)]
+            ["run", "--experiment", "e1", "--sweep", sweep, "--out", str(tmp_path)]
         )
         assert code == 1
-        assert "sweep" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep" in err
+        assert sweep.partition("=")[0] in err
 
 
 class TestCsvFormat:

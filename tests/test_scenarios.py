@@ -75,6 +75,10 @@ class TestBuilders:
         assert BehaviorKind.COLLAB_STATIC in kinds
         with pytest.raises(ValueError):
             build_experiment("e4", mode="waltz")
+        with pytest.raises(ValueError, match="group_size"):
+            build_experiment("e4", mode="static", group_size=1)
+        with pytest.raises(ValueError, match="group_size"):
+            build_experiment("e4", group_size=0)
 
     def test_e6_fraction_sweep_shapes(self):
         cfg = build_experiment("e6", malicious_fraction=0.4)
