@@ -29,11 +29,9 @@ from .scenarios import (
 from .sim_engine import (
     PeerRecord,
     TransactionOutcome,
-    TrustCache,
     TrustComponents,
     World,
     evaluate_components,
-    evaluate_trust,
     query_indirect,
     run_round,
     select_providers,
@@ -76,11 +74,9 @@ __all__ = [
     "save_config",
     "PeerRecord",
     "TransactionOutcome",
-    "TrustCache",
     "TrustComponents",
     "World",
     "evaluate_components",
-    "evaluate_trust",
     "query_indirect",
     "run_round",
     "select_providers",

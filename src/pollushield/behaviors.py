@@ -154,13 +154,14 @@ def recommendation_value(
     recommender: int,
     subject: int,
     honest_value: float,
-    rng: random.Random,
+    rng: Optional[random.Random],
 ) -> float:
     """Recommendation the owner reports when asked about `subject`.
 
     Honest peers (and upload-only attackers) report their true direct trust.
     Bad-mouthers zero out targeted peers with probability slander_prob per
-    enquiry. Colluders endorse fellow group members at full trust.
+    enquiry, drawn from `rng`, their own lie stream; no other kind draws.
+    Colluders endorse fellow group members at full trust.
     """
     kind = behavior.kind
     if kind is BehaviorKind.BADMOUTH and subject in behavior.target_set:

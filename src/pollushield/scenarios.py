@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -22,7 +23,7 @@ from typing import (
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import TrustCache, World, evaluate_components, run_round
+from .sim_engine import TrustMemo, World, evaluate_components, run_round
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -329,6 +330,8 @@ def _population_config(
     """A lossy population with one behaviour per peer id, in id order. The
     first 150 honest peers request, each from 10 sampled candidates; the
     first 24 rounds are warmup with a budget of 3 deliveries."""
+    if rounds < 25:
+        raise ValueError(f"rounds must be >= 25 (24 warmup rounds + 1), got {rounds}")
     requesters = tuple(
         [pid for pid, b in enumerate(behaviors) if b.kind is BehaviorKind.HONEST][:150]
     )
@@ -614,10 +617,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
     for _ in range(cfg.rounds):
         run_round(world)
-        # no deliveries happen between the queries of one round's loop
-        cache = TrustCache()
+        memo: TrustMemo = defaultdict(dict)  # no deliveries during the loop
         for observer, subject in cfg.observed_pairs:
-            comp = evaluate_components(world, observer, subject, cache)
+            comp = evaluate_components(world, observer, subject, memo)
             trajectories[(observer, subject)].append(
                 (world.round, comp.direct, comp.indirect, comp.alpha, comp.combined)
             )

@@ -8,24 +8,22 @@ Trust lives entirely inside per-peer tables; there is no shared registry.
 The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.
 
-Evaluating trust decays the entries it reads in the observer's own table
-and writes them back. A `TrustCache` memoises the repeated work without
-changing any result: an observer's credibility of each recommender per
-batch (one `select_providers` call, or one round's observation loop in
-`run_scenario`), and each recommender's honest value of a subject per
-round, dropped by `run_round` when that recommender receives a delivery
-from that subject. The first query to reach a recommender still decays and
-writes back its entry, so the tables end each round exactly as without the
-cache. Caches live only inside those calls; the public evaluation functions
-make a fresh one when none is passed.
+Tables change only at delivery. Evaluating trust reads a view of each entry
+decayed from its last delivery to `world.now` and stores nothing, so a run
+does not depend on how often trust is read. A memo, `memo[a][b]` = a's
+direct trust of b at `world.now`, spares the repeated work: it serves both
+recommender credibility and recommenders' honest values. `run_round` keeps
+one per round and drops `memo[a][b]` when a receives a delivery from b; the
+public evaluation functions make a fresh one when none is passed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .behaviors import PeerBehavior, recommendation_value, upload_quality
+from .behaviors import BehaviorKind, PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
     EMPTY_STATE,
     ChunkQuality,
@@ -64,6 +62,7 @@ class PeerRecord:
         "behavior",
         "params",
         "rng",
+        "lie_rng",
         "is_requester",
         "budget",
         "candidates",
@@ -80,11 +79,13 @@ class PeerRecord:
         is_requester: bool = False,
         budget: int = 1,
         candidates: Sequence[int] = (),
+        lie_rng: Optional[random.Random] = None,
     ) -> None:
         self.pid = pid
         self.behavior = behavior
         self.params = params
         self.rng = rng
+        self.lie_rng = lie_rng
         self.is_requester = is_requester
         self.budget = budget
         self.candidates: Tuple[int, ...] = tuple(candidates)
@@ -132,7 +133,10 @@ class World:
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
         rng = random.Random(f"{self.seed}:{pid}")
-        rec = PeerRecord(pid, behavior, params, rng, is_requester, budget, candidates)
+        # only a bad-mouther lies, from its own stream apart from its uploads
+        liar = behavior.kind is BehaviorKind.BADMOUTH
+        lie_rng = random.Random(f"{self.seed}:{pid}:lies") if liar else None
+        rec = PeerRecord(pid, behavior, params, rng, is_requester, budget, candidates, lie_rng)
         self.peers[pid] = rec
         if is_requester:
             self.requesters.append(pid)
@@ -140,32 +144,12 @@ class World:
         return rec
 
 
-class TrustCache:
-    """Trust work memoised while `world.now` stays put.
-
-    `credibility[observer][k]` is the observer's direct trust of recommender
-    k, filled when a query first reaches k. It holds for one batch: one
-    `select_providers` call, or one round's observation loop in
-    `run_scenario`. Inside a batch the observer's table changes only by decay
-    write-backs to the same `now`, which leave a decayed state as it is.
-
-    `honest[(k, subject)]` is k's honest direct trust of the subject. It
-    holds for one round.
-
-    Whoever keeps a cache longer than that drops what deliveries make stale,
-    as `run_round` does: the requester's credibility when its batch ends,
-    and (k, subject) when k receives a delivery from the subject.
-    """
-
-    __slots__ = ("credibility", "honest")
-
-    def __init__(self) -> None:
-        self.credibility: Dict[int, Dict[int, float]] = {}
-        self.honest: Dict[Tuple[int, int], float] = {}
+# memo[a][b]: a's direct trust of b at world.now
+TrustMemo = DefaultDict[int, Dict[int, float]]
 
 
 def query_indirect(
-    world: World, observer: int, subject: int, cache: Optional[TrustCache] = None
+    world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
 ) -> Optional[float]:
     """Aggregate recommendations about `subject` for `observer`.
 
@@ -174,16 +158,15 @@ def query_indirect(
     The observer keeps only its top-k most credible recommenders; each
     contributes its (possibly dishonest) reported direct trust, weighted by
     the observer's direct trust of the recommender. Returns None when no
-    recommender qualifies. Without a cache the query memoises into a fresh
-    one, so it always reads the tables as they are now.
+    recommender qualifies.
     """
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
     obs = world.peers[observer]
     now = world.now
-    # fetched at the first co-observer the observer knows: most queries in
-    # a sparse mesh meet none, and should pay nothing for the cache
-    credibility: Optional[Dict[int, float]] = None
+    if memo is None:
+        memo = defaultdict(dict)
+    credibility = memo[observer]
     eligible: List[Tuple[float, int]] = []
     for k in world.observers_of.get(subject, ()):
         if k == observer or k == subject:
@@ -191,64 +174,41 @@ def query_indirect(
         st = obs.trust_table.get(k)
         if st is None:
             continue
-        if credibility is None:
-            if cache is None:
-                cache = TrustCache()
-            credibility = cache.credibility.setdefault(observer, {})
         cred = credibility.get(k)
         if cred is None:
-            if st.n_transactions <= 0.0:
-                continue
-            st = apply_decay(st, now, obs.params)
-            obs.trust_table[k] = st
-            cred = direct_trust(st, obs.params)
-            # a count that decayed to 0 leaves k out of later queries
-            if st.n_transactions > 0.0:
-                credibility[k] = cred
+            cred = credibility[k] = direct_trust(apply_decay(st, now, obs.params), obs.params)
         eligible.append((cred, k))
     if not eligible:
         return None
     eligible.sort(key=lambda ck: (-ck[0], ck[1]))
-    honest_of = cache.honest  # set: eligible is non-empty
     recommendations: List[Tuple[float, float]] = []
     for cred, k in eligible[: obs.params.k_recommenders]:
         rec = world.peers[k]
-        honest = honest_of.get((k, subject))
+        views = memo[k]
+        honest = views.get(subject)
         if honest is None:
-            # read-only decayed view: evaluating trust must not touch k's table
             kst = apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
-            honest = honest_of[(k, subject)] = direct_trust(kst, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, rec.rng)
+            honest = views[subject] = direct_trust(kst, rec.params)
+        value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
 
 
 def evaluate_components(
-    world: World, observer: int, subject: int, cache: Optional[TrustCache] = None
+    world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
 ) -> TrustComponents:
     """Direct, indirect, confidence weight, and combined trust for one pair."""
     if observer == subject:
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     st = obs.trust_table.get(subject)
-    if st is not None:
-        st = apply_decay(st, world.now, obs.params)
-        obs.trust_table[subject] = st
-    else:
-        st = EMPTY_STATE
+    st = EMPTY_STATE if st is None else apply_decay(st, world.now, obs.params)
     d = direct_trust(st, obs.params)
     a = confidence_factor(st, obs.params)
-    ind = query_indirect(world, observer, subject, cache)
+    ind = query_indirect(world, observer, subject, memo)
     cold = obs.params.cold_start_trust
     combined = combine_trust(d, ind, a, cold)
     return TrustComponents(d, cold if ind is None else ind, a, combined)
-
-
-def evaluate_trust(
-    world: World, observer: int, subject: int, cache: Optional[TrustCache] = None
-) -> float:
-    """Combined trust the observer places in the subject right now."""
-    return evaluate_components(world, observer, subject, cache).combined
 
 
 def select_providers(
@@ -257,21 +217,18 @@ def select_providers(
     candidates: Sequence[int],
     k: int,
     rng: random.Random,
-    cache: Optional[TrustCache] = None,
+    memo: Optional[TrustMemo] = None,
 ) -> List[Tuple[int, float]]:
     """Rank candidates by trust, keep the top k, pass each through the
     requester's double-threshold rule. During warmup rounds the rule is
     bypassed. Returns (provider, trust) pairs, best trust first (ties:
-    lowest id). The call is one batch: `cache`, if given, must carry no
-    credibility the requester's earlier deliveries made stale."""
+    lowest id)."""
     req = world.peers[requester]
-    if cache is None:
-        cache = TrustCache()
     scored: List[Tuple[int, float]] = []
     for pid in candidates:
         if pid == requester:
             continue
-        t = evaluate_trust(world, requester, pid, cache)
+        t = evaluate_components(world, requester, pid, memo).combined
         if t < world.detection_threshold and pid not in world.detections:
             world.detections[pid] = int(world.now)
         scored.append((pid, t))
@@ -295,7 +252,7 @@ def run_round(world: World) -> World:
     world.now = float(r)
     in_warmup = r <= world.warmup_rounds
     ads = world.ads_per_round
-    cache = TrustCache()
+    memo: TrustMemo = defaultdict(dict)
     for rid in world.requesters:
         req = world.peers[rid]
         if not req.candidates:
@@ -306,9 +263,9 @@ def run_round(world: World) -> World:
             advertising = req.candidates
         budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
         admitted = select_providers(
-            world, rid, advertising, req.params.k_providers, req.rng, cache
+            world, rid, advertising, req.params.k_providers, req.rng, memo
         )
-        cache.credibility.pop(rid, None)
+        views = memo[rid]
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
@@ -320,7 +277,7 @@ def run_round(world: World) -> World:
             else:
                 st = apply_decay(st, float(r), req.params)
             req.trust_table[pid] = record_delivery(st, quality)
-            cache.honest.pop((rid, pid), None)
+            views.pop(pid, None)
             world.observers_of.setdefault(pid, {})[rid] = None
             world.event_log.append(
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)

@@ -1,0 +1,59 @@
+"""Run invariants: a run is a function of (config, seed) alone.
+
+Reading trust stores nothing, so observing more pairs changes no delivery,
+and every valid config keeps trust in range, conserves deliveries, survives
+save -> load and replays exactly.
+"""
+
+import os
+import tempfile
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from pollushield.scenarios import (
+    build_experiment,
+    dump_config,
+    load_config,
+    run_scenario,
+    save_config,
+)
+from test_trust_cache import fingerprint, run_capturing_world, small_worlds
+
+READ_CASES = [(exp, seed) for exp in ("e1", "e2", "e4", "e5") for seed in (1, 2, 3)]
+READ_CASES += [("e3", 1), ("e6", 1)]
+
+
+@pytest.mark.parametrize("exp, seed", READ_CASES)
+def test_extra_reads_leave_the_run_unchanged(exp, seed):
+    """Observing every requester -> candidate pair as well changes neither
+    the summary nor the trajectories of the pairs observed anyway."""
+    cfg = build_experiment(exp, seed=seed)
+    extra = [
+        (rid, c)
+        for rid, cands in cfg.candidate_map
+        for c in cands
+        if c != rid and (rid, c) not in cfg.observed_pairs
+    ]
+    base = run_scenario(cfg)
+    read_more = run_scenario(replace(cfg, observed_pairs=cfg.observed_pairs + tuple(extra)))
+    assert read_more.summary == base.summary
+    for pair in cfg.observed_pairs:
+        assert read_more.trajectories[pair] == base.trajectories[pair], pair
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_worlds())
+def test_small_world_invariants(cfg):
+    report, world = run_capturing_world(cfg)
+    for rows in report.trajectories.values():
+        for row in rows:
+            assert all(0.0 <= v <= 1.0 for v in row[1:]), row
+    assert all(s.goodput >= 0.0 for s in report.summary)
+    assert sum(s.requests_received for s in report.summary) == len(world.event_log)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        save_config(cfg, path)
+        assert dump_config(load_config(path)) == dump_config(cfg)
+    assert fingerprint(*run_capturing_world(cfg)) == fingerprint(report, world)

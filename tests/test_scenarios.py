@@ -33,6 +33,12 @@ class TestBuilders:
         with pytest.raises(ValueError, match="unsupported overrides"):
             build_experiment("e2", bogus=1)
 
+    @pytest.mark.parametrize("exp, rounds", [("e3", 24), ("e3", 10), ("e6", 24), ("e6", 0)])
+    def test_population_rounds_must_pass_warmup(self, exp, rounds):
+        with pytest.raises(ValueError, match=f"rounds must be >= 25.*got {rounds}$"):
+            build_experiment(exp, rounds=rounds)
+        assert build_experiment(exp, rounds=25).rounds == 25
+
     def test_e1_has_both_confidence_schemes(self):
         cfg = build_experiment("e1")
         assert cfg.params.cf_model is CFModel.CFDA

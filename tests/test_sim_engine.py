@@ -1,11 +1,11 @@
+from collections import defaultdict
+
 import pytest
 
 from pollushield.behaviors import PeerBehavior
 from pollushield.sim_engine import (
-    TrustCache,
     World,
     evaluate_components,
-    evaluate_trust,
     query_indirect,
     run_round,
     select_providers,
@@ -33,19 +33,19 @@ def seed_history(world, observer, subject, n_clean, n_polluted=0.0):
 class TestEvaluateTrust:
     def test_cold_start_is_half(self):
         world = make_world(2)
-        assert evaluate_trust(world, 0, 1) == pytest.approx(0.5)
+        assert evaluate_components(world, 0, 1).combined == pytest.approx(0.5)
 
     def test_self_evaluation_rejected(self):
         world = make_world(2)
         with pytest.raises(ValueError):
-            evaluate_trust(world, 1, 1)
+            evaluate_components(world, 1, 1)
 
     def test_indirect_only_uses_recommender(self):
         # no direct history: alpha is 0, so trust equals the recommendation
         world = make_world(3)
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)  # recommender's view: 0.8
         seed_history(world, 0, 2, n_clean=3)                # credibility 1.0
-        assert evaluate_trust(world, 0, 1) == pytest.approx(0.8)
+        assert evaluate_components(world, 0, 1).combined == pytest.approx(0.8)
 
     def test_direct_dominates_after_many_interactions(self):
         # 50 clean chunks: T = (50/51) * 1 + (1/51) * 0.1
@@ -54,7 +54,7 @@ class TestEvaluateTrust:
         seed_history(world, 2, 1, n_clean=1, n_polluted=9)  # recommends 0.1
         seed_history(world, 0, 2, n_clean=5)
         expected = (50 / 51) * 1.0 + (1 / 51) * 0.1
-        assert evaluate_trust(world, 0, 1) == pytest.approx(expected, abs=1e-9)
+        assert evaluate_components(world, 0, 1).combined == pytest.approx(expected, abs=1e-9)
 
     def test_components_report_cold_substitute(self):
         world = make_world(2)
@@ -100,7 +100,7 @@ class TestQueryIndirect:
         assert query_indirect(world, 0, 1) is None
 
     def test_repeat_query_sees_direct_table_edits(self):
-        # each call without a cache reads the tables as they are now
+        # each call without a memo reads the tables as they are now
         world = make_world(4)
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)  # recommends 0.8
         seed_history(world, 3, 1, n_clean=1, n_polluted=4)  # recommends 0.2
@@ -113,20 +113,36 @@ class TestQueryIndirect:
         world.peers[2].trust_table[1] = TrustState(0.0, 5.0, 5.0, 2.0)  # recommends 0.0
         assert query_indirect(world, 0, 1) == pytest.approx(0.25 * 0.2 / 1.25)
 
-    def test_shared_cache_drops_recommender_whose_count_decays_to_zero(self):
-        # the first query decays peer 2's record to nothing and still counts
-        # it; later queries of the batch, like uncached ones, skip it
-        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMB, forgetting=200.0)
+    def test_queries_leave_every_table_bit_identical(self):
+        # reads decay a view of each entry and store nothing, the observer's
+        # own table included, even where decay has emptied a record
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMB,
+                             forgetting=200.0, forgiving=0.3)
         world = make_world(4, params=params)
         for subject in (1, 3):
-            seed_history(world, 2, subject, n_clean=4)
+            seed_history(world, 2, subject, n_clean=4, n_polluted=1)
+        seed_history(world, 0, 1, n_clean=2, n_polluted=1)
         seed_history(world, 0, 2, n_clean=3)
         world.now = 5.0
-        cache = TrustCache()
-        assert query_indirect(world, 0, 1, cache) is not None
-        assert world.peers[0].trust_table[2].n_transactions == 0.0
-        assert query_indirect(world, 0, 3, cache) is None
-        assert query_indirect(world, 0, 3) is None
+        before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
+        memo = defaultdict(dict)
+        for subject in (1, 3, 1):
+            assert query_indirect(world, 0, subject, memo) is not None
+            evaluate_components(world, 0, subject, memo)
+        evaluate_components(world, 0, 2)
+        assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
+
+    def test_lies_leave_the_upload_stream_alone(self):
+        world = make_world(2)
+        world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob=0.5), DTMA_PARAMS)
+        seed_history(world, 2, 1, n_clean=5)
+        seed_history(world, 0, 2, n_clean=3)
+        liar = world.peers[2]
+        upload_state, lie_state = liar.rng.getstate(), liar.lie_rng.getstate()
+        for _ in range(5):
+            query_indirect(world, 0, 1)
+        assert liar.rng.getstate() == upload_state
+        assert liar.lie_rng.getstate() != lie_state
 
 
 class TestSelectProviders:
@@ -262,7 +278,7 @@ class TestRunRound:
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)
         seed_history(world, 0, 2, n_clean=3)
         before = dict(world.peers[2].trust_table)
-        evaluate_trust(world, 0, 1)
+        evaluate_components(world, 0, 1).combined
         assert world.peers[2].trust_table == before
         assert world.peers[1].trust_table == {}
 

@@ -1,8 +1,8 @@
-"""The memoised trust path against an uncached oracle, and its work budget.
+"""The memoised trust path against an unmemoised oracle, and its work budget.
 
-The oracle below is the straightforward evaluation: every query decays and
-scores every co-observer and every recommender's view of the subject from
-scratch, and decay always calls `exp`. It lives here only, as the reference
+The oracle below is the pure definition: every query decays a view of each
+co-observer and each recommender's view of the subject from scratch, stores
+nothing, and decay always calls `exp`. It lives here only, as the reference
 the memoised `sim_engine` path must match bit for bit.
 """
 
@@ -47,7 +47,7 @@ def oracle_apply_decay(state, now, params):
     )
 
 
-def oracle_query_indirect(world, observer, subject, cache=None) -> Optional[float]:
+def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float]:
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
     obs = world.peers[observer]
@@ -57,10 +57,9 @@ def oracle_query_indirect(world, observer, subject, cache=None) -> Optional[floa
         if k == observer or k == subject:
             continue
         s = obs.trust_table.get(k)
-        if s is None or s.n_transactions <= 0.0:
+        if s is None:
             continue
         s = oracle_apply_decay(s, now, obs.params)
-        obs.trust_table[k] = s
         eligible.append((direct_trust(s, obs.params), k))
     if not eligible:
         return None
@@ -70,21 +69,17 @@ def oracle_query_indirect(world, observer, subject, cache=None) -> Optional[floa
         rec = world.peers[k]
         kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
         honest = direct_trust(kst, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, rec.rng)
+        value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
 
 
-def oracle_evaluate_components(world, observer, subject, cache=None):
+def oracle_evaluate_components(world, observer, subject, memo=None):
     if observer == subject:
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     s = obs.trust_table.get(subject)
-    if s is not None:
-        s = oracle_apply_decay(s, world.now, obs.params)
-        obs.trust_table[subject] = s
-    else:
-        s = EMPTY_STATE
+    s = EMPTY_STATE if s is None else oracle_apply_decay(s, world.now, obs.params)
     d = direct_trust(s, obs.params)
     a = confidence_factor(s, obs.params)
     ind = oracle_query_indirect(world, observer, subject)
@@ -126,6 +121,7 @@ def fingerprint(report, world):
         "trajectories": repr(report.trajectories),
         "summary": repr(report.summary),
         "rng": [rec.rng.getstate() for rec in world.peers.values()],
+        "lie_rng": [rec.lie_rng and rec.lie_rng.getstate() for rec in world.peers.values()],
         "ads_rng": world.ads_rng.getstate(),
     }
 
@@ -217,10 +213,10 @@ def test_memoised_path_matches_oracle(cfg):
 # --- work budget -------------------------------------------------------------
 
 def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the memos cut the decay and scoring
+    """e4 rotating, group 24, 40 rounds: the memo cuts the decay and scoring
     work, while the recommendation draws (and so the RNG streams) and the
     traced entry points keep their call counts."""
-    names = ("recommendation_value", "query_indirect", "evaluate_trust",
+    names = ("recommendation_value", "query_indirect", "evaluate_components",
              "direct_trust", "apply_decay")
     calls = dict.fromkeys(names, 0)
 
@@ -235,6 +231,6 @@ def test_dense_collusion_work_counts(monkeypatch):
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
     assert calls["recommendation_value"] == 313_651
     assert calls["query_indirect"] == 23_080    # 23 040 selections + 40 observations
-    assert calls["evaluate_trust"] == 23_040
-    assert calls["direct_trust"] <= 100_000     # 650 382 without the memos
-    assert calls["apply_decay"] <= 100_000      # 645 078 without the memos
+    assert calls["evaluate_components"] == 23_040  # observations call scenarios' binding
+    assert calls["direct_trust"] == 41_956      # 650 382 without the memo
+    assert calls["apply_decay"] == 36_652       # 645 078 without the memo
