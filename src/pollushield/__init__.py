@@ -34,6 +34,7 @@ from .sim_engine import (
     evaluate_components,
     query_indirect,
     run_round,
+    score_candidates,
     select_providers,
 )
 from .trust_core import (
@@ -79,6 +80,7 @@ __all__ = [
     "evaluate_components",
     "query_indirect",
     "run_round",
+    "score_candidates",
     "select_providers",
     "CFModel",
     "ChunkQuality",

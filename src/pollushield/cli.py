@@ -98,6 +98,8 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
         cfg = replace(cfg, name=f"{cfg.name}_{suffix}")
     log.debug("running %s: %d peers, %d rounds", cfg.name, cfg.n_peers, cfg.rounds)
     report = run_scenario(cfg)
+    for msg in report.run_meta["diagnostics"]:
+        log.warning("%s: %s", cfg.name, msg)
     try:
         paths = emit_csv(report, args.out)
     except OSError as exc:

@@ -645,6 +645,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         )
         for pid in sorted(world.peers)
     ]
+    param_sets = [cfg.params] + [p for _, p in cfg.param_overrides]
     run_meta = {
         "name": cfg.name,
         "seed": cfg.seed,
@@ -652,6 +653,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         "measure_from": measure_from,
         "config_digest": config_digest(cfg),
         "engine_version": __version__,
+        # distinct messages over every parameter set, in order of appearance
+        "diagnostics": list(dict.fromkeys(msg for p in param_sets for msg in p.diagnostics())),
     }
     return MetricsReport(trajectories=trajectories, summary=summary, run_meta=run_meta)
 

@@ -8,13 +8,20 @@ Trust lives entirely inside per-peer tables; there is no shared registry.
 The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.
 
-Tables change only at delivery. Evaluating trust reads a view of each entry
-decayed from its last delivery to `world.now` and stores nothing, so a run
-does not depend on how often trust is read. A memo, `memo[a][b]` = a's
-direct trust of b at `world.now`, spares the repeated work: it serves both
-recommender credibility and recommenders' honest values. `run_round` keeps
-one per round and drops `memo[a][b]` when a receives a delivery from b; the
-public evaluation functions make a fresh one when none is passed.
+Trust is scored by one kernel, `score_candidates`: it scores all of a
+requester's candidates in one call, reading the requester's parameters and
+table once and decaying each entry into plain counts for `trust_core`'s
+count-level formulas. Recommendations are queried only for a subject that
+some peer has received from. `select_providers` calls it once per requester,
+and `evaluate_components` is the kernel applied to one subject.
+
+Tables change only at delivery. Evaluating trust reads each entry decayed
+from its last delivery to `world.now` and stores nothing, so a run does not
+depend on how often trust is read. A memo, `memo[a][b]` = a's direct trust
+of b at `world.now`, spares the repeated work: it serves both recommender
+credibility and recommenders' honest values. `run_round` keeps one per round
+and drops `memo[a][b]` when a receives a delivery from b; the public
+evaluation functions make a fresh one when none is passed.
 """
 
 from __future__ import annotations
@@ -31,8 +38,10 @@ from .trust_core import (
     TrustState,
     apply_decay,
     combine_trust,
-    confidence_factor,
+    confidence_from_count,
+    decayed_counts,
     direct_trust,
+    direct_trust_from_counts,
     indirect_trust,
     record_delivery,
     transaction_probability,
@@ -194,21 +203,61 @@ def query_indirect(
     return indirect_trust(recommendations)
 
 
+def score_candidates(
+    world: World,
+    observer: int,
+    subjects: Sequence[int],
+    memo: Optional[TrustMemo] = None,
+) -> List[TrustComponents]:
+    """Direct, indirect, confidence weight, and combined trust of each
+    subject for one observer, in the order given.
+
+    The observer's parameters and table are read once per batch, and each
+    entry is decayed into plain counts. Recommendations are queried only
+    for subjects that some peer has received from; for any other subject no
+    recommender can qualify.
+    """
+    obs = world.peers[observer]
+    params = obs.params
+    table = obs.trust_table
+    now = world.now
+    observers_of = world.observers_of
+    cold = params.cold_start_trust
+    if memo is None:
+        memo = defaultdict(dict)
+    # direct trust and confidence of a subject the observer never received from
+    unknown: Optional[Tuple[float, float]] = None
+    scored: List[TrustComponents] = []
+    for subject in subjects:
+        if subject == observer:
+            raise ValueError("a peer cannot evaluate trust of itself")
+        st = table.get(subject)
+        if st is not None:
+            nc, np_, n = decayed_counts(st, now, params)
+            d = direct_trust_from_counts(nc, np_, params)
+            a = confidence_from_count(n, params)
+        else:
+            if unknown is None:
+                unknown = (
+                    direct_trust_from_counts(0.0, 0.0, params),
+                    confidence_from_count(0.0, params),
+                )
+            d, a = unknown
+        if observers_of.get(subject):
+            ind = query_indirect(world, observer, subject, memo)
+        else:
+            ind = None
+        scored.append(
+            TrustComponents(d, cold if ind is None else ind, a, combine_trust(d, ind, a, cold))
+        )
+    return scored
+
+
 def evaluate_components(
     world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
 ) -> TrustComponents:
     """Direct, indirect, confidence weight, and combined trust for one pair."""
-    if observer == subject:
-        raise ValueError("a peer cannot evaluate trust of itself")
-    obs = world.peers[observer]
-    st = obs.trust_table.get(subject)
-    st = EMPTY_STATE if st is None else apply_decay(st, world.now, obs.params)
-    d = direct_trust(st, obs.params)
-    a = confidence_factor(st, obs.params)
-    ind = query_indirect(world, observer, subject, memo)
-    cold = obs.params.cold_start_trust
-    combined = combine_trust(d, ind, a, cold)
-    return TrustComponents(d, cold if ind is None else ind, a, combined)
+    return score_candidates(world, observer, (subject,), memo)[0]
 
 
 def select_providers(
@@ -224,11 +273,10 @@ def select_providers(
     bypassed. Returns (provider, trust) pairs, best trust first (ties:
     lowest id)."""
     req = world.peers[requester]
+    subjects = [pid for pid in candidates if pid != requester]
     scored: List[Tuple[int, float]] = []
-    for pid in candidates:
-        if pid == requester:
-            continue
-        t = evaluate_components(world, requester, pid, memo).combined
+    for pid, comp in zip(subjects, score_candidates(world, requester, subjects, memo)):
+        t = comp.combined
         if t < world.detection_threshold and pid not in world.detections:
             world.detections[pid] = int(world.now)
         scored.append((pid, t))

@@ -7,10 +7,9 @@ touches no global state. All trust-like quantities live in [0, 1].
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
 class CFModel(Enum):
@@ -76,6 +75,9 @@ class TrustParams:
     cold_start_trust: float = 0.5  # substitute when no evidence exists at all
 
     def __post_init__(self) -> None:
+        for name in ("c", "rho", "eta", "forgetting", "forgiving"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.c <= 0:
             raise ValueError("c must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -92,12 +94,16 @@ class TrustParams:
             raise ValueError("theta_p must not exceed theta_g")
         if self.k_providers < 1 or self.k_recommenders < 1:
             raise ValueError("k_providers and k_recommenders must be >= 1")
+
+    def diagnostics(self) -> List[str]:
+        """Valid but questionable settings, one message each."""
+        found = []
         if (self.forgetting > 0 or self.forgiving > 0) and self.forgetting <= self.forgiving:
-            warnings.warn(
-                "forgetting <= forgiving: polluted evidence now fades at least "
-                "as fast as clean evidence, which weakens on-off resistance",
-                stacklevel=2,
+            found.append(
+                "forgetting <= forgiving: polluted evidence fades at least as "
+                "fast as clean evidence, which weakens on-off resistance"
             )
+        return found
 
     @property
     def onoff_resistant(self) -> bool:
@@ -111,13 +117,12 @@ class OnOffMargin(NamedTuple):
     resistant: bool    # rho > ln(1 + 1/eta)
 
 
-def confidence_factor(state: TrustState, params: TrustParams) -> float:
+def confidence_from_count(n: float, params: TrustParams) -> float:
     """Weight of direct trust, grown from the decayed transaction count.
 
     Zero with no history, strictly increasing, and tending to 1, so a peer
     leans on recommendations exactly while it lacks first-hand evidence.
     """
-    n = state.n_transactions
     if params.cf_model is CFModel.CFDA:
         return n / (n + params.c)
     if params.cf_model is CFModel.CFDB:
@@ -125,13 +130,12 @@ def confidence_factor(state: TrustState, params: TrustParams) -> float:
     return params.cf_constant
 
 
-def direct_trust(state: TrustState, params: TrustParams) -> float:
+def direct_trust_from_counts(nc: float, np_: float, params: TrustParams) -> float:
     """Trust from first-hand chunk deliveries under the selected model.
 
     DTMA is undefined at (0, 0); it falls back to cold_start_trust so an
     unknown peer is neither embraced nor condemned.
     """
-    nc, np_ = state.n_clean, state.n_polluted
     model = params.dt_model
     if model is DTModel.DTMA:
         total = nc + np_
@@ -141,6 +145,16 @@ def direct_trust(state: TrustState, params: TrustParams) -> float:
     if model is DTModel.DTMB:
         return (nc + 1.0) / (nc + np_ + 2.0)
     return math.exp(-params.rho * np_) * nc / (nc + params.eta)
+
+
+def confidence_factor(state: TrustState, params: TrustParams) -> float:
+    """`confidence_from_count` of the state's transaction count."""
+    return confidence_from_count(state.n_transactions, params)
+
+
+def direct_trust(state: TrustState, params: TrustParams) -> float:
+    """`direct_trust_from_counts` of the state's chunk counters."""
+    return direct_trust_from_counts(state.n_clean, state.n_polluted, params)
 
 
 def indirect_trust(
@@ -174,28 +188,34 @@ def combine_trust(
     return alpha * direct + (1.0 - alpha) * indirect
 
 
-def apply_decay(state: TrustState, now: float, params: TrustParams) -> TrustState:
-    """Age the evidence: clean counts fade at the forgetting rate, polluted
-    counts at the forgiving rate, transaction counts with the clean evidence.
+def decayed_counts(
+    state: TrustState, now: float, params: TrustParams
+) -> Tuple[float, float, float]:
+    """The state's (n_clean, n_polluted, n_transactions) aged to `now`:
+    clean counts fade at the forgetting rate, polluted counts at the
+    forgiving rate, transaction counts with the clean evidence.
 
     Raises ValueError when `now` precedes the state's last update.
     """
-    dt = now - state.last_update
+    nc, np_, n, last = state
+    dt = now - last
     if dt < 0:
-        raise ValueError(
-            f"time regression: now={now} precedes last_update={state.last_update}"
-        )
+        raise ValueError(f"time regression: now={now} precedes last_update={last}")
     if dt == 0.0:
-        return state
+        return nc, np_, n
     # a zero rate keeps everything; exp(-0.0 * dt) is exactly 1.0 anyway
     keep_clean = math.exp(-params.forgetting * dt) if params.forgetting else 1.0
     keep_polluted = math.exp(-params.forgiving * dt) if params.forgiving else 1.0
-    return TrustState(
-        n_clean=state.n_clean * keep_clean,
-        n_polluted=state.n_polluted * keep_polluted,
-        n_transactions=state.n_transactions * keep_clean,
-        last_update=now,
-    )
+    return nc * keep_clean, np_ * keep_polluted, n * keep_clean
+
+
+def apply_decay(state: TrustState, now: float, params: TrustParams) -> TrustState:
+    """The state with `decayed_counts` at `now`; unchanged when `now` is its
+    last update."""
+    counts = decayed_counts(state, now, params)
+    if now == state.last_update:
+        return state
+    return TrustState(*counts, now)
 
 
 def record_delivery(state: TrustState, quality: ChunkQuality) -> TrustState:

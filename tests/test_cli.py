@@ -82,6 +82,40 @@ class TestRunCommand:
         assert run_command(["run", "--scenario", str(bad)]) == 1
         assert "bad.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("rho", "NaN"), ("eta", "Infinity"),
+                                            ("forgiving", "-Infinity")])
+    def test_non_finite_scenario_param_rejected(self, tmp_path, capsys, key, value):
+        # json accepts these literals; TrustParams must not
+        d = config_to_dict(build_experiment("e2"))
+        d["params"][key] = "PLACEHOLDER"
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(json.dumps(d).replace('"PLACEHOLDER"', value))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err
+        assert "Traceback" not in err
+
+    def test_diagnostics_logged_once_and_stored(self, tmp_path, caplog):
+        # e5's newcomer overrides the base params, and both forgive faster
+        # than they forget: one distinct message, one log record
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="pollushield"):
+            assert run_command(
+                ["run", "--experiment", "e5", "--rounds", "12", "--out", str(out)]
+            ) == 0
+        meta = json.loads((out / "e5_meta.json").read_text())
+        assert len(meta["diagnostics"]) == 1
+        assert "forgetting <= forgiving" in meta["diagnostics"][0]
+        assert [r.getMessage() for r in caplog.records] == [f"e5: {meta['diagnostics'][0]}"]
+
+    def test_no_diagnostics_for_clean_params(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="pollushield"):
+            assert run_command(["run", "--experiment", "e2", "--out", str(out)]) == 0
+        assert json.loads((out / "e2_meta.json").read_text())["diagnostics"] == []
+        assert caplog.records == []
+
     def test_unknown_experiment_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_command(["run", "--experiment", "e9"])

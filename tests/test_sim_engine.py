@@ -2,12 +2,14 @@ from collections import defaultdict
 
 import pytest
 
+from pollushield import sim_engine
 from pollushield.behaviors import PeerBehavior
 from pollushield.sim_engine import (
     World,
     evaluate_components,
     query_indirect,
     run_round,
+    score_candidates,
     select_providers,
 )
 from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams, TrustState
@@ -143,6 +145,40 @@ class TestQueryIndirect:
             query_indirect(world, 0, 1)
         assert liar.rng.getstate() == upload_state
         assert liar.lie_rng.getstate() != lie_state
+
+
+class TestScoreCandidates:
+    def world(self):
+        params = TrustParams(cf_model=CFModel.CFDB, dt_model=DTModel.PDTM,
+                             forgetting=0.2, forgiving=0.05)
+        world = make_world(6, params=params)
+        seed_history(world, 0, 1, n_clean=6, n_polluted=1)
+        seed_history(world, 0, 2, n_clean=2)
+        seed_history(world, 2, 3, n_clean=1, n_polluted=3)  # 2 recommends 3
+        world.now = 4.0
+        return world
+
+    def test_batch_matches_one_at_a_time(self):
+        world = self.world()
+        subjects = (5, 1, 3, 2, 4)
+        assert score_candidates(world, 0, subjects) == [
+            evaluate_components(world, 0, s) for s in subjects]
+
+    def test_queries_only_subjects_someone_received_from(self, monkeypatch):
+        world = self.world()
+        queried = []
+
+        def spy(world, observer, subject, memo=None):
+            queried.append(subject)
+            return query_indirect(world, observer, subject, memo)
+
+        monkeypatch.setattr(sim_engine, "query_indirect", spy)
+        score_candidates(world, 0, (1, 2, 3, 4, 5))
+        assert queried == [1, 2, 3]  # 4 and 5 have no observers
+
+    def test_self_in_batch_rejected(self):
+        with pytest.raises(ValueError):
+            score_candidates(self.world(), 0, (1, 0))
 
 
 class TestSelectProviders:

@@ -1,13 +1,15 @@
-"""The memoised trust path against an unmemoised oracle, and its work budget.
+"""The batch scoring kernel and its memo against an unmemoised oracle, and
+their work budget.
 
-The oracle below is the pure definition: every query decays a view of each
+The oracle below is the pure definition: it scores one candidate at a time,
+queries recommendations for every candidate, decays a view of each
 co-observer and each recommender's view of the subject from scratch, stores
-nothing, and decay always calls `exp`. It lives here only, as the reference
-the memoised `sim_engine` path must match bit for bit.
+nothing, and decay always calls `exp`. It writes out the direct-trust and
+confidence formulas itself rather than calling `trust_core`'s. It lives here
+only, as the reference the `sim_engine` path must match bit for bit.
 """
 
 import math
-import warnings
 from typing import List, Optional, Tuple
 
 import pytest
@@ -23,8 +25,6 @@ from pollushield.trust_core import (
     TrustParams,
     TrustState,
     combine_trust,
-    confidence_factor,
-    direct_trust,
     indirect_trust,
 )
 
@@ -47,6 +47,24 @@ def oracle_apply_decay(state, now, params):
     )
 
 
+def oracle_direct_trust(state, params):
+    nc, np_ = state.n_clean, state.n_polluted
+    if params.dt_model is DTModel.DTMA:
+        return nc / (nc + np_) if nc + np_ else params.cold_start_trust
+    if params.dt_model is DTModel.DTMB:
+        return (nc + 1.0) / (nc + np_ + 2.0)
+    return math.exp(-params.rho * np_) * nc / (nc + params.eta)
+
+
+def oracle_confidence(state, params):
+    n = state.n_transactions
+    if params.cf_model is CFModel.CFDA:
+        return n / (n + params.c)
+    if params.cf_model is CFModel.CFDB:
+        return 1.0 - params.beta ** n
+    return params.cf_constant
+
+
 def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float]:
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
@@ -60,7 +78,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
         if s is None:
             continue
         s = oracle_apply_decay(s, now, obs.params)
-        eligible.append((direct_trust(s, obs.params), k))
+        eligible.append((oracle_direct_trust(s, obs.params), k))
     if not eligible:
         return None
     eligible.sort(key=lambda ck: (-ck[0], ck[1]))
@@ -68,7 +86,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
     for cred, k in eligible[: obs.params.k_recommenders]:
         rec = world.peers[k]
         kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
-        honest = direct_trust(kst, rec.params)
+        honest = oracle_direct_trust(kst, rec.params)
         value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
@@ -80,12 +98,16 @@ def oracle_evaluate_components(world, observer, subject, memo=None):
     obs = world.peers[observer]
     s = obs.trust_table.get(subject)
     s = EMPTY_STATE if s is None else oracle_apply_decay(s, world.now, obs.params)
-    d = direct_trust(s, obs.params)
-    a = confidence_factor(s, obs.params)
+    d = oracle_direct_trust(s, obs.params)
+    a = oracle_confidence(s, obs.params)
     ind = oracle_query_indirect(world, observer, subject)
     cold = obs.params.cold_start_trust
     combined = combine_trust(d, ind, a, cold)
     return sim_engine.TrustComponents(d, cold if ind is None else ind, a, combined)
+
+
+def oracle_score_candidates(world, observer, subjects, memo=None):
+    return [oracle_evaluate_components(world, observer, s) for s in subjects]
 
 
 def run_capturing_world(cfg):
@@ -107,7 +129,7 @@ def run_with_oracle(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_engine, "apply_decay", oracle_apply_decay)
         mp.setattr(sim_engine, "query_indirect", oracle_query_indirect)
-        mp.setattr(sim_engine, "evaluate_components", oracle_evaluate_components)
+        mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "evaluate_components", oracle_evaluate_components)
         return run_capturing_world(cfg)
 
@@ -158,19 +180,19 @@ def small_worlds(draw):
         behaviors.append(b)
 
     def params():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # forgetting <= forgiving is allowed
-            theta_p = draw(st.sampled_from([0.0, 0.3, 0.5]))
-            return TrustParams(
-                cf_model=draw(st.sampled_from([CFModel.CFDA, CFModel.CFDB])),
-                dt_model=draw(st.sampled_from(list(DTModel))),
-                forgetting=draw(RATES),
-                forgiving=draw(RATES),
-                theta_p=theta_p,
-                theta_g=max(theta_p, draw(st.sampled_from([0.0, 0.6, 0.9]))),
-                k_providers=draw(st.integers(1, 4)),
-                k_recommenders=draw(st.integers(1, 4)),
-            )
+        theta_p = draw(st.sampled_from([0.0, 0.3, 0.5]))
+        return TrustParams(
+            cf_model=draw(st.sampled_from(list(CFModel))),
+            cf_constant=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            dt_model=draw(st.sampled_from(list(DTModel))),
+            forgetting=draw(RATES),
+            forgiving=draw(RATES),
+            theta_p=theta_p,
+            theta_g=max(theta_p, draw(st.sampled_from([0.0, 0.6, 0.9]))),
+            chi=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            k_providers=draw(st.integers(1, 4)),
+            k_recommenders=draw(st.integers(1, 4)),
+        )
 
     base = params()
     overridden = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
@@ -212,25 +234,48 @@ def test_memoised_path_matches_oracle(cfg):
 
 # --- work budget -------------------------------------------------------------
 
-def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the memo cuts the decay and scoring
-    work, while the recommendation draws (and so the RNG streams) and the
-    traced entry points keep their call counts."""
-    names = ("recommendation_value", "query_indirect", "evaluate_components",
-             "direct_trust", "apply_decay")
-    calls = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, names):
+    """Count calls of sim_engine's bindings; `scored` sums the batch sizes."""
+    calls = dict.fromkeys(names + ("scored",), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "score_candidates":
+                calls["scored"] += len(args[2])
             return fn(*args, **kwargs)
         return wrapper
 
     for name in names:
         monkeypatch.setattr(sim_engine, name, counting(name, getattr(sim_engine, name)))
+    return calls
+
+
+def test_dense_collusion_work_counts(monkeypatch):
+    """e4 rotating, group 24, 40 rounds: the memo cuts the decay and scoring
+    work, while the recommendation draws (and so the RNG streams) keep their
+    call counts."""
+    calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
+                                      "score_candidates", "direct_trust", "apply_decay"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
     assert calls["recommendation_value"] == 313_651
-    assert calls["query_indirect"] == 23_080    # 23 040 selections + 40 observations
-    assert calls["evaluate_components"] == 23_040  # observations call scenarios' binding
-    assert calls["direct_trust"] == 41_956      # 650 382 without the memo
-    assert calls["apply_decay"] == 36_652       # 645 078 without the memo
+    assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
+    assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
+    # round 1's 24 selections skip it: nobody has received from anyone yet
+    assert calls["query_indirect"] == 23_056
+    # memo fills only; scoring decays entries into counts without either
+    assert calls["direct_trust"] == 18_876     # 41 956 with a TrustState per score
+    assert calls["apply_decay"] == 20_220      # 36 652 with a TrustState per score
+
+
+def test_sparse_mesh_work_counts(monkeypatch):
+    """e6 seed 1: of the 84 000 scorings only those of a subject that some
+    peer has received from reach query_indirect; the recommendation draws
+    keep their count."""
+    calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
+                                      "score_candidates"))
+    run_scenario(build_experiment("e6", seed=1))
+    assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
+    assert calls["scored"] == 84_000
+    assert calls["query_indirect"] == 51_658
+    assert calls["recommendation_value"] == 1_463

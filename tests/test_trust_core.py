@@ -1,5 +1,4 @@
 import math
-import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -141,9 +140,7 @@ class TestDecay:
     def test_zero_rate_skips_exp_bit_identically(
         self, monkeypatch, forgetting, forgiving, exp_calls
     ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # forgetting <= forgiving is allowed
-            params = TrustParams(forgetting=forgetting, forgiving=forgiving)
+        params = TrustParams(forgetting=forgetting, forgiving=forgiving)
         st = state(7.3, 2.9, 10.2, last_update=1.5)
         dt = 4.25
         keep_clean = math.exp(-forgetting * dt)
@@ -238,12 +235,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             TrustParams(c=0.0)
 
+    @pytest.mark.parametrize("name", ["c", "rho", "eta", "forgetting", "forgiving"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrustParams(**{name: value})
+
     def test_warns_when_forgiving_outpaces_forgetting(self):
-        with pytest.warns(UserWarning, match="forgetting"):
-            TrustParams(forgetting=0.1, forgiving=0.5)
+        found = TrustParams(forgetting=0.1, forgiving=0.5).diagnostics()
+        assert len(found) == 1
+        assert "forgetting <= forgiving" in found[0]
 
     def test_silent_when_forgetting_dominates(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            TrustParams(forgetting=0.5, forgiving=0.1)
-            TrustParams()  # both rates zero: nothing to warn about
+        assert TrustParams(forgetting=0.5, forgiving=0.1).diagnostics() == []
+        assert TrustParams().diagnostics() == []  # both rates zero: nothing to report
