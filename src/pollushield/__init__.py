@@ -44,7 +44,6 @@ from .trust_core import (
     OnOffMargin,
     TrustParams,
     TrustState,
-    apply_decay,
     combine_trust,
     confidence_factor,
     direct_trust,
@@ -88,7 +87,6 @@ __all__ = [
     "OnOffMargin",
     "TrustParams",
     "TrustState",
-    "apply_decay",
     "combine_trust",
     "confidence_factor",
     "direct_trust",

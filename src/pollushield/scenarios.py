@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -90,6 +90,18 @@ class ScenarioConfig:
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
             raise ValueError("ads_per_round must be >= 1 when set")
+        if self.detection_threshold is not None and not 0.0 <= self.detection_threshold <= 1.0:
+            raise ValueError("detection_threshold must be None or lie in [0, 1]")
+        # a repeated entry would be double-counted or silently overwritten
+        keyed = {"observed_pairs": self.observed_pairs, "requesters": self.requesters}
+        for name in ("candidate_map", "request_budgets", "param_overrides"):
+            keyed[name] = [pid for pid, _ in getattr(self, name)]
+        for pid, cands in self.candidate_map:
+            keyed[f"candidate_map[{pid}]"] = cands
+        for name, keys in keyed.items():
+            if len(set(keys)) < len(keys):
+                repeated = sorted(k for k, n in Counter(keys).items() if n > 1)
+                raise ValueError(f"{name} repeats {repeated}")
         groups = {b.group for b, n in self.behavior_mix if b.group and n > 0}
         seen: set = set()
         for group in groups:

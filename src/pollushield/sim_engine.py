@@ -10,13 +10,15 @@ pair replays to a byte-identical event log.
 
 Trust is scored by one kernel, `score_candidates`: it scores all of a
 requester's candidates in one call, reading the requester's parameters and
-table once and decaying each entry into plain counts for `trust_core`'s
-count-level formulas. Recommendations are queried only for a subject that
-some peer has received from. `select_providers` calls it once per requester,
-and `evaluate_components` is the kernel applied to one subject.
+table once and decaying each entry into plain counts with
+`decayed_counts` for `direct_trust` and `confidence_factor`. Recommendations
+are queried only for a subject that some peer has received from.
+`select_providers` calls it once per requester, and `evaluate_components` is
+the kernel applied to one subject.
 
-Tables change only at delivery. Evaluating trust reads each entry decayed
-from its last delivery to `world.now` and stores nothing, so a run does not
+Tables change only at delivery, where `record_delivery` decays the entry
+from its last delivery to `world.now` and counts the chunk. Evaluating trust
+reads each entry decayed the same way and stores nothing, so a run does not
 depend on how often trust is read. A memo, `memo[a][b]` = a's direct trust
 of b at `world.now`, spares the repeated work: it serves both recommender
 credibility and recommenders' honest values. `run_round` keeps one per round
@@ -36,12 +38,10 @@ from .trust_core import (
     ChunkQuality,
     TrustParams,
     TrustState,
-    apply_decay,
     combine_trust,
-    confidence_from_count,
+    confidence_factor,
     decayed_counts,
     direct_trust,
-    direct_trust_from_counts,
     indirect_trust,
     record_delivery,
     transaction_probability,
@@ -72,7 +72,6 @@ class PeerRecord:
         "params",
         "rng",
         "lie_rng",
-        "is_requester",
         "budget",
         "candidates",
         "trust_table",
@@ -85,7 +84,6 @@ class PeerRecord:
         behavior: PeerBehavior,
         params: TrustParams,
         rng: random.Random,
-        is_requester: bool = False,
         budget: int = 1,
         candidates: Sequence[int] = (),
         lie_rng: Optional[random.Random] = None,
@@ -95,7 +93,6 @@ class PeerRecord:
         self.params = params
         self.rng = rng
         self.lie_rng = lie_rng
-        self.is_requester = is_requester
         self.budget = budget
         self.candidates: Tuple[int, ...] = tuple(candidates)
         self.trust_table: Dict[int, TrustState] = {}
@@ -145,7 +142,7 @@ class World:
         # only a bad-mouther lies, from its own stream apart from its uploads
         liar = behavior.kind is BehaviorKind.BADMOUTH
         lie_rng = random.Random(f"{self.seed}:{pid}:lies") if liar else None
-        rec = PeerRecord(pid, behavior, params, rng, is_requester, budget, candidates, lie_rng)
+        rec = PeerRecord(pid, behavior, params, rng, budget, candidates, lie_rng)
         self.peers[pid] = rec
         if is_requester:
             self.requesters.append(pid)
@@ -185,7 +182,8 @@ def query_indirect(
             continue
         cred = credibility.get(k)
         if cred is None:
-            cred = credibility[k] = direct_trust(apply_decay(st, now, obs.params), obs.params)
+            nc, np_, _ = decayed_counts(st, now, obs.params)
+            cred = credibility[k] = direct_trust(nc, np_, obs.params)
         eligible.append((cred, k))
     if not eligible:
         return None
@@ -196,8 +194,8 @@ def query_indirect(
         views = memo[k]
         honest = views.get(subject)
         if honest is None:
-            kst = apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
-            honest = views[subject] = direct_trust(kst, rec.params)
+            nc, np_, _ = decayed_counts(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
+            honest = views[subject] = direct_trust(nc, np_, rec.params)
         value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
@@ -234,22 +232,16 @@ def score_candidates(
         st = table.get(subject)
         if st is not None:
             nc, np_, n = decayed_counts(st, now, params)
-            d = direct_trust_from_counts(nc, np_, params)
-            a = confidence_from_count(n, params)
+            d = direct_trust(nc, np_, params)
+            a = confidence_factor(n, params)
         else:
             if unknown is None:
-                unknown = (
-                    direct_trust_from_counts(0.0, 0.0, params),
-                    confidence_from_count(0.0, params),
-                )
+                unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
             d, a = unknown
-        if observers_of.get(subject):
-            ind = query_indirect(world, observer, subject, memo)
-        else:
-            ind = None
-        scored.append(
-            TrustComponents(d, cold if ind is None else ind, a, combine_trust(d, ind, a, cold))
-        )
+        ind = query_indirect(world, observer, subject, memo) if observers_of.get(subject) else None
+        if ind is None:
+            ind = cold
+        scored.append(TrustComponents(d, ind, a, combine_trust(d, ind, a)))
     return scored
 
 
@@ -319,12 +311,9 @@ def run_round(world: World) -> World:
             idx = req.delivery_index.get(pid, 0)
             quality = upload_quality(provider.behavior, pid, r, idx, provider.rng)
             req.delivery_index[pid] = idx + 1
-            st = req.trust_table.get(pid)
-            if st is None:
-                st = TrustState(0.0, 0.0, 0.0, float(r))
-            else:
-                st = apply_decay(st, float(r), req.params)
-            req.trust_table[pid] = record_delivery(st, quality)
+            req.trust_table[pid] = record_delivery(
+                req.trust_table.get(pid, EMPTY_STATE), quality, world.now, req.params
+            )
             views.pop(pid, None)
             world.observers_of.setdefault(pid, {})[rid] = None
             world.event_log.append(

@@ -117,7 +117,7 @@ class OnOffMargin(NamedTuple):
     resistant: bool    # rho > ln(1 + 1/eta)
 
 
-def confidence_from_count(n: float, params: TrustParams) -> float:
+def confidence_factor(n: float, params: TrustParams) -> float:
     """Weight of direct trust, grown from the decayed transaction count.
 
     Zero with no history, strictly increasing, and tending to 1, so a peer
@@ -130,8 +130,9 @@ def confidence_from_count(n: float, params: TrustParams) -> float:
     return params.cf_constant
 
 
-def direct_trust_from_counts(nc: float, np_: float, params: TrustParams) -> float:
-    """Trust from first-hand chunk deliveries under the selected model.
+def direct_trust(nc: float, np_: float, params: TrustParams) -> float:
+    """Trust from first-hand chunk deliveries under the selected model,
+    given the decayed clean and polluted counts.
 
     DTMA is undefined at (0, 0); it falls back to cold_start_trust so an
     unknown peer is neither embraced nor condemned.
@@ -145,16 +146,6 @@ def direct_trust_from_counts(nc: float, np_: float, params: TrustParams) -> floa
     if model is DTModel.DTMB:
         return (nc + 1.0) / (nc + np_ + 2.0)
     return math.exp(-params.rho * np_) * nc / (nc + params.eta)
-
-
-def confidence_factor(state: TrustState, params: TrustParams) -> float:
-    """`confidence_from_count` of the state's transaction count."""
-    return confidence_from_count(state.n_transactions, params)
-
-
-def direct_trust(state: TrustState, params: TrustParams) -> float:
-    """`direct_trust_from_counts` of the state's chunk counters."""
-    return direct_trust_from_counts(state.n_clean, state.n_polluted, params)
 
 
 def indirect_trust(
@@ -176,15 +167,8 @@ def indirect_trust(
     return weighted / total
 
 
-def combine_trust(
-    direct: float,
-    indirect: Optional[float],
-    alpha: float,
-    cold_start: float = 0.5,
-) -> float:
+def combine_trust(direct: float, indirect: float, alpha: float) -> float:
     """Convex combination alpha * direct + (1 - alpha) * indirect."""
-    if indirect is None:
-        indirect = cold_start
     return alpha * direct + (1.0 - alpha) * indirect
 
 
@@ -209,27 +193,18 @@ def decayed_counts(
     return nc * keep_clean, np_ * keep_polluted, n * keep_clean
 
 
-def apply_decay(state: TrustState, now: float, params: TrustParams) -> TrustState:
-    """The state with `decayed_counts` at `now`; unchanged when `now` is its
-    last update."""
-    counts = decayed_counts(state, now, params)
-    if now == state.last_update:
-        return state
-    return TrustState(*counts, now)
+def record_delivery(
+    state: TrustState, quality: ChunkQuality, now: float, params: TrustParams
+) -> TrustState:
+    """The state decayed to `now` with one received chunk counted at full
+    weight.
 
-
-def record_delivery(state: TrustState, quality: ChunkQuality) -> TrustState:
-    """Count one received chunk at full weight. The state must already be
-    decayed to the current round."""
+    Raises ValueError when `now` precedes the state's last update.
+    """
+    nc, np_, n = decayed_counts(state, now, params)
     if quality is ChunkQuality.CLEAN:
-        return state._replace(
-            n_clean=state.n_clean + 1.0,
-            n_transactions=state.n_transactions + 1.0,
-        )
-    return state._replace(
-        n_polluted=state.n_polluted + 1.0,
-        n_transactions=state.n_transactions + 1.0,
-    )
+        return TrustState(nc + 1.0, np_, n + 1.0, now)
+    return TrustState(nc, np_ + 1.0, n + 1.0, now)
 
 
 def transaction_probability(trust: float, params: TrustParams) -> float:

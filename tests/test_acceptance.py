@@ -91,9 +91,9 @@ def test_criterion_1_onoff_margin_randomized_sweep():
         if margin.ratio <= 1.0:
             if not clean_side < eta * n * (eta + 1.0):
                 failures.append(f"(c) drop <= gain with nc(nc+N+eta) >= eta*N*(eta+1) at {case}")
-            here = direct_trust(TrustState(nc, 0.0, nc, 0.0), params)
-            drop = here - direct_trust(TrustState(nc, float(n), nc + n, 0.0), params)
-            gain = direct_trust(TrustState(nc + n, 0.0, nc + n, 0.0), params) - here
+            here = direct_trust(nc, 0.0, params)
+            drop = here - direct_trust(nc, float(n), params)
+            gain = direct_trust(nc + n, 0.0, params) - here
             if not drop <= gain * (1.0 + 1e-9):
                 failures.append(f"(c) direct_trust gives drop={drop!r} > gain={gain!r} at {case}")
     elapsed = perf_counter() - t0

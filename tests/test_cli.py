@@ -96,6 +96,19 @@ class TestRunCommand:
         assert f"{key} must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5"])
+    def test_bad_detection_threshold_rejected(self, tmp_path, capsys, value):
+        # NaN would switch detection off and 7.0 would detect every peer at once
+        d = config_to_dict(build_experiment("e2"))
+        d["detection_threshold"] = "PLACEHOLDER"
+        path = tmp_path / "threshold.cfg"
+        path.write_text(json.dumps(d).replace('"PLACEHOLDER"', value))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "detection_threshold" in err
+        assert "Traceback" not in err
+
     def test_diagnostics_logged_once_and_stored(self, tmp_path, caplog):
         # e5's newcomer overrides the base params, and both forgive faster
         # than they forget: one distinct message, one log record

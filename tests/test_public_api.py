@@ -1,0 +1,19 @@
+"""The package's exported names: each resolves, none repeats, and the
+retired trust wrappers stay unexported."""
+
+import pollushield
+
+
+def test_every_export_resolves():
+    for name in pollushield.__all__:
+        assert hasattr(pollushield, name), name
+
+
+def test_no_export_repeats():
+    assert len(set(pollushield.__all__)) == len(pollushield.__all__)
+
+
+def test_retired_trust_wrappers_not_exported():
+    retired = {"apply_decay", "direct_trust_from_counts", "confidence_from_count"}
+    assert retired.isdisjoint(pollushield.__all__)
+    assert not any(hasattr(pollushield, name) for name in retired)

@@ -198,6 +198,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="candidate"):
             tiny_config(candidate_map=((0, (0,)),)).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("observed_pairs", ((0, 1), (0, 1)), "observed_pairs"),
+            ("requesters", (0, 0), "requesters"),
+            ("candidate_map", ((0, (1, 2, 1)),), r"candidate_map\[0\]"),
+            ("candidate_map", ((0, (1,)), (0, (2,))), "candidate_map"),
+            ("request_budgets", ((0, 2), (0, 3)), "request_budgets"),
+            ("param_overrides", ((1, TrustParams()), (1, TrustParams(chi=0.1))),
+             "param_overrides"),
+        ],
+        ids=["observed_pair", "requester", "candidate", "candidate_map_key",
+             "request_budgets_key", "param_overrides_key"],
+    )
+    def test_repeated_entry_rejected(self, field, value, name):
+        with pytest.raises(ValueError, match=f"^{name} repeats"):
+            tiny_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
+    def test_detection_threshold_out_of_range_rejected(self, value):
+        with pytest.raises(ValueError, match="detection_threshold"):
+            tiny_config(detection_threshold=value).validate()
+
+    @pytest.mark.parametrize("value", [None, 0.0, 1.0])
+    def test_detection_threshold_bounds_accepted(self, value):
+        tiny_config(detection_threshold=value).validate()
+
 
 class TestRunScenario:
     def test_zero_attacker_goodput_is_one(self):

@@ -58,6 +58,14 @@ class TestEvaluateTrust:
         expected = (50 / 51) * 1.0 + (1 / 51) * 0.1
         assert evaluate_components(world, 0, 1).combined == pytest.approx(expected, abs=1e-9)
 
+    def test_no_recommender_substitutes_cold_start(self):
+        # one clean chunk: direct 1.0 and alpha 1/2; the subject's only
+        # observer is the observer itself, so indirect falls back to 0.5
+        world = make_world(2)
+        seed_history(world, 0, 1, n_clean=1)
+        comp = evaluate_components(world, 0, 1)
+        assert comp == pytest.approx((1.0, 0.5, 0.5, 0.75))
+
     def test_components_report_cold_substitute(self):
         world = make_world(2)
         comp = evaluate_components(world, 0, 1)

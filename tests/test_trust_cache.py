@@ -4,9 +4,10 @@ their work budget.
 The oracle below is the pure definition: it scores one candidate at a time,
 queries recommendations for every candidate, decays a view of each
 co-observer and each recommender's view of the subject from scratch, stores
-nothing, and decay always calls `exp`. It writes out the direct-trust and
-confidence formulas itself rather than calling `trust_core`'s. It lives here
-only, as the reference the `sim_engine` path must match bit for bit.
+nothing, and decay always calls `exp`. It writes out the decay, direct-trust
+and confidence formulas itself rather than calling `trust_core`'s, and
+counts a delivery with its own decay. It lives here only, as the reference
+the `sim_engine` path must match bit for bit.
 """
 
 import math
@@ -21,6 +22,7 @@ from pollushield.scenarios import ScenarioConfig, build_experiment, run_scenario
 from pollushield.trust_core import (
     EMPTY_STATE,
     CFModel,
+    ChunkQuality,
     DTModel,
     TrustParams,
     TrustState,
@@ -45,6 +47,15 @@ def oracle_apply_decay(state, now, params):
         n_transactions=state.n_transactions * keep_clean,
         last_update=now,
     )
+
+
+def oracle_record_delivery(state, quality, now, params):
+    s = oracle_apply_decay(state, now, params)
+    if quality is ChunkQuality.CLEAN:
+        s = s._replace(n_clean=s.n_clean + 1.0)
+    else:
+        s = s._replace(n_polluted=s.n_polluted + 1.0)
+    return s._replace(n_transactions=s.n_transactions + 1.0, last_update=now)
 
 
 def oracle_direct_trust(state, params):
@@ -101,9 +112,9 @@ def oracle_evaluate_components(world, observer, subject, memo=None):
     d = oracle_direct_trust(s, obs.params)
     a = oracle_confidence(s, obs.params)
     ind = oracle_query_indirect(world, observer, subject)
-    cold = obs.params.cold_start_trust
-    combined = combine_trust(d, ind, a, cold)
-    return sim_engine.TrustComponents(d, cold if ind is None else ind, a, combined)
+    if ind is None:
+        ind = obs.params.cold_start_trust
+    return sim_engine.TrustComponents(d, ind, a, combine_trust(d, ind, a))
 
 
 def oracle_score_candidates(world, observer, subjects, memo=None):
@@ -127,7 +138,7 @@ def run_capturing_world(cfg):
 
 def run_with_oracle(cfg):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim_engine, "apply_decay", oracle_apply_decay)
+        mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
         mp.setattr(sim_engine, "query_indirect", oracle_query_indirect)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "evaluate_components", oracle_evaluate_components)
@@ -254,18 +265,27 @@ def count_calls(monkeypatch, names):
 def test_dense_collusion_work_counts(monkeypatch):
     """e4 rotating, group 24, 40 rounds: the memo cuts the decay and scoring
     work, while the recommendation draws (and so the RNG streams) keep their
-    call counts."""
+    call counts.
+
+    `direct_trust` counts every direct-trust evaluation: the 18 876 memo
+    fills plus 16 985 scorings (16 432 subjects with a table entry, and one
+    per batch for a never-received-from subject in 553 batches).
+    `decayed_counts` counts every decayed read: the memo fills plus the
+    16 432 scorings of a table entry. The 1 920 deliveries decay inside
+    `record_delivery`, which these bindings do not see. The retired
+    `apply_decay` counted the memo fills plus the 1 344 deliveries to an
+    existing entry (20 220); with the scoring reads that made the 36 652
+    decays of a `TrustState` per score, and 35 308 + 1 344 still does."""
     calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
-                                      "score_candidates", "direct_trust", "apply_decay"))
+                                      "score_candidates", "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
     assert calls["recommendation_value"] == 313_651
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
     # round 1's 24 selections skip it: nobody has received from anyone yet
     assert calls["query_indirect"] == 23_056
-    # memo fills only; scoring decays entries into counts without either
-    assert calls["direct_trust"] == 18_876     # 41 956 with a TrustState per score
-    assert calls["apply_decay"] == 20_220      # 36 652 with a TrustState per score
+    assert calls["direct_trust"] == 35_861     # 18 876 memo fills + 16 985 scorings
+    assert calls["decayed_counts"] == 35_308   # 18 876 memo fills + 16 432 scorings
 
 
 def test_sparse_mesh_work_counts(monkeypatch):

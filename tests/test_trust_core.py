@@ -10,9 +10,9 @@ from pollushield.trust_core import (
     DTModel,
     TrustParams,
     TrustState,
-    apply_decay,
     combine_trust,
     confidence_factor,
+    decayed_counts,
     direct_trust,
     indirect_trust,
     onoff_resistance_margin,
@@ -30,50 +30,50 @@ def state(n_clean=0.0, n_polluted=0.0, n_transactions=None, last_update=0.0):
 class TestConfidenceFactor:
     def test_cfda_zero_history(self):
         params = TrustParams(cf_model=CFModel.CFDA, c=1.0)
-        assert confidence_factor(state(), params) == 0.0
+        assert confidence_factor(0.0, params) == 0.0
 
     def test_cfda_one_transaction(self):
         # 1 / (1 + 1)
         params = TrustParams(cf_model=CFModel.CFDA, c=1.0)
-        assert confidence_factor(state(1, 0), params) == pytest.approx(0.5)
+        assert confidence_factor(1.0, params) == pytest.approx(0.5)
 
     def test_cfdb_three_transactions(self):
         # 1 - 0.5^3
         params = TrustParams(cf_model=CFModel.CFDB, beta=0.5)
-        assert confidence_factor(state(3, 0), params) == pytest.approx(0.875)
+        assert confidence_factor(3.0, params) == pytest.approx(0.875)
 
     def test_cfdb_zero_history(self):
         params = TrustParams(cf_model=CFModel.CFDB, beta=0.5)
-        assert confidence_factor(state(), params) == 0.0
+        assert confidence_factor(0.0, params) == 0.0
 
     def test_constant_ignores_history(self):
         params = TrustParams(cf_model=CFModel.CONSTANT, cf_constant=0.37)
-        assert confidence_factor(state(), params) == 0.37
-        assert confidence_factor(state(100, 5), params) == 0.37
+        assert confidence_factor(0.0, params) == 0.37
+        assert confidence_factor(105.0, params) == 0.37
 
 
 class TestDirectTrust:
     def test_pdtm_zero_clean_is_zero(self):
         params = TrustParams(dt_model=DTModel.PDTM, rho=math.log(2), eta=1.0)
-        assert direct_trust(state(), params) == 0.0
+        assert direct_trust(0.0, 0.0, params) == 0.0
 
     def test_pdtm_hand_value(self):
         # e^{-ln2} * 2/3 = 1/3
         params = TrustParams(dt_model=DTModel.PDTM, rho=math.log(2), eta=1.0)
-        assert direct_trust(state(2, 1), params) == pytest.approx(1 / 3, rel=1e-12)
+        assert direct_trust(2.0, 1.0, params) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_dtmb_empty_is_half(self):
         params = TrustParams(dt_model=DTModel.DTMB)
-        assert direct_trust(state(), params) == pytest.approx(0.5)
+        assert direct_trust(0.0, 0.0, params) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("k", [1.0, 3.0, 250.0])
     def test_dtma_symmetry(self, k):
         params = TrustParams(dt_model=DTModel.DTMA)
-        assert direct_trust(state(k, k), params) == pytest.approx(0.5)
+        assert direct_trust(k, k, params) == pytest.approx(0.5)
 
     def test_dtma_empty_falls_back_to_cold_start(self):
         params = TrustParams(dt_model=DTModel.DTMA, cold_start_trust=0.3)
-        assert direct_trust(state(), params) == 0.3
+        assert direct_trust(0.0, 0.0, params) == 0.3
 
 
 class TestIndirectTrust:
@@ -100,40 +100,38 @@ class TestCombineTrust:
     def test_hand_value(self):
         assert combine_trust(0.8, 0.4, 0.5) == pytest.approx(0.6)
 
-    def test_no_evidence_uses_cold_start(self):
-        assert combine_trust(1.0, None, 0.5, cold_start=0.5) == pytest.approx(0.75)
-
 
 class TestDecay:
     def test_zero_dt_unchanged(self):
         params = TrustParams(forgetting=0.7, forgiving=0.2)
         st = state(4, 2, 6, last_update=3)
-        assert apply_decay(st, 3, params) == st
+        assert decayed_counts(st, 3, params) == (4, 2, 6)
 
     def test_zero_rates_unchanged_counters(self):
         params = TrustParams()
         st = state(4, 2, 6)
-        out = apply_decay(st, 10, params)
-        assert (out.n_clean, out.n_polluted, out.n_transactions) == (4, 2, 6)
-        assert out.last_update == 10
+        assert decayed_counts(st, 10, params) == (4, 2, 6)
+        assert record_delivery(st, ChunkQuality.CLEAN, 10, params).last_update == 10
 
     def test_half_life(self):
         params = TrustParams(forgetting=math.log(2), forgiving=0.0)
-        out = apply_decay(state(10, 4, 14), 1, params)
-        assert out.n_clean == pytest.approx(5.0)
-        assert out.n_polluted == pytest.approx(4.0)  # forgiving rate is zero
-        assert out.n_transactions == pytest.approx(7.0)
+        nc, np_, n = decayed_counts(state(10, 4, 14), 1, params)
+        assert nc == pytest.approx(5.0)
+        assert np_ == pytest.approx(4.0)  # forgiving rate is zero
+        assert n == pytest.approx(7.0)
 
     def test_forgiving_applies_to_polluted(self):
         params = TrustParams(forgetting=math.log(2), forgiving=math.log(4))
-        out = apply_decay(state(8, 8, 16), 1, params)
-        assert out.n_clean == pytest.approx(4.0)
-        assert out.n_polluted == pytest.approx(2.0)
+        nc, np_, _ = decayed_counts(state(8, 8, 16), 1, params)
+        assert nc == pytest.approx(4.0)
+        assert np_ == pytest.approx(2.0)
 
     def test_time_regression_rejected(self):
         params = TrustParams()
         with pytest.raises(ValueError, match="time regression"):
-            apply_decay(state(1, 0, 1, last_update=5), 4, params)
+            decayed_counts(state(1, 0, 1, last_update=5), 4, params)
+        with pytest.raises(ValueError, match="time regression"):
+            record_delivery(state(1, 0, 1, last_update=5), ChunkQuality.CLEAN, 4, params)
 
     @pytest.mark.parametrize("forgetting, forgiving, exp_calls", [
         (0.0, 0.0, 0), (0.0, 0.3, 1), (0.3, 0.0, 1), (0.3, 0.7, 2)])
@@ -145,7 +143,7 @@ class TestDecay:
         dt = 4.25
         keep_clean = math.exp(-forgetting * dt)
         keep_polluted = math.exp(-forgiving * dt)
-        want = (7.3 * keep_clean, 2.9 * keep_polluted, 10.2 * keep_clean, 1.5 + dt)
+        want = (7.3 * keep_clean, 2.9 * keep_polluted, 10.2 * keep_clean)
         calls = []
 
         def exp(x):
@@ -153,22 +151,44 @@ class TestDecay:
             return math.exp(x)
 
         monkeypatch.setattr(trust_core, "math", SimpleNamespace(exp=exp))
-        got = apply_decay(st, 1.5 + dt, params)
+        got = decayed_counts(st, 1.5 + dt, params)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert len(calls) == exp_calls
+        # record_delivery decays through the same function, then counts
+        got = record_delivery(st, ChunkQuality.POLLUTED, 1.5 + dt, params)
+        want = (want[0], want[1] + 1.0, want[2] + 1.0, 1.5 + dt)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestRecordDelivery:
+    PARAMS = TrustParams()
+
     def test_clean_increments(self):
-        assert record_delivery(state(), ChunkQuality.CLEAN) == TrustState(1, 0, 1, 0)
+        got = record_delivery(state(), ChunkQuality.CLEAN, 0, self.PARAMS)
+        assert got == TrustState(1, 0, 1, 0)
 
     def test_polluted_increments(self):
-        st = record_delivery(TrustState(1, 0, 1, 0), ChunkQuality.POLLUTED)
+        st = record_delivery(TrustState(1, 0, 1, 0), ChunkQuality.POLLUTED, 0, self.PARAMS)
         assert st == TrustState(1, 1, 2, 0)
 
     def test_counts_accumulate(self):
-        st = record_delivery(TrustState(5, 2, 7, 9), ChunkQuality.CLEAN)
+        st = record_delivery(TrustState(5, 2, 7, 9), ChunkQuality.CLEAN, 9, self.PARAMS)
         assert st == TrustState(6, 2, 8, 9)
+
+    def test_decays_then_counts(self):
+        # clean evidence halves every round and polluted every two; two
+        # rounds pass before one clean chunk arrives
+        params = TrustParams(forgetting=math.log(2), forgiving=math.log(2) / 2)
+        st = record_delivery(TrustState(8, 4, 12, 3), ChunkQuality.CLEAN, 5, params)
+        assert st.n_clean == pytest.approx(8 / 4 + 1)
+        assert st.n_polluted == pytest.approx(4 / 2)
+        assert st.n_transactions == pytest.approx(12 / 4 + 1)
+        assert st.last_update == 5
+
+    def test_first_delivery_starts_from_empty_state(self):
+        params = TrustParams(forgetting=0.3, forgiving=0.1)
+        st = record_delivery(trust_core.EMPTY_STATE, ChunkQuality.POLLUTED, 7, params)
+        assert st == TrustState(0, 1, 1, 7)
 
 
 class TestTransactionProbability:

@@ -7,9 +7,9 @@ from pollushield.trust_core import (
     DTModel,
     TrustParams,
     TrustState,
-    apply_decay,
     combine_trust,
     confidence_factor,
+    decayed_counts,
     direct_trust,
     indirect_trust,
     onoff_resistance_margin,
@@ -26,17 +26,16 @@ ALL_CF = [CFModel.CFDA, CFModel.CFDB]
 @given(nc=counts, np_=counts, nt=counts, dt=st.sampled_from(ALL_DT), cf=st.sampled_from(ALL_CF))
 def test_trust_and_confidence_stay_in_unit_range(nc, np_, nt, dt, cf):
     params = TrustParams(cf_model=cf, dt_model=dt)
-    state = TrustState(nc, np_, nt, 0.0)
-    assert 0.0 <= direct_trust(state, params) <= 1.0
-    assert 0.0 <= confidence_factor(state, params) <= 1.0
+    assert 0.0 <= direct_trust(nc, np_, params) <= 1.0
+    assert 0.0 <= confidence_factor(nt, params) <= 1.0
 
 
 @given(n1=counts, n2=counts, cf=st.sampled_from(ALL_CF))
 def test_confidence_factor_monotone_over_full_range(n1, n2, cf):
     lo, hi = sorted((n1, n2))
     params = TrustParams(cf_model=cf)
-    a_lo = confidence_factor(TrustState(0, 0, lo, 0), params)
-    a_hi = confidence_factor(TrustState(0, 0, hi, 0), params)
+    a_lo = confidence_factor(lo, params)
+    a_hi = confidence_factor(hi, params)
     assert a_hi >= a_lo
 
 
@@ -49,13 +48,13 @@ def test_confidence_factor_strictly_increasing(lo, gap, cf):
     # strict away from float saturation; CFDB pins at exactly 1.0 once
     # beta ** n underflows
     params = TrustParams(cf_model=cf)
-    a_lo = confidence_factor(TrustState(0, 0, lo, 0), params)
-    a_hi = confidence_factor(TrustState(0, 0, lo + gap, 0), params)
+    a_lo = confidence_factor(lo, params)
+    a_hi = confidence_factor(lo + gap, params)
     assert a_hi > a_lo or a_lo == a_hi == 1.0
 
 
 def test_confidence_factor_tends_to_one():
-    big = TrustState(0, 0, 1e6, 0)
+    big = 1e6
     assert confidence_factor(big, TrustParams(cf_model=CFModel.CFDA, c=1.0)) > 0.999
     assert confidence_factor(big, TrustParams(cf_model=CFModel.CFDB, beta=0.5)) > 0.999
 
@@ -63,16 +62,16 @@ def test_confidence_factor_tends_to_one():
 @given(nc=counts, np_=counts, bump=st.floats(min_value=1e-3, max_value=1e5), dt=st.sampled_from(ALL_DT))
 def test_direct_trust_monotone_in_clean(nc, np_, bump, dt):
     params = TrustParams(dt_model=dt)
-    base = direct_trust(TrustState(nc, np_, nc + np_, 0), params)
-    more = direct_trust(TrustState(nc + bump, np_, nc + bump + np_, 0), params)
+    base = direct_trust(nc, np_, params)
+    more = direct_trust(nc + bump, np_, params)
     assert more >= base - 1e-12
 
 
 @given(nc=counts, np_=counts, bump=st.floats(min_value=1e-3, max_value=1e5), dt=st.sampled_from(ALL_DT))
 def test_direct_trust_antitone_in_polluted(nc, np_, bump, dt):
     params = TrustParams(dt_model=dt)
-    base = direct_trust(TrustState(nc, np_, nc + np_, 0), params)
-    worse = direct_trust(TrustState(nc, np_ + bump, nc + np_ + bump, 0), params)
+    base = direct_trust(nc, np_, params)
+    worse = direct_trust(nc, np_ + bump, params)
     assert worse <= base + 1e-12
 
 
@@ -108,9 +107,9 @@ def test_margin_ratio_matches_direct_trust_recomputation(nc, np_, eta, eps, n):
     rho = math.log(1.0 + 1.0 / eta) + eps
     params = TrustParams(dt_model=DTModel.PDTM, rho=rho, eta=eta)
     margin = onoff_resistance_margin(TrustState(nc, np_, nc + np_, 0), n, params)
-    here = direct_trust(TrustState(nc, np_, 0, 0), params)
-    drop = here - direct_trust(TrustState(nc, np_ + n, 0, 0), params)
-    gain = direct_trust(TrustState(nc + n, np_, 0, 0), params) - here
+    here = direct_trust(nc, np_, params)
+    drop = here - direct_trust(nc, np_ + n, params)
+    gain = direct_trust(nc + n, np_, params) - here
     # differencing costs ~1 ulp of the O(1) trust values; the quotient scales it
     tolerance = 1e-12 + margin.ratio * 5e-15
     assert abs(margin.ratio * gain - drop) <= tolerance
@@ -140,8 +139,8 @@ def test_margin_dominates_bound_when_clean_evidence_dominates(np_, eta, eps, n, 
 )
 def test_decay_keeps_bad_memories_longer(counters, dt):
     params = TrustParams(forgetting=0.2, forgiving=0.05)
-    out = apply_decay(TrustState(counters, counters, 2 * counters, 0.0), dt, params)
-    assert out.n_clean < out.n_polluted
+    nc, np_, _ = decayed_counts(TrustState(counters, counters, 2 * counters, 0.0), dt, params)
+    assert nc < np_
 
 
 @given(t1=unit, t2=unit)
