@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -68,14 +68,17 @@ class ScenarioConfig:
         for pid in self.requesters:
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
+        # run_round walks the requesters only: any other entry would be ignored
+        for name in ("candidate_map", "request_budgets"):
+            strays = sorted({pid for pid, _ in getattr(self, name)} - set(self.requesters))
+            if strays:
+                raise ValueError(f"{name} has entries for non-requesters {strays}")
         for pid, cands in self.candidate_map:
-            if pid not in ids:
-                raise ValueError(f"candidate map references unknown peer {pid}")
             for c in cands:
                 if c not in ids or c == pid:
                     raise ValueError(f"invalid candidate {c} for peer {pid}")
         for pid, budget in self.request_budgets:
-            if pid not in ids or budget < 1:
+            if budget < 1:
                 raise ValueError(f"invalid request budget ({pid}, {budget})")
         for pid, _ in self.param_overrides:
             if pid not in ids:
@@ -629,7 +632,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
     for _ in range(cfg.rounds):
         run_round(world)
-        memo: TrustMemo = defaultdict(dict)  # no deliveries during the loop
+        memo = TrustMemo()  # no deliveries during the loop
         for observer, subject in cfg.observed_pairs:
             comp = evaluate_components(world, observer, subject, memo)
             trajectories[(observer, subject)].append(

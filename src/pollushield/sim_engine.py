@@ -12,18 +12,23 @@ Trust is scored by one kernel, `score_candidates`: it scores all of a
 requester's candidates in one call, reading the requester's parameters and
 table once and decaying each entry into plain counts with
 `decayed_counts` for `direct_trust` and `confidence_factor`. Recommendations
-are queried only for a subject that some peer has received from.
+are queried only for a subject whose observers include a peer the requester
+has received from, the only case where a recommender can qualify.
 `select_providers` calls it once per requester, and `evaluate_components` is
 the kernel applied to one subject.
 
 Tables change only at delivery, where `record_delivery` decays the entry
 from its last delivery to `world.now` and counts the chunk. Evaluating trust
 reads each entry decayed the same way and stores nothing, so a run does not
-depend on how often trust is read. A memo, `memo[a][b]` = a's direct trust
-of b at `world.now`, spares the repeated work: it serves both recommender
-credibility and recommenders' honest values. `run_round` keeps one per round
-and drops `memo[a][b]` when a receives a delivery from b; the public
-evaluation functions make a fresh one when none is passed.
+depend on how often trust is read. A `TrustMemo` spares the repeated work.
+Its direct table, a's direct trust of b at `world.now`, serves both
+recommender credibility and recommenders' honest values. Its report table
+holds what recommender k reports about a subject, for peers with no lie
+stream; a bad-mouther still draws a lie at every enquiry. `run_round` keeps
+one memo per round, and when a receives a delivery from b,
+`TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
+about b. The public evaluation functions make a fresh memo when none is
+passed.
 """
 
 from __future__ import annotations
@@ -150,8 +155,29 @@ class World:
         return rec
 
 
-# memo[a][b]: a's direct trust of b at world.now
-TrustMemo = DefaultDict[int, Dict[int, float]]
+class TrustMemo:
+    """What trust reads have worked out at `world.now`.
+
+    `direct[a][b]` is a's direct trust of b; it serves both recommender
+    credibility and recommenders' honest values. `reports[s][k]` is what
+    recommender k reports about subject s, kept only for peers with no lie
+    stream: their report is a function of their direct trust alone, while a
+    bad-mouther draws from its lie stream at every enquiry.
+
+    A delivery to a from b changes a's entry for b, and so both a's direct
+    trust of b and a's report about b; `delivered` drops the two together.
+    """
+
+    __slots__ = ("direct", "reports")
+
+    def __init__(self) -> None:
+        self.direct: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
+        self.reports: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
+
+    def delivered(self, rid: int, pid: int) -> None:
+        """rid received from pid: drop rid's direct trust of pid and its report about pid."""
+        self.direct[rid].pop(pid, None)
+        self.reports[pid].pop(rid, None)
 
 
 def query_indirect(
@@ -171,9 +197,9 @@ def query_indirect(
     obs = world.peers[observer]
     now = world.now
     if memo is None:
-        memo = defaultdict(dict)
-    credibility = memo[observer]
-    eligible: List[Tuple[float, int]] = []
+        memo = TrustMemo()
+    credibility = memo.direct[observer]
+    eligible: List[Tuple[float, int]] = []  # (-credibility, recommender)
     for k in world.observers_of.get(subject, ()):
         if k == observer or k == subject:
             continue
@@ -184,20 +210,26 @@ def query_indirect(
         if cred is None:
             nc, np_, _ = decayed_counts(st, now, obs.params)
             cred = credibility[k] = direct_trust(nc, np_, obs.params)
-        eligible.append((cred, k))
+        eligible.append((-cred, k))
     if not eligible:
         return None
-    eligible.sort(key=lambda ck: (-ck[0], ck[1]))
+    eligible.sort()  # most credible first, ties by lowest id
+    reports = memo.reports[subject]
     recommendations: List[Tuple[float, float]] = []
-    for cred, k in eligible[: obs.params.k_recommenders]:
-        rec = world.peers[k]
-        views = memo[k]
-        honest = views.get(subject)
-        if honest is None:
-            nc, np_, _ = decayed_counts(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
-            honest = views[subject] = direct_trust(nc, np_, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
-        recommendations.append((cred, value))
+    for neg_cred, k in eligible[: obs.params.k_recommenders]:
+        value = reports.get(k)
+        if value is None:
+            rec = world.peers[k]
+            views = memo.direct[k]
+            honest = views.get(subject)
+            if honest is None:
+                nc, np_, _ = decayed_counts(
+                    rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
+                honest = views[subject] = direct_trust(nc, np_, rec.params)
+            value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
+            if rec.lie_rng is None:
+                reports[k] = value
+        recommendations.append((-neg_cred, value))
     return indirect_trust(recommendations)
 
 
@@ -222,7 +254,7 @@ def score_candidates(
     observers_of = world.observers_of
     cold = params.cold_start_trust
     if memo is None:
-        memo = defaultdict(dict)
+        memo = TrustMemo()
     # direct trust and confidence of a subject the observer never received from
     unknown: Optional[Tuple[float, float]] = None
     scored: List[TrustComponents] = []
@@ -238,7 +270,12 @@ def score_candidates(
             if unknown is None:
                 unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
             d, a = unknown
-        ind = query_indirect(world, observer, subject, memo) if observers_of.get(subject) else None
+        # a recommender is a peer the observer received from that received
+        # from the subject: query only when one exists
+        members = observers_of.get(subject)
+        ind = None
+        if members and not table.keys().isdisjoint(members):
+            ind = query_indirect(world, observer, subject, memo)
         if ind is None:
             ind = cold
         scored.append(TrustComponents(d, ind, a, combine_trust(d, ind, a)))
@@ -292,7 +329,7 @@ def run_round(world: World) -> World:
     world.now = float(r)
     in_warmup = r <= world.warmup_rounds
     ads = world.ads_per_round
-    memo: TrustMemo = defaultdict(dict)
+    memo = TrustMemo()
     for rid in world.requesters:
         req = world.peers[rid]
         if not req.candidates:
@@ -305,7 +342,6 @@ def run_round(world: World) -> World:
         admitted = select_providers(
             world, rid, advertising, req.params.k_providers, req.rng, memo
         )
-        views = memo[rid]
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
@@ -314,7 +350,7 @@ def run_round(world: World) -> World:
             req.trust_table[pid] = record_delivery(
                 req.trust_table.get(pid, EMPTY_STATE), quality, world.now, req.params
             )
-            views.pop(pid, None)
+            memo.delivered(rid, pid)
             world.observers_of.setdefault(pid, {})[rid] = None
             world.event_log.append(
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)

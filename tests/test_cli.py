@@ -109,6 +109,20 @@ class TestRunCommand:
         assert "detection_threshold" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, entry", [("candidate_map", [2, [0]]),
+                                              ("request_budgets", [2, 3])])
+    def test_entry_for_non_requester_rejected(self, tmp_path, capsys, field, entry):
+        # e2's requesters are peers 0 and 1: peer 2's entry would be ignored
+        d = config_to_dict(build_experiment("e2"))
+        d[field].append(entry)
+        path = tmp_path / "stray.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{field} has entries for non-requesters [2]" in err
+        assert "Traceback" not in err
+
     def test_diagnostics_logged_once_and_stored(self, tmp_path, caplog):
         # e5's newcomer overrides the base params, and both forgive faster
         # than they forget: one distinct message, one log record

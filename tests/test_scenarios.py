@@ -216,6 +216,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} repeats"):
             tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("candidate_map", ((0, (1, 2)), (2, (1,)), (1, (0,)))),
+            ("request_budgets", ((0, 2), (2, 3), (1, 1))),
+        ],
+    )
+    def test_entries_for_non_requesters_rejected(self, field, value):
+        # only requesters request: the entries of peers 1 and 2 would be ignored
+        with pytest.raises(ValueError, match=rf"^{field} has entries for non-requesters \[1, 2\]"):
+            tiny_config(**{field: value}).validate()
+
     @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
     def test_detection_threshold_out_of_range_rejected(self, value):
         with pytest.raises(ValueError, match="detection_threshold"):

@@ -1,10 +1,9 @@
-from collections import defaultdict
-
 import pytest
 
 from pollushield import sim_engine
 from pollushield.behaviors import PeerBehavior
 from pollushield.sim_engine import (
+    TrustMemo,
     World,
     evaluate_components,
     query_indirect,
@@ -135,7 +134,7 @@ class TestQueryIndirect:
         seed_history(world, 0, 2, n_clean=3)
         world.now = 5.0
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
-        memo = defaultdict(dict)
+        memo = TrustMemo()
         for subject in (1, 3, 1):
             assert query_indirect(world, 0, subject, memo) is not None
             evaluate_components(world, 0, subject, memo)
@@ -172,7 +171,7 @@ class TestScoreCandidates:
         assert score_candidates(world, 0, subjects) == [
             evaluate_components(world, 0, s) for s in subjects]
 
-    def test_queries_only_subjects_someone_received_from(self, monkeypatch):
+    def test_queries_only_subjects_a_known_peer_received_from(self, monkeypatch):
         world = self.world()
         queried = []
 
@@ -182,7 +181,9 @@ class TestScoreCandidates:
 
         monkeypatch.setattr(sim_engine, "query_indirect", spy)
         score_candidates(world, 0, (1, 2, 3, 4, 5))
-        assert queried == [1, 2, 3]  # 4 and 5 have no observers
+        # 4 and 5 have no observers; 1 and 2 only the observer itself, which
+        # has not received from itself: only 2 can recommend, and only on 3
+        assert queried == [3]
 
     def test_self_in_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -316,6 +317,31 @@ class TestRunRound:
         polluter_rounds = [ev.round_no for ev in world.event_log if ev.provider == 1]
         assert polluter_rounds == [1]  # probed once during warmup, then banned
         assert world.detections[1] == 2
+
+    def test_delivery_mid_round_refreshes_what_a_recommender_reports(self, monkeypatch):
+        # X=0 asks about P=1 through R=2, then R receives a polluted chunk
+        # from P, then Y=3 asks about P through R: Y must see R's new view
+        world = World(seed=1)
+        for pid in (0, 2, 3):
+            world.add_peer(pid, PeerBehavior.honest(), forced_params(),
+                           is_requester=True, candidates=[1])
+        world.add_peer(1, PeerBehavior.persistent(), forced_params())
+        seed_history(world, 2, 1, n_clean=3)  # R's view of P before the round
+        seed_history(world, 0, 2, n_clean=3)  # X and Y have received from R
+        seed_history(world, 3, 2, n_clean=3)
+        score = sim_engine.score_candidates
+        indirect = {}
+
+        def checked(world, observer, subjects, memo=None):
+            got = score(world, observer, subjects, memo)
+            assert got == score(world, observer, subjects)  # memo-free
+            indirect[observer] = got[0].indirect
+            return got
+
+        monkeypatch.setattr(sim_engine, "score_candidates", checked)
+        run_round(world)
+        assert [(ev.requester, ev.provider) for ev in world.event_log] == [(0, 1), (2, 1), (3, 1)]
+        assert indirect[3] < indirect[0]
 
     def test_evaluation_does_not_mutate_foreign_state(self):
         world = make_world(3)

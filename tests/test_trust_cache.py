@@ -11,6 +11,7 @@ the `sim_engine` path must match bit for bit.
 """
 
 import math
+import random
 from typing import List, Optional, Tuple
 
 import pytest
@@ -263,10 +264,18 @@ def count_calls(monkeypatch, names):
 
 
 def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the memo cuts the decay and scoring
-    work, while the recommendation draws (and so the RNG streams) keep their
-    call counts.
+    """e4 rotating, group 24, 40 rounds: the memo cuts the decay, scoring
+    and recommendation work. No peer there has a lie stream, so the memo
+    serves every repeated report; `test_liar_draws_once_per_enquiry` pins
+    that a liar's draws keep their count.
 
+    `query_indirect` runs only when the requester has received from some
+    observer of the subject: 16 852 of the 23 016 selection scorings of a
+    subject with observers, plus the 40 observations.
+    `recommendation_value` runs once per report the memo lacks: 15 709
+    first reports in a round's selection memo, 391 re-reports after the
+    recommender received from the subject earlier in the round, and 920 in
+    the 40 observation memos (17 020; one per enquiry would be 313 651).
     `direct_trust` counts every direct-trust evaluation: the 18 876 memo
     fills plus 16 985 scorings (16 432 subjects with a table entry, and one
     per batch for a never-received-from subject in 553 batches).
@@ -275,27 +284,74 @@ def test_dense_collusion_work_counts(monkeypatch):
     `record_delivery`, which these bindings do not see. The retired
     `apply_decay` counted the memo fills plus the 1 344 deliveries to an
     existing entry (20 220); with the scoring reads that made the 36 652
-    decays of a `TrustState` per score, and 35 308 + 1 344 still does."""
+    decays of a `TrustState` per score, and 35 308 + 1 344 still does.
+    A report is filled from the recommender's memoised direct trust, which
+    it would have read anyway, so the last two counts do not move."""
     calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
                                       "score_candidates", "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
-    assert calls["recommendation_value"] == 313_651
+    assert calls["recommendation_value"] == 17_020  # 15 709 + 391 + 920 memo fills
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
-    # round 1's 24 selections skip it: nobody has received from anyone yet
-    assert calls["query_indirect"] == 23_056
+    assert calls["query_indirect"] == 16_892   # 16 852 selection scorings + 40 observations
     assert calls["direct_trust"] == 35_861     # 18 876 memo fills + 16 985 scorings
     assert calls["decayed_counts"] == 35_308   # 18 876 memo fills + 16 432 scorings
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
-    """e6 seed 1: of the 84 000 scorings only those of a subject that some
-    peer has received from reach query_indirect; the recommendation draws
-    keep their count."""
+    """e6 seed 1: of the 84 000 scorings, 51 658 are of a subject that some
+    peer has received from, and only 1 419 of those of a subject whose
+    observers include a peer the requester has received from; only those
+    reach query_indirect, and every one finds a recommender. Requesters
+    are all honest, so no recommender has a lie stream: the memo serves
+    87 repeated reports, and `recommendation_value` runs for the 1 354
+    first reports in a round plus 22 re-reports after the recommender
+    received from the subject earlier in the round (1 376, down from one
+    per enquiry, 1 463)."""
     calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
                                       "score_candidates"))
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
-    assert calls["query_indirect"] == 51_658
-    assert calls["recommendation_value"] == 1_463
+    assert calls["query_indirect"] == 1_419
+    assert calls["recommendation_value"] == 1_376  # 1 354 + 22 memo fills
+
+
+def test_liar_draws_once_per_enquiry(monkeypatch):
+    """Three observers receive from a bad-mouther (slander probability 0.5)
+    and from its target, and ask it about the target in every selection
+    after round 1, two of them also in every observation. The memo never
+    keeps a liar's report, so its lie stream advances once per enquiry,
+    and the run matches the unmemoised oracle, lie streams included."""
+    liar, target, rounds, seed = 3, 4, 8, 7
+    observers = (0, 1, 2)
+    cfg = ScenarioConfig(
+        name="liar",
+        n_peers=5,
+        rounds=rounds,
+        seed=seed,
+        behavior_mix=(
+            (PeerBehavior.honest(), 3),
+            (PeerBehavior.badmouther((target,), slander_prob=0.5), 1),
+            (PeerBehavior.honest(), 1),
+        ),
+        params=TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
+                           theta_p=0.0, theta_g=0.0),
+        observed_pairs=((0, target), (1, target)),
+        requesters=observers + (liar,),
+        candidate_map=tuple((rid, (liar, target)) for rid in observers) + ((liar, (target,)),),
+        request_budgets=tuple((rid, 2) for rid in observers),
+    )
+    calls = count_calls(monkeypatch, ("recommendation_value",))
+    report, world = run_capturing_world(cfg)
+    # round 1 selects before anyone has received: observations only
+    assert calls["recommendation_value"] == 3 * (rounds - 1) + 2 * rounds
+    stream = random.Random(f"{seed}:{liar}:lies")
+    for _ in range(calls["recommendation_value"]):
+        stream.random()
+    assert world.peers[liar].lie_rng.getstate() == stream.getstate()
+    monkeypatch.undo()
+    got = fingerprint(report, world)
+    want = fingerprint(*run_with_oracle(cfg))
+    for key in want:
+        assert got[key] == want[key], key
