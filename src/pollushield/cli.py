@@ -83,17 +83,10 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
     else:
         path = args.scenario
         try:
-            cfg = load_config(path)
-        except (OSError, ValueError) as exc:
+            cfg = replace(load_config(path), **overrides)
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        if overrides:
-            cfg = replace(cfg, **overrides)
-            try:
-                cfg.validate()
-            except ValueError as exc:
-                print(f"error: invalid overrides for {path!r}: {exc}", file=sys.stderr)
-                return EXIT_BAD_CONFIG
     if suffix:
         cfg = replace(cfg, name=f"{cfg.name}_{suffix}")
     log.debug("running %s: %d peers, %d rounds", cfg.name, cfg.n_peers, cfg.rounds)

@@ -23,7 +23,7 @@ from typing import (
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import TrustMemo, World, evaluate_components, run_round
+from .sim_engine import World, evaluate_components, run_round
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -47,7 +47,13 @@ class ScenarioConfig:
     measure_from: Optional[int] = None           # None: warmup_rounds
     ads_per_round: Optional[int] = None          # None: every candidate advertises
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        # the name becomes the stem of each output file
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"name must be a file-name stem, got {self.name!r}")
         if self.n_peers < 1:
             raise ValueError("n_peers must be positive")
         if self.rounds < 1:
@@ -189,9 +195,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    cfg = _decode(ScenarioConfig, d, "config")
-    cfg.validate()
-    return cfg
+    return _decode(ScenarioConfig, d, "config")
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -568,7 +572,7 @@ EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
 
 
 def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
-    """Deterministic, validated config for one of the canned experiments
+    """Deterministic config for one of the canned experiments
     e1..e6. Overrides are the builder's keyword parameters (listed per
     experiment in EXPERIMENT_OVERRIDES); any other key raises ValueError,
     and an unknown experiment id raises KeyError."""
@@ -578,16 +582,13 @@ def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
     unknown = set(overrides) - set(EXPERIMENT_OVERRIDES[key])
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    cfg = _BUILDERS[key](**overrides)
-    cfg.validate()
-    return cfg
+    return _BUILDERS[key](**overrides)
 
 
 # --- execution ---------------------------------------------------------------
 
 def build_world(cfg: ScenarioConfig) -> World:
-    """Materialize a World from a validated config."""
-    cfg.validate()
+    """Materialize a World from a config."""
     world = World(
         seed=cfg.seed,
         detection_threshold=(
@@ -631,15 +632,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     world = build_world(cfg)
     trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
     for _ in range(cfg.rounds):
-        run_round(world)
-        memo = TrustMemo()  # no deliveries during the loop
+        memo = run_round(world)
         for observer, subject in cfg.observed_pairs:
             comp = evaluate_components(world, observer, subject, memo)
             trajectories[(observer, subject)].append(
                 (world.round, comp.direct, comp.indirect, comp.alpha, comp.combined)
             )
     measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
-    measured_rounds = max(1, cfg.rounds - measure_from)
+    measured_rounds = cfg.rounds - measure_from
     clean_measured: Dict[int, int] = {}
     polluted_total: Dict[int, int] = {}
     served: Dict[int, int] = {}

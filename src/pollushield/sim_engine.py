@@ -27,8 +27,9 @@ holds what recommender k reports about a subject, for peers with no lie
 stream; a bad-mouther still draws a lie at every enquiry. `run_round` keeps
 one memo per round, and when a receives a delivery from b,
 `TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
-about b. The public evaluation functions make a fresh memo when none is
-passed.
+about b. `run_round` returns that memo, still valid at `world.now`, and the
+scenario's observations read through it. The public evaluation functions
+make a fresh memo when none is passed.
 """
 
 from __future__ import annotations
@@ -323,8 +324,11 @@ def select_providers(
     return admitted
 
 
-def run_round(world: World) -> World:
-    """Advance the world by one round of requests, deliveries, and updates."""
+def run_round(world: World) -> TrustMemo:
+    """Advance the world by one round of requests, deliveries, and updates.
+
+    Returns the round's memo. Every delivery dropped the entries it changed,
+    so the memo stays valid for reads at `world.now` until the next delivery."""
     r = world.round + 1
     world.now = float(r)
     in_warmup = r <= world.warmup_rounds
@@ -356,4 +360,4 @@ def run_round(world: World) -> World:
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)
             )
     world.round = r
-    return world
+    return memo

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,41 @@ class TestRunCommand:
         assert "detection_threshold" in err
         assert "Traceback" not in err
 
+    def test_invalid_rounds_override_rejected(self, tmp_path, capsys):
+        path = tmp_path / "e2.cfg"
+        save_config(build_experiment("e2"), str(path))
+        code = run_command(
+            ["run", "--scenario", str(path), "--rounds", "0", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "e2.cfg" in err
+        assert "rounds" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "a\u0000b"])
+    def test_name_outside_out_rejected(self, tmp_path, capsys, name):
+        d = config_to_dict(build_experiment("e2"))
+        d["name"] = name
+        path = tmp_path / "named.cfg"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        code = run_command(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "named.cfg" in err
+        assert "name must be a file-name stem" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["named.cfg"]
+
+    def test_deeply_nested_scenario_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deep.cfg"
+        path.write_text("[" * 200_000)
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "deep.cfg" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field, entry", [("candidate_map", [2, [0]]),
                                               ("request_budgets", [2, 3])])
     def test_entry_for_non_requester_rejected(self, tmp_path, capsys, field, entry):
@@ -205,20 +241,20 @@ class TestCsvFormat:
 
     def test_six_digit_half_even_rounding(self, tmp_path):
         paths = emit_csv(self.make_report(), str(tmp_path))
-        traj = open(paths[0]).read().splitlines()
+        traj = Path(paths[0]).read_text().splitlines()
         assert traj[0] == "round,observer,subject,direct,indirect,alpha,trust"
         assert traj[1] == "1,0,1,0.333333,0.500000,0.000000,0.666667"
 
     def test_detection_round_empty_when_never_detected(self, tmp_path):
         paths = emit_csv(self.make_report(), str(tmp_path))
-        rows = open(paths[1]).read().splitlines()
+        rows = Path(paths[1]).read_text().splitlines()
         assert rows[0] == "peer,behavior,goodput,polluted_accepted,detection_round,requests_received"
         assert rows[1] == "0,honest,0.333333,0,,4"
         assert rows[2] == "1,persistent,0.000000,2,7,1"
 
     def test_meta_is_sorted_json(self, tmp_path):
         paths = emit_csv(self.make_report(), str(tmp_path))
-        meta = json.loads(open(paths[2]).read())
+        meta = json.loads(Path(paths[2]).read_text())
         assert meta == {"name": "fmt", "seed": 1}
 
     def test_emit_returns_written_paths(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -236,6 +237,20 @@ class TestValidation:
     @pytest.mark.parametrize("value", [None, 0.0, 1.0])
     def test_detection_threshold_bounds_accepted(self, value):
         tiny_config(detection_threshold=value).validate()
+
+    @pytest.mark.parametrize("name", ["", "../escaped", "sub/dir", "a\\b", "a\0b"])
+    def test_name_must_be_file_stem(self, name):
+        # the name is joined into output paths
+        with pytest.raises(ValueError, match="^name must be a file-name stem"):
+            tiny_config(name=name)
+
+    def test_invalid_config_cannot_be_constructed(self):
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            tiny_config(rounds=0)
+
+    def test_replace_cannot_make_invalid_config(self):
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            replace(build_experiment("e2"), rounds=0)
 
 
 class TestRunScenario:

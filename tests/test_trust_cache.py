@@ -274,28 +274,29 @@ def test_dense_collusion_work_counts(monkeypatch):
     subject with observers, plus the 40 observations.
     `recommendation_value` runs once per report the memo lacks: 15 709
     first reports in a round's selection memo, 391 re-reports after the
-    recommender received from the subject earlier in the round, and 920 in
-    the 40 observation memos (17 020; one per enquiry would be 313 651).
-    `direct_trust` counts every direct-trust evaluation: the 18 876 memo
+    recommender received from the subject earlier in the round, and 24 in
+    the observations, which read through the round's memo (16 124; one per
+    enquiry would be 313 651). Of those 24, a delivery after the victim's
+    selection had dropped one, and no selection that round had asked for
+    the other 23. A fresh memo per observation would refill 920.
+    `direct_trust` counts every direct-trust evaluation: the 17 980 memo
     fills plus 16 985 scorings (16 432 subjects with a table entry, and one
-    per batch for a never-received-from subject in 553 batches).
-    `decayed_counts` counts every decayed read: the memo fills plus the
-    16 432 scorings of a table entry. The 1 920 deliveries decay inside
-    `record_delivery`, which these bindings do not see. The retired
-    `apply_decay` counted the memo fills plus the 1 344 deliveries to an
-    existing entry (20 220); with the scoring reads that made the 36 652
-    decays of a `TrustState` per score, and 35 308 + 1 344 still does.
-    A report is filled from the recommender's memoised direct trust, which
-    it would have read anyway, so the last two counts do not move."""
+    per batch for a never-received-from subject in 553 batches). The
+    observations make 944 of those fills: the victim's credibility of the
+    23 other members, which its own deliveries drop every round (920), and
+    the 24 honest values behind the new reports.
+    `decayed_counts` counts every decayed read: the 17 980 memo fills plus
+    the 16 432 scorings of a table entry. The 1 920 deliveries decay inside
+    `record_delivery`, which these bindings do not see."""
     calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
                                       "score_candidates", "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
-    assert calls["recommendation_value"] == 17_020  # 15 709 + 391 + 920 memo fills
+    assert calls["recommendation_value"] == 16_124  # 15 709 + 391 + 24 memo fills
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
     assert calls["query_indirect"] == 16_892   # 16 852 selection scorings + 40 observations
-    assert calls["direct_trust"] == 35_861     # 18 876 memo fills + 16 985 scorings
-    assert calls["decayed_counts"] == 35_308   # 18 876 memo fills + 16 432 scorings
+    assert calls["direct_trust"] == 34_965     # 17 980 memo fills + 16 985 scorings
+    assert calls["decayed_counts"] == 34_412   # 17 980 memo fills + 16 432 scorings
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
