@@ -2,8 +2,9 @@
 
 A behavior decides two things about its owner: the quality of each chunk it
 uploads, and the recommendation value it reports when asked about another
-peer. Both are pure given the caller-supplied random stream, so identical
-seeds replay identical attack traces.
+peer. Uploads are pure given the caller-supplied random stream and lies are
+keyed on the seed and round, so identical seeds replay identical attack
+traces.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class PeerBehavior:
     loss_rate: float = 0.0              # network corruption on honest uploads
     on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
     target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander
-    slander_prob: float = 0.0           # BADMOUTH: per-enquiry lie probability
+    slander_prob: float = 0.0           # BADMOUTH: per-round lie probability
     group: Tuple[int, ...] = ()         # COLLAB_*: sorted member ids
     designated_polluter: Optional[int] = None  # COLLAB_STATIC only
     rotation_period: int = 1            # COLLAB_ROTATING: rounds per duty slot
@@ -154,22 +155,21 @@ def recommendation_value(
     recommender: int,
     subject: int,
     honest_value: float,
-    rng: Optional[random.Random],
+    seed: int,
+    round_no: int,
 ) -> float:
     """Recommendation the owner reports when asked about `subject`.
 
     Honest peers (and upload-only attackers) report their true direct trust.
-    Bad-mouthers zero out targeted peers with probability slander_prob per
-    enquiry, drawn from `rng`, their own lie stream; no other kind draws.
-    Colluders endorse fellow group members at full trust.
+    A bad-mouther zeroes out a targeted peer in a round when a uniform keyed
+    on (seed, recommender, subject, round_no) falls below slander_prob, so it
+    tells every enquirer the same thing within a round and draws from no
+    stream. Colluders endorse fellow group members at full trust.
     """
     kind = behavior.kind
     if kind is BehaviorKind.BADMOUTH and subject in behavior.target_set:
-        if behavior.slander_prob >= 1.0:
-            return 0.0
-        if behavior.slander_prob > 0.0 and rng.random() < behavior.slander_prob:
-            return 0.0
-        return honest_value
+        lie = random.Random(f"{seed}:{recommender}:{subject}:{round_no}:lie").random()
+        return 0.0 if lie < behavior.slander_prob else honest_value
     if kind in (BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING):
         if subject in behavior.group:
             return 1.0

@@ -80,15 +80,19 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
+        if suffix:
+            cfg = replace(cfg, name=f"{cfg.name}_{suffix}")
     else:
         path = args.scenario
         try:
-            cfg = replace(load_config(path), **overrides)
+            cfg = load_config(path)
+            if suffix:
+                overrides = dict(overrides, name=f"{cfg.name}_{suffix}")
+            if overrides:
+                cfg = replace(cfg, **overrides)
         except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-    if suffix:
-        cfg = replace(cfg, name=f"{cfg.name}_{suffix}")
     log.debug("running %s: %d peers, %d rounds", cfg.name, cfg.n_peers, cfg.rounds)
     report = run_scenario(cfg)
     for msg in report.run_meta["diagnostics"]:

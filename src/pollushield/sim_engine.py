@@ -23,9 +23,9 @@ reads each entry decayed the same way and stores nothing, so a run does not
 depend on how often trust is read. A `TrustMemo` spares the repeated work.
 Its direct table, a's direct trust of b at `world.now`, serves both
 recommender credibility and recommenders' honest values. Its report table
-holds what recommender k reports about a subject, for peers with no lie
-stream; a bad-mouther still draws a lie at every enquiry. `run_round` keeps
-one memo per round, and when a receives a delivery from b,
+holds what recommender k reports about a subject; a bad-mouther's lie is
+keyed on the round, so its report is as fixed as an honest one. `run_round`
+keeps one memo per round, and when a receives a delivery from b,
 `TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
 about b. `run_round` returns that memo, still valid at `world.now`, and the
 scenario's observations read through it. The public evaluation functions
@@ -38,7 +38,7 @@ import random
 from collections import defaultdict
 from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .behaviors import BehaviorKind, PeerBehavior, recommendation_value, upload_quality
+from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
     EMPTY_STATE,
     ChunkQuality,
@@ -77,7 +77,6 @@ class PeerRecord:
         "behavior",
         "params",
         "rng",
-        "lie_rng",
         "budget",
         "candidates",
         "trust_table",
@@ -92,13 +91,11 @@ class PeerRecord:
         rng: random.Random,
         budget: int = 1,
         candidates: Sequence[int] = (),
-        lie_rng: Optional[random.Random] = None,
     ) -> None:
         self.pid = pid
         self.behavior = behavior
         self.params = params
         self.rng = rng
-        self.lie_rng = lie_rng
         self.budget = budget
         self.candidates: Tuple[int, ...] = tuple(candidates)
         self.trust_table: Dict[int, TrustState] = {}
@@ -145,10 +142,7 @@ class World:
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
         rng = random.Random(f"{self.seed}:{pid}")
-        # only a bad-mouther lies, from its own stream apart from its uploads
-        liar = behavior.kind is BehaviorKind.BADMOUTH
-        lie_rng = random.Random(f"{self.seed}:{pid}:lies") if liar else None
-        rec = PeerRecord(pid, behavior, params, rng, budget, candidates, lie_rng)
+        rec = PeerRecord(pid, behavior, params, rng, budget, candidates)
         self.peers[pid] = rec
         if is_requester:
             self.requesters.append(pid)
@@ -161,9 +155,8 @@ class TrustMemo:
 
     `direct[a][b]` is a's direct trust of b; it serves both recommender
     credibility and recommenders' honest values. `reports[s][k]` is what
-    recommender k reports about subject s, kept only for peers with no lie
-    stream: their report is a function of their direct trust alone, while a
-    bad-mouther draws from its lie stream at every enquiry.
+    recommender k reports about subject s, a function of k's direct trust
+    of s and the round alone.
 
     A delivery to a from b changes a's entry for b, and so both a's direct
     trust of b and a's report about b; `delivered` drops the two together.
@@ -227,9 +220,8 @@ def query_indirect(
                 nc, np_, _ = decayed_counts(
                     rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
                 honest = views[subject] = direct_trust(nc, np_, rec.params)
-            value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
-            if rec.lie_rng is None:
-                reports[k] = value
+            value = reports[k] = recommendation_value(
+                rec.behavior, k, subject, honest, world.seed, int(now))
         recommendations.append((-neg_cred, value))
     return indirect_trust(recommendations)
 

@@ -87,35 +87,40 @@ class TestUploadQuality:
 
 class TestRecommendationValue:
     def test_honest_passthrough(self):
-        rng = random.Random(0)
         for behavior in (PeerBehavior.honest(), PeerBehavior.persistent(), PeerBehavior.onoff(0.2)):
-            assert recommendation_value(behavior, 1, 2, 0.73, rng) == 0.73
+            assert recommendation_value(behavior, 1, 2, 0.73, seed=0, round_no=1) == 0.73
 
     def test_badmouther_slanders_target(self):
         behavior = PeerBehavior.badmouther((5,), slander_prob=1.0)
-        assert recommendation_value(behavior, 1, 5, 0.9, random.Random(0)) == 0.0
+        assert all(recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=r) == 0.0
+                   for r in range(1, 50))
 
     def test_badmouther_spares_non_target(self):
         behavior = PeerBehavior.badmouther((5,), slander_prob=1.0)
-        assert recommendation_value(behavior, 1, 6, 0.9, random.Random(0)) == 0.9
+        assert recommendation_value(behavior, 1, 6, 0.9, seed=0, round_no=1) == 0.9
 
     def test_badmouther_zero_probability_is_honest(self):
         behavior = PeerBehavior.badmouther((5,), slander_prob=0.0)
-        assert recommendation_value(behavior, 1, 5, 0.9, random.Random(0)) == 0.9
+        assert all(recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=r) == 0.9
+                   for r in range(1, 50))
 
     def test_badmouther_partial_probability(self):
         behavior = PeerBehavior.badmouther((5,), slander_prob=0.5)
-        rng = random.Random("slander")
-        values = {recommendation_value(behavior, 1, 5, 0.9, rng) for _ in range(50)}
-        assert values == {0.0, 0.9}
+        values = [recommendation_value(behavior, 1, 5, 0.9, seed=3, round_no=r)
+                  for r in range(1, 51)]
+        assert set(values) == {0.0, 0.9}
+        # a lie is keyed on (seed, recommender, subject, round): asking again
+        # in the same round gives the same answer
+        assert values == [recommendation_value(behavior, 1, 5, 0.9, seed=3, round_no=r)
+                          for r in range(1, 51)]
 
     def test_collab_endorses_members(self):
         behavior = PeerBehavior.collab_static((1, 2, 3), designated=1)
-        assert recommendation_value(behavior, 2, 3, 0.1, random.Random(0)) == 1.0
+        assert recommendation_value(behavior, 2, 3, 0.1, seed=0, round_no=1) == 1.0
 
     def test_collab_honest_about_outsiders(self):
         behavior = PeerBehavior.collab_rotating((1, 2, 3))
-        assert recommendation_value(behavior, 2, 9, 0.42, random.Random(0)) == 0.42
+        assert recommendation_value(behavior, 2, 9, 0.42, seed=0, round_no=1) == 0.42
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import pytest
 
 from pollushield.cli import run_command
 from pollushield.metrics import MetricsReport, PeerSummary, emit_csv
-from pollushield.scenarios import build_experiment, config_to_dict, save_config
+from pollushield.scenarios import ScenarioConfig, build_experiment, config_to_dict, save_config
 
 
 def read(path):
@@ -216,6 +216,32 @@ class TestRunCommand:
         assert code == 0
         assert (out / "e1_seed_1_trajectories.csv").exists()
         assert (out / "e1_seed_2_trajectories.csv").exists()
+
+    @pytest.mark.parametrize(
+        "target, validations",
+        [
+            (["--scenario", "{cfg}"], 1),                                   # load
+            (["--scenario", "{cfg}", "--sweep", "seed=3"], 2),              # load, replace
+            (["--experiment", "e1", "--rounds", "3"], 1),                   # build
+            (["--experiment", "e1", "--rounds", "3", "--sweep", "seed=3"], 2),  # build, rename
+        ],
+        ids=["scenario", "scenario-sweep", "experiment", "experiment-sweep"],
+    )
+    def test_each_config_validated_once_per_build(
+        self, tmp_path, monkeypatch, target, validations
+    ):
+        """A scenario file's overrides and sweep-point name go into one
+        `replace`, and a plain scenario run replaces nothing."""
+        path = tmp_path / "e1.cfg"
+        save_config(build_experiment("e1", rounds=3), str(path))
+        calls = []
+        validate = ScenarioConfig.validate
+        monkeypatch.setattr(
+            ScenarioConfig, "validate", lambda cfg: calls.append(cfg.name) or validate(cfg)
+        )
+        argv = [arg.format(cfg=path) for arg in target]
+        assert run_command(["run", *argv, "--out", str(tmp_path)]) == 0
+        assert len(calls) == validations, calls
 
     @pytest.mark.parametrize("sweep", ["volume=11", "loss_rate=0.1"])
     def test_bad_sweep_key(self, tmp_path, capsys, sweep):

@@ -19,25 +19,35 @@ from pollushield.scenarios import (
     run_scenario,
     save_config,
 )
-from test_trust_cache import fingerprint, run_capturing_world, small_worlds
+from test_trust_cache import fingerprint, liar_world, run_capturing_world, small_worlds
 
 READ_CASES = [(exp, seed) for exp in ("e1", "e2", "e4", "e5") for seed in (1, 2, 3)]
-READ_CASES += [("e3", 1), ("e6", 1)]
+READ_CASES += [("e3", 1), ("e6", 1), ("liar", 7)]
 
 
-@pytest.mark.parametrize("exp, seed", READ_CASES)
-def test_extra_reads_leave_the_run_unchanged(exp, seed):
-    """Observing every requester -> candidate pair as well changes neither
-    the summary nor the trajectories of the pairs observed anyway."""
-    cfg = build_experiment(exp, seed=seed)
+def observing_every_request(cfg):
+    """cfg, also observing every requester -> candidate pair."""
     extra = [
         (rid, c)
         for rid, cands in cfg.candidate_map
         for c in cands
         if c != rid and (rid, c) not in cfg.observed_pairs
     ]
+    return replace(cfg, observed_pairs=cfg.observed_pairs + tuple(extra))
+
+
+@pytest.mark.parametrize("exp, seed", READ_CASES)
+def test_extra_reads_leave_the_run_unchanged(exp, seed):
+    """Observing every requester -> candidate pair as well changes neither
+    the summary nor the trajectories of the pairs observed anyway. The
+    liar case has a bad-mouther with slander probability 0.5, whose lies
+    are keyed on the round rather than drawn per enquiry."""
+    if exp == "liar":
+        cfg = liar_world(rounds=30, seed=seed, theta_p=0.3, theta_g=0.9)
+    else:
+        cfg = build_experiment(exp, seed=seed)
     base = run_scenario(cfg)
-    read_more = run_scenario(replace(cfg, observed_pairs=cfg.observed_pairs + tuple(extra)))
+    read_more = run_scenario(observing_every_request(cfg))
     assert read_more.summary == base.summary
     for pair in cfg.observed_pairs:
         assert read_more.trajectories[pair] == base.trajectories[pair], pair
@@ -57,3 +67,4 @@ def test_small_world_invariants(cfg):
         save_config(cfg, path)
         assert dump_config(load_config(path)) == dump_config(cfg)
     assert fingerprint(*run_capturing_world(cfg)) == fingerprint(report, world)
+    assert run_scenario(observing_every_request(cfg)).summary == report.summary

@@ -142,16 +142,24 @@ class TestQueryIndirect:
         assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
 
     def test_lies_leave_the_upload_stream_alone(self):
-        world = make_world(2)
-        world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob=0.5), DTMA_PARAMS)
-        seed_history(world, 2, 1, n_clean=5)
-        seed_history(world, 0, 2, n_clean=3)
-        liar = world.peers[2]
-        upload_state, lie_state = liar.rng.getstate(), liar.lie_rng.getstate()
-        for _ in range(5):
-            query_indirect(world, 0, 1)
+        """A bad-mouther's lie is keyed on the round: it draws nothing from
+        its upload stream, tells every enquirer the same thing within a
+        round, and over many rounds both lies and tells the truth."""
+        world = make_world(4)
+        liar = world.add_peer(4, PeerBehavior.badmouther((1,), slander_prob=0.5), DTMA_PARAMS)
+        seed_history(world, 4, 1, n_clean=5)
+        enquirers = (0, 2, 3)
+        for pid in enquirers:
+            seed_history(world, pid, 4, n_clean=3)
+        upload_state = liar.rng.getstate()
+        reports = []
+        for r in range(1, 41):
+            world.now = float(r)
+            heard = {query_indirect(world, pid, 1) for pid in enquirers}
+            assert len(heard) == 1, (r, heard)
+            reports.append(heard.pop())
         assert liar.rng.getstate() == upload_state
-        assert liar.lie_rng.getstate() != lie_state
+        assert set(reports) == {0.0, 1.0}
 
 
 class TestScoreCandidates:

@@ -11,7 +11,6 @@ the `sim_engine` path must match bit for bit.
 """
 
 import math
-import random
 from typing import List, Optional, Tuple
 
 import pytest
@@ -99,7 +98,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
         rec = world.peers[k]
         kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
         honest = oracle_direct_trust(kst, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, rec.lie_rng)
+        value = recommendation_value(rec.behavior, k, subject, honest, world.seed, int(now))
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
 
@@ -155,7 +154,6 @@ def fingerprint(report, world):
         "trajectories": repr(report.trajectories),
         "summary": repr(report.summary),
         "rng": [rec.rng.getstate() for rec in world.peers.values()],
-        "lie_rng": [rec.lie_rng and rec.lie_rng.getstate() for rec in world.peers.values()],
         "ads_rng": world.ads_rng.getstate(),
     }
 
@@ -265,9 +263,7 @@ def count_calls(monkeypatch, names):
 
 def test_dense_collusion_work_counts(monkeypatch):
     """e4 rotating, group 24, 40 rounds: the memo cuts the decay, scoring
-    and recommendation work. No peer there has a lie stream, so the memo
-    serves every repeated report; `test_liar_draws_once_per_enquiry` pins
-    that a liar's draws keep their count.
+    and recommendation work, and serves every repeated report.
 
     `query_indirect` runs only when the requester has received from some
     observer of the subject: 16 852 of the 23 016 selection scorings of a
@@ -303,9 +299,8 @@ def test_sparse_mesh_work_counts(monkeypatch):
     """e6 seed 1: of the 84 000 scorings, 51 658 are of a subject that some
     peer has received from, and only 1 419 of those of a subject whose
     observers include a peer the requester has received from; only those
-    reach query_indirect, and every one finds a recommender. Requesters
-    are all honest, so no recommender has a lie stream: the memo serves
-    87 repeated reports, and `recommendation_value` runs for the 1 354
+    reach query_indirect, and every one finds a recommender. The memo
+    serves 87 repeated reports, and `recommendation_value` runs for the 1 354
     first reports in a round plus 22 re-reports after the recommender
     received from the subject earlier in the round (1 376, down from one
     per enquiry, 1 463)."""
@@ -318,15 +313,13 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["recommendation_value"] == 1_376  # 1 354 + 22 memo fills
 
 
-def test_liar_draws_once_per_enquiry(monkeypatch):
+def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
     """Three observers receive from a bad-mouther (slander probability 0.5)
-    and from its target, and ask it about the target in every selection
-    after round 1, two of them also in every observation. The memo never
-    keeps a liar's report, so its lie stream advances once per enquiry,
-    and the run matches the unmemoised oracle, lie streams included."""
-    liar, target, rounds, seed = 3, 4, 8, 7
+    and from its target 4, and the bad-mouther 3 receives from the target;
+    observers 0 and 1 watch the target."""
+    liar, target = 3, 4
     observers = (0, 1, 2)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name="liar",
         n_peers=5,
         rounds=rounds,
@@ -337,20 +330,31 @@ def test_liar_draws_once_per_enquiry(monkeypatch):
             (PeerBehavior.honest(), 1),
         ),
         params=TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
-                           theta_p=0.0, theta_g=0.0),
+                           theta_p=theta_p, theta_g=theta_g),
         observed_pairs=((0, target), (1, target)),
         requesters=observers + (liar,),
         candidate_map=tuple((rid, (liar, target)) for rid in observers) + ((liar, (target,)),),
         request_budgets=tuple((rid, 2) for rid in observers),
     )
+
+
+def test_memo_and_oracle_give_the_same_lies(monkeypatch):
+    """The three observers ask the bad-mouther about its target in every
+    selection after round 1, two of them also in every observation. A lie
+    is keyed on the round, so the memo keeps the liar's report like any
+    other: `recommendation_value` runs once in each round's first
+    selection, and once more in the observations because the liar's own
+    delivery from the target dropped the report (2 per round after round
+    1, 1 in round 1; one per enquiry would be 37). The run matches the
+    unmemoised oracle, which asks the liar afresh at every enquiry."""
+    rounds = 8
+    cfg = liar_world(rounds, seed=7)
     calls = count_calls(monkeypatch, ("recommendation_value",))
     report, world = run_capturing_world(cfg)
     # round 1 selects before anyone has received: observations only
-    assert calls["recommendation_value"] == 3 * (rounds - 1) + 2 * rounds
-    stream = random.Random(f"{seed}:{liar}:lies")
-    for _ in range(calls["recommendation_value"]):
-        stream.random()
-    assert world.peers[liar].lie_rng.getstate() == stream.getstate()
+    assert calls["recommendation_value"] == 2 * (rounds - 1) + 1
+    # the liar is observer 0's only recommender about the target
+    assert {row[2] for row in report.trajectories[(0, 4)]} > {0.0}
     monkeypatch.undo()
     got = fingerprint(report, world)
     want = fingerprint(*run_with_oracle(cfg))
