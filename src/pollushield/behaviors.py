@@ -164,12 +164,16 @@ def recommendation_value(
     A bad-mouther zeroes out a targeted peer in a round when a uniform keyed
     on (seed, recommender, subject, round_no) falls below slander_prob, so it
     tells every enquirer the same thing within a round and draws from no
-    stream. Colluders endorse fellow group members at full trust.
+    stream. At slander_prob 0 or 1 the outcome is certain and nothing is
+    drawn. Colluders endorse fellow group members at full trust.
     """
     kind = behavior.kind
     if kind is BehaviorKind.BADMOUTH and subject in behavior.target_set:
+        p = behavior.slander_prob
+        if p == 0.0 or p == 1.0:
+            return 0.0 if p == 1.0 else honest_value
         lie = random.Random(f"{seed}:{recommender}:{subject}:{round_no}:lie").random()
-        return 0.0 if lie < behavior.slander_prob else honest_value
+        return 0.0 if lie < p else honest_value
     if kind in (BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING):
         if subject in behavior.group:
             return 1.0

@@ -43,7 +43,7 @@ class ScenarioConfig:
     request_budgets: Tuple[Tuple[int, int], ...] = ()  # non-default (peer, budget)
     warmup_rounds: int = 0       # rounds with the threshold policy disabled
     warmup_budget: int = 0       # minimum per-round deliveries during warmup
-    detection_threshold: Optional[float] = None  # None: use params.theta_p
+    detection_threshold: float = 0.5             # trust below this flags a peer
     measure_from: Optional[int] = None           # None: warmup_rounds
     ads_per_round: Optional[int] = None          # None: every candidate advertises
 
@@ -99,8 +99,8 @@ class ScenarioConfig:
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
             raise ValueError("ads_per_round must be >= 1 when set")
-        if self.detection_threshold is not None and not 0.0 <= self.detection_threshold <= 1.0:
-            raise ValueError("detection_threshold must be None or lie in [0, 1]")
+        if not 0.0 <= self.detection_threshold <= 1.0:
+            raise ValueError("detection_threshold must lie in [0, 1]")
         # a repeated entry would be double-counted or silently overwritten
         keyed = {"observed_pairs": self.observed_pairs, "requesters": self.requesters}
         for name in ("candidate_map", "request_budgets", "param_overrides"):
@@ -270,7 +270,6 @@ def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         requesters=(0, 1) + recommenders,
         candidate_map=tuple(cand_map),
         request_budgets=((0, 1 + n_recommenders), (1, 1 + n_recommenders)),
-        detection_threshold=0.5,
         measure_from=0,
     )
 
@@ -303,7 +302,6 @@ def build_e2(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         requesters=(0, 1),
         candidate_map=((0, attackers), (1, attackers)),
         request_budgets=((0, 3), (1, 3)),
-        detection_threshold=0.5,
         measure_from=0,
     )
 
@@ -371,7 +369,6 @@ def _population_config(
         candidate_map=cand_map,
         warmup_rounds=24,
         warmup_budget=3,
-        detection_threshold=0.5,
         measure_from=measure_from,
     )
 
@@ -450,7 +447,6 @@ def build_e4(
         requesters=(0,) + members,
         candidate_map=tuple(cand_map),
         request_budgets=((0, group_size),),
-        detection_threshold=0.5,
         measure_from=0,
     )
 
@@ -504,7 +500,6 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         request_budgets=tuple((rid, 3) for rid in reqs) + ((newcomer, n_req),),
         warmup_rounds=10,
         warmup_budget=3,
-        detection_threshold=0.5,
         ads_per_round=6,
     )
 
@@ -591,11 +586,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     """Materialize a World from a config."""
     world = World(
         seed=cfg.seed,
-        detection_threshold=(
-            cfg.detection_threshold
-            if cfg.detection_threshold is not None
-            else cfg.params.theta_p
-        ),
+        detection_threshold=cfg.detection_threshold,
         warmup_rounds=cfg.warmup_rounds,
         warmup_budget=cfg.warmup_budget,
         ads_per_round=cfg.ads_per_round,
@@ -674,16 +665,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     return MetricsReport(trajectories=trajectories, summary=summary, run_meta=run_meta)
 
 
-def mean_requester_goodput(
-    cfg: ScenarioConfig,
-    report: MetricsReport,
-    peers: Optional[Sequence[int]] = None,
-) -> float:
-    """Average goodput over the served population: the honest requesters by
-    default, or an explicit peer subset."""
-    if peers is None:
-        honest = {s.peer for s in report.summary if s.behavior == "honest"}
-        peers = [pid for pid in cfg.requesters if pid in honest]
+def mean_requester_goodput(cfg: ScenarioConfig, report: MetricsReport) -> float:
+    """Average goodput over the served population: the honest requesters."""
     rows = {s.peer: s for s in report.summary}
-    values = [rows[pid].goodput for pid in peers]
+    values = [rows[pid].goodput for pid in cfg.requesters if rows[pid].behavior == "honest"]
     return sum(values) / len(values) if values else 0.0

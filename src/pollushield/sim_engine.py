@@ -17,19 +17,20 @@ has received from, the only case where a recommender can qualify.
 `select_providers` calls it once per requester, and `evaluate_components` is
 the kernel applied to one subject.
 
-Tables change only at delivery, where `record_delivery` decays the entry
-from its last delivery to `world.now` and counts the chunk. Evaluating trust
-reads each entry decayed the same way and stores nothing, so a run does not
-depend on how often trust is read. A `TrustMemo` spares the repeated work.
-Its direct table, a's direct trust of b at `world.now`, serves both
-recommender credibility and recommenders' honest values. Its report table
-holds what recommender k reports about a subject; a bad-mouther's lie is
-keyed on the round, so its report is as fixed as an honest one. `run_round`
-keeps one memo per round, and when a receives a delivery from b,
+The one clock is `world.round`, which `run_round` advances before it
+selects. Tables change only at delivery, where `record_delivery` decays the
+entry from its last delivery to the round and counts the chunk. Evaluating
+trust reads each entry decayed the same way and stores nothing, so a run
+does not depend on how often trust is read. A `TrustMemo` spares the
+repeated work. Its direct table, a's direct trust of b in the round, serves
+both recommender credibility and recommenders' honest values. Its report
+table holds what recommender k reports about a subject; a bad-mouther's lie
+is keyed on the round, so its report is as fixed as an honest one.
+`run_round` keeps one memo per round, and when a receives a delivery from b,
 `TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
-about b. `run_round` returns that memo, still valid at `world.now`, and the
-scenario's observations read through it. The public evaluation functions
-make a fresh memo when none is passed.
+about b. `run_round` returns that memo, still valid for the round it ran,
+and the scenario's observations read through it. The public evaluation
+functions make a fresh memo when none is passed.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ class TrustComponents(NamedTuple):
 
 
 class PeerRecord:
-    """One peer: identity, strategy, parameters, and its private trust table."""
+    """One peer: strategy, parameters, and its private trust table."""
 
     __slots__ = (
-        "pid",
         "behavior",
         "params",
         "rng",
@@ -85,14 +85,12 @@ class PeerRecord:
 
     def __init__(
         self,
-        pid: int,
         behavior: PeerBehavior,
         params: TrustParams,
         rng: random.Random,
         budget: int = 1,
         candidates: Sequence[int] = (),
     ) -> None:
-        self.pid = pid
         self.behavior = behavior
         self.params = params
         self.rng = rng
@@ -114,8 +112,7 @@ class World:
         ads_per_round: Optional[int] = None,
     ) -> None:
         self.seed = seed
-        self.round = 0
-        self.now: float = 0.0
+        self.round = 0  # 0 before the first run_round
         self.peers: Dict[int, PeerRecord] = {}
         self.requesters: List[int] = []
         self.event_log: List[TransactionOutcome] = []
@@ -142,7 +139,7 @@ class World:
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
         rng = random.Random(f"{self.seed}:{pid}")
-        rec = PeerRecord(pid, behavior, params, rng, budget, candidates)
+        rec = PeerRecord(behavior, params, rng, budget, candidates)
         self.peers[pid] = rec
         if is_requester:
             self.requesters.append(pid)
@@ -151,7 +148,7 @@ class World:
 
 
 class TrustMemo:
-    """What trust reads have worked out at `world.now`.
+    """What trust reads have worked out in the current round.
 
     `direct[a][b]` is a's direct trust of b; it serves both recommender
     credibility and recommenders' honest values. `reports[s][k]` is what
@@ -189,14 +186,13 @@ def query_indirect(
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
     obs = world.peers[observer]
-    now = world.now
+    now = world.round
     if memo is None:
         memo = TrustMemo()
     credibility = memo.direct[observer]
     eligible: List[Tuple[float, int]] = []  # (-credibility, recommender)
+    # no peer receives from itself, so neither observer nor subject passes the lookup
     for k in world.observers_of.get(subject, ()):
-        if k == observer or k == subject:
-            continue
         st = obs.trust_table.get(k)
         if st is None:
             continue
@@ -221,7 +217,7 @@ def query_indirect(
                     rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
                 honest = views[subject] = direct_trust(nc, np_, rec.params)
             value = reports[k] = recommendation_value(
-                rec.behavior, k, subject, honest, world.seed, int(now))
+                rec.behavior, k, subject, honest, world.seed, now)
         recommendations.append((-neg_cred, value))
     return indirect_trust(recommendations)
 
@@ -237,13 +233,13 @@ def score_candidates(
 
     The observer's parameters and table are read once per batch, and each
     entry is decayed into plain counts. Recommendations are queried only
-    for subjects that some peer has received from; for any other subject no
-    recommender can qualify.
+    for a subject whose observers include a peer the observer has received
+    from; for any other subject no recommender can qualify.
     """
     obs = world.peers[observer]
     params = obs.params
     table = obs.trust_table
-    now = world.now
+    now = world.round
     observers_of = world.observers_of
     cold = params.cold_start_trust
     if memo is None:
@@ -286,31 +282,29 @@ def select_providers(
     world: World,
     requester: int,
     candidates: Sequence[int],
-    k: int,
-    rng: random.Random,
     memo: Optional[TrustMemo] = None,
 ) -> List[Tuple[int, float]]:
-    """Rank candidates by trust, keep the top k, pass each through the
-    requester's double-threshold rule. During warmup rounds the rule is
-    bypassed. Returns (provider, trust) pairs, best trust first (ties:
-    lowest id)."""
+    """Rank candidates by trust, keep the requester's top k_providers, pass
+    each through its double-threshold rule, drawing gray-zone probes from its
+    own stream. During warmup rounds the rule is bypassed. Returns
+    (provider, trust) pairs, best trust first (ties: lowest id)."""
     req = world.peers[requester]
     subjects = [pid for pid in candidates if pid != requester]
     scored: List[Tuple[int, float]] = []
     for pid, comp in zip(subjects, score_candidates(world, requester, subjects, memo)):
         t = comp.combined
         if t < world.detection_threshold and pid not in world.detections:
-            world.detections[pid] = int(world.now)
+            world.detections[pid] = world.round
         scored.append((pid, t))
     scored.sort(key=lambda pt: (-pt[1], pt[0]))
-    gating = world.now > world.warmup_rounds
+    gating = world.round > world.warmup_rounds
     admitted: List[Tuple[int, float]] = []
-    for pid, t in scored[:k]:
+    for pid, t in scored[: req.params.k_providers]:
         if gating:
             p = transaction_probability(t, req.params)
             if p <= 0.0:
                 continue
-            if p < 1.0 and rng.random() >= p:
+            if p < 1.0 and req.rng.random() >= p:
                 continue
         admitted.append((pid, t))
     return admitted
@@ -320,9 +314,9 @@ def run_round(world: World) -> TrustMemo:
     """Advance the world by one round of requests, deliveries, and updates.
 
     Returns the round's memo. Every delivery dropped the entries it changed,
-    so the memo stays valid for reads at `world.now` until the next delivery."""
-    r = world.round + 1
-    world.now = float(r)
+    so the memo stays valid for reads in this round until the next delivery."""
+    world.round += 1
+    r = world.round
     in_warmup = r <= world.warmup_rounds
     ads = world.ads_per_round
     memo = TrustMemo()
@@ -335,21 +329,18 @@ def run_round(world: World) -> TrustMemo:
         else:
             advertising = req.candidates
         budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
-        admitted = select_providers(
-            world, rid, advertising, req.params.k_providers, req.rng, memo
-        )
+        admitted = select_providers(world, rid, advertising, memo)
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
             quality = upload_quality(provider.behavior, pid, r, idx, provider.rng)
             req.delivery_index[pid] = idx + 1
             req.trust_table[pid] = record_delivery(
-                req.trust_table.get(pid, EMPTY_STATE), quality, world.now, req.params
+                req.trust_table.get(pid, EMPTY_STATE), quality, r, req.params
             )
             memo.delivered(rid, pid)
             world.observers_of.setdefault(pid, {})[rid] = None
             world.event_log.append(
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)
             )
-    world.round = r
     return memo

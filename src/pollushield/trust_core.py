@@ -105,11 +105,6 @@ class TrustParams:
             )
         return found
 
-    @property
-    def onoff_resistant(self) -> bool:
-        """Whether PDTM's drop-vs-gain condition rho > ln(1 + 1/eta) holds."""
-        return self.rho > math.log(1.0 + 1.0 / self.eta)
-
 
 class OnOffMargin(NamedTuple):
     ratio: float       # trust drop from N polluted over trust gain from N clean
@@ -243,4 +238,4 @@ def onoff_resistance_margin(
     # canceled, which stays finite even where that factor underflows
     ratio = (1.0 - math.exp(-rho * n_chunks)) * nc * (nc + n_chunks + eta) / (eta * n_chunks)
     bound = (1.0 - math.exp(-rho * n_chunks)) * (eta + n_chunks)
-    return OnOffMargin(ratio=ratio, bound=bound, resistant=params.onoff_resistant)
+    return OnOffMargin(ratio=ratio, bound=bound, resistant=rho > math.log(1.0 + 1.0 / eta))

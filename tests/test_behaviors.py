@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from pollushield import behaviors
 from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
 from pollushield.trust_core import ChunkQuality
 
@@ -103,6 +105,15 @@ class TestRecommendationValue:
         behavior = PeerBehavior.badmouther((5,), slander_prob=0.0)
         assert all(recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=r) == 0.9
                    for r in range(1, 50))
+
+    @pytest.mark.parametrize("p, want", [(0.0, 0.9), (1.0, 0.0)])
+    def test_certain_outcome_draws_nothing(self, monkeypatch, p, want):
+        def no_draw(*_args):
+            raise AssertionError("a certain outcome seeded a random stream")
+
+        monkeypatch.setattr(behaviors, "random", SimpleNamespace(Random=no_draw))
+        behavior = PeerBehavior.badmouther((5,), slander_prob=p)
+        assert recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=1) == want
 
     def test_badmouther_partial_probability(self):
         behavior = PeerBehavior.badmouther((5,), slander_prob=0.5)

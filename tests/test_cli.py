@@ -97,9 +97,10 @@ class TestRunCommand:
         assert f"{key} must be finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5"])
+    @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5", "null"])
     def test_bad_detection_threshold_rejected(self, tmp_path, capsys, value):
-        # NaN would switch detection off and 7.0 would detect every peer at once
+        # NaN would switch detection off and 7.0 would detect every peer at
+        # once; null no longer stands for theta_p
         d = config_to_dict(build_experiment("e2"))
         d["detection_threshold"] = "PLACEHOLDER"
         path = tmp_path / "threshold.cfg"

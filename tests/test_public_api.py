@@ -17,3 +17,19 @@ def test_retired_trust_wrappers_not_exported():
     retired = {"apply_decay", "direct_trust_from_counts", "confidence_from_count"}
     assert retired.isdisjoint(pollushield.__all__)
     assert not any(hasattr(pollushield, name) for name in retired)
+
+
+def test_bench_hooks_resolve():
+    # perfbench's tracer wraps these where their callers look them up, and
+    # its worker validates each config it builds
+    from pollushield import scenarios, sim_engine
+
+    hooks = {
+        sim_engine: ("query_indirect", "upload_quality", "recommendation_value",
+                     "direct_trust"),
+        scenarios: ("run_round", "evaluate_components", "build_world", "config_digest"),
+    }
+    for module, names in hooks.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert callable(scenarios.ScenarioConfig.validate)

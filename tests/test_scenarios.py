@@ -234,7 +234,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="detection_threshold"):
             tiny_config(detection_threshold=value).validate()
 
-    @pytest.mark.parametrize("value", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_detection_threshold_bounds_accepted(self, value):
         tiny_config(detection_threshold=value).validate()
 
@@ -280,7 +280,6 @@ class TestRunScenario:
         cfg = tiny_config()
         report = run_scenario(cfg)
         assert mean_requester_goodput(cfg, report) == pytest.approx(1.0)
-        assert mean_requester_goodput(cfg, report, peers=[0]) == pytest.approx(1.0)
 
     def test_world_honours_per_peer_losses(self):
         cfg = tiny_config(

@@ -115,7 +115,7 @@ class TestQueryIndirect:
         seed_history(world, 3, 1, n_clean=1, n_polluted=4)  # recommends 0.2
         seed_history(world, 0, 2, n_clean=3)                # credibility 1.0
         seed_history(world, 0, 3, n_clean=3)                # credibility 1.0
-        world.now = 2.0
+        world.round = 2
         assert query_indirect(world, 0, 1) == pytest.approx(0.5)
         world.peers[0].trust_table[3] = TrustState(1.0, 3.0, 4.0, 2.0)  # credibility 0.25
         assert query_indirect(world, 0, 1) == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
@@ -132,7 +132,7 @@ class TestQueryIndirect:
             seed_history(world, 2, subject, n_clean=4, n_polluted=1)
         seed_history(world, 0, 1, n_clean=2, n_polluted=1)
         seed_history(world, 0, 2, n_clean=3)
-        world.now = 5.0
+        world.round = 5
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
         memo = TrustMemo()
         for subject in (1, 3, 1):
@@ -154,7 +154,7 @@ class TestQueryIndirect:
         upload_state = liar.rng.getstate()
         reports = []
         for r in range(1, 41):
-            world.now = float(r)
+            world.round = r
             heard = {query_indirect(world, pid, 1) for pid in enquirers}
             assert len(heard) == 1, (r, heard)
             reports.append(heard.pop())
@@ -170,7 +170,7 @@ class TestScoreCandidates:
         seed_history(world, 0, 1, n_clean=6, n_polluted=1)
         seed_history(world, 0, 2, n_clean=2)
         seed_history(world, 2, 3, n_clean=1, n_polluted=3)  # 2 recommends 3
-        world.now = 4.0
+        world.round = 4
         return world
 
     def test_batch_matches_one_at_a_time(self):
@@ -211,8 +211,8 @@ class TestSelectProviders:
             cf_model=CFModel.CONSTANT, cf_constant=1.0, dt_model=DTModel.DTMA,
             theta_p=0.5, theta_g=0.9, chi=0.5)
         world = self.build([(9, 1), (19, 1), (1, 4), (3, 7)], params)  # .9 .95 .2 .3
-        world.now = 1.0  # past warmup: the admission policy is active
-        got = select_providers(world, 0, [1, 2, 3, 4], 2, world.peers[0].rng)
+        world.round = 1  # past warmup: the admission policy is active
+        got = select_providers(world, 0, [1, 2, 3, 4])
         assert [pid for pid, _ in got] == [2, 1]  # highest trust first, low-trust pair never admitted
 
     def test_all_below_threshold_yields_empty(self):
@@ -220,25 +220,25 @@ class TestSelectProviders:
             cf_model=CFModel.CONSTANT, cf_constant=1.0, dt_model=DTModel.DTMA,
             theta_p=0.5, theta_g=0.9)
         world = self.build([(1, 4), (3, 7)], params)
-        world.now = 1.0
-        got = select_providers(world, 0, [1, 2], 2, world.peers[0].rng)
+        world.round = 1
+        got = select_providers(world, 0, [1, 2])
         assert [pid for pid, _ in got] == []
 
     def test_tie_break_ascending_id(self):
         params = TrustParams(
             cf_model=CFModel.CONSTANT, cf_constant=1.0, dt_model=DTModel.DTMA,
-            theta_p=0.0, theta_g=0.0)
+            theta_p=0.0, theta_g=0.0, k_providers=2)
         world = self.build([(5, 0), (5, 0), (5, 0)], params)
-        world.now = 1.0
-        got = select_providers(world, 0, [3, 1, 2], 2, world.peers[0].rng)
+        world.round = 1
+        got = select_providers(world, 0, [3, 1, 2])
         assert [pid for pid, _ in got] == [1, 2]
 
     def test_detection_recorded_during_selection(self):
         params = TrustParams(
             cf_model=CFModel.CONSTANT, cf_constant=1.0, dt_model=DTModel.DTMA)
         world = self.build([(0, 5)], params)
-        world.now = 3.0
-        select_providers(world, 0, [1], 1, world.peers[0].rng)
+        world.round = 3
+        select_providers(world, 0, [1])
         assert world.detections == {1: 3}
 
 

@@ -80,7 +80,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
     obs = world.peers[observer]
-    now = world.now
+    now = world.round
     eligible: List[Tuple[float, int]] = []
     for k in world.observers_of.get(subject, ()):
         if k == observer or k == subject:
@@ -98,7 +98,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
         rec = world.peers[k]
         kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
         honest = oracle_direct_trust(kst, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, world.seed, int(now))
+        value = recommendation_value(rec.behavior, k, subject, honest, world.seed, now)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
 
@@ -108,7 +108,7 @@ def oracle_evaluate_components(world, observer, subject, memo=None):
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     s = obs.trust_table.get(subject)
-    s = EMPTY_STATE if s is None else oracle_apply_decay(s, world.now, obs.params)
+    s = EMPTY_STATE if s is None else oracle_apply_decay(s, world.round, obs.params)
     d = oracle_direct_trust(s, obs.params)
     a = oracle_confidence(s, obs.params)
     ind = oracle_query_indirect(world, observer, subject)
@@ -229,6 +229,7 @@ def small_worlds(draw):
             (rid, draw(st.integers(1, 3))) for rid in requesters if draw(st.booleans())),
         warmup_rounds=draw(st.integers(0, rounds - 1)),
         warmup_budget=draw(st.integers(0, 3)),
+        detection_threshold=draw(st.sampled_from([0.0, 0.5, 0.9])),
         ads_per_round=draw(st.one_of(st.none(), st.integers(1, 3))),
     )
 
