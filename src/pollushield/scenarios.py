@@ -23,7 +23,7 @@ from typing import (
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import World, evaluate_components, run_round
+from .sim_engine import DETECTION_THRESHOLD, World, run_round, score_candidates
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -43,7 +43,7 @@ class ScenarioConfig:
     request_budgets: Tuple[Tuple[int, int], ...] = ()  # non-default (peer, budget)
     warmup_rounds: int = 0       # rounds with the threshold policy disabled
     warmup_budget: int = 0       # minimum per-round deliveries during warmup
-    detection_threshold: float = 0.5             # trust below this flags a peer
+    detection_threshold: float = DETECTION_THRESHOLD  # trust below this flags a peer
     measure_from: Optional[int] = None           # None: warmup_rounds
     ads_per_round: Optional[int] = None          # None: every candidate advertises
 
@@ -622,13 +622,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Run the configured world for cfg.rounds and collect the report."""
     world = build_world(cfg)
     trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
+    # each observer's subjects, scored in one batch per round
+    watched: Dict[int, List[int]] = {}
+    for observer, subject in cfg.observed_pairs:
+        watched.setdefault(observer, []).append(subject)
     for _ in range(cfg.rounds):
         memo = run_round(world)
-        for observer, subject in cfg.observed_pairs:
-            comp = evaluate_components(world, observer, subject, memo)
-            trajectories[(observer, subject)].append(
-                (world.round, comp.direct, comp.indirect, comp.alpha, comp.combined)
-            )
+        for observer, subjects in watched.items():
+            for subject, comp in zip(subjects, score_candidates(world, observer, subjects, memo)):
+                trajectories[(observer, subject)].append((world.round, *comp))
     measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
     measured_rounds = cfg.rounds - measure_from
     clean_measured: Dict[int, int] = {}

@@ -11,11 +11,16 @@ pair replays to a byte-identical event log.
 Trust is scored by one kernel, `score_candidates`: it scores all of a
 requester's candidates in one call, reading the requester's parameters and
 table once and decaying each entry into plain counts with
-`decayed_counts` for `direct_trust` and `confidence_factor`. Recommendations
-are queried only for a subject whose observers include a peer the requester
-has received from, the only case where a recommender can qualify.
-`select_providers` calls it once per requester, and `evaluate_components` is
-the kernel applied to one subject.
+`decayed_counts` for `direct_trust` and `confidence_factor`. A subject wants
+recommendations only when its observers include a peer the requester has
+received from, the only case where a recommender can qualify. If any
+subject wants them, one ranked walk serves the batch: the requester's
+recommenders are sorted once by credibility, ties by lowest id, and each
+adds its report to every wanted subject it received from, until the
+subject holds k_recommenders reports. Each subject thus sums its own top k
+in rank order, as a per-subject ranking would. `select_providers` calls
+the kernel once per requester, `evaluate_components` is the kernel applied
+to one subject, and `query_indirect` is the walk applied to one subject.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -24,20 +29,21 @@ trust reads each entry decayed the same way and stores nothing, so a run
 does not depend on how often trust is read. A `TrustMemo` spares the
 repeated work. Its direct table, a's direct trust of b in the round, serves
 both recommender credibility and recommenders' honest values. Its report
-table holds what recommender k reports about a subject; a bad-mouther's lie
-is keyed on the round, so its report is as fixed as an honest one.
+table, keyed by recommender first like the direct table, holds what
+recommender k reports about a subject; a bad-mouther's lie is keyed on the
+round, so its report is as fixed as an honest one.
 `run_round` keeps one memo per round, and when a receives a delivery from b,
 `TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
 about b. `run_round` returns that memo, still valid for the round it ran,
-and the scenario's observations read through it. The public evaluation
-functions make a fresh memo when none is passed.
+and the scenario's observations read through it, one batch per observer.
+The public evaluation functions make a fresh memo when none is passed.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
@@ -53,6 +59,9 @@ from .trust_core import (
     record_delivery,
     transaction_probability,
 )
+
+
+DETECTION_THRESHOLD = 0.5  # default: combined trust below this flags a peer
 
 
 class TransactionOutcome(NamedTuple):
@@ -106,7 +115,7 @@ class World:
     def __init__(
         self,
         seed: int,
-        detection_threshold: float = 0.5,
+        detection_threshold: float = DETECTION_THRESHOLD,
         warmup_rounds: int = 0,
         warmup_budget: int = 0,
         ads_per_round: Optional[int] = None,
@@ -151,9 +160,10 @@ class TrustMemo:
     """What trust reads have worked out in the current round.
 
     `direct[a][b]` is a's direct trust of b; it serves both recommender
-    credibility and recommenders' honest values. `reports[s][k]` is what
+    credibility and recommenders' honest values. `reports[k][s]` is what
     recommender k reports about subject s, a function of k's direct trust
-    of s and the round alone.
+    of s and the round alone. Both are keyed by the peer whose view they
+    hold, so the ranked walk reads one report dict per recommender.
 
     A delivery to a from b changes a's entry for b, and so both a's direct
     trust of b and a's report about b; `delivered` drops the two together.
@@ -168,13 +178,57 @@ class TrustMemo:
     def delivered(self, rid: int, pid: int) -> None:
         """rid received from pid: drop rid's direct trust of pid and its report about pid."""
         self.direct[rid].pop(pid, None)
-        self.reports[pid].pop(rid, None)
+        self.reports[rid].pop(pid, None)
+
+
+def _walk_recommenders(
+    world: World, observer: int, wanted: Dict[int, List[Tuple[float, float]]], memo: TrustMemo
+) -> None:
+    """The ranked walk the module docstring describes: append to each wanted
+    subject's list the (credibility, report) pairs of its top k
+    recommenders for `observer`, in rank order."""
+    obs = world.peers[observer]
+    params = obs.params
+    now = world.round
+    peers = world.peers
+    subjects = wanted.keys()
+    credibility = memo.direct[observer]
+    ranked: List[Tuple[float, int, Set[int]]] = []  # (-credibility, recommender, hits)
+    for k, st in obs.trust_table.items():
+        hits = peers[k].trust_table.keys() & subjects
+        if hits:
+            cred = credibility.get(k)
+            if cred is None:
+                nc, np_, _ = decayed_counts(st, now, params)
+                cred = credibility[k] = direct_trust(nc, np_, params)
+            ranked.append((-cred, k, hits))
+    ranked.sort()  # ids are distinct, so the hit sets are never compared
+    k_max = params.k_recommenders
+    for neg_cred, k, hits in ranked:
+        cred = -neg_cred
+        rec = peers[k]
+        reports = memo.reports[k]
+        views = memo.direct[k]
+        for subject in hits:
+            taken = wanted[subject]
+            if len(taken) == k_max:
+                continue
+            value = reports.get(subject)
+            if value is None:
+                honest = views.get(subject)
+                if honest is None:
+                    nc, np_, _ = decayed_counts(rec.trust_table[subject], now, rec.params)
+                    honest = views[subject] = direct_trust(nc, np_, rec.params)
+                value = reports[subject] = recommendation_value(
+                    rec.behavior, k, subject, honest, world.seed, now)
+            taken.append((cred, value))
 
 
 def query_indirect(
     world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
 ) -> Optional[float]:
-    """Aggregate recommendations about `subject` for `observer`.
+    """Aggregate recommendations about `subject` for `observer`: the ranked
+    walk of `score_candidates` on one subject.
 
     Recommenders are peers with transactions on both sides: they received
     chunks from the subject, and the observer received chunks from them.
@@ -185,41 +239,11 @@ def query_indirect(
     """
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
-    obs = world.peers[observer]
-    now = world.round
     if memo is None:
         memo = TrustMemo()
-    credibility = memo.direct[observer]
-    eligible: List[Tuple[float, int]] = []  # (-credibility, recommender)
-    # no peer receives from itself, so neither observer nor subject passes the lookup
-    for k in world.observers_of.get(subject, ()):
-        st = obs.trust_table.get(k)
-        if st is None:
-            continue
-        cred = credibility.get(k)
-        if cred is None:
-            nc, np_, _ = decayed_counts(st, now, obs.params)
-            cred = credibility[k] = direct_trust(nc, np_, obs.params)
-        eligible.append((-cred, k))
-    if not eligible:
-        return None
-    eligible.sort()  # most credible first, ties by lowest id
-    reports = memo.reports[subject]
-    recommendations: List[Tuple[float, float]] = []
-    for neg_cred, k in eligible[: obs.params.k_recommenders]:
-        value = reports.get(k)
-        if value is None:
-            rec = world.peers[k]
-            views = memo.direct[k]
-            honest = views.get(subject)
-            if honest is None:
-                nc, np_, _ = decayed_counts(
-                    rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
-                honest = views[subject] = direct_trust(nc, np_, rec.params)
-            value = reports[k] = recommendation_value(
-                rec.behavior, k, subject, honest, world.seed, now)
-        recommendations.append((-neg_cred, value))
-    return indirect_trust(recommendations)
+    wanted: Dict[int, List[Tuple[float, float]]] = {subject: []}
+    _walk_recommenders(world, observer, wanted, memo)
+    return indirect_trust(wanted[subject])
 
 
 def score_candidates(
@@ -232,21 +256,23 @@ def score_candidates(
     subject for one observer, in the order given.
 
     The observer's parameters and table are read once per batch, and each
-    entry is decayed into plain counts. Recommendations are queried only
-    for a subject whose observers include a peer the observer has received
-    from; for any other subject no recommender can qualify.
+    entry is decayed into plain counts. A subject wants recommendations
+    only when its observers include a peer the observer has received from;
+    for any other subject no recommender can qualify. One ranked walk
+    serves every wanting subject of the batch.
     """
     obs = world.peers[observer]
     params = obs.params
     table = obs.trust_table
     now = world.round
     observers_of = world.observers_of
+    received = table.keys()
     cold = params.cold_start_trust
-    if memo is None:
-        memo = TrustMemo()
     # direct trust and confidence of a subject the observer never received from
     unknown: Optional[Tuple[float, float]] = None
-    scored: List[TrustComponents] = []
+    scored: List[Optional[TrustComponents]] = []  # None until the walk fills it
+    pending: List[Tuple[int, int, float, float]] = []  # (position, subject, d, a)
+    wanted: Dict[int, List[Tuple[float, float]]] = {}  # subject -> its recommendations
     for subject in subjects:
         if subject == observer:
             raise ValueError("a peer cannot evaluate trust of itself")
@@ -260,14 +286,23 @@ def score_candidates(
                 unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
             d, a = unknown
         # a recommender is a peer the observer received from that received
-        # from the subject: query only when one exists
+        # from the subject: the walk is needed only when one exists
         members = observers_of.get(subject)
-        ind = None
-        if members and not table.keys().isdisjoint(members):
-            ind = query_indirect(world, observer, subject, memo)
-        if ind is None:
-            ind = cold
-        scored.append(TrustComponents(d, ind, a, combine_trust(d, ind, a)))
+        if members and not received.isdisjoint(members):
+            wanted[subject] = []
+            pending.append((len(scored), subject, d, a))
+            scored.append(None)
+        else:
+            scored.append(TrustComponents(d, cold, a, combine_trust(d, cold, a)))
+    if pending:
+        if memo is None:
+            memo = TrustMemo()
+        _walk_recommenders(world, observer, wanted, memo)
+        for i, subject, d, a in pending:
+            ind = indirect_trust(wanted[subject])
+            if ind is None:
+                ind = cold
+            scored[i] = TrustComponents(d, ind, a, combine_trust(d, ind, a))
     return scored
 
 

@@ -20,14 +20,14 @@ def test_retired_trust_wrappers_not_exported():
 
 
 def test_bench_hooks_resolve():
-    # perfbench's tracer wraps these where their callers look them up, and
-    # its worker validates each config it builds
+    # the call sites a run goes through, where their callers look them up:
+    # perfbench's tracer wraps them there, and its worker validates each
+    # config it builds
     from pollushield import scenarios, sim_engine
 
     hooks = {
-        sim_engine: ("query_indirect", "upload_quality", "recommendation_value",
-                     "direct_trust"),
-        scenarios: ("run_round", "evaluate_components", "build_world", "config_digest"),
+        sim_engine: ("upload_quality", "recommendation_value", "direct_trust"),
+        scenarios: ("run_round", "score_candidates", "build_world", "config_digest"),
     }
     for module, names in hooks.items():
         for name in names:

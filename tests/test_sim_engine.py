@@ -181,21 +181,74 @@ class TestScoreCandidates:
 
     def test_queries_only_subjects_a_known_peer_received_from(self, monkeypatch):
         world = self.world()
-        queried = []
+        walked = []
 
-        def spy(world, observer, subject, memo=None):
-            queried.append(subject)
-            return query_indirect(world, observer, subject, memo)
+        def spy(world, observer, wanted, memo):
+            walked.append(set(wanted))
+            return walk(world, observer, wanted, memo)
 
-        monkeypatch.setattr(sim_engine, "query_indirect", spy)
+        walk = sim_engine._walk_recommenders
+        monkeypatch.setattr(sim_engine, "_walk_recommenders", spy)
         score_candidates(world, 0, (1, 2, 3, 4, 5))
         # 4 and 5 have no observers; 1 and 2 only the observer itself, which
         # has not received from itself: only 2 can recommend, and only on 3
-        assert queried == [3]
+        assert walked == [{3}]
+        score_candidates(world, 0, (1, 2, 4, 5))
+        assert walked == [{3}]  # no subject wants recommendations: no walk
 
     def test_self_in_batch_rejected(self):
         with pytest.raises(ValueError):
             score_candidates(self.world(), 0, (1, 0))
+
+
+class TestRankedWalk:
+    """One walk over the observer's recommenders, ranked by credibility with
+    ties to the lowest id, serves a whole batch: k_recommenders cuts each
+    subject's list on its own."""
+
+    def world(self):
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=2)
+        world = make_world(10, params=params)
+        for k in (2, 3, 4, 5):
+            seed_history(world, 0, k, n_clean=3)           # credibility 1.0: a four-way tie
+        seed_history(world, 0, 6, n_clean=1, n_polluted=1)  # credibility 0.5
+        seed_history(world, 0, 8, n_clean=1)                # direct history with subject 8
+        seed_history(world, 3, 1, n_clean=4, n_polluted=1)  # 3 recommends 1 at 0.8
+        seed_history(world, 4, 1, n_clean=1, n_polluted=4)  # 4 recommends 1 at 0.2
+        seed_history(world, 5, 1, n_clean=1, n_polluted=1)  # 5 recommends 1 at 0.5
+        seed_history(world, 6, 1, n_clean=5)                # 6 recommends 1 at 1.0
+        seed_history(world, 5, 8, n_clean=0, n_polluted=2)  # 5 recommends 8 at 0.0
+        seed_history(world, 2, 8, n_clean=3)                # 2 recommends 8 at 1.0
+        seed_history(world, 6, 8, n_clean=1, n_polluted=3)  # 6 recommends 8 at 0.25
+        seed_history(world, 6, 9, n_clean=1, n_polluted=3)  # 6 recommends 9 at 0.25
+        return world
+
+    SUBJECTS = (1, 8, 7, 9, 1)  # 7 has no observer; 1 comes twice
+
+    def test_ties_break_by_lowest_id(self):
+        world = self.world()
+        # 1: 3 and 4 of the tied 3, 4, 5; 8: 2 and 5, cutting 6; 9: 6 alone
+        assert query_indirect(world, 0, 1) == pytest.approx((0.8 + 0.2) / 2)
+        assert query_indirect(world, 0, 8) == pytest.approx(0.5)
+        assert query_indirect(world, 0, 9) == pytest.approx(0.25)
+        assert query_indirect(world, 0, 7) is None
+
+    def test_batch_equals_each_subject_alone(self):
+        world = self.world()
+        batch = score_candidates(world, 0, self.SUBJECTS)
+        assert batch == [score_candidates(world, 0, (s,))[0] for s in self.SUBJECTS]
+        memo = TrustMemo()
+        assert batch == score_candidates(world, 0, self.SUBJECTS, memo)
+        assert batch == [evaluate_components(world, 0, s, memo) for s in self.SUBJECTS]
+        assert batch[0] == batch[4]
+
+    def test_query_indirect_is_the_batch_indirect_value(self):
+        world = self.world()
+        batch = score_candidates(world, 0, self.SUBJECTS)
+        cold = world.peers[0].params.cold_start_trust
+        for subject, comp in zip(self.SUBJECTS, batch):
+            ind = query_indirect(world, 0, subject)
+            assert comp.indirect == (cold if ind is None else ind)
 
 
 class TestSelectProviders:

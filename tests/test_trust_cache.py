@@ -141,7 +141,7 @@ def run_with_oracle(cfg):
         mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
         mp.setattr(sim_engine, "query_indirect", oracle_query_indirect)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
-        mp.setattr(scenarios, "evaluate_components", oracle_evaluate_components)
+        mp.setattr(scenarios, "score_candidates", oracle_score_candidates)
         return run_capturing_world(cfg)
 
 
@@ -246,34 +246,52 @@ def test_memoised_path_matches_oracle(cfg):
 # --- work budget -------------------------------------------------------------
 
 def count_calls(monkeypatch, names):
-    """Count calls of sim_engine's bindings; `scored` sums the batch sizes."""
-    calls = dict.fromkeys(names + ("scored",), 0)
+    """Count calls of these names where `sim_engine` and `scenarios` look
+    them up. `scored` sums the batch sizes of `score_candidates`, `walked`
+    the subjects of each ranked walk (`_walk_recommenders`), and `used` the
+    reports each walked subject aggregates (the list `indirect_trust`
+    gets), whose largest count is `most_used`."""
+    calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "score_candidates":
                 calls["scored"] += len(args[2])
+            elif name == "_walk_recommenders":
+                calls["walked"] += len(args[2])
+            elif name == "indirect_trust":
+                calls["used"] += len(args[0])
+                calls["most_used"] = max(calls["most_used"], len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(sim_engine, name, counting(name, getattr(sim_engine, name)))
+        for module in (sim_engine, scenarios):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+WALK = ("_walk_recommenders", "indirect_trust")
 
 
 def test_dense_collusion_work_counts(monkeypatch):
     """e4 rotating, group 24, 40 rounds: the memo cuts the decay, scoring
     and recommendation work, and serves every repeated report.
 
-    `query_indirect` runs only when the requester has received from some
-    observer of the subject: 16 852 of the 23 016 selection scorings of a
-    subject with observers, plus the 40 observations.
+    A batch walks the requester's recommenders only when it holds a subject
+    whose observers include a peer the requester has received from: 974 of
+    the 1 000 selection batches, for 16 852 of their 23 016 scorings of a
+    subject with observers, and the 40 observation batches, one subject
+    each. Each walked subject aggregates every recommender it has, since
+    `k_recommenders` is the group size: 313 651 reports over the 16 892
+    subjects, at most the 23 members other than the subject.
     `recommendation_value` runs once per report the memo lacks: 15 709
     first reports in a round's selection memo, 391 re-reports after the
     recommender received from the subject earlier in the round, and 24 in
-    the observations, which read through the round's memo (16 124; one per
-    enquiry would be 313 651). Of those 24, a delivery after the victim's
+    the observations, which read through the round's memo (16 124 of the
+    313 651 reports used). Of those 24, a delivery after the victim's
     selection had dropped one, and no selection that round had asked for
     the other 23. A fresh memo per observation would refill 920.
     `direct_trust` counts every direct-trust evaluation: the 17 980 memo
@@ -285,13 +303,17 @@ def test_dense_collusion_work_counts(monkeypatch):
     `decayed_counts` counts every decayed read: the 17 980 memo fills plus
     the 16 432 scorings of a table entry. The 1 920 deliveries decay inside
     `record_delivery`, which these bindings do not see."""
-    calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
-                                      "score_candidates", "direct_trust", "decayed_counts"))
+    calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
+                                             "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
-    assert calls["recommendation_value"] == 16_124  # 15 709 + 391 + 24 memo fills
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
-    assert calls["query_indirect"] == 16_892   # 16 852 selection scorings + 40 observations
+    assert calls["_walk_recommenders"] == 1_014  # 974 selection walks + 40 observations
+    assert calls["walked"] == 16_892           # 16 852 selection scorings + 40 observations
+    assert calls["indirect_trust"] == 16_892   # one aggregate per walked subject
+    assert calls["used"] == 313_651
+    assert calls["most_used"] == 23            # no cut: every other member
+    assert calls["recommendation_value"] == 16_124  # 15 709 + 391 + 24 memo fills
     assert calls["direct_trust"] == 34_965     # 17 980 memo fills + 16 985 scorings
     assert calls["decayed_counts"] == 34_412   # 17 980 memo fills + 16 432 scorings
 
@@ -300,18 +322,49 @@ def test_sparse_mesh_work_counts(monkeypatch):
     """e6 seed 1: of the 84 000 scorings, 51 658 are of a subject that some
     peer has received from, and only 1 419 of those of a subject whose
     observers include a peer the requester has received from; only those
-    reach query_indirect, and every one finds a recommender. The memo
-    serves 87 repeated reports, and `recommendation_value` runs for the 1 354
-    first reports in a round plus 22 re-reports after the recommender
-    received from the subject earlier in the round (1 376, down from one
-    per enquiry, 1 463)."""
-    calls = count_calls(monkeypatch, ("recommendation_value", "query_indirect",
-                                      "score_candidates"))
+    are walked, in 1 369 of the 8 400 batches, and every one finds a
+    recommender: 1 375 subjects one and 44 two, 1 463 reports. The memo
+    serves 87 repeated reports, and `recommendation_value` runs for the
+    1 354 first reports in a round plus 22 re-reports after the recommender
+    received from the subject earlier in the round (1 376)."""
+    calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates"))
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
-    assert calls["query_indirect"] == 1_419
+    assert calls["_walk_recommenders"] == 1_369
+    assert calls["walked"] == calls["indirect_trust"] == 1_419
+    assert calls["used"] == 1_463
+    assert calls["most_used"] == 2
     assert calls["recommendation_value"] == 1_376  # 1 354 + 22 memo fills
+
+
+def test_newcomer_reads_work_counts(monkeypatch):
+    """e5 seed 1: the newcomer observes the 100 providers in one batch per
+    round. No selection walks: a requester's table holds only providers,
+    which observe no one, and the newcomer's candidates, the requesters,
+    have no observer but the newcomer itself. The 50 observation batches
+    walk the 4 711 (round, provider) pairs that some requester the
+    newcomer received from has itself received from. `k_recommenders` (10)
+    cuts 87 of those subjects' lists, by 191 reports in all. The 24 457
+    reports used are all fresh, since nothing else asks the requesters
+    about providers: `recommendation_value` runs once per report.
+    `direct_trust` counts the 33 569 decayed reads (scorings of a table
+    entry and memo fills) plus one evaluation of the never-received-from
+    state per batch holding such a subject: 637 selections and the 50
+    observation batches (687). One observation per pair made that
+    evaluation for each of the 5 000 observed pairs, 39 206 in all."""
+    calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
+                                             "direct_trust", "decayed_counts"))
+    run_scenario(build_experiment("e5", seed=1))
+    assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
+    assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
+    assert calls["_walk_recommenders"] == 50
+    assert calls["walked"] == calls["indirect_trust"] == 4_711
+    assert calls["used"] == 24_457
+    assert calls["most_used"] == 10
+    assert calls["recommendation_value"] == 24_457
+    assert calls["decayed_counts"] == 33_569
+    assert calls["direct_trust"] == 34_256     # 33 569 decayed reads + 687 batches
 
 
 def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
