@@ -31,8 +31,6 @@ from .sim_engine import (
     TransactionOutcome,
     TrustComponents,
     World,
-    evaluate_components,
-    query_indirect,
     run_round,
     score_candidates,
     select_providers,
@@ -76,8 +74,6 @@ __all__ = [
     "TransactionOutcome",
     "TrustComponents",
     "World",
-    "evaluate_components",
-    "query_indirect",
     "run_round",
     "score_candidates",
     "select_providers",

@@ -61,6 +61,10 @@ def _parse_sweep(spec: str, keys: Dict[str, type]) -> List[tuple]:
         values = [cast(v) for v in raw.split(",") if v != ""]
         if not values:
             raise ValueError("sweep needs at least one value")
+        repeated = [v for v in dict.fromkeys(values) if values.count(v) > 1]
+        if repeated:
+            # equal values would write the same output files over each other
+            raise ValueError(f"repeated values {', '.join(map(str, repeated))}")
     except ValueError as exc:
         raise ValueError(f"bad --sweep argument {spec!r}: {exc}") from exc
     return [(key, v) for v in values]

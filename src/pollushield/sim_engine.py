@@ -11,16 +11,17 @@ pair replays to a byte-identical event log.
 Trust is scored by one kernel, `score_candidates`: it scores all of a
 requester's candidates in one call, reading the requester's parameters and
 table once and decaying each entry into plain counts with
-`decayed_counts` for `direct_trust` and `confidence_factor`. A subject wants
-recommendations only when its observers include a peer the requester has
-received from, the only case where a recommender can qualify. If any
-subject wants them, one ranked walk serves the batch: the requester's
-recommenders are sorted once by credibility, ties by lowest id, and each
-adds its report to every wanted subject it received from, until the
-subject holds k_recommenders reports. Each subject thus sums its own top k
-in rank order, as a per-subject ranking would. `select_providers` calls
-the kernel once per requester, `evaluate_components` is the kernel applied
-to one subject, and `query_indirect` is the walk applied to one subject.
+`decayed_counts` for `direct_trust` and `confidence_factor`. A recommender
+is a peer the requester has received from that has itself received from
+the subject; the trust tables are the only record of both. So, when the
+requester has received from anyone, one ranked walk serves the batch: the
+peers in its table that received from some subject are sorted once by
+credibility, ties by lowest id, and each adds its report to every subject
+it received from, until the subject holds k_recommenders reports. Each
+subject thus sums its own top k in rank order, as a per-subject ranking
+would; a subject the walk gave no report takes cold-start trust as its
+indirect value. `select_providers` calls the kernel once per requester and
+`run_scenario` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -36,7 +37,6 @@ round, so its report is as fixed as an honest one.
 `TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
 about b. `run_round` returns that memo, still valid for the round it ran,
 and the scenario's observations read through it, one batch per observer.
-The public evaluation functions make a fresh memo when none is passed.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ class World:
         self.peers: Dict[int, PeerRecord] = {}
         self.requesters: List[int] = []
         self.event_log: List[TransactionOutcome] = []
-        # peers that have received >= 1 chunk from the key, in first-delivery order
-        self.observers_of: Dict[int, Dict[int, None]] = {}
         self.detections: Dict[int, int] = {}
         self.detection_threshold = detection_threshold
         self.warmup_rounds = warmup_rounds
@@ -147,6 +145,8 @@ class World:
     ) -> PeerRecord:
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
+        if pid in candidates:
+            raise ValueError(f"peer {pid} lists itself as a candidate")
         rng = random.Random(f"{self.seed}:{pid}")
         rec = PeerRecord(behavior, params, rng, budget, candidates)
         self.peers[pid] = rec
@@ -182,27 +182,30 @@ class TrustMemo:
 
 
 def _walk_recommenders(
-    world: World, observer: int, wanted: Dict[int, List[Tuple[float, float]]], memo: TrustMemo
-) -> None:
-    """The ranked walk the module docstring describes: append to each wanted
-    subject's list the (credibility, report) pairs of its top k
-    recommenders for `observer`, in rank order."""
+    world: World, observer: int, subjects: Sequence[int], memo: TrustMemo
+) -> Dict[int, List[Tuple[float, float]]]:
+    """The ranked walk the module docstring describes: each subject's
+    (credibility, report) pairs from its top k recommenders for `observer`,
+    in rank order, or {} when no recommender received from any subject."""
     obs = world.peers[observer]
     params = obs.params
     now = world.round
     peers = world.peers
-    subjects = wanted.keys()
     credibility = memo.direct[observer]
     ranked: List[Tuple[float, int, Set[int]]] = []  # (-credibility, recommender, hits)
     for k, st in obs.trust_table.items():
-        hits = peers[k].trust_table.keys() & subjects
-        if hits:
-            cred = credibility.get(k)
-            if cred is None:
-                nc, np_, _ = decayed_counts(st, now, params)
-                cred = credibility[k] = direct_trust(nc, np_, params)
-            ranked.append((-cred, k, hits))
+        received = peers[k].trust_table.keys()
+        if not received or received.isdisjoint(subjects):
+            continue
+        cred = credibility.get(k)
+        if cred is None:
+            nc, np_, _ = decayed_counts(st, now, params)
+            cred = credibility[k] = direct_trust(nc, np_, params)
+        ranked.append((-cred, k, received & subjects))
+    if not ranked:
+        return {}
     ranked.sort()  # ids are distinct, so the hit sets are never compared
+    wanted: Dict[int, List[Tuple[float, float]]] = {subject: [] for subject in subjects}
     k_max = params.k_recommenders
     for neg_cred, k, hits in ranked:
         cred = -neg_cred
@@ -222,28 +225,7 @@ def _walk_recommenders(
                 value = reports[subject] = recommendation_value(
                     rec.behavior, k, subject, honest, world.seed, now)
             taken.append((cred, value))
-
-
-def query_indirect(
-    world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
-) -> Optional[float]:
-    """Aggregate recommendations about `subject` for `observer`: the ranked
-    walk of `score_candidates` on one subject.
-
-    Recommenders are peers with transactions on both sides: they received
-    chunks from the subject, and the observer received chunks from them.
-    The observer keeps only its top-k most credible recommenders; each
-    contributes its (possibly dishonest) reported direct trust, weighted by
-    the observer's direct trust of the recommender. Returns None when no
-    recommender qualifies.
-    """
-    if observer == subject:
-        raise ValueError("a peer cannot query indirect trust about itself")
-    if memo is None:
-        memo = TrustMemo()
-    wanted: Dict[int, List[Tuple[float, float]]] = {subject: []}
-    _walk_recommenders(world, observer, wanted, memo)
-    return indirect_trust(wanted[subject])
+    return wanted
 
 
 def score_candidates(
@@ -253,26 +235,20 @@ def score_candidates(
     memo: Optional[TrustMemo] = None,
 ) -> List[TrustComponents]:
     """Direct, indirect, confidence weight, and combined trust of each
-    subject for one observer, in the order given.
-
-    The observer's parameters and table are read once per batch, and each
-    entry is decayed into plain counts. A subject wants recommendations
-    only when its observers include a peer the observer has received from;
-    for any other subject no recommender can qualify. One ranked walk
-    serves every wanting subject of the batch.
-    """
+    subject for one observer, in the order given, from one ranked walk as
+    the module docstring describes; a fresh memo serves the call when none
+    is passed."""
     obs = world.peers[observer]
     params = obs.params
     table = obs.trust_table
     now = world.round
-    observers_of = world.observers_of
-    received = table.keys()
     cold = params.cold_start_trust
+    walks: Dict[int, List[Tuple[float, float]]] = {}
+    if table:
+        walks = _walk_recommenders(world, observer, subjects, memo or TrustMemo())
     # direct trust and confidence of a subject the observer never received from
     unknown: Optional[Tuple[float, float]] = None
-    scored: List[Optional[TrustComponents]] = []  # None until the walk fills it
-    pending: List[Tuple[int, int, float, float]] = []  # (position, subject, d, a)
-    wanted: Dict[int, List[Tuple[float, float]]] = {}  # subject -> its recommendations
+    scored: List[TrustComponents] = []
     for subject in subjects:
         if subject == observer:
             raise ValueError("a peer cannot evaluate trust of itself")
@@ -285,32 +261,12 @@ def score_candidates(
             if unknown is None:
                 unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
             d, a = unknown
-        # a recommender is a peer the observer received from that received
-        # from the subject: the walk is needed only when one exists
-        members = observers_of.get(subject)
-        if members and not received.isdisjoint(members):
-            wanted[subject] = []
-            pending.append((len(scored), subject, d, a))
-            scored.append(None)
-        else:
-            scored.append(TrustComponents(d, cold, a, combine_trust(d, cold, a)))
-    if pending:
-        if memo is None:
-            memo = TrustMemo()
-        _walk_recommenders(world, observer, wanted, memo)
-        for i, subject, d, a in pending:
-            ind = indirect_trust(wanted[subject])
-            if ind is None:
-                ind = cold
-            scored[i] = TrustComponents(d, ind, a, combine_trust(d, ind, a))
+        taken = walks.get(subject)
+        ind = indirect_trust(taken) if taken else None
+        if ind is None:
+            ind = cold
+        scored.append(TrustComponents(d, ind, a, combine_trust(d, ind, a)))
     return scored
-
-
-def evaluate_components(
-    world: World, observer: int, subject: int, memo: Optional[TrustMemo] = None
-) -> TrustComponents:
-    """Direct, indirect, confidence weight, and combined trust for one pair."""
-    return score_candidates(world, observer, (subject,), memo)[0]
 
 
 def select_providers(
@@ -324,9 +280,8 @@ def select_providers(
     own stream. During warmup rounds the rule is bypassed. Returns
     (provider, trust) pairs, best trust first (ties: lowest id)."""
     req = world.peers[requester]
-    subjects = [pid for pid in candidates if pid != requester]
     scored: List[Tuple[int, float]] = []
-    for pid, comp in zip(subjects, score_candidates(world, requester, subjects, memo)):
+    for pid, comp in zip(candidates, score_candidates(world, requester, candidates, memo)):
         t = comp.combined
         if t < world.detection_threshold and pid not in world.detections:
             world.detections[pid] = world.round
@@ -374,7 +329,6 @@ def run_round(world: World) -> TrustMemo:
                 req.trust_table.get(pid, EMPTY_STATE), quality, r, req.params
             )
             memo.delivered(rid, pid)
-            world.observers_of.setdefault(pid, {})[rid] = None
             world.event_log.append(
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)
             )

@@ -244,6 +244,16 @@ class TestRunCommand:
         assert run_command(["run", *argv, "--out", str(tmp_path)]) == 0
         assert len(calls) == validations, calls
 
+    def test_sweep_rejects_repeated_values(self, tmp_path, capsys):
+        # 1 and 01 cast to the same seed and would write e2_seed_1_* three times
+        out = tmp_path / "out"
+        code = run_command(
+            ["run", "--experiment", "e2", "--sweep", "seed=1,01,2,1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.rstrip().endswith("repeated values 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sweep", ["volume=11", "loss_rate=0.1"])
     def test_bad_sweep_key(self, tmp_path, capsys, sweep):
         code = run_command(

@@ -14,7 +14,8 @@ def test_no_export_repeats():
 
 
 def test_retired_trust_wrappers_not_exported():
-    retired = {"apply_decay", "direct_trust_from_counts", "confidence_from_count"}
+    retired = {"apply_decay", "direct_trust_from_counts", "confidence_from_count",
+               "query_indirect", "evaluate_components"}
     assert retired.isdisjoint(pollushield.__all__)
     assert not any(hasattr(pollushield, name) for name in retired)
 
@@ -22,11 +23,13 @@ def test_retired_trust_wrappers_not_exported():
 def test_bench_hooks_resolve():
     # the call sites a run goes through, where their callers look them up:
     # perfbench's tracer wraps them there, and its worker validates each
-    # config it builds
+    # config it builds; the test oracle and work counts patch the scoring
+    # kernel and its walk
     from pollushield import scenarios, sim_engine
 
     hooks = {
-        sim_engine: ("upload_quality", "recommendation_value", "direct_trust"),
+        sim_engine: ("upload_quality", "recommendation_value", "direct_trust",
+                     "score_candidates", "_walk_recommenders"),
         scenarios: ("run_round", "score_candidates", "build_world", "config_digest"),
     }
     for module, names in hooks.items():

@@ -5,13 +5,12 @@ from pollushield.behaviors import PeerBehavior
 from pollushield.sim_engine import (
     TrustMemo,
     World,
-    evaluate_components,
-    query_indirect,
     run_round,
     score_candidates,
     select_providers,
 )
-from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams, TrustState
+from pollushield.trust_core import (
+    CFModel, ChunkQuality, DTModel, TrustParams, TrustState, indirect_trust)
 
 
 DTMA_PARAMS = TrustParams(cf_model=CFModel.CFDA, c=1.0, dt_model=DTModel.DTMA)
@@ -25,28 +24,27 @@ def make_world(n_peers, params=DTMA_PARAMS, seed=1, **world_kwargs):
 
 
 def seed_history(world, observer, subject, n_clean, n_polluted=0.0):
-    """Install a past delivery record and index it like run_round would."""
+    """Install a past delivery record, as run_round would leave it."""
     total = n_clean + n_polluted
     world.peers[observer].trust_table[subject] = TrustState(n_clean, n_polluted, total, 0.0)
-    world.observers_of.setdefault(subject, {})[observer] = None
 
 
 class TestEvaluateTrust:
     def test_cold_start_is_half(self):
         world = make_world(2)
-        assert evaluate_components(world, 0, 1).combined == pytest.approx(0.5)
+        assert score_candidates(world, 0, (1,))[0].combined == pytest.approx(0.5)
 
     def test_self_evaluation_rejected(self):
         world = make_world(2)
         with pytest.raises(ValueError):
-            evaluate_components(world, 1, 1)
+            score_candidates(world, 1, (1,))
 
     def test_indirect_only_uses_recommender(self):
         # no direct history: alpha is 0, so trust equals the recommendation
         world = make_world(3)
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)  # recommender's view: 0.8
         seed_history(world, 0, 2, n_clean=3)                # credibility 1.0
-        assert evaluate_components(world, 0, 1).combined == pytest.approx(0.8)
+        assert score_candidates(world, 0, (1,))[0].combined == pytest.approx(0.8)
 
     def test_direct_dominates_after_many_interactions(self):
         # 50 clean chunks: T = (50/51) * 1 + (1/51) * 0.1
@@ -55,30 +53,35 @@ class TestEvaluateTrust:
         seed_history(world, 2, 1, n_clean=1, n_polluted=9)  # recommends 0.1
         seed_history(world, 0, 2, n_clean=5)
         expected = (50 / 51) * 1.0 + (1 / 51) * 0.1
-        assert evaluate_components(world, 0, 1).combined == pytest.approx(expected, abs=1e-9)
+        assert score_candidates(world, 0, (1,))[0].combined == pytest.approx(expected, abs=1e-9)
 
     def test_no_recommender_substitutes_cold_start(self):
         # one clean chunk: direct 1.0 and alpha 1/2; the subject's only
         # observer is the observer itself, so indirect falls back to 0.5
         world = make_world(2)
         seed_history(world, 0, 1, n_clean=1)
-        comp = evaluate_components(world, 0, 1)
+        comp = score_candidates(world, 0, (1,))[0]
         assert comp == pytest.approx((1.0, 0.5, 0.5, 0.75))
 
     def test_components_report_cold_substitute(self):
         world = make_world(2)
-        comp = evaluate_components(world, 0, 1)
+        comp = score_candidates(world, 0, (1,))[0]
         assert comp == (0.5, 0.5, 0.0, 0.5)  # DTMA empty state falls back to cold
 
 
 class TestQueryIndirect:
+    """Indirect trust as `score_candidates` reports it."""
+
     def test_no_common_acquaintance(self):
         world = make_world(3)
         seed_history(world, 2, 1, n_clean=5)  # observer has never met peer 2
-        assert query_indirect(world, 0, 1) is None
+        # the only report in this world would be 1.0: cold start is the fallback
+        assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_balanced_recommendations_average_out(self):
-        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=20)
+        # cold start 0.3: an indirect value of 0.5 can only be the reports' mean
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=20,
+                             cold_start_trust=0.3)
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), params)
         world.add_peer(1, PeerBehavior.honest(), params)
@@ -89,7 +92,7 @@ class TestQueryIndirect:
         for k in range(2, 22):
             seed_history(world, k, 1, n_clean=5)
             seed_history(world, 0, k, n_clean=2)
-        assert query_indirect(world, 0, 1) == pytest.approx(0.5)
+        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(0.5)
 
     def test_top_k_filters_low_credibility(self):
         params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=2)
@@ -100,13 +103,16 @@ class TestQueryIndirect:
         seed_history(world, 0, 2, n_clean=9)                 # credibility 1.0
         seed_history(world, 0, 3, n_clean=8)                 # credibility 1.0
         seed_history(world, 0, 4, n_clean=1, n_polluted=9)   # credibility 0.1: filtered
-        assert query_indirect(world, 0, 1) == pytest.approx(1.0)
+        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(1.0)
 
     def test_recommender_needs_history_with_observer(self):
         world = make_world(3)
         seed_history(world, 2, 1, n_clean=5)
-        # peer 2 knows the subject but the observer has never received from it
-        assert query_indirect(world, 0, 1) is None
+        seed_history(world, 0, 1, n_clean=1)
+        # peer 2 knows the subject but the observer has received only from the
+        # subject, which knows no one: the walk finds no recommender
+        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {}
+        assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_repeat_query_sees_direct_table_edits(self):
         # each call without a memo reads the tables as they are now
@@ -116,11 +122,11 @@ class TestQueryIndirect:
         seed_history(world, 0, 2, n_clean=3)                # credibility 1.0
         seed_history(world, 0, 3, n_clean=3)                # credibility 1.0
         world.round = 2
-        assert query_indirect(world, 0, 1) == pytest.approx(0.5)
+        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(0.5)
         world.peers[0].trust_table[3] = TrustState(1.0, 3.0, 4.0, 2.0)  # credibility 0.25
-        assert query_indirect(world, 0, 1) == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
+        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
         world.peers[2].trust_table[1] = TrustState(0.0, 5.0, 5.0, 2.0)  # recommends 0.0
-        assert query_indirect(world, 0, 1) == pytest.approx(0.25 * 0.2 / 1.25)
+        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(0.25 * 0.2 / 1.25)
 
     def test_queries_leave_every_table_bit_identical(self):
         # reads decay a view of each entry and store nothing, the observer's
@@ -136,9 +142,9 @@ class TestQueryIndirect:
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
         memo = TrustMemo()
         for subject in (1, 3, 1):
-            assert query_indirect(world, 0, subject, memo) is not None
-            evaluate_components(world, 0, subject, memo)
-        evaluate_components(world, 0, 2)
+            assert sim_engine._walk_recommenders(world, 0, (subject,), memo)[subject]
+            score_candidates(world, 0, (subject,), memo)
+        score_candidates(world, 0, (2,))
         assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
 
     def test_lies_leave_the_upload_stream_alone(self):
@@ -155,7 +161,7 @@ class TestQueryIndirect:
         reports = []
         for r in range(1, 41):
             world.round = r
-            heard = {query_indirect(world, pid, 1) for pid in enquirers}
+            heard = {score_candidates(world, pid, (1,))[0].indirect for pid in enquirers}
             assert len(heard) == 1, (r, heard)
             reports.append(heard.pop())
         assert liar.rng.getstate() == upload_state
@@ -177,24 +183,54 @@ class TestScoreCandidates:
         world = self.world()
         subjects = (5, 1, 3, 2, 4)
         assert score_candidates(world, 0, subjects) == [
-            evaluate_components(world, 0, s) for s in subjects]
+            score_candidates(world, 0, (s,))[0] for s in subjects]
 
     def test_queries_only_subjects_a_known_peer_received_from(self, monkeypatch):
         world = self.world()
-        walked = []
+        walks = []
 
-        def spy(world, observer, wanted, memo):
-            walked.append(set(wanted))
-            return walk(world, observer, wanted, memo)
+        def spy(world, observer, subjects, memo):
+            walks.append(walk(world, observer, subjects, memo))
+            return walks[-1]
 
         walk = sim_engine._walk_recommenders
         monkeypatch.setattr(sim_engine, "_walk_recommenders", spy)
         score_candidates(world, 0, (1, 2, 3, 4, 5))
-        # 4 and 5 have no observers; 1 and 2 only the observer itself, which
-        # has not received from itself: only 2 can recommend, and only on 3
-        assert walked == [{3}]
+        # 0 received from 1 and 2; 1 received from no one, and 2 only from
+        # 3: only 3 gets a report
+        assert [{s for s, taken in got.items() if taken} for got in walks] == [{3}]
         score_candidates(world, 0, (1, 2, 4, 5))
-        assert walked == [{3}]  # no subject wants recommendations: no walk
+        assert walks[1] == {}  # no recommender received from any subject
+        score_candidates(world, 4, (0, 1, 2, 3))
+        assert len(walks) == 2  # 4 received from no one: no walk
+
+    def test_trust_tables_are_the_only_state_a_read_uses(self):
+        """Scoring a world that ran equals scoring a fresh world given only
+        its trust tables and round."""
+        params = TrustParams(cf_model=CFModel.CFDB, dt_model=DTModel.PDTM,
+                             forgetting=0.05, forgiving=0.1, theta_p=0.0, theta_g=0.0)
+        behaviors = [PeerBehavior.honest(), PeerBehavior.honest(loss_rate=0.3),
+                     PeerBehavior.badmouther((0, 1), slander_prob=0.5),
+                     PeerBehavior.onoff(0.5), PeerBehavior.honest(), PeerBehavior.persistent()]
+        ids = range(len(behaviors))
+        ran, fresh = World(seed=3), World(seed=3)
+        for pid, behavior in zip(ids, behaviors):
+            ran.add_peer(pid, behavior, params, is_requester=True, budget=2,
+                         candidates=[c for c in ids if c != pid])
+            fresh.add_peer(pid, behavior, params)
+        for _ in range(8):
+            run_round(ran)
+        fresh.round = ran.round
+        for pid in ids:
+            fresh.peers[pid].trust_table = dict(ran.peers[pid].trust_table)
+        recommended = 0
+        for observer in ids:
+            subjects = [s for s in ids if s != observer]
+            got = score_candidates(fresh, observer, subjects)
+            assert got == score_candidates(ran, observer, subjects)
+            assert got == [score_candidates(fresh, observer, (s,))[0] for s in subjects]
+            recommended += sum(comp.indirect != params.cold_start_trust for comp in got)
+        assert recommended  # the tables hold recommendations
 
     def test_self_in_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -227,11 +263,12 @@ class TestRankedWalk:
 
     def test_ties_break_by_lowest_id(self):
         world = self.world()
+        walks = sim_engine._walk_recommenders(world, 0, (1, 8, 9, 7), TrustMemo())
         # 1: 3 and 4 of the tied 3, 4, 5; 8: 2 and 5, cutting 6; 9: 6 alone
-        assert query_indirect(world, 0, 1) == pytest.approx((0.8 + 0.2) / 2)
-        assert query_indirect(world, 0, 8) == pytest.approx(0.5)
-        assert query_indirect(world, 0, 9) == pytest.approx(0.25)
-        assert query_indirect(world, 0, 7) is None
+        assert walks == {
+            1: [(1.0, 0.8), (1.0, 0.2)], 8: [(1.0, 1.0), (1.0, 0.0)], 9: [(0.5, 0.25)], 7: []}
+        indirect = [comp.indirect for comp in score_candidates(world, 0, (1, 8, 9, 7))]
+        assert indirect == [indirect_trust(walks[s]) for s in (1, 8, 9)] + [0.5]
 
     def test_batch_equals_each_subject_alone(self):
         world = self.world()
@@ -239,16 +276,8 @@ class TestRankedWalk:
         assert batch == [score_candidates(world, 0, (s,))[0] for s in self.SUBJECTS]
         memo = TrustMemo()
         assert batch == score_candidates(world, 0, self.SUBJECTS, memo)
-        assert batch == [evaluate_components(world, 0, s, memo) for s in self.SUBJECTS]
+        assert batch == [score_candidates(world, 0, (s,), memo)[0] for s in self.SUBJECTS]
         assert batch[0] == batch[4]
-
-    def test_query_indirect_is_the_batch_indirect_value(self):
-        world = self.world()
-        batch = score_candidates(world, 0, self.SUBJECTS)
-        cold = world.peers[0].params.cold_start_trust
-        for subject, comp in zip(self.SUBJECTS, batch):
-            ind = query_indirect(world, 0, subject)
-            assert comp.indirect == (cold if ind is None else ind)
 
 
 class TestSelectProviders:
@@ -303,6 +332,13 @@ def forced_params(**kwargs):
 
 
 class TestRunRound:
+    def test_peer_listing_itself_as_candidate_rejected(self):
+        world = World(seed=1)
+        with pytest.raises(ValueError, match="itself"):
+            world.add_peer(0, PeerBehavior.honest(), forced_params(),
+                           is_requester=True, candidates=[1, 0])
+        assert world.peers == {} and world.requesters == []
+
     def test_forced_polluter_delivery(self):
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), forced_params(),
@@ -409,7 +445,7 @@ class TestRunRound:
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)
         seed_history(world, 0, 2, n_clean=3)
         before = dict(world.peers[2].trust_table)
-        evaluate_components(world, 0, 1).combined
+        score_candidates(world, 0, (1,))
         assert world.peers[2].trust_table == before
         assert world.peers[1].trust_table == {}
 

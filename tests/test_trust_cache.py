@@ -82,8 +82,8 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
     obs = world.peers[observer]
     now = world.round
     eligible: List[Tuple[float, int]] = []
-    for k in world.observers_of.get(subject, ()):
-        if k == observer or k == subject:
+    for k, rec in world.peers.items():
+        if k == observer or k == subject or subject not in rec.trust_table:
             continue
         s = obs.trust_table.get(k)
         if s is None:
@@ -139,7 +139,6 @@ def run_capturing_world(cfg):
 def run_with_oracle(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
-        mp.setattr(sim_engine, "query_indirect", oracle_query_indirect)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "score_candidates", oracle_score_candidates)
         return run_capturing_world(cfg)
@@ -248,22 +247,23 @@ def test_memoised_path_matches_oracle(cfg):
 def count_calls(monkeypatch, names):
     """Count calls of these names where `sim_engine` and `scenarios` look
     them up. `scored` sums the batch sizes of `score_candidates`, `walked`
-    the subjects of each ranked walk (`_walk_recommenders`), and `used` the
-    reports each walked subject aggregates (the list `indirect_trust`
-    gets), whose largest count is `most_used`."""
+    counts the subjects a ranked walk (`_walk_recommenders`) gave at least
+    one report, and `used` the reports each such subject aggregates (the
+    list `indirect_trust` gets), whose largest count is `most_used`."""
     calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            result = fn(*args, **kwargs)
             if name == "score_candidates":
                 calls["scored"] += len(args[2])
             elif name == "_walk_recommenders":
-                calls["walked"] += len(args[2])
+                calls["walked"] += sum(1 for taken in result.values() if taken)
             elif name == "indirect_trust":
                 calls["used"] += len(args[0])
                 calls["most_used"] = max(calls["most_used"], len(args[0]))
-            return fn(*args, **kwargs)
+            return result
         return wrapper
 
     for name in names:
@@ -280,11 +280,13 @@ def test_dense_collusion_work_counts(monkeypatch):
     """e4 rotating, group 24, 40 rounds: the memo cuts the decay, scoring
     and recommendation work, and serves every repeated report.
 
-    A batch walks the requester's recommenders only when it holds a subject
-    whose observers include a peer the requester has received from: 974 of
-    the 1 000 selection batches, for 16 852 of their 23 016 scorings of a
-    subject with observers, and the 40 observation batches, one subject
-    each. Each walked subject aggregates every recommender it has, since
+    A batch walks the requester's recommenders whenever the requester has
+    received from anyone: every batch but round 1's 25 selections, so 975
+    selection walks and the 40 observation batches. One walk, observer 1's
+    in round 2, finds no recommender: 1 had received only from 2, and 2
+    only from 1. The other 974 give reports to 16 852 of their 23 016
+    subject scorings, and the observations to their one subject each. Each
+    subject with a report aggregates every recommender it has, since
     `k_recommenders` is the group size: 313 651 reports over the 16 892
     subjects, at most the 23 members other than the subject.
     `recommendation_value` runs once per report the memo lacks: 15 709
@@ -308,9 +310,9 @@ def test_dense_collusion_work_counts(monkeypatch):
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
-    assert calls["_walk_recommenders"] == 1_014  # 974 selection walks + 40 observations
+    assert calls["_walk_recommenders"] == 1_015  # 975 selection walks + 40 observations
     assert calls["walked"] == 16_892           # 16 852 selection scorings + 40 observations
-    assert calls["indirect_trust"] == 16_892   # one aggregate per walked subject
+    assert calls["indirect_trust"] == 16_892   # one aggregate per subject with a report
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["recommendation_value"] == 16_124  # 15 709 + 391 + 24 memo fills
@@ -319,11 +321,13 @@ def test_dense_collusion_work_counts(monkeypatch):
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
-    """e6 seed 1: of the 84 000 scorings, 51 658 are of a subject that some
-    peer has received from, and only 1 419 of those of a subject whose
-    observers include a peer the requester has received from; only those
-    are walked, in 1 369 of the 8 400 batches, and every one finds a
-    recommender: 1 375 subjects one and 44 two, 1 463 reports. The memo
+    """e6 seed 1: every batch but round 1's 150, when no requester has
+    received yet, walks the requester's recommenders (8 250 of the 8 400).
+    Of the 84 000 scorings, 51 658 are of a subject that some peer has
+    received from, and only 1 419 of those of a subject that a peer the
+    requester has received from has itself received from; only those get
+    reports, in 1 369 walks, while the other 6 881 walks find no
+    recommender: 1 375 subjects one report and 44 two, 1 463 reports. The memo
     serves 87 repeated reports, and `recommendation_value` runs for the
     1 354 first reports in a round plus 22 re-reports after the recommender
     received from the subject earlier in the round (1 376)."""
@@ -331,7 +335,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
-    assert calls["_walk_recommenders"] == 1_369
+    assert calls["_walk_recommenders"] == 8_250  # 1 369 with a report + 6 881 without
     assert calls["walked"] == calls["indirect_trust"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
@@ -340,10 +344,11 @@ def test_sparse_mesh_work_counts(monkeypatch):
 
 def test_newcomer_reads_work_counts(monkeypatch):
     """e5 seed 1: the newcomer observes the 100 providers in one batch per
-    round. No selection walks: a requester's table holds only providers,
-    which observe no one, and the newcomer's candidates, the requesters,
-    have no observer but the newcomer itself. The 50 observation batches
-    walk the 4 711 (round, provider) pairs that some requester the
+    round. Every selection after round 1 walks (1 519 of the 1 550) and
+    finds no recommender: a requester's table holds only providers, which
+    receive from no one, and the newcomer's candidates, the requesters,
+    have received from no one but providers. The 50 observation walks give
+    reports to the 4 711 (round, provider) pairs that some requester the
     newcomer received from has itself received from. `k_recommenders` (10)
     cuts 87 of those subjects' lists, by 191 reports in all. The 24 457
     reports used are all fresh, since nothing else asks the requesters
@@ -358,7 +363,7 @@ def test_newcomer_reads_work_counts(monkeypatch):
     run_scenario(build_experiment("e5", seed=1))
     assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
     assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
-    assert calls["_walk_recommenders"] == 50
+    assert calls["_walk_recommenders"] == 1_569  # 1 519 selections + 50 observations
     assert calls["walked"] == calls["indirect_trust"] == 4_711
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
