@@ -32,10 +32,6 @@ class MetricsReport:
     run_meta: Dict[str, object]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 def emit_csv(report: MetricsReport, out_dir: str) -> List[str]:
     """Write <name>_trajectories.csv, <name>_summary.csv and <name>_meta.json.
 
@@ -49,10 +45,8 @@ def emit_csv(report: MetricsReport, out_dir: str) -> List[str]:
     lines = ["round,observer,subject,direct,indirect,alpha,trust\n"]
     for (observer, subject) in sorted(report.trajectories):
         for round_no, d, ind, alpha, trust in report.trajectories[(observer, subject)]:
-            lines.append(
-                f"{round_no},{observer},{subject},"
-                f"{_fmt(d)},{_fmt(ind)},{_fmt(alpha)},{_fmt(trust)}\n"
-            )
+            lines.append("%d,%d,%d,%.6f,%.6f,%.6f,%.6f\n"
+                         % (round_no, observer, subject, d, ind, alpha, trust))
     with open(traj_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
@@ -61,7 +55,7 @@ def emit_csv(report: MetricsReport, out_dir: str) -> List[str]:
     for row in sorted(report.summary, key=lambda s: s.peer):
         detection = "" if row.detection_round is None else str(row.detection_round)
         lines.append(
-            f"{row.peer},{row.behavior},{_fmt(row.goodput)},"
+            f"{row.peer},{row.behavior},{row.goodput:.6f},"
             f"{row.polluted_accepted},{detection},{row.requests_received}\n"
         )
     with open(summary_path, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from typing import (
 from . import __version__
 from .behaviors import BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import DETECTION_THRESHOLD, World, run_round, score_candidates
+from .sim_engine import DETECTION_THRESHOLD, TrustMemo, World, run_round, score_candidates
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -626,8 +626,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     watched: Dict[int, List[int]] = {}
     for observer, subject in cfg.observed_pairs:
         watched.setdefault(observer, []).append(subject)
+    memo = TrustMemo()  # one for the run: see its docstring for when entries expire
     for _ in range(cfg.rounds):
-        memo = run_round(world)
+        run_round(world, memo)
         for observer, subjects in watched.items():
             for subject, comp in zip(subjects, score_candidates(world, observer, subjects, memo)):
                 trajectories[(observer, subject)].append((world.round, *comp))

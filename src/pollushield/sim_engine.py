@@ -9,34 +9,29 @@ The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.
 
 Trust is scored by one kernel, `score_candidates`: it scores all of a
-requester's candidates in one call, reading the requester's parameters and
-table once and decaying each entry into plain counts with
-`decayed_counts` for `direct_trust` and `confidence_factor`. A recommender
-is a peer the requester has received from that has itself received from
-the subject; the trust tables are the only record of both. So, when the
-requester has received from anyone, one ranked walk serves the batch: the
-peers in its table that received from some subject are sorted once by
-credibility, ties by lowest id, and each adds its report to every subject
-it received from, until the subject holds k_recommenders reports. Each
-subject thus sums its own top k in rank order, as a per-subject ranking
-would; a subject the walk gave no report takes cold-start trust as its
-indirect value. `select_providers` calls the kernel once per requester and
-`run_scenario` once per observer and round.
+requester's candidates in one call. A recommender is a peer the requester
+has received from that has itself received from the subject; the trust
+tables are the only record of both. So, when the requester has received
+from anyone, one ranked walk serves the batch: the peers in its table that
+received from some subject are sorted once by credibility, ties by lowest
+id, and each adds its report to every subject it received from, until the
+subject holds k_recommenders reports. Each subject thus sums its own top k
+in rank order, as a per-subject ranking would; a subject the walk gave no
+report takes cold-start trust as its indirect value. `select_providers`
+calls the kernel once per requester and `run_scenario` once per observer
+and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
 entry from its last delivery to the round and counts the chunk. Evaluating
-trust reads each entry decayed the same way and stores nothing, so a run
-does not depend on how often trust is read. A `TrustMemo` spares the
-repeated work. Its direct table, a's direct trust of b in the round, serves
-both recommender credibility and recommenders' honest values. Its report
-table, keyed by recommender first like the direct table, holds what
-recommender k reports about a subject; a bad-mouther's lie is keyed on the
-round, so its report is as fixed as an honest one.
-`run_round` keeps one memo per round, and when a receives a delivery from b,
-`TrustMemo.delivered(a, b)` drops both a's direct trust of b and a's report
-about b. `run_round` returns that memo, still valid for the round it ran,
-and the scenario's observations read through it, one batch per observer.
+trust reads each entry decayed the same way with `decayed_counts` and
+stores nothing in the tables, so a run does not depend on how often trust
+is read. A `TrustMemo` spares the repeated work for a whole run:
+`run_scenario` makes one and passes it to every round and observation
+batch, and every reader first brings the memo's clock to `world.round`. It
+drops an entry only when one of its inputs changes: at a delivery to the
+entry's owner from its subject, and at a new round if the entry's value
+moves with the round (see `TrustMemo`).
 """
 
 from __future__ import annotations
@@ -54,6 +49,7 @@ from .trust_core import (
     combine_trust,
     confidence_factor,
     decayed_counts,
+    decays,
     direct_trust,
     indirect_trust,
     record_delivery,
@@ -157,23 +153,64 @@ class World:
 
 
 class TrustMemo:
-    """What trust reads have worked out in the current round.
+    """What trust reads have worked out, kept for a whole run.
 
-    `direct[a][b]` is a's direct trust of b; it serves both recommender
-    credibility and recommenders' honest values. `reports[k][s]` is what
-    recommender k reports about subject s, a function of k's direct trust
-    of s and the round alone. Both are keyed by the peer whose view they
-    hold, so the ranked walk reads one report dict per recommender.
-
-    A delivery to a from b changes a's entry for b, and so both a's direct
-    trust of b and a's report about b; `delivered` drops the two together.
+    `direct[a][b]` is a's (direct trust, confidence weight) of b: one fill
+    path, `read`, serves recommender credibility, recommenders' honest
+    values and a batch's scorings of its own table entries. `reports[k][s]`
+    is what recommender k reports about subject s. Both are keyed by the
+    peer whose view they hold, so the ranked walk reads one report dict per
+    recommender. An entry is dropped only when one of its inputs changes:
+    - A delivery to a from b changes a's entry for b; `delivered` drops a's
+      direct trust of b and a's report about b together.
+    - A new round changes an entry only if its value moves with the round:
+      a direct entry whose counts `decays` (with the report built on it),
+      and a report whose recommender `lies_about` the subject. Each is
+      recorded when filled and dropped when `at` moves the clock.
+    Every other entry equals a fresh read in any later round, so a fresh
+    memo gives the same values as a carried one.
     """
 
-    __slots__ = ("direct", "reports")
+    __slots__ = ("direct", "reports", "round", "_expiring")
 
     def __init__(self) -> None:
-        self.direct: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
+        self.direct: DefaultDict[int, Dict[int, Tuple[float, float]]] = defaultdict(dict)
         self.reports: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
+        self.round = 0
+        self._expiring: List[Tuple[Dict, int]] = []  # (table, key) filled this round
+
+    def at(self, now: int) -> None:
+        """Bring the clock to round `now`, dropping every entry whose value
+        moves with the round."""
+        if now != self.round:
+            self.round = now
+            for table, key in self._expiring:
+                table.pop(key, None)
+            self._expiring.clear()
+
+    def read(self, a: int, b: int, rec: PeerRecord) -> Tuple[float, float]:
+        """a's (direct trust, confidence weight) of b at the memo's round;
+        `rec` is a's record, whose table holds b."""
+        views = self.direct[a]
+        entry = views.get(b)
+        if entry is None:
+            st = rec.trust_table[b]
+            params = rec.params
+            nc, np_, n = decayed_counts(st, self.round, params)
+            entry = views[b] = (direct_trust(nc, np_, params), confidence_factor(n, params))
+            if decays(st, params):
+                self._expiring += ((views, b), (self.reports[a], b))
+        return entry
+
+    def report(self, k: int, s: int, rec: PeerRecord, seed: int) -> float:
+        """What recommender k, whose record is `rec`, reports about s at
+        the memo's round."""
+        reports = self.reports[k]
+        honest = self.read(k, s, rec)[0]
+        value = reports[s] = recommendation_value(rec.behavior, k, s, honest, seed, self.round)
+        if rec.behavior.lies_about(s):
+            self._expiring.append((reports, s))
+        return value
 
     def delivered(self, rid: int, pid: int) -> None:
         """rid received from pid: drop rid's direct trust of pid and its report about pid."""
@@ -187,43 +224,32 @@ def _walk_recommenders(
     """The ranked walk the module docstring describes: each subject's
     (credibility, report) pairs from its top k recommenders for `observer`,
     in rank order, or {} when no recommender received from any subject."""
+    memo.at(world.round)
     obs = world.peers[observer]
-    params = obs.params
-    now = world.round
     peers = world.peers
     credibility = memo.direct[observer]
     ranked: List[Tuple[float, int, Set[int]]] = []  # (-credibility, recommender, hits)
-    for k, st in obs.trust_table.items():
+    for k in obs.trust_table:
         received = peers[k].trust_table.keys()
         if not received or received.isdisjoint(subjects):
             continue
-        cred = credibility.get(k)
-        if cred is None:
-            nc, np_, _ = decayed_counts(st, now, params)
-            cred = credibility[k] = direct_trust(nc, np_, params)
+        cred = (credibility.get(k) or memo.read(observer, k, obs))[0]
         ranked.append((-cred, k, received & subjects))
     if not ranked:
         return {}
     ranked.sort()  # ids are distinct, so the hit sets are never compared
     wanted: Dict[int, List[Tuple[float, float]]] = {subject: [] for subject in subjects}
-    k_max = params.k_recommenders
+    k_max = obs.params.k_recommenders
     for neg_cred, k, hits in ranked:
         cred = -neg_cred
-        rec = peers[k]
         reports = memo.reports[k]
-        views = memo.direct[k]
         for subject in hits:
             taken = wanted[subject]
             if len(taken) == k_max:
                 continue
             value = reports.get(subject)
             if value is None:
-                honest = views.get(subject)
-                if honest is None:
-                    nc, np_, _ = decayed_counts(rec.trust_table[subject], now, rec.params)
-                    honest = views[subject] = direct_trust(nc, np_, rec.params)
-                value = reports[subject] = recommendation_value(
-                    rec.behavior, k, subject, honest, world.seed, now)
+                value = memo.report(k, subject, peers[k], world.seed)
             taken.append((cred, value))
     return wanted
 
@@ -238,25 +264,24 @@ def score_candidates(
     subject for one observer, in the order given, from one ranked walk as
     the module docstring describes; a fresh memo serves the call when none
     is passed."""
+    memo = memo or TrustMemo()
+    memo.at(world.round)
     obs = world.peers[observer]
     params = obs.params
     table = obs.trust_table
-    now = world.round
     cold = params.cold_start_trust
     walks: Dict[int, List[Tuple[float, float]]] = {}
     if table:
-        walks = _walk_recommenders(world, observer, subjects, memo or TrustMemo())
+        walks = _walk_recommenders(world, observer, subjects, memo)
+    views = memo.direct[observer]
     # direct trust and confidence of a subject the observer never received from
     unknown: Optional[Tuple[float, float]] = None
     scored: List[TrustComponents] = []
     for subject in subjects:
         if subject == observer:
             raise ValueError("a peer cannot evaluate trust of itself")
-        st = table.get(subject)
-        if st is not None:
-            nc, np_, n = decayed_counts(st, now, params)
-            d = direct_trust(nc, np_, params)
-            a = confidence_factor(n, params)
+        if subject in table:
+            d, a = views.get(subject) or memo.read(observer, subject, obs)
         else:
             if unknown is None:
                 unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
@@ -300,16 +325,15 @@ def select_providers(
     return admitted
 
 
-def run_round(world: World) -> TrustMemo:
-    """Advance the world by one round of requests, deliveries, and updates.
-
-    Returns the round's memo. Every delivery dropped the entries it changed,
-    so the memo stays valid for reads in this round until the next delivery."""
+def run_round(world: World, memo: Optional[TrustMemo] = None) -> TrustMemo:
+    """Advance the world by one round of requests, deliveries, and updates,
+    selecting through `memo` (a fresh one when none is passed). Returns the
+    memo: every delivery dropped the entries it changed, so it stays valid."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
     ads = world.ads_per_round
-    memo = TrustMemo()
+    memo = memo or TrustMemo()
     for rid in world.requesters:
         req = world.peers[rid]
         if not req.candidates:

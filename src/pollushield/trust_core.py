@@ -188,6 +188,14 @@ def decayed_counts(
     return nc * keep_clean, np_ * keep_polluted, n * keep_clean
 
 
+def decays(state: TrustState, params: TrustParams) -> bool:
+    """Whether the state's decayed counts move with time. When false they
+    equal the stored counts bit for bit at every later time: a zero rate
+    keeps a count unscaled, and a zero count stays 0.0 at any rate."""
+    return bool((params.forgetting > 0 and (state.n_clean or state.n_transactions))
+                or (params.forgiving > 0 and state.n_polluted))
+
+
 def record_delivery(
     state: TrustState, quality: ChunkQuality, now: float, params: TrustParams
 ) -> TrustState:

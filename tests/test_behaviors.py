@@ -125,6 +125,12 @@ class TestRecommendationValue:
         assert values == [recommendation_value(behavior, 1, 5, 0.9, seed=3, round_no=r)
                           for r in range(1, 51)]
 
+    def test_lies_about_only_a_badmouthers_targets(self):
+        badmouther = PeerBehavior.badmouther((5, 7), slander_prob=0.5)
+        assert [badmouther.lies_about(s) for s in (5, 6, 7)] == [True, False, True]
+        for behavior in (PeerBehavior.honest(), PeerBehavior.collab_rotating((1, 5))):
+            assert not behavior.lies_about(5)
+
     def test_collab_endorses_members(self):
         behavior = PeerBehavior.collab_static((1, 2, 3), designated=1)
         assert recommendation_value(behavior, 2, 3, 0.1, seed=0, round_no=1) == 1.0

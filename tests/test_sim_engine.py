@@ -280,6 +280,54 @@ class TestRankedWalk:
         assert batch[0] == batch[4]
 
 
+class TestMemoAcrossRounds:
+    """A memo carried over rounds without deliveries reads exactly what a
+    fresh memo reads each round, where the values move with the round."""
+
+    def assert_carried_equals_fresh(self, world, subjects, rounds=range(1, 7)):
+        memo = TrustMemo()
+        seen = set()
+        for r in rounds:
+            world.round = r
+            got = score_candidates(world, 0, subjects, memo)
+            assert got == score_candidates(world, 0, subjects), r
+            seen.add(tuple(got))
+        assert len(seen) == len(rounds)  # every round reads something new
+
+    def test_decaying_polluted_counts(self):
+        # forgiving fades the observer's polluted count of the subject and of
+        # its recommender, and the recommender's polluted count of the subject
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMB, forgiving=0.3)
+        world = make_world(3, params=params)
+        seed_history(world, 0, 1, n_clean=2, n_polluted=3)
+        seed_history(world, 0, 2, n_clean=3, n_polluted=1)
+        seed_history(world, 2, 1, n_clean=1, n_polluted=4)
+        self.assert_carried_equals_fresh(world, (1,))
+
+    def test_forgetting_only_polluted_chunks(self):
+        # no clean chunk, so direct trust stays 0; the transaction count
+        # fades at the forgetting rate and with it the confidence weight
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, forgetting=0.3)
+        world = make_world(2, params=params)
+        seed_history(world, 0, 1, n_clean=0, n_polluted=3)
+        self.assert_carried_equals_fresh(world, (1,))
+
+    def test_lies_expire_with_the_round(self):
+        # nothing decays; only the bad-mouther's keyed lie moves
+        world = make_world(2)
+        world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob=0.5), DTMA_PARAMS)
+        seed_history(world, 2, 1, n_clean=5)
+        seed_history(world, 0, 2, n_clean=3)
+        memo = TrustMemo()
+        heard = []
+        for r in range(1, 41):
+            world.round = r
+            got = score_candidates(world, 0, (1,), memo)
+            assert got == score_candidates(world, 0, (1,)), r
+            heard.append(got[0].indirect)
+        assert set(heard) == {0.0, 1.0}
+
+
 class TestSelectProviders:
     def build(self, trusts, params):
         world = make_world(1 + len(trusts), params=params)

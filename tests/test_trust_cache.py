@@ -277,8 +277,8 @@ WALK = ("_walk_recommenders", "indirect_trust")
 
 
 def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the memo cuts the decay, scoring
-    and recommendation work, and serves every repeated report.
+    """e4 rotating, group 24, 40 rounds: the run's memo cuts the decay,
+    scoring and recommendation work, and serves every repeated report.
 
     A batch walks the requester's recommenders whenever the requester has
     received from anyone: every batch but round 1's 25 selections, so 975
@@ -289,22 +289,22 @@ def test_dense_collusion_work_counts(monkeypatch):
     subject with a report aggregates every recommender it has, since
     `k_recommenders` is the group size: 313 651 reports over the 16 892
     subjects, at most the 23 members other than the subject.
-    `recommendation_value` runs once per report the memo lacks: 15 709
-    first reports in a round's selection memo, 391 re-reports after the
-    recommender received from the subject earlier in the round, and 24 in
-    the observations, which read through the round's memo (16 124 of the
-    313 651 reports used). Of those 24, a delivery after the victim's
-    selection had dropped one, and no selection that round had asked for
-    the other 23. A fresh memo per observation would refill 920.
-    `direct_trust` counts every direct-trust evaluation: the 17 980 memo
-    fills plus 16 985 scorings (16 432 subjects with a table entry, and one
-    per batch for a never-received-from subject in 553 batches). The
-    observations make 944 of those fills: the victim's credibility of the
-    23 other members, which its own deliveries drop every round (920), and
-    the 24 honest values behind the new reports.
-    `decayed_counts` counts every decayed read: the 17 980 memo fills plus
-    the 16 432 scorings of a table entry. The 1 920 deliveries decay inside
-    `record_delivery`, which these bindings do not see."""
+    Both decay rates are 0 and no one lies, so no memo entry expires: an
+    entry is worked out when first read and again after each delivery that
+    dropped it. There are 576 table entries, the victim's of the 24 members
+    and each member's of the 23 others (552). The victim's 936 deliveries
+    after round 1 each drop an entry its observation reads again; of the
+    members' 960, 552 are first deliveries, which drop nothing, and 407 of
+    the other 408 drop an entry read again before the run ends.
+    `decayed_counts` counts the memo fills: 576 first reads (529 in
+    selections, 47 in observations) and 1 343 refills (936 + 407).
+    `direct_trust` adds one evaluation of the never-received-from state per
+    batch holding such a subject: 553 batches. `recommendation_value` runs
+    once per member's report about another member (552: 529 in selections,
+    23 in observations) and once per report dropped by a repeat delivery
+    (407). A memo kept for one round made 34 412, 34 965 and 16 124 calls,
+    and the 1 920 deliveries decay inside `record_delivery`, which these
+    bindings do not see."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
@@ -315,9 +315,9 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["indirect_trust"] == 16_892   # one aggregate per subject with a report
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
-    assert calls["recommendation_value"] == 16_124  # 15 709 + 391 + 24 memo fills
-    assert calls["direct_trust"] == 34_965     # 17 980 memo fills + 16 985 scorings
-    assert calls["decayed_counts"] == 34_412   # 17 980 memo fills + 16 432 scorings
+    assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
+    assert calls["direct_trust"] == 2_472      # 1 919 memo fills + 553 batches
+    assert calls["decayed_counts"] == 1_919    # 576 first reads + 1 343 after a delivery
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
@@ -327,10 +327,13 @@ def test_sparse_mesh_work_counts(monkeypatch):
     received from, and only 1 419 of those of a subject that a peer the
     requester has received from has itself received from; only those get
     reports, in 1 369 walks, while the other 6 881 walks find no
-    recommender: 1 375 subjects one report and 44 two, 1 463 reports. The memo
-    serves 87 repeated reports, and `recommendation_value` runs for the
-    1 354 first reports in a round plus 22 re-reports after the recommender
-    received from the subject earlier in the round (1 376)."""
+    recommender: 1 375 subjects one report and 44 two, 1 463 reports. The
+    run's memo serves 552 of them. `recommendation_value` runs for the 26
+    (recommender, subject) pairs first asked about, again for 369 reports
+    that a delivery from the subject to the recommender dropped, and for
+    516 that expired because the recommender's view of the subject holds
+    polluted chunks, which the forgiving rate (0.03) decays every round
+    (911). A memo kept for one round made 1 376 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates"))
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
@@ -339,7 +342,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["walked"] == calls["indirect_trust"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
-    assert calls["recommendation_value"] == 1_376  # 1 354 + 22 memo fills
+    assert calls["recommendation_value"] == 911  # 26 first + 369 after a delivery + 516 expired
 
 
 def test_newcomer_reads_work_counts(monkeypatch):
@@ -350,14 +353,20 @@ def test_newcomer_reads_work_counts(monkeypatch):
     have received from no one but providers. The 50 observation walks give
     reports to the 4 711 (round, provider) pairs that some requester the
     newcomer received from has itself received from. `k_recommenders` (10)
-    cuts 87 of those subjects' lists, by 191 reports in all. The 24 457
-    reports used are all fresh, since nothing else asks the requesters
-    about providers: `recommendation_value` runs once per report.
-    `direct_trust` counts the 33 569 decayed reads (scorings of a table
-    entry and memo fills) plus one evaluation of the never-received-from
-    state per batch holding such a subject: 637 selections and the 50
-    observation batches (687). One observation per pair made that
-    evaluation for each of the 5 000 observed pairs, 39 206 in all."""
+    cuts 87 of those subjects' lists, by 191 reports in all.
+    Nothing but these walks asks the requesters about providers, so every
+    report the memo lacks is worked out in an observation: 599 the first
+    time a (requester, provider) pair is asked about, 2 398 after the
+    requester received from the provider again, and 7 918 that expired
+    because the requester's view holds polluted chunks, which the
+    forgiving rate (0.15) decays every round. The memo serves the other
+    13 542 of the 24 457 reports used.
+    `decayed_counts` counts the memo fills, in selections and
+    observations: 629 first reads, 3 002 after a delivery and 8 228 after
+    expiry (11 859). `direct_trust` adds one evaluation of the
+    never-received-from state per batch holding such a subject: 637
+    selections and the 50 observation batches (687). A memo kept for one
+    round made 33 569, 34 256 and 24 457 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e5", seed=1))
@@ -367,9 +376,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["walked"] == calls["indirect_trust"] == 4_711
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
-    assert calls["recommendation_value"] == 24_457
-    assert calls["decayed_counts"] == 33_569
-    assert calls["direct_trust"] == 34_256     # 33 569 decayed reads + 687 batches
+    assert calls["recommendation_value"] == 10_915  # 599 first + 2 398 + 7 918 refills
+    assert calls["decayed_counts"] == 11_859   # 629 first + 3 002 + 8 228 refills
+    assert calls["direct_trust"] == 12_546     # 11 859 memo fills + 687 batches
 
 
 def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
@@ -400,12 +409,13 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
 def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     """The three observers ask the bad-mouther about its target in every
     selection after round 1, two of them also in every observation. A lie
-    is keyed on the round, so the memo keeps the liar's report like any
-    other: `recommendation_value` runs once in each round's first
-    selection, and once more in the observations because the liar's own
-    delivery from the target dropped the report (2 per round after round
-    1, 1 in round 1; one per enquiry would be 37). The run matches the
-    unmemoised oracle, which asks the liar afresh at every enquiry."""
+    is keyed on the round, so the memo keeps the liar's report for the
+    round and drops it when the round moves: `recommendation_value` runs
+    once in each round's first selection, and once more in the
+    observations because the liar's own delivery from the target dropped
+    the report (2 per round after round 1, 1 in round 1; one per enquiry
+    would be 37). The run matches the unmemoised oracle, which asks the
+    liar afresh at every enquiry."""
     rounds = 8
     cfg = liar_world(rounds, seed=7)
     calls = count_calls(monkeypatch, ("recommendation_value",))

@@ -13,6 +13,7 @@ from pollushield.trust_core import (
     combine_trust,
     confidence_factor,
     decayed_counts,
+    decays,
     direct_trust,
     indirect_trust,
     onoff_resistance_margin,
@@ -158,6 +159,31 @@ class TestDecay:
         got = record_delivery(st, ChunkQuality.POLLUTED, 1.5 + dt, params)
         want = (want[0], want[1] + 1.0, want[2] + 1.0, 1.5 + dt)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestDecays:
+    # (forgetting, forgiving, n_clean, n_polluted, n_transactions) -> decays
+    TRUTH_TABLE = [
+        (0.0, 0.0, 3, 2, 5, False),   # no rate
+        (0.3, 0.0, 3, 0, 3, True),    # clean evidence fades
+        (0.3, 0.0, 0, 2, 2, True),    # only polluted chunks: the transaction count fades
+        (0.3, 0.0, 2, 0, 0, True),    # a clean count alone fades
+        (0.3, 0.0, 0, 0, 0, False),   # nothing left to fade
+        (0.0, 0.3, 3, 0, 3, False),   # forgiving has no polluted count to act on
+        (0.0, 0.3, 0, 2, 2, True),    # polluted evidence fades
+        (0.3, 0.3, 0, 0, 0, False),
+        (0.3, 0.3, 3, 2, 5, True),
+    ]
+
+    @pytest.mark.parametrize("forgetting, forgiving, nc, np_, n, want", TRUTH_TABLE)
+    def test_truth_table(self, forgetting, forgiving, nc, np_, n, want):
+        params = TrustParams(forgetting=forgetting, forgiving=forgiving)
+        st = state(float(nc), float(np_), float(n), last_update=1.0)
+        assert decays(st, params) is want
+        # exactly when the decayed counts move; otherwise they stay bit for bit
+        stored = [v.hex() for v in st[:3]]
+        later = [[v.hex() for v in decayed_counts(st, t, params)] for t in (2.0, 9.5)]
+        assert (later != [stored, stored]) is want
 
 
 class TestRecordDelivery:
