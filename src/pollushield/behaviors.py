@@ -105,9 +105,11 @@ class PeerBehavior:
         return max(1, round(1.0 / self.on_ratio))
 
     def lies_about(self, subject: int) -> bool:
-        """Whether the owner's reports about `subject` may differ from its
-        direct trust by round: a bad-mouther's about one of its targets."""
-        return self.kind is BehaviorKind.BADMOUTH and subject in self.target_set
+        """Whether the owner's reports about `subject` move with the round: a
+        bad-mouther's about one of its targets, unless slander_prob is 0 or 1
+        and so its answer is certain."""
+        return (self.kind is BehaviorKind.BADMOUTH and 0.0 < self.slander_prob < 1.0
+                and subject in self.target_set)
 
     @property
     def label(self) -> str:
@@ -172,12 +174,13 @@ def recommendation_value(
     stream. At slander_prob 0 or 1 the outcome is certain and nothing is
     drawn. Colluders endorse fellow group members at full trust.
     """
-    if behavior.lies_about(subject):
-        p = behavior.slander_prob
-        if p == 0.0 or p == 1.0:
-            return 0.0 if p == 1.0 else honest_value
-        lie = random.Random(f"{seed}:{recommender}:{subject}:{round_no}:lie").random()
-        return 0.0 if lie < p else honest_value
+    if behavior.kind is BehaviorKind.BADMOUTH and subject in behavior.target_set:
+        if behavior.lies_about(subject):
+            key = f"{seed}:{recommender}:{subject}:{round_no}:lie"
+            lie = random.Random(key).random() < behavior.slander_prob
+        else:
+            lie = behavior.slander_prob == 1.0
+        return 0.0 if lie else honest_value
     if behavior.kind in (BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING):
         if subject in behavior.group:
             return 1.0

@@ -626,7 +626,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     watched: Dict[int, List[int]] = {}
     for observer, subject in cfg.observed_pairs:
         watched.setdefault(observer, []).append(subject)
-    memo = TrustMemo()  # one for the run: see its docstring for when entries expire
+    memo = TrustMemo()  # one for the run: see its docstring for what it keeps
     for _ in range(cfg.rounds):
         run_round(world, memo)
         for observer, subjects in watched.items():

@@ -26,12 +26,10 @@ selects. Tables change only at delivery, where `record_delivery` decays the
 entry from its last delivery to the round and counts the chunk. Evaluating
 trust reads each entry decayed the same way with `decayed_counts` and
 stores nothing in the tables, so a run does not depend on how often trust
-is read. A `TrustMemo` spares the repeated work for a whole run:
-`run_scenario` makes one and passes it to every round and observation
-batch, and every reader first brings the memo's clock to `world.round`. It
-drops an entry only when one of its inputs changes: at a delivery to the
-entry's owner from its subject, and at a new round if the entry's value
-moves with the round (see `TrustMemo`).
+is read. A `TrustMemo` that `run_scenario` makes once and passes to every
+round and observation batch keeps the values that hold for the rest of the
+run (see `TrustMemo`); the memo has no clock, so readers pass it
+`world.round`.
 """
 
 from __future__ import annotations
@@ -153,69 +151,61 @@ class World:
 
 
 class TrustMemo:
-    """What trust reads have worked out, kept for a whole run.
+    """What trust reads have worked out that holds for the rest of a run.
 
-    `direct[a][b]` is a's (direct trust, confidence weight) of b: one fill
-    path, `read`, serves recommender credibility, recommenders' honest
-    values and a batch's scorings of its own table entries. `reports[k][s]`
-    is what recommender k reports about subject s. Both are keyed by the
-    peer whose view they hold, so the ranked walk reads one report dict per
-    recommender. An entry is dropped only when one of its inputs changes:
-    - A delivery to a from b changes a's entry for b; `delivered` drops a's
-      direct trust of b and a's report about b together.
-    - A new round changes an entry only if its value moves with the round:
-      a direct entry whose counts `decays` (with the report built on it),
-      and a report whose recommender `lies_about` the subject. Each is
-      recorded when filled and dropped when `at` moves the clock.
-    Every other entry equals a fresh read in any later round, so a fresh
-    memo gives the same values as a carried one.
+    `direct[a][b]` is a's `TrustComponents` of b when no recommender reports
+    on b, with a's cold-start trust as the indirect value: a subject's full
+    score in that case, and through `.direct` recommender credibility and
+    honest values. `reports[k][s]` is what recommender k reports about s.
+    Both are keyed by the peer whose view they hold. An entry is kept only
+    if its value holds in every later round: a direct entry whose counts do
+    not `decays`, and a report built on a kept entry whose recommender does
+    not `lies_about` the subject. Any other is worked out again at each
+    read. A delivery to a from b changes a's entry of b, so `delivered`
+    drops it and a's report about b. A fresh memo thus gives the same
+    values as a carried one.
     """
 
-    __slots__ = ("direct", "reports", "round", "_expiring")
+    __slots__ = ("direct", "reports")
 
     def __init__(self) -> None:
-        self.direct: DefaultDict[int, Dict[int, Tuple[float, float]]] = defaultdict(dict)
+        self.direct: DefaultDict[int, Dict[int, TrustComponents]] = defaultdict(dict)
         self.reports: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
-        self.round = 0
-        self._expiring: List[Tuple[Dict, int]] = []  # (table, key) filled this round
 
-    def at(self, now: int) -> None:
-        """Bring the clock to round `now`, dropping every entry whose value
-        moves with the round."""
-        if now != self.round:
-            self.round = now
-            for table, key in self._expiring:
-                table.pop(key, None)
-            self._expiring.clear()
-
-    def read(self, a: int, b: int, rec: PeerRecord) -> Tuple[float, float]:
-        """a's (direct trust, confidence weight) of b at the memo's round;
-        `rec` is a's record, whose table holds b."""
-        views = self.direct[a]
-        entry = views.get(b)
-        if entry is None:
-            st = rec.trust_table[b]
-            params = rec.params
-            nc, np_, n = decayed_counts(st, self.round, params)
-            entry = views[b] = (direct_trust(nc, np_, params), confidence_factor(n, params))
-            if decays(st, params):
-                self._expiring += ((views, b), (self.reports[a], b))
+    def read(self, a: int, b: int, rec: PeerRecord, now: int) -> TrustComponents:
+        """Work out a's components of b in round `now` with no report on b,
+        keeping them if they hold for the rest of the run; `rec` is a's
+        record, whose table holds b. Callers look in `direct` first."""
+        st = rec.trust_table[b]
+        params = rec.params
+        nc, np_, n = decayed_counts(st, now, params)
+        entry = _components(nc, np_, n, params)
+        if not decays(st, params):
+            self.direct[a][b] = entry
         return entry
 
-    def report(self, k: int, s: int, rec: PeerRecord, seed: int) -> float:
-        """What recommender k, whose record is `rec`, reports about s at
-        the memo's round."""
-        reports = self.reports[k]
-        honest = self.read(k, s, rec)[0]
-        value = reports[s] = recommendation_value(rec.behavior, k, s, honest, seed, self.round)
-        if rec.behavior.lies_about(s):
-            self._expiring.append((reports, s))
+    def report(self, k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
+        """What recommender k, whose record is `rec`, reports about s in
+        round `now`."""
+        entry = self.direct[k].get(s) or self.read(k, s, rec, now)
+        value = recommendation_value(rec.behavior, k, s, entry.direct, seed, now)
+        if s in self.direct[k] and not rec.behavior.lies_about(s):
+            self.reports[k][s] = value
         return value
 
     def delivered(self, rid: int, pid: int) -> None:
-        """rid received from pid: drop rid's direct trust of pid and its report about pid."""
+        """rid received from pid: drop rid's direct entry of pid and its report about pid."""
         self.direct[rid].pop(pid, None)
         self.reports[rid].pop(pid, None)
+
+
+def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustComponents:
+    """Components of a peer with these decayed counts when no recommender
+    reports on it: cold-start trust stands in for indirect trust."""
+    d = direct_trust(nc, np_, params)
+    alpha = confidence_factor(n, params)
+    cold = params.cold_start_trust
+    return TrustComponents(d, cold, alpha, combine_trust(d, cold, alpha))
 
 
 def _walk_recommenders(
@@ -224,16 +214,16 @@ def _walk_recommenders(
     """The ranked walk the module docstring describes: each subject's
     (credibility, report) pairs from its top k recommenders for `observer`,
     in rank order, or {} when no recommender received from any subject."""
-    memo.at(world.round)
     obs = world.peers[observer]
     peers = world.peers
+    now = world.round
     credibility = memo.direct[observer]
     ranked: List[Tuple[float, int, Set[int]]] = []  # (-credibility, recommender, hits)
     for k in obs.trust_table:
         received = peers[k].trust_table.keys()
         if not received or received.isdisjoint(subjects):
             continue
-        cred = (credibility.get(k) or memo.read(observer, k, obs))[0]
+        cred = (credibility.get(k) or memo.read(observer, k, obs, now)).direct
         ranked.append((-cred, k, received & subjects))
     if not ranked:
         return {}
@@ -249,7 +239,7 @@ def _walk_recommenders(
                 continue
             value = reports.get(subject)
             if value is None:
-                value = memo.report(k, subject, peers[k], world.seed)
+                value = memo.report(k, subject, peers[k], world.seed, now)
             taken.append((cred, value))
     return wanted
 
@@ -264,33 +254,31 @@ def score_candidates(
     subject for one observer, in the order given, from one ranked walk as
     the module docstring describes; a fresh memo serves the call when none
     is passed."""
+    if observer in subjects:
+        raise ValueError("a peer cannot evaluate trust of itself")
     memo = memo or TrustMemo()
-    memo.at(world.round)
     obs = world.peers[observer]
-    params = obs.params
     table = obs.trust_table
-    cold = params.cold_start_trust
+    now = world.round
     walks: Dict[int, List[Tuple[float, float]]] = {}
     if table:
         walks = _walk_recommenders(world, observer, subjects, memo)
     views = memo.direct[observer]
-    # direct trust and confidence of a subject the observer never received from
-    unknown: Optional[Tuple[float, float]] = None
+    unknown: Optional[TrustComponents] = None  # of a subject never received from
     scored: List[TrustComponents] = []
     for subject in subjects:
-        if subject == observer:
-            raise ValueError("a peer cannot evaluate trust of itself")
         if subject in table:
-            d, a = views.get(subject) or memo.read(observer, subject, obs)
+            comp = views.get(subject) or memo.read(observer, subject, obs, now)
         else:
             if unknown is None:
-                unknown = (direct_trust(0.0, 0.0, params), confidence_factor(0.0, params))
-            d, a = unknown
+                unknown = _components(0.0, 0.0, 0.0, obs.params)
+            comp = unknown
         taken = walks.get(subject)
         ind = indirect_trust(taken) if taken else None
-        if ind is None:
-            ind = cold
-        scored.append(TrustComponents(d, ind, a, combine_trust(d, ind, a)))
+        if ind is not None:
+            d, _, a, _ = comp
+            comp = TrustComponents(d, ind, a, combine_trust(d, ind, a))
+        scored.append(comp)
     return scored
 
 
@@ -305,16 +293,18 @@ def select_providers(
     own stream. During warmup rounds the rule is bypassed. Returns
     (provider, trust) pairs, best trust first (ties: lowest id)."""
     req = world.peers[requester]
-    scored: List[Tuple[int, float]] = []
+    threshold, detections = world.detection_threshold, world.detections
+    ranked: List[Tuple[float, int]] = []  # (-trust, provider)
     for pid, comp in zip(candidates, score_candidates(world, requester, candidates, memo)):
         t = comp.combined
-        if t < world.detection_threshold and pid not in world.detections:
-            world.detections[pid] = world.round
-        scored.append((pid, t))
-    scored.sort(key=lambda pt: (-pt[1], pt[0]))
+        if t < threshold and pid not in detections:
+            detections[pid] = world.round
+        ranked.append((-t, pid))
+    ranked.sort()
     gating = world.round > world.warmup_rounds
     admitted: List[Tuple[int, float]] = []
-    for pid, t in scored[: req.params.k_providers]:
+    for neg_t, pid in ranked[: req.params.k_providers]:
+        t = -neg_t
         if gating:
             p = transaction_probability(t, req.params)
             if p <= 0.0:

@@ -128,6 +128,9 @@ class TestRecommendationValue:
     def test_lies_about_only_a_badmouthers_targets(self):
         badmouther = PeerBehavior.badmouther((5, 7), slander_prob=0.5)
         assert [badmouther.lies_about(s) for s in (5, 6, 7)] == [True, False, True]
+        # at slander probability 0 or 1 the answer is certain
+        for p in (0.0, 1.0):
+            assert not PeerBehavior.badmouther((5, 7), slander_prob=p).lies_about(5)
         for behavior in (PeerBehavior.honest(), PeerBehavior.collab_rotating((1, 5))):
             assert not behavior.lies_about(5)
 

@@ -325,7 +325,53 @@ class TestMemoAcrossRounds:
             got = score_candidates(world, 0, (1,), memo)
             assert got == score_candidates(world, 0, (1,)), r
             heard.append(got[0].indirect)
+            assert 1 not in memo.reports[2]  # a lie that moves with the round is never kept
         assert set(heard) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("slander_prob, told", [(0.0, 1.0), (1.0, 0.0)])
+    def test_certain_lies_are_kept(self, monkeypatch, slander_prob, told):
+        # at slander probability 0 or 1 the answer does not move with the
+        # round: the carried memo works the report out once and keeps it
+        world = make_world(2)
+        world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob), DTMA_PARAMS)
+        seed_history(world, 2, 1, n_clean=5)
+        seed_history(world, 0, 2, n_clean=3)
+        asked = []
+        ask = sim_engine.recommendation_value
+
+        def counting(*args):
+            asked.append(args)
+            return ask(*args)
+
+        memo = TrustMemo()
+        for r in range(1, 7):
+            world.round = r
+            monkeypatch.setattr(sim_engine, "recommendation_value", counting)
+            got = score_candidates(world, 0, (1,), memo)
+            monkeypatch.undo()
+            assert got == score_candidates(world, 0, (1,)), r
+            assert got[0].indirect == told
+            assert memo.reports[2] == {1: told}
+        assert len(asked) == 1
+
+    def test_recommender_gains_the_subject_later(self):
+        # nothing decays, so the memo keeps 0's entry of 1, scored with
+        # cold-start trust; when 2 later receives from 1, with no delivery to
+        # 0, the walk's report must replace the cold start in 0's score
+        world = make_world(3)
+        seed_history(world, 0, 1, n_clean=2, n_polluted=1)
+        seed_history(world, 0, 2, n_clean=3)
+        memo = TrustMemo()
+        world.round = 1
+        before = score_candidates(world, 0, (1,), memo)[0]
+        assert before.indirect == 0.5 and memo.direct[0][1] == before
+        world.round = 2
+        seed_history(world, 2, 1, n_clean=1, n_polluted=3)  # 2 recommends 1 at 0.25
+        memo.delivered(2, 1)  # as run_round does at 2's delivery
+        got = score_candidates(world, 0, (1,), memo)[0]
+        assert got == score_candidates(world, 0, (1,))[0]
+        assert got.indirect == 0.25 and got.combined != before.combined
+        assert memo.direct[0][1] == before  # still the score of 1 with no report
 
 
 class TestSelectProviders:

@@ -289,22 +289,24 @@ def test_dense_collusion_work_counts(monkeypatch):
     subject with a report aggregates every recommender it has, since
     `k_recommenders` is the group size: 313 651 reports over the 16 892
     subjects, at most the 23 members other than the subject.
-    Both decay rates are 0 and no one lies, so no memo entry expires: an
-    entry is worked out when first read and again after each delivery that
-    dropped it. There are 576 table entries, the victim's of the 24 members
-    and each member's of the 23 others (552). The victim's 936 deliveries
-    after round 1 each drop an entry its observation reads again; of the
-    members' 960, 552 are first deliveries, which drop nothing, and 407 of
-    the other 408 drop an entry read again before the run ends.
+    Both decay rates are 0 and no one lies, so the memo keeps every entry it
+    works out: an entry is worked out when first read and again after each
+    delivery that dropped it. There are 576 table entries, the victim's of
+    the 24 members and each member's of the 23 others (552). The victim's
+    936 deliveries after round 1 each drop an entry its observation reads
+    again; of the members' 960, 552 are first deliveries, which drop
+    nothing, and 407 of the other 408 drop an entry read again before the
+    run ends.
     `decayed_counts` counts the memo fills: 576 first reads (529 in
     selections, 47 in observations) and 1 343 refills (936 + 407).
     `direct_trust` adds one evaluation of the never-received-from state per
-    batch holding such a subject: 553 batches. `recommendation_value` runs
-    once per member's report about another member (552: 529 in selections,
-    23 in observations) and once per report dropped by a repeat delivery
-    (407). A memo kept for one round made 34 412, 34 965 and 16 124 calls,
-    and the 1 920 deliveries decay inside `record_delivery`, which these
-    bindings do not see."""
+    batch holding such a subject: 553 batches. Those components are built
+    only when a batch needs them; built for every batch, they would add 487
+    evaluations. `recommendation_value` runs once per member's report about
+    another member (552: 529 in selections, 23 in observations) and once per
+    report dropped by a repeat delivery (407). A memo kept for one round
+    made 34 412, 34 965 and 16 124 calls, and the 1 920 deliveries decay
+    inside `record_delivery`, which these bindings do not see."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
@@ -329,12 +331,21 @@ def test_sparse_mesh_work_counts(monkeypatch):
     reports, in 1 369 walks, while the other 6 881 walks find no
     recommender: 1 375 subjects one report and 44 two, 1 463 reports. The
     run's memo serves 552 of them. `recommendation_value` runs for the 26
-    (recommender, subject) pairs first asked about, again for 369 reports
-    that a delivery from the subject to the recommender dropped, and for
-    516 that expired because the recommender's view of the subject holds
-    polluted chunks, which the forgiving rate (0.03) decays every round
-    (911). A memo kept for one round made 1 376 calls."""
-    calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates"))
+    (recommender, subject) pairs first asked about, again for 367 kept
+    reports that a delivery from the subject to the recommender dropped,
+    and for 518 that the memo never keeps because the recommender's view of
+    the subject holds polluted chunks, which the forgiving rate (0.03)
+    decays every round (911).
+    `decayed_counts` counts the memo fills: 666 first reads, 14 657 after a
+    delivery dropped a kept entry, and 12 573 reads of an entry whose
+    counts decay, which the memo works out at each read (27 896).
+    `combine_trust` runs once per memo fill, since an entry is the finished
+    score of a subject with no report, once per batch for the components of
+    a subject never received from (every one of the 8 400 batches holds
+    one), and once per subject whose reports give an indirect value
+    (1 419): 37 715. Combining at every scoring made 84 000 calls."""
+    calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
+                                             "decayed_counts", "combine_trust"))
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
@@ -342,7 +353,9 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["walked"] == calls["indirect_trust"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
-    assert calls["recommendation_value"] == 911  # 26 first + 369 after a delivery + 516 expired
+    assert calls["recommendation_value"] == 911  # 26 first + 367 after a delivery + 518 decaying
+    assert calls["decayed_counts"] == 27_896   # 666 first + 14 657 after a delivery + 12 573
+    assert calls["combine_trust"] == 37_715    # 27 896 fills + 8 400 batches + 1 419 reports
 
 
 def test_newcomer_reads_work_counts(monkeypatch):
@@ -357,16 +370,23 @@ def test_newcomer_reads_work_counts(monkeypatch):
     Nothing but these walks asks the requesters about providers, so every
     report the memo lacks is worked out in an observation: 599 the first
     time a (requester, provider) pair is asked about, 2 398 after the
-    requester received from the provider again, and 7 918 that expired
-    because the requester's view holds polluted chunks, which the
-    forgiving rate (0.15) decays every round. The memo serves the other
-    13 542 of the 24 457 reports used.
+    requester received from the provider again, which dropped a kept
+    report, and 7 918 that the memo never keeps because the requester's
+    view holds polluted chunks, which the forgiving rate (0.15) decays
+    every round. The memo serves the other 13 542 of the 24 457 reports
+    used.
     `decayed_counts` counts the memo fills, in selections and
-    observations: 629 first reads, 3 002 after a delivery and 8 228 after
-    expiry (11 859). `direct_trust` adds one evaluation of the
+    observations: 629 first reads, 2 678 after a delivery dropped a kept
+    entry, and 10 611 reads of an entry whose counts decay, which the memo
+    works out at each read (13 918). Most fills (10 892) are the honest
+    values of the reports above; the rest are the requesters' scorings of
+    their providers and the newcomer's credibility of the requesters. A
+    memo that kept a decaying entry until the round moved served 2 381 of
+    those 10 611 reads, as the second read of an entry in its round, and
+    made 11 859 calls; this memo spends no clock or expiry list on the
+    other reads. `direct_trust` adds one evaluation of the
     never-received-from state per batch holding such a subject: 637
-    selections and the 50 observation batches (687). A memo kept for one
-    round made 33 569, 34 256 and 24 457 calls."""
+    selections and the 50 observation batches (687)."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e5", seed=1))
@@ -376,9 +396,24 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["walked"] == calls["indirect_trust"] == 4_711
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
-    assert calls["recommendation_value"] == 10_915  # 599 first + 2 398 + 7 918 refills
-    assert calls["decayed_counts"] == 11_859   # 629 first + 3 002 + 8 228 refills
-    assert calls["direct_trust"] == 12_546     # 11 859 memo fills + 687 batches
+    assert calls["recommendation_value"] == 10_915  # 599 first + 2 398 + 7 918 decaying
+    assert calls["decayed_counts"] == 13_918   # 629 first + 2 678 + 10 611 decaying
+    assert calls["direct_trust"] == 14_605     # 13 918 memo fills + 687 batches
+
+
+def test_badmouthing_work_counts(monkeypatch):
+    """e1 seed 1: eight bad-mouthers slander the subject at slander
+    probability 1.0. That lie is certain, so `lies_about` is false and the
+    memo keeps their reports like any other. Each of the 10 recommenders
+    receives from the subject in every round, which drops its report;
+    observer 0's observation then asks all 10 again, and observer 1's
+    observation and the next round's selections read the memo. Round 1's
+    observation asks the 10 first: 10 + 49 x 10 = 500. A memo that dropped
+    the liars' reports at each new round asked the 8 again in each later
+    round's first selection, 892 calls."""
+    calls = count_calls(monkeypatch, ("recommendation_value",))
+    run_scenario(build_experiment("e1", seed=1))
+    assert calls["recommendation_value"] == 500
 
 
 def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
@@ -409,23 +444,38 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
 def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     """The three observers ask the bad-mouther about its target in every
     selection after round 1, two of them also in every observation. A lie
-    is keyed on the round, so the memo keeps the liar's report for the
-    round and drops it when the round moves: `recommendation_value` runs
-    once in each round's first selection, and once more in the
-    observations because the liar's own delivery from the target dropped
-    the report (2 per round after round 1, 1 in round 1; one per enquiry
-    would be 37). The run matches the unmemoised oracle, which asks the
-    liar afresh at every enquiry."""
-    rounds = 8
-    cfg = liar_world(rounds, seed=7)
-    calls = count_calls(monkeypatch, ("recommendation_value",))
+    is keyed on the round, so the memo keeps none of these reports, and
+    the unmemoised oracle asks the liar afresh at every enquiry. Both hear
+    the same reports in the same rounds; in each round the liar either lies
+    to every enquirer or to none (its honest value may change within the
+    round, when it receives from the target); it both lies and tells the
+    truth over the run; and the runs match."""
+    liar, target = 3, 4
+    cfg = liar_world(8, seed=7)
+
+    def spying(heard, fn):
+        def spy(behavior, recommender, subject, honest, seed, round_no):
+            value = fn(behavior, recommender, subject, honest, seed, round_no)
+            if (recommender, subject) == (liar, target):
+                heard.setdefault(round_no, set()).add(value)
+            return value
+        return spy
+
+    memo_heard, oracle_heard = {}, {}
+    monkeypatch.setattr(sim_engine, "recommendation_value",
+                        spying(memo_heard, recommendation_value))
     report, world = run_capturing_world(cfg)
-    # round 1 selects before anyone has received: observations only
-    assert calls["recommendation_value"] == 2 * (rounds - 1) + 1
+    monkeypatch.setitem(globals(), "recommendation_value",
+                        spying(oracle_heard, recommendation_value))
+    oracle = run_with_oracle(cfg)
+    monkeypatch.undo()
+    assert memo_heard == oracle_heard
+    lied = [0.0 in values for values in oracle_heard.values()]
+    assert all(values == {0.0} for values in oracle_heard.values() if 0.0 in values)
+    assert any(lied) and not all(lied)
     # the liar is observer 0's only recommender about the target
     assert {row[2] for row in report.trajectories[(0, 4)]} > {0.0}
-    monkeypatch.undo()
     got = fingerprint(report, world)
-    want = fingerprint(*run_with_oracle(cfg))
+    want = fingerprint(*oracle)
     for key in want:
         assert got[key] == want[key], key
