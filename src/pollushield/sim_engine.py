@@ -12,14 +12,16 @@ Trust is scored by one kernel, `score_candidates`: it scores all of a
 requester's candidates in one call. A recommender is a peer the requester
 has received from that has itself received from the subject; the trust
 tables are the only record of both. So, when the requester has received
-from anyone, one ranked walk serves the batch: the peers in its table that
+from anyone, one ranking serves the batch: the peers in its table that
 received from some subject are sorted once by credibility, ties by lowest
-id, and each adds its report to every subject it received from, until the
-subject holds k_recommenders reports. Each subject thus sums its own top k
-in rank order, as a per-subject ranking would; a subject the walk gave no
-report takes cold-start trust as its indirect value. `select_providers`
-calls the kernel once per requester and `run_scenario` once per observer
-and round.
+id. Each subject then walks that ranking in turn, adding the report of
+every recommender that received from it to running sums of credibility
+and credibility-weighted report, and stops at k_recommenders reports. So
+each subject sums its own top k in rank order, the operations
+`trust_core.indirect_trust` makes, bit for bit; a subject with no report,
+or only reports of credibility 0, takes cold-start trust as its indirect
+value. `select_providers` calls the kernel once per requester and
+`run_scenario` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
@@ -49,7 +51,6 @@ from .trust_core import (
     decayed_counts,
     decays,
     direct_trust,
-    indirect_trust,
     record_delivery,
     transaction_probability,
 )
@@ -210,38 +211,50 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
 
 def _walk_recommenders(
     world: World, observer: int, subjects: Sequence[int], memo: TrustMemo
-) -> Dict[int, List[Tuple[float, float]]]:
-    """The ranked walk the module docstring describes: each subject's
-    (credibility, report) pairs from its top k recommenders for `observer`,
-    in rank order, or {} when no recommender received from any subject."""
+) -> Dict[int, float]:
+    """The ranked walk the module docstring describes: one ranking of the
+    observer's recommenders, then one pass over it per subject (a subject
+    listed twice is walked once). Returns the indirect trust of each
+    subject whose top k recommenders carry some credibility; any other
+    subject is absent and keeps cold start."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
     credibility = memo.direct[observer]
-    ranked: List[Tuple[float, int, Set[int]]] = []  # (-credibility, recommender, hits)
+    # (-credibility, recommender, its trust table, its memoised reports)
+    ranked: List[Tuple[float, int, Dict[int, TrustState], Dict[int, float]]] = []
     for k in obs.trust_table:
-        received = peers[k].trust_table.keys()
-        if not received or received.isdisjoint(subjects):
+        received = peers[k].trust_table
+        if not received or received.keys().isdisjoint(subjects):
             continue
         cred = (credibility.get(k) or memo.read(observer, k, obs, now)).direct
-        ranked.append((-cred, k, received & subjects))
+        ranked.append((-cred, k, received, memo.reports[k]))
     if not ranked:
         return {}
-    ranked.sort()  # ids are distinct, so the hit sets are never compared
-    wanted: Dict[int, List[Tuple[float, float]]] = {subject: [] for subject in subjects}
+    ranked.sort()  # ids are distinct, so the tables are never compared
     k_max = obs.params.k_recommenders
-    for neg_cred, k, hits in ranked:
-        cred = -neg_cred
-        reports = memo.reports[k]
-        for subject in hits:
-            taken = wanted[subject]
-            if len(taken) == k_max:
+    seed = world.seed
+    indirect: Dict[int, float] = {}
+    for subject in dict.fromkeys(subjects):
+        # running sums in rank order: `trust_core.indirect_trust` bit for bit
+        n = 0
+        total = 0.0
+        weighted = 0.0
+        for neg_cred, k, received, reports in ranked:
+            if subject not in received:
                 continue
             value = reports.get(subject)
             if value is None:
-                value = memo.report(k, subject, peers[k], world.seed, now)
-            taken.append((cred, value))
-    return wanted
+                value = memo.report(k, subject, peers[k], seed, now)
+            cred = -neg_cred
+            total += cred
+            weighted += cred * value
+            n += 1
+            if n == k_max:
+                break
+        if total != 0.0:
+            indirect[subject] = weighted / total
+    return indirect
 
 
 def score_candidates(
@@ -260,9 +273,7 @@ def score_candidates(
     obs = world.peers[observer]
     table = obs.trust_table
     now = world.round
-    walks: Dict[int, List[Tuple[float, float]]] = {}
-    if table:
-        walks = _walk_recommenders(world, observer, subjects, memo)
+    indirect = _walk_recommenders(world, observer, subjects, memo) if table else {}
     views = memo.direct[observer]
     unknown: Optional[TrustComponents] = None  # of a subject never received from
     scored: List[TrustComponents] = []
@@ -273,8 +284,7 @@ def score_candidates(
             if unknown is None:
                 unknown = _components(0.0, 0.0, 0.0, obs.params)
             comp = unknown
-        taken = walks.get(subject)
-        ind = indirect_trust(taken) if taken else None
+        ind = indirect.get(subject)
         if ind is not None:
             d, _, a, _ = comp
             comp = TrustComponents(d, ind, a, combine_trust(d, ind, a))

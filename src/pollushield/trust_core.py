@@ -150,7 +150,9 @@ def indirect_trust(
 
     Each element is (credibility, value), both in [0, 1]. Returns None when
     the list is empty or no recommender carries positive credibility; the
-    caller substitutes cold-start trust or pure direct trust.
+    caller substitutes cold-start trust. `sim_engine`'s ranked walk keeps
+    the same running sums in the same order, so it reproduces this
+    function bit for bit.
     """
     total = 0.0
     weighted = 0.0

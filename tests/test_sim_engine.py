@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pollushield import sim_engine
@@ -142,7 +144,7 @@ class TestQueryIndirect:
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
         memo = TrustMemo()
         for subject in (1, 3, 1):
-            assert sim_engine._walk_recommenders(world, 0, (subject,), memo)[subject]
+            assert subject in sim_engine._walk_recommenders(world, 0, (subject,), memo)
             score_candidates(world, 0, (subject,), memo)
         score_candidates(world, 0, (2,))
         assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
@@ -198,7 +200,7 @@ class TestScoreCandidates:
         score_candidates(world, 0, (1, 2, 3, 4, 5))
         # 0 received from 1 and 2; 1 received from no one, and 2 only from
         # 3: only 3 gets a report
-        assert [{s for s, taken in got.items() if taken} for got in walks] == [{3}]
+        assert [set(got) for got in walks] == [{3}]
         score_candidates(world, 0, (1, 2, 4, 5))
         assert walks[1] == {}  # no recommender received from any subject
         score_candidates(world, 4, (0, 1, 2, 3))
@@ -266,9 +268,37 @@ class TestRankedWalk:
         walks = sim_engine._walk_recommenders(world, 0, (1, 8, 9, 7), TrustMemo())
         # 1: 3 and 4 of the tied 3, 4, 5; 8: 2 and 5, cutting 6; 9: 6 alone
         assert walks == {
-            1: [(1.0, 0.8), (1.0, 0.2)], 8: [(1.0, 1.0), (1.0, 0.0)], 9: [(0.5, 0.25)], 7: []}
+            1: indirect_trust([(1.0, 0.8), (1.0, 0.2)]),
+            8: indirect_trust([(1.0, 1.0), (1.0, 0.0)]),
+            9: indirect_trust([(0.5, 0.25)]),
+        }
+        assert 7 not in walks  # no recommender received from 7
         indirect = [comp.indirect for comp in score_candidates(world, 0, (1, 8, 9, 7))]
-        assert indirect == [indirect_trust(walks[s]) for s in (1, 8, 9)] + [0.5]
+        assert indirect == [walks[s] for s in (1, 8, 9)] + [0.5]
+
+    def test_sums_in_rank_order(self):
+        """Each subject's reports are summed in rank order, as
+        `indirect_trust` sums the list it is given, bit for bit. Here id
+        order, or a compensated sum (`math.fsum`, or `sum` from Python
+        3.12 on), gives other floats."""
+        world = make_world(5)
+        for k, cred_clean, value_clean in ((2, 1, 9), (3, 2, 3), (4, 3, 7)):
+            seed_history(world, 0, k, n_clean=cred_clean, n_polluted=10 - cred_clean)
+            seed_history(world, k, 1, n_clean=value_clean, n_polluted=10 - value_clean)
+        in_rank_order = [(0.3, 0.7), (0.2, 0.3), (0.1, 0.9)]  # recommenders 4, 3, 2
+        want = indirect_trust(in_rank_order)
+        assert want != indirect_trust(in_rank_order[::-1])
+        assert want != math.fsum(c * v for c, v in in_rank_order) / math.fsum((0.3, 0.2, 0.1))
+        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {1: want}
+        assert score_candidates(world, 0, (1,))[0].indirect == want
+
+    def test_only_zero_credibility_reports_give_cold_start(self):
+        world = make_world(4)
+        for k in (2, 3):
+            seed_history(world, 0, k, n_clean=0, n_polluted=2)  # credibility 0.0
+            seed_history(world, k, 1, n_clean=3)                # recommends 1 at 1.0
+        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {}
+        assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_batch_equals_each_subject_alone(self):
         world = self.world()

@@ -246,11 +246,14 @@ def test_memoised_path_matches_oracle(cfg):
 
 def count_calls(monkeypatch, names):
     """Count calls of these names where `sim_engine` and `scenarios` look
-    them up. `scored` sums the batch sizes of `score_candidates`, `walked`
-    counts the subjects a ranked walk (`_walk_recommenders`) gave at least
-    one report, and `used` the reports each such subject aggregates (the
-    list `indirect_trust` gets), whose largest count is `most_used`."""
-    calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used"), 0)
+    them up. `scored` sums the batch sizes of `score_candidates`. Each
+    ranked walk (`_walk_recommenders`) is counted from the trust tables it
+    reads: `walked` counts the subjects with at least one recommender (a
+    peer in the observer's table that received from the subject), `used`
+    the reports each such subject sums, min(k_recommenders, recommenders),
+    whose largest count is `most_used`, and `valued` the subjects the walk
+    gives an indirect value."""
+    calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used", "valued"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -259,10 +262,15 @@ def count_calls(monkeypatch, names):
             if name == "score_candidates":
                 calls["scored"] += len(args[2])
             elif name == "_walk_recommenders":
-                calls["walked"] += sum(1 for taken in result.values() if taken)
-            elif name == "indirect_trust":
-                calls["used"] += len(args[0])
-                calls["most_used"] = max(calls["most_used"], len(args[0]))
+                world, observer, subjects = args[:3]
+                obs = world.peers[observer]
+                for subject in dict.fromkeys(subjects):
+                    found = sum(subject in world.peers[k].trust_table for k in obs.trust_table)
+                    used = min(obs.params.k_recommenders, found)
+                    calls["walked"] += used > 0
+                    calls["used"] += used
+                    calls["most_used"] = max(calls["most_used"], used)
+                calls["valued"] += len(result)
             return result
         return wrapper
 
@@ -273,7 +281,7 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-WALK = ("_walk_recommenders", "indirect_trust")
+WALK = ("_walk_recommenders",)
 
 
 def test_dense_collusion_work_counts(monkeypatch):
@@ -288,7 +296,10 @@ def test_dense_collusion_work_counts(monkeypatch):
     subject scorings, and the observations to their one subject each. Each
     subject with a report aggregates every recommender it has, since
     `k_recommenders` is the group size: 313 651 reports over the 16 892
-    subjects, at most the 23 members other than the subject.
+    subjects, at most the 23 members other than the subject. The walk gives
+    16 593 of them an indirect value. The other 299 hear only from
+    recommenders of credibility 0, whose weighted mean is undefined, so
+    they keep cold start.
     Both decay rates are 0 and no one lies, so the memo keeps every entry it
     works out: an entry is worked out when first read and again after each
     delivery that dropped it. There are 576 table entries, the victim's of
@@ -314,7 +325,7 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
     assert calls["_walk_recommenders"] == 1_015  # 975 selection walks + 40 observations
     assert calls["walked"] == 16_892           # 16 852 selection scorings + 40 observations
-    assert calls["indirect_trust"] == 16_892   # one aggregate per subject with a report
+    assert calls["valued"] == 16_593           # 299 hear only from credibility 0
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
@@ -329,8 +340,9 @@ def test_sparse_mesh_work_counts(monkeypatch):
     received from, and only 1 419 of those of a subject that a peer the
     requester has received from has itself received from; only those get
     reports, in 1 369 walks, while the other 6 881 walks find no
-    recommender: 1 375 subjects one report and 44 two, 1 463 reports. The
-    run's memo serves 552 of them. `recommendation_value` runs for the 26
+    recommender: 1 375 subjects one report and 44 two, 1 463 reports. Each
+    of the 1 419 subjects gets an indirect value. The run's memo serves 552
+    of the reports. `recommendation_value` runs for the 26
     (recommender, subject) pairs first asked about, again for 367 kept
     reports that a delivery from the subject to the recommender dropped,
     and for 518 that the memo never keeps because the recommender's view of
@@ -350,7 +362,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
     assert calls["_walk_recommenders"] == 8_250  # 1 369 with a report + 6 881 without
-    assert calls["walked"] == calls["indirect_trust"] == 1_419
+    assert calls["walked"] == calls["valued"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
     assert calls["recommendation_value"] == 911  # 26 first + 367 after a delivery + 518 decaying
@@ -366,7 +378,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     have received from no one but providers. The 50 observation walks give
     reports to the 4 711 (round, provider) pairs that some requester the
     newcomer received from has itself received from. `k_recommenders` (10)
-    cuts 87 of those subjects' lists, by 191 reports in all.
+    cuts 87 of those subjects' lists, by 191 reports in all. The walks give
+    4 703 of those pairs an indirect value; the other 8 hear only from
+    requesters of credibility 0 and keep cold start.
     Nothing but these walks asks the requesters about providers, so every
     report the memo lacks is worked out in an observation: 599 the first
     time a (requester, provider) pair is asked about, 2 398 after the
@@ -393,7 +407,8 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
     assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
     assert calls["_walk_recommenders"] == 1_569  # 1 519 selections + 50 observations
-    assert calls["walked"] == calls["indirect_trust"] == 4_711
+    assert calls["walked"] == 4_711
+    assert calls["valued"] == 4_703           # 8 hear only from credibility 0
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
     assert calls["recommendation_value"] == 10_915  # 599 first + 2 398 + 7 918 decaying
