@@ -26,6 +26,14 @@ class BehaviorKind(Enum):
     COLLAB_ROTATING = "collab_rotating" # polluter duty rotates round-robin
 
 
+# bound once: before Python 3.12, `Enum.MEMBER` in a function costs an EnumType.__getattr__ call
+_CLEAN, _POLLUTED = ChunkQuality.CLEAN, ChunkQuality.POLLUTED
+_PERSISTENT, _ONOFF = BehaviorKind.PERSISTENT, BehaviorKind.ONOFF
+_BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
+_LOSSY = (BehaviorKind.HONEST, _BADMOUTH)
+_COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
+
+
 @dataclass(frozen=True)
 class PeerBehavior:
     kind: BehaviorKind
@@ -108,7 +116,7 @@ class PeerBehavior:
         """Whether the owner's reports about `subject` move with the round: a
         bad-mouther's about one of its targets, unless slander_prob is 0 or 1
         and so its answer is certain."""
-        return (self.kind is BehaviorKind.BADMOUTH and 0.0 < self.slander_prob < 1.0
+        return (self.kind is _BADMOUTH and 0.0 < self.slander_prob < 1.0
                 and subject in self.target_set)
 
     @property
@@ -134,27 +142,27 @@ def upload_quality(
     cannot tell loss corruption from malice and records it as polluted.
     """
     kind = behavior.kind
-    if kind in (BehaviorKind.HONEST, BehaviorKind.BADMOUTH):
+    if kind in _LOSSY:
         if behavior.loss_rate > 0.0 and rng.random() < behavior.loss_rate:
-            return ChunkQuality.POLLUTED
-        return ChunkQuality.CLEAN
-    if kind is BehaviorKind.PERSISTENT:
-        return ChunkQuality.POLLUTED
-    if kind is BehaviorKind.ONOFF:
+            return _POLLUTED
+        return _CLEAN
+    if kind is _PERSISTENT:
+        return _POLLUTED
+    if kind is _ONOFF:
         cycle = behavior.cycle_length
         if interaction_index % cycle == cycle - 1:
-            return ChunkQuality.POLLUTED
-        return ChunkQuality.CLEAN
-    if kind is BehaviorKind.COLLAB_STATIC:
+            return _POLLUTED
+        return _CLEAN
+    if kind is _COLLAB_STATIC:
         if uploader == behavior.designated_polluter:
-            return ChunkQuality.POLLUTED
-        return ChunkQuality.CLEAN
+            return _POLLUTED
+        return _CLEAN
     # COLLAB_ROTATING: member on duty this round pollutes all its uploads
     group = behavior.group
     duty = (round_no // behavior.rotation_period) % len(group)
     if group[duty] == uploader:
-        return ChunkQuality.POLLUTED
-    return ChunkQuality.CLEAN
+        return _POLLUTED
+    return _CLEAN
 
 
 def recommendation_value(
@@ -174,14 +182,15 @@ def recommendation_value(
     stream. At slander_prob 0 or 1 the outcome is certain and nothing is
     drawn. Colluders endorse fellow group members at full trust.
     """
-    if behavior.kind is BehaviorKind.BADMOUTH and subject in behavior.target_set:
+    kind = behavior.kind
+    if kind is _BADMOUTH and subject in behavior.target_set:
         if behavior.lies_about(subject):
             key = f"{seed}:{recommender}:{subject}:{round_no}:lie"
             lie = random.Random(key).random() < behavior.slander_prob
         else:
             lie = behavior.slander_prob == 1.0
         return 0.0 if lie else honest_value
-    if behavior.kind in (BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING):
+    if kind in _COLLAB:
         if subject in behavior.group:
             return 1.0
         return honest_value

@@ -637,9 +637,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     clean_measured: Dict[int, int] = {}
     polluted_total: Dict[int, int] = {}
     served: Dict[int, int] = {}
+    polluted = ChunkQuality.POLLUTED  # once: on Python < 3.12 each enum member lookup is a call
     for ev in world.event_log:
         served[ev.provider] = served.get(ev.provider, 0) + 1
-        if ev.quality is ChunkQuality.POLLUTED:
+        if ev.quality is polluted:
             polluted_total[ev.requester] = polluted_total.get(ev.requester, 0) + 1
         elif ev.round_no > measure_from:
             clean_measured[ev.requester] = clean_measured.get(ev.requester, 0) + 1

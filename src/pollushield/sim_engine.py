@@ -232,6 +232,7 @@ def _walk_recommenders(
     if not ranked:
         return {}
     ranked.sort()  # ids are distinct, so the tables are never compared
+    walk = [(-neg_cred, k, received, reports) for neg_cred, k, received, reports in ranked]
     k_max = obs.params.k_recommenders
     seed = world.seed
     indirect: Dict[int, float] = {}
@@ -240,13 +241,13 @@ def _walk_recommenders(
         n = 0
         total = 0.0
         weighted = 0.0
-        for neg_cred, k, received, reports in ranked:
-            if subject not in received:
-                continue
+        for cred, k, received, reports in walk:
+            # a kept report implies k received from the subject: tables never lose entries
             value = reports.get(subject)
             if value is None:
+                if subject not in received:
+                    continue
                 value = memo.report(k, subject, peers[k], seed, now)
-            cred = -neg_cred
             total += cred
             weighted += cred * value
             n += 1

@@ -33,6 +33,12 @@ class ChunkQuality(Enum):
     POLLUTED = "polluted"
 
 
+# bound once: before Python 3.12, `Enum.MEMBER` in a function costs an EnumType.__getattr__ call
+_DTMA, _DTMB = DTModel.DTMA, DTModel.DTMB
+_CFDA, _CFDB = CFModel.CFDA, CFModel.CFDB
+_CLEAN = ChunkQuality.CLEAN
+
+
 class TrustState(NamedTuple):
     """Decayed evidence one peer holds about another.
 
@@ -118,9 +124,10 @@ def confidence_factor(n: float, params: TrustParams) -> float:
     Zero with no history, strictly increasing, and tending to 1, so a peer
     leans on recommendations exactly while it lacks first-hand evidence.
     """
-    if params.cf_model is CFModel.CFDA:
+    model = params.cf_model
+    if model is _CFDA:
         return n / (n + params.c)
-    if params.cf_model is CFModel.CFDB:
+    if model is _CFDB:
         return 1.0 - params.beta ** n
     return params.cf_constant
 
@@ -133,12 +140,12 @@ def direct_trust(nc: float, np_: float, params: TrustParams) -> float:
     unknown peer is neither embraced nor condemned.
     """
     model = params.dt_model
-    if model is DTModel.DTMA:
+    if model is _DTMA:
         total = nc + np_
         if total == 0.0:
             return params.cold_start_trust
         return nc / total
-    if model is DTModel.DTMB:
+    if model is _DTMB:
         return (nc + 1.0) / (nc + np_ + 2.0)
     return math.exp(-params.rho * np_) * nc / (nc + params.eta)
 
@@ -207,7 +214,7 @@ def record_delivery(
     Raises ValueError when `now` precedes the state's last update.
     """
     nc, np_, n = decayed_counts(state, now, params)
-    if quality is ChunkQuality.CLEAN:
+    if quality is _CLEAN:
         return TrustState(nc + 1.0, np_, n + 1.0, now)
     return TrustState(nc, np_ + 1.0, n + 1.0, now)
 

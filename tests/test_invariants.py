@@ -19,7 +19,10 @@ from pollushield.scenarios import (
     run_scenario,
     save_config,
 )
-from test_trust_cache import fingerprint, liar_world, run_capturing_world, small_worlds
+from test_trust_cache import (
+    fingerprint, liar_world, reports_from_strangers, run_capturing, run_capturing_world,
+    small_worlds,
+)
 
 READ_CASES = [(exp, seed) for exp in ("e1", "e2", "e4", "e5") for seed in (1, 2, 3)]
 READ_CASES += [("e3", 1), ("e6", 1), ("liar", 7)]
@@ -56,7 +59,8 @@ def test_extra_reads_leave_the_run_unchanged(exp, seed):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_worlds())
 def test_small_world_invariants(cfg):
-    report, world = run_capturing_world(cfg)
+    report, world, memo = run_capturing(cfg)
+    assert reports_from_strangers(world, memo) == []
     for rows in report.trajectories.values():
         for row in rows:
             assert all(0.0 <= v <= 1.0 for v in row[1:]), row

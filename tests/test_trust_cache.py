@@ -121,19 +121,39 @@ def oracle_score_candidates(world, observer, subjects, memo=None):
     return [oracle_evaluate_components(world, observer, s) for s in subjects]
 
 
-def run_capturing_world(cfg):
-    """Run the scenario and return its report with the final world."""
-    worlds = []
+def run_capturing(cfg):
+    """Run the scenario and return its report, the final world and the
+    run's `TrustMemo`."""
+    worlds, memos = [], []
     build = scenarios.build_world
 
     def capture(c):
         worlds.append(build(c))
         return worlds[-1]
 
+    def capture_memo():
+        memos.append(sim_engine.TrustMemo())
+        return memos[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "build_world", capture)
+        mp.setattr(scenarios, "TrustMemo", capture_memo)
         report = run_scenario(cfg)
-    return report, worlds[0]
+    return report, worlds[0], memos[0]
+
+
+def run_capturing_world(cfg):
+    """Run the scenario and return its report with the final world."""
+    return run_capturing(cfg)[:2]
+
+
+def reports_from_strangers(world, memo):
+    """Kept reports whose recommender never received from the subject. The
+    ranked walk reads a kept report before it tests the recommender's table,
+    so this must be empty: a report is kept only from a table entry, and
+    tables never lose entries."""
+    return [(k, s) for k, reports in memo.reports.items() for s in reports
+            if s not in world.peers[k].trust_table]
 
 
 def run_with_oracle(cfg):
@@ -429,6 +449,20 @@ def test_badmouthing_work_counts(monkeypatch):
     calls = count_calls(monkeypatch, ("recommendation_value",))
     run_scenario(build_experiment("e1", seed=1))
     assert calls["recommendation_value"] == 500
+
+
+@pytest.mark.parametrize("exp, overrides", [
+    ("e1", {}),
+    ("e4", {"mode": "rotating", "group_size": 24, "rounds": 40}),
+    ("e5", {}),
+])
+def test_kept_reports_come_from_received_subjects(exp, overrides):
+    """Bad-mouthers (e1), colluders endorsing each other (e4) and a newcomer
+    hearing from decaying views (e5): every report the memo keeps at the
+    end of the run is about a peer its recommender received from."""
+    _, world, memo = run_capturing(build_experiment(exp, seed=1, **overrides))
+    assert any(memo.reports.values())
+    assert reports_from_strangers(world, memo) == []
 
 
 def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from pollushield import trust_core
+from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
 from pollushield.trust_core import (
     CFModel,
     ChunkQuality,
@@ -75,6 +76,56 @@ class TestDirectTrust:
     def test_dtma_empty_falls_back_to_cold_start(self):
         params = TrustParams(dt_model=DTModel.DTMA, cold_start_trust=0.3)
         assert direct_trust(0.0, 0.0, params) == 0.3
+
+
+class TestModelTruthTable:
+    """Each model against its closed form at fractional counts, with
+    parameters at which no two models agree, so a model answered by
+    another model's branch fails."""
+
+    PARAMS = dict(c=1.7, beta=0.35, cf_constant=0.42, rho=0.9, eta=1.3, cold_start_trust=0.3)
+    COUNTS = [(0.0, 0.0), (2.5, 0.0), (0.4, 1.6), (2.5, 0.75), (0.3, 4.2)]
+    DIRECT = {
+        DTModel.DTMA: lambda nc, np_, p: nc / (nc + np_) if nc + np_ else p.cold_start_trust,
+        DTModel.DTMB: lambda nc, np_, p: (nc + 1.0) / (nc + np_ + 2.0),
+        DTModel.PDTM: lambda nc, np_, p: math.exp(-p.rho * np_) * nc / (nc + p.eta),
+    }
+    CONFIDENCE = {
+        CFModel.CFDA: lambda n, p: n / (n + p.c),
+        CFModel.CFDB: lambda n, p: 1.0 - p.beta ** n,
+        CFModel.CONSTANT: lambda n, p: p.cf_constant,
+    }
+
+    def test_covers_every_model(self):
+        assert set(self.DIRECT) == set(DTModel)
+        assert set(self.CONFIDENCE) == set(CFModel)
+
+    @pytest.mark.parametrize("model", list(DTModel))
+    @pytest.mark.parametrize("nc, np_", COUNTS)
+    def test_direct_trust(self, model, nc, np_):
+        params = TrustParams(dt_model=model, **self.PARAMS)
+        assert direct_trust(nc, np_, params) == self.DIRECT[model](nc, np_, params)
+        others = {f(nc, np_, params) for m, f in self.DIRECT.items() if m is not model}
+        assert direct_trust(nc, np_, params) not in others
+
+    @pytest.mark.parametrize("model", list(CFModel))
+    @pytest.mark.parametrize("n", [0.6, 2.5, 4.95])
+    def test_confidence_factor(self, model, n):
+        params = TrustParams(cf_model=model, **self.PARAMS)
+        assert confidence_factor(n, params) == self.CONFIDENCE[model](n, params)
+        others = {f(n, params) for m, f in self.CONFIDENCE.items() if m is not model}
+        assert confidence_factor(n, params) not in others
+
+
+@pytest.mark.parametrize("fn", [
+    direct_trust, confidence_factor, record_delivery,
+    upload_quality, recommendation_value, PeerBehavior.lies_about,
+])
+def test_hot_functions_bind_enum_members_once(fn):
+    """Trust reads, deliveries and reports compare against enum members
+    bound at module level: before Python 3.12, `Enum.MEMBER` in a function
+    body is an EnumType.__getattr__ call each time it runs."""
+    assert {"CFModel", "DTModel", "ChunkQuality", "BehaviorKind"}.isdisjoint(fn.__code__.co_names)
 
 
 class TestIndirectTrust:
