@@ -30,7 +30,7 @@ class BehaviorKind(Enum):
 _CLEAN, _POLLUTED = ChunkQuality.CLEAN, ChunkQuality.POLLUTED
 _PERSISTENT, _ONOFF = BehaviorKind.PERSISTENT, BehaviorKind.ONOFF
 _BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
-_LOSSY = (BehaviorKind.HONEST, _BADMOUTH)
+LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
 
 
@@ -142,7 +142,7 @@ def upload_quality(
     cannot tell loss corruption from malice and records it as polluted.
     """
     kind = behavior.kind
-    if kind in _LOSSY:
+    if kind in LOSSY_KINDS:
         if behavior.loss_rate > 0.0 and rng.random() < behavior.loss_rate:
             return _POLLUTED
         return _CLEAN

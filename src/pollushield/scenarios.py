@@ -21,7 +21,7 @@ from typing import (
 )
 
 from . import __version__
-from .behaviors import BehaviorKind, PeerBehavior
+from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import DETECTION_THRESHOLD, TrustMemo, World, run_round, score_candidates
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
@@ -597,9 +597,8 @@ def build_world(cfg: ScenarioConfig) -> World:
     loss_rng = random.Random(f"{cfg.seed}:loss")
     if cfg.loss_rate_range is not None:
         lo, hi = cfg.loss_rate_range
-        lossy = (BehaviorKind.HONEST, BehaviorKind.BADMOUTH)
         behaviors = [
-            replace(b, loss_rate=loss_rng.uniform(lo, hi)) if b.kind in lossy else b
+            replace(b, loss_rate=loss_rng.uniform(lo, hi)) if b.kind in LOSSY_KINDS else b
             for b in behaviors
         ]
     overrides = dict(cfg.param_overrides)
@@ -618,55 +617,72 @@ def build_world(cfg: ScenarioConfig) -> World:
     return world
 
 
+class Run:
+    """One scenario run: `Run(cfg)` builds the world and the run's one
+    `TrustMemo`, `advance(n)` plays n rounds with their observations, and
+    `report()` collects the report of a run advanced through cfg.rounds."""
+
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        self.cfg = cfg
+        self.world = build_world(cfg)
+        self.memo = TrustMemo()  # see its docstring for what it keeps
+        self.trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
+        # each observer's subjects, scored in one batch per round
+        self.watched: Dict[int, List[int]] = {}
+        for observer, subject in cfg.observed_pairs:
+            self.watched.setdefault(observer, []).append(subject)
+
+    def advance(self, rounds: int) -> "Run":
+        world, memo, trajectories = self.world, self.memo, self.trajectories
+        for _ in range(rounds):
+            run_round(world, memo)
+            for observer, subjects in self.watched.items():
+                for s, comp in zip(subjects, score_candidates(world, observer, subjects, memo)):
+                    trajectories[(observer, s)].append((world.round, *comp))
+        return self
+
+    def report(self) -> MetricsReport:
+        cfg, world = self.cfg, self.world
+        measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
+        measured_rounds = cfg.rounds - measure_from
+        clean_measured: Dict[int, int] = {}
+        polluted_total: Dict[int, int] = {}
+        served: Dict[int, int] = {}
+        polluted = ChunkQuality.POLLUTED  # bound once: enum lookups are calls before Python 3.12
+        for ev in world.event_log:
+            served[ev.provider] = served.get(ev.provider, 0) + 1
+            if ev.quality is polluted:
+                polluted_total[ev.requester] = polluted_total.get(ev.requester, 0) + 1
+            elif ev.round_no > measure_from:
+                clean_measured[ev.requester] = clean_measured.get(ev.requester, 0) + 1
+        summary = [
+            PeerSummary(
+                peer=pid,
+                behavior=world.peers[pid].behavior.label,
+                goodput=clean_measured.get(pid, 0) / measured_rounds,
+                polluted_accepted=polluted_total.get(pid, 0),
+                detection_round=world.detections.get(pid),
+                requests_received=served.get(pid, 0),
+            )
+            for pid in sorted(world.peers)
+        ]
+        param_sets = [cfg.params] + [p for _, p in cfg.param_overrides]
+        run_meta = {
+            "name": cfg.name,
+            "seed": cfg.seed,
+            "rounds": cfg.rounds,
+            "measure_from": measure_from,
+            "config_digest": config_digest(cfg),
+            "engine_version": __version__,
+            # distinct messages over every parameter set, in order of appearance
+            "diagnostics": list(dict.fromkeys(msg for p in param_sets for msg in p.diagnostics())),
+        }
+        return MetricsReport(trajectories=self.trajectories, summary=summary, run_meta=run_meta)
+
+
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Run the configured world for cfg.rounds and collect the report."""
-    world = build_world(cfg)
-    trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
-    # each observer's subjects, scored in one batch per round
-    watched: Dict[int, List[int]] = {}
-    for observer, subject in cfg.observed_pairs:
-        watched.setdefault(observer, []).append(subject)
-    memo = TrustMemo()  # one for the run: see its docstring for what it keeps
-    for _ in range(cfg.rounds):
-        run_round(world, memo)
-        for observer, subjects in watched.items():
-            for subject, comp in zip(subjects, score_candidates(world, observer, subjects, memo)):
-                trajectories[(observer, subject)].append((world.round, *comp))
-    measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
-    measured_rounds = cfg.rounds - measure_from
-    clean_measured: Dict[int, int] = {}
-    polluted_total: Dict[int, int] = {}
-    served: Dict[int, int] = {}
-    polluted = ChunkQuality.POLLUTED  # once: on Python < 3.12 each enum member lookup is a call
-    for ev in world.event_log:
-        served[ev.provider] = served.get(ev.provider, 0) + 1
-        if ev.quality is polluted:
-            polluted_total[ev.requester] = polluted_total.get(ev.requester, 0) + 1
-        elif ev.round_no > measure_from:
-            clean_measured[ev.requester] = clean_measured.get(ev.requester, 0) + 1
-    summary = [
-        PeerSummary(
-            peer=pid,
-            behavior=world.peers[pid].behavior.label,
-            goodput=clean_measured.get(pid, 0) / measured_rounds,
-            polluted_accepted=polluted_total.get(pid, 0),
-            detection_round=world.detections.get(pid),
-            requests_received=served.get(pid, 0),
-        )
-        for pid in sorted(world.peers)
-    ]
-    param_sets = [cfg.params] + [p for _, p in cfg.param_overrides]
-    run_meta = {
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "rounds": cfg.rounds,
-        "measure_from": measure_from,
-        "config_digest": config_digest(cfg),
-        "engine_version": __version__,
-        # distinct messages over every parameter set, in order of appearance
-        "diagnostics": list(dict.fromkeys(msg for p in param_sets for msg in p.diagnostics())),
-    }
-    return MetricsReport(trajectories=trajectories, summary=summary, run_meta=run_meta)
+    return Run(cfg).advance(cfg.rounds).report()
 
 
 def mean_requester_goodput(cfg: ScenarioConfig, report: MetricsReport) -> float:

@@ -21,14 +21,14 @@ each subject sums its own top k in rank order, the operations
 `trust_core.indirect_trust` makes, bit for bit; a subject with no report,
 or only reports of credibility 0, takes cold-start trust as its indirect
 value. `select_providers` calls the kernel once per requester and
-`run_scenario` once per observer and round.
+`scenarios.Run` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
 entry from its last delivery to the round and counts the chunk. Evaluating
 trust reads each entry decayed the same way with `decayed_counts` and
 stores nothing in the tables, so a run does not depend on how often trust
-is read. A `TrustMemo` that `run_scenario` makes once and passes to every
+is read. A `TrustMemo` that a `scenarios.Run` makes and passes to every
 round and observation batch keeps the values that hold for the rest of the
 run (see `TrustMemo`); the memo has no clock, so readers pass it
 `world.round`.
@@ -326,10 +326,10 @@ def select_providers(
     return admitted
 
 
-def run_round(world: World, memo: Optional[TrustMemo] = None) -> TrustMemo:
+def run_round(world: World, memo: Optional[TrustMemo] = None) -> None:
     """Advance the world by one round of requests, deliveries, and updates,
-    selecting through `memo` (a fresh one when none is passed). Returns the
-    memo: every delivery dropped the entries it changed, so it stays valid."""
+    selecting through `memo` (a fresh one when none is passed); every
+    delivery drops the memo entries it changes, so the memo stays valid."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
@@ -357,4 +357,3 @@ def run_round(world: World, memo: Optional[TrustMemo] = None) -> TrustMemo:
             world.event_log.append(
                 TransactionOutcome(r, rid, pid, quality, trust_at_selection)
             )
-    return memo

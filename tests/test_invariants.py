@@ -2,7 +2,7 @@
 
 Reading trust stores nothing, so observing more pairs changes no delivery,
 and every valid config keeps trust in range, conserves deliveries, survives
-save -> load and replays exactly.
+save -> load and replays exactly, also when the run is advanced in steps.
 """
 
 import os
@@ -10,9 +10,10 @@ import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pollushield.scenarios import (
+    Run,
     build_experiment,
     dump_config,
     load_config,
@@ -20,8 +21,7 @@ from pollushield.scenarios import (
     save_config,
 )
 from test_trust_cache import (
-    fingerprint, liar_world, reports_from_strangers, run_capturing, run_capturing_world,
-    small_worlds,
+    fingerprint, liar_world, reports_from_strangers, run_to_end, small_worlds,
 )
 
 READ_CASES = [(exp, seed) for exp in ("e1", "e2", "e4", "e5") for seed in (1, 2, 3)]
@@ -56,10 +56,37 @@ def test_extra_reads_leave_the_run_unchanged(exp, seed):
         assert read_more.trajectories[pair] == base.trajectories[pair], pair
 
 
+def advanced_in_steps(cfg, *steps):
+    """What a run leaves behind, memo included, after advancing by each step."""
+    run = Run(cfg)
+    for rounds in steps:
+        run.advance(rounds)
+    return fingerprint(run.report(), run.world), repr(run.memo.direct), repr(run.memo.reports)
+
+
+SPLIT_CASES = [
+    (build_experiment("e1"), 25),
+    (build_experiment("e4", mode="rotating", group_size=24, rounds=40), 20),
+    (build_experiment("e5"), 10),  # the warmup boundary
+    (build_experiment("e5"), 25),
+    (build_experiment("e3", seed=2, loss_rate=0.06), 22),  # every entry decays
+    (liar_world(30, seed=7, theta_p=0.3, theta_g=0.9), 15),
+]
+
+
+@pytest.mark.parametrize("cfg, first", SPLIT_CASES,
+                         ids=["e1", "e4", "e5_warmup", "e5_mid", "e3", "liar"])
+def test_advancing_in_steps_equals_advancing_at_once(cfg, first):
+    """A run carries all its state between rounds: stopping after `first`
+    rounds and going on changes nothing a run leaves behind."""
+    at_once = advanced_in_steps(cfg, cfg.rounds)
+    assert advanced_in_steps(cfg, first, cfg.rounds - first) == at_once
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=small_worlds())
-def test_small_world_invariants(cfg):
-    report, world, memo = run_capturing(cfg)
+@given(cfg=small_worlds(), data=st.data())
+def test_small_world_invariants(cfg, data):
+    report, world, memo = run_to_end(cfg)
     assert reports_from_strangers(world, memo) == []
     for rows in report.trajectories.values():
         for row in rows:
@@ -70,5 +97,8 @@ def test_small_world_invariants(cfg):
         path = os.path.join(tmp, "fuzz.cfg")
         save_config(cfg, path)
         assert dump_config(load_config(path)) == dump_config(cfg)
-    assert fingerprint(*run_capturing_world(cfg)) == fingerprint(report, world)
     assert run_scenario(observing_every_request(cfg)).summary == report.summary
+    # a fresh run, stopped after a drawn round and resumed, replays this one
+    first = data.draw(st.integers(0, cfg.rounds), label="first")
+    at_once = fingerprint(report, world), repr(memo.direct), repr(memo.reports)
+    assert advanced_in_steps(cfg, first, cfg.rounds - first) == at_once

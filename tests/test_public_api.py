@@ -20,19 +20,32 @@ def test_retired_trust_wrappers_not_exported():
     assert not any(hasattr(pollushield, name) for name in retired)
 
 
-def test_bench_hooks_resolve():
+def test_bench_hooks_resolve(monkeypatch):
     # the call sites a run goes through, where their callers look them up:
     # perfbench's tracer wraps them there, and its worker validates each
     # config it builds; the test oracle and work counts patch the scoring
     # kernel and its walk
     from pollushield import scenarios, sim_engine
 
-    hooks = {
-        sim_engine: ("upload_quality", "recommendation_value", "direct_trust",
-                     "score_candidates", "_walk_recommenders"),
-        scenarios: ("run_round", "score_candidates", "build_world", "config_digest"),
-    }
-    for module, names in hooks.items():
-        for name in names:
-            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for name in ("upload_quality", "recommendation_value", "direct_trust",
+                 "score_candidates", "_walk_recommenders"):
+        assert callable(getattr(sim_engine, name, None)), f"sim_engine.{name}"
     assert callable(scenarios.ScenarioConfig.validate)
+
+    # a run must look up its scenarios hooks at call time, or a wrapper
+    # put there counts nothing
+    calls = dict.fromkeys(("build_world", "run_round", "score_candidates", "config_digest"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenarios, name, counting(name, getattr(scenarios, name)))
+    cfg = scenarios.build_experiment("e2")
+    scenarios.run_scenario(cfg)
+    observers = len({observer for observer, _ in cfg.observed_pairs})
+    assert calls == {"build_world": 1, "run_round": cfg.rounds,
+                     "score_candidates": cfg.rounds * observers, "config_digest": 1}

@@ -1,9 +1,10 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
-from pollushield.behaviors import BehaviorKind, PeerBehavior
+from pollushield.behaviors import BehaviorKind, PeerBehavior, upload_quality
 from pollushield.scenarios import (
     EXPERIMENT_IDS,
     ScenarioConfig,
@@ -18,7 +19,7 @@ from pollushield.scenarios import (
     run_scenario,
     save_config,
 )
-from pollushield.trust_core import CFModel, DTModel, TrustParams
+from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
 class TestBuilders:
@@ -290,6 +291,33 @@ class TestRunScenario:
         rates = [rec.behavior.loss_rate for rec in world.peers.values()]
         assert all(0.2 <= r <= 0.4 for r in rates)
         assert len(set(rates)) > 1
+
+    def test_loss_rate_drawn_exactly_where_loss_pollutes(self):
+        """A peer draws a loss rate exactly when network loss can pollute its
+        uploads: at loss rate 1, an upload it would send clean arrives
+        polluted."""
+        one_of_each = {
+            BehaviorKind.HONEST: PeerBehavior.honest(),
+            BehaviorKind.PERSISTENT: PeerBehavior.persistent(),
+            BehaviorKind.ONOFF: PeerBehavior.onoff(0.5),
+            BehaviorKind.BADMOUTH: PeerBehavior.badmouther((0,), slander_prob=0.5),
+            # peers 4 and 5 are members off duty: their round-1 uploads are clean
+            BehaviorKind.COLLAB_STATIC: PeerBehavior.collab_static((4, 6), designated=6),
+            BehaviorKind.COLLAB_ROTATING: PeerBehavior.collab_rotating((5, 7)),
+        }
+        assert set(one_of_each) == set(BehaviorKind)
+        behaviors = list(one_of_each.values())
+        world = build_world(tiny_config(
+            n_peers=len(behaviors),
+            behavior_mix=tuple((b, 1) for b in behaviors),
+            loss_rate_range=(0.5, 0.5),
+        ))
+        for pid, b in enumerate(behaviors):
+            drawn = world.peers[pid].behavior.loss_rate == 0.5
+            clean = upload_quality(b, pid, 1, 0, random.Random(0))
+            lossy = upload_quality(replace(b, loss_rate=1.0), pid, 1, 0, random.Random(0))
+            pollutes = clean is ChunkQuality.CLEAN and lossy is ChunkQuality.POLLUTED
+            assert drawn == pollutes, b.kind
 
     def test_detection_round_reported(self):
         cfg = tiny_config(

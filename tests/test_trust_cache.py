@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pollushield import scenarios, sim_engine
 from pollushield.behaviors import PeerBehavior, recommendation_value
-from pollushield.scenarios import ScenarioConfig, build_experiment, run_scenario
+from pollushield.scenarios import Run, ScenarioConfig, build_experiment, run_scenario
 from pollushield.trust_core import (
     EMPTY_STATE,
     CFModel,
@@ -121,30 +121,10 @@ def oracle_score_candidates(world, observer, subjects, memo=None):
     return [oracle_evaluate_components(world, observer, s) for s in subjects]
 
 
-def run_capturing(cfg):
-    """Run the scenario and return its report, the final world and the
-    run's `TrustMemo`."""
-    worlds, memos = [], []
-    build = scenarios.build_world
-
-    def capture(c):
-        worlds.append(build(c))
-        return worlds[-1]
-
-    def capture_memo():
-        memos.append(sim_engine.TrustMemo())
-        return memos[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenarios, "build_world", capture)
-        mp.setattr(scenarios, "TrustMemo", capture_memo)
-        report = run_scenario(cfg)
-    return report, worlds[0], memos[0]
-
-
-def run_capturing_world(cfg):
-    """Run the scenario and return its report with the final world."""
-    return run_capturing(cfg)[:2]
+def run_to_end(cfg):
+    """The report, final world and `TrustMemo` of a run through cfg.rounds."""
+    run = Run(cfg).advance(cfg.rounds)
+    return run.report(), run.world, run.memo
 
 
 def reports_from_strangers(world, memo):
@@ -161,7 +141,7 @@ def run_with_oracle(cfg):
         mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "score_candidates", oracle_score_candidates)
-        return run_capturing_world(cfg)
+        return run_to_end(cfg)[:2]
 
 
 def fingerprint(report, world):
@@ -256,7 +236,7 @@ def small_worlds(draw):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_worlds())
 def test_memoised_path_matches_oracle(cfg):
-    got = fingerprint(*run_capturing_world(cfg))
+    got = fingerprint(*run_to_end(cfg)[:2])
     want = fingerprint(*run_with_oracle(cfg))
     for key in want:
         assert got[key] == want[key], key
@@ -460,7 +440,7 @@ def test_kept_reports_come_from_received_subjects(exp, overrides):
     """Bad-mouthers (e1), colluders endorsing each other (e4) and a newcomer
     hearing from decaying views (e5): every report the memo keeps at the
     end of the run is about a peer its recommender received from."""
-    _, world, memo = run_capturing(build_experiment(exp, seed=1, **overrides))
+    _, world, memo = run_to_end(build_experiment(exp, seed=1, **overrides))
     assert any(memo.reports.values())
     assert reports_from_strangers(world, memo) == []
 
@@ -513,7 +493,7 @@ def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     memo_heard, oracle_heard = {}, {}
     monkeypatch.setattr(sim_engine, "recommendation_value",
                         spying(memo_heard, recommendation_value))
-    report, world = run_capturing_world(cfg)
+    report, world = run_to_end(cfg)[:2]
     monkeypatch.setitem(globals(), "recommendation_value",
                         spying(oracle_heard, recommendation_value))
     oracle = run_with_oracle(cfg)
