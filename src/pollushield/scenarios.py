@@ -642,7 +642,12 @@ class Run:
         return self
 
     def report(self) -> MetricsReport:
+        """Raises ValueError unless the run was advanced through exactly
+        cfg.rounds: goodput is averaged over the configured measured span."""
         cfg, world = self.cfg, self.world
+        if world.round != cfg.rounds:
+            raise ValueError(
+                f"report of a run advanced through {world.round} of {cfg.rounds} rounds")
         measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
         measured_rounds = cfg.rounds - measure_from
         clean_measured: Dict[int, int] = {}

@@ -159,12 +159,14 @@ class TrustMemo:
     score in that case, and through `.direct` recommender credibility and
     honest values. `reports[k][s]` is what recommender k reports about s.
     Both are keyed by the peer whose view they hold. An entry is kept only
-    if its value holds in every later round: a direct entry whose counts do
-    not `decays`, and a report built on a kept entry whose recommender does
-    not `lies_about` the subject. Any other is worked out again at each
-    read. A delivery to a from b changes a's entry of b, so `delivered`
-    drops it and a's report about b. A fresh memo thus gives the same
-    values as a carried one.
+    if its value holds in every later round: a direct entry whose direct
+    trust and confidence factor do not move with time (`decays` is false;
+    PDTM with no clean chunk holds at 0.0 while forgiving fades the
+    polluted count), and a report built on a kept entry whose recommender
+    does not `lies_about` the subject. Any other is worked out again at
+    each read. A delivery to a from b changes a's entry of b, so
+    `delivered` drops it and a's report about b. A fresh memo thus gives
+    the same values as a carried one.
     """
 
     __slots__ = ("direct", "reports")

@@ -34,8 +34,8 @@ class ChunkQuality(Enum):
 
 
 # bound once: before Python 3.12, `Enum.MEMBER` in a function costs an EnumType.__getattr__ call
-_DTMA, _DTMB = DTModel.DTMA, DTModel.DTMB
-_CFDA, _CFDB = CFModel.CFDA, CFModel.CFDB
+_DTMA, _DTMB, _PDTM = DTModel.DTMA, DTModel.DTMB, DTModel.PDTM
+_CFDA, _CFDB, _CONSTANT = CFModel.CFDA, CFModel.CFDB, CFModel.CONSTANT
 _CLEAN = ChunkQuality.CLEAN
 
 
@@ -198,11 +198,22 @@ def decayed_counts(
 
 
 def decays(state: TrustState, params: TrustParams) -> bool:
-    """Whether the state's decayed counts move with time. When false they
-    equal the stored counts bit for bit at every later time: a zero rate
-    keeps a count unscaled, and a zero count stays 0.0 at any rate."""
-    return bool((params.forgetting > 0 and (state.n_clean or state.n_transactions))
-                or (params.forgiving > 0 and state.n_polluted))
+    """Whether direct trust or the confidence factor of the state's decayed
+    counts moves with time. When false both equal their values at the
+    state's last update bit for bit at every later time.
+
+    Forgetting fades the clean and transaction counts, forgiving the
+    polluted count; a zero rate keeps a count unscaled, and a zero count
+    stays 0.0 at any rate. The confidence factor reads only the
+    transaction count, and CONSTANT reads none. PDTM direct trust with no
+    clean count is 0.0 x finite = 0.0 whatever the polluted count. DTMA
+    and DTMB do not share that: DTMA falls back to cold start once a
+    polluted count underflows to 0.0, and DTMB moves with the polluted
+    count."""
+    nc, np_, n, _ = state
+    return bool(
+        (params.forgetting and (nc or (n and params.cf_model is not _CONSTANT)))
+        or (params.forgiving and np_ and (nc or params.dt_model is not _PDTM)))
 
 
 def record_delivery(

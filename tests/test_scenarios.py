@@ -7,6 +7,7 @@ import pytest
 from pollushield.behaviors import BehaviorKind, PeerBehavior, upload_quality
 from pollushield.scenarios import (
     EXPERIMENT_IDS,
+    Run,
     ScenarioConfig,
     build_experiment,
     build_world,
@@ -276,6 +277,16 @@ class TestRunScenario:
         assert report.run_meta["config_digest"] == config_digest(cfg)
         assert report.run_meta["name"] == "tiny"
         assert report.run_meta["engine_version"]
+
+    @pytest.mark.parametrize("steps", [(), (9,), (9, 2)])
+    def test_report_needs_every_round(self, steps):
+        # goodput divides by the measured span of all cfg.rounds, so a
+        # report of a run stopped early or advanced past them would be wrong
+        run = Run(tiny_config(rounds=10))
+        for rounds in steps:
+            run.advance(rounds)
+        with pytest.raises(ValueError, match=f"advanced through {sum(steps)} of 10 rounds"):
+            run.report()
 
     def test_mean_requester_goodput_subsets(self):
         cfg = tiny_config()

@@ -384,6 +384,38 @@ class TestMemoAcrossRounds:
             assert memo.reports[2] == {1: told}
         assert len(asked) == 1
 
+    def test_persistent_polluter_is_kept(self, monkeypatch):
+        # forgiving fades the polluted counts every round, but PDTM direct
+        # trust with no clean chunk is 0.0 at any polluted count, and with
+        # no forgetting the confidence weight holds: the carried memo keeps
+        # 0's entry of the polluter and the recommender's report about it
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM, forgiving=0.3)
+        world = World(seed=1)
+        world.add_peer(0, PeerBehavior.honest(), params)
+        world.add_peer(1, PeerBehavior.persistent(), params)
+        world.add_peer(2, PeerBehavior.honest(), params)
+        seed_history(world, 0, 1, n_clean=0, n_polluted=3)
+        seed_history(world, 2, 1, n_clean=0, n_polluted=4)
+        seed_history(world, 0, 2, n_clean=3)
+        asked = []
+        ask = sim_engine.recommendation_value
+
+        def counting(*args):
+            asked.append(args)
+            return ask(*args)
+
+        memo = TrustMemo()
+        for r in range(1, 7):
+            world.round = r
+            monkeypatch.setattr(sim_engine, "recommendation_value", counting)
+            got = score_candidates(world, 0, (1,), memo)
+            monkeypatch.undo()
+            assert got == score_candidates(world, 0, (1,)), r
+            assert got[0].direct == got[0].indirect == 0.0
+            assert memo.direct[0][1] == got[0]._replace(indirect=0.5, combined=0.125)
+            assert memo.reports[2] == {1: 0.0}
+        assert len(asked) == 1
+
     def test_recommender_gains_the_subject_later(self):
         # nothing decays, so the memo keeps 0's entry of 1, scored with
         # cold-start trust; when 2 later receives from 1, with no delivery to

@@ -242,6 +242,18 @@ def test_memoised_path_matches_oracle(cfg):
         assert got[key] == want[key], key
 
 
+def test_newcomer_reads_match_oracle():
+    """e5 seed 1, where the memo keeps most: the requesters' views of
+    persistent polluters hold polluted chunks alone, which forgiving fades
+    while PDTM direct trust stays 0.0, so those entries and every report
+    built on them are kept."""
+    cfg = build_experiment("e5", seed=1)
+    got = fingerprint(*run_to_end(cfg)[:2])
+    want = fingerprint(*run_with_oracle(cfg))
+    # names only: pytest's diff of two run-long reprs takes minutes
+    assert [key for key in want if got[key] != want[key]] == []
+
+
 # --- work budget -------------------------------------------------------------
 
 def count_calls(monkeypatch, names):
@@ -341,21 +353,24 @@ def test_sparse_mesh_work_counts(monkeypatch):
     requester has received from has itself received from; only those get
     reports, in 1 369 walks, while the other 6 881 walks find no
     recommender: 1 375 subjects one report and 44 two, 1 463 reports. Each
-    of the 1 419 subjects gets an indirect value. The run's memo serves 552
+    of the 1 419 subjects gets an indirect value. The run's memo serves 817
     of the reports. `recommendation_value` runs for the 26
     (recommender, subject) pairs first asked about, again for 367 kept
     reports that a delivery from the subject to the recommender dropped,
-    and for 518 that the memo never keeps because the recommender's view of
-    the subject holds polluted chunks, which the forgiving rate (0.03)
-    decays every round (911).
+    and for 253 that the memo never keeps because the recommender's view of
+    the subject holds clean and polluted chunks, so the forgiving rate
+    (0.03) moves its direct trust every round (646). A view with polluted
+    chunks alone has PDTM direct trust 0.0 in every round, so its report is
+    kept; a memo that kept only entries whose counts do not decay made 911.
     `decayed_counts` counts the memo fills: 666 first reads, 14 657 after a
-    delivery dropped a kept entry, and 12 573 reads of an entry whose
-    counts decay, which the memo works out at each read (27 896).
+    delivery dropped a kept entry, and 8 606 reads of an entry whose direct
+    trust moves with time, which the memo works out at each read (23 929;
+    27 896 when entries were kept only while their counts held).
     `combine_trust` runs once per memo fill, since an entry is the finished
     score of a subject with no report, once per batch for the components of
     a subject never received from (every one of the 8 400 batches holds
     one), and once per subject whose reports give an indirect value
-    (1 419): 37 715. Combining at every scoring made 84 000 calls."""
+    (1 419): 33 748. Combining at every scoring made 84 000 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "decayed_counts", "combine_trust"))
     run_scenario(build_experiment("e6", seed=1))
@@ -365,9 +380,9 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["walked"] == calls["valued"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
-    assert calls["recommendation_value"] == 911  # 26 first + 367 after a delivery + 518 decaying
-    assert calls["decayed_counts"] == 27_896   # 666 first + 14 657 after a delivery + 12 573
-    assert calls["combine_trust"] == 37_715    # 27 896 fills + 8 400 batches + 1 419 reports
+    assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
+    assert calls["decayed_counts"] == 23_929   # 666 first + 14 657 after a delivery + 8 606
+    assert calls["combine_trust"] == 33_748    # 23 929 fills + 8 400 batches + 1 419 reports
 
 
 def test_newcomer_reads_work_counts(monkeypatch):
@@ -383,22 +398,24 @@ def test_newcomer_reads_work_counts(monkeypatch):
     requesters of credibility 0 and keep cold start.
     Nothing but these walks asks the requesters about providers, so every
     report the memo lacks is worked out in an observation: 599 the first
-    time a (requester, provider) pair is asked about, 2 398 after the
+    time a (requester, provider) pair is asked about, 2 400 after the
     requester received from the provider again, which dropped a kept
-    report, and 7 918 that the memo never keeps because the requester's
-    view holds polluted chunks, which the forgiving rate (0.15) decays
-    every round. The memo serves the other 13 542 of the 24 457 reports
-    used.
+    report, and 3 099 that the memo never keeps because the requester's
+    view holds clean and polluted chunks, so the forgiving rate (0.15)
+    moves its direct trust every round. A view with polluted chunks alone
+    has PDTM direct trust 0.0 in every round, so its report is kept. The
+    memo serves the other 18 359 of the 24 457 reports used; a memo that
+    kept only entries whose counts do not decay made 10 915 calls.
     `decayed_counts` counts the memo fills, in selections and
-    observations: 629 first reads, 2 678 after a delivery dropped a kept
-    entry, and 10 611 reads of an entry whose counts decay, which the memo
-    works out at each read (13 918). Most fills (10 892) are the honest
-    values of the reports above; the rest are the requesters' scorings of
-    their providers and the newcomer's credibility of the requesters. A
-    memo that kept a decaying entry until the round moved served 2 381 of
-    those 10 611 reads, as the second read of an entry in its round, and
-    made 11 859 calls; this memo spends no clock or expiry list on the
-    other reads. `direct_trust` adds one evaluation of the
+    observations: 629 first reads, 2 681 after a delivery dropped a kept
+    entry, and 4 341 reads of an entry whose direct trust moves with time,
+    which the memo works out at each read (7 651). Most fills (6 054) are
+    the honest values of the reports above; the rest are the requesters'
+    scorings of their providers and the newcomer's credibility of the
+    requesters. A memo that kept only entries whose counts do not decay
+    made 13 918 fills, 10 611 of them decaying reads, and one that also
+    kept a decaying entry until the round moved made 11 859.
+    `direct_trust` adds one evaluation of the
     never-received-from state per batch holding such a subject: 637
     selections and the 50 observation batches (687)."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
@@ -411,9 +428,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["valued"] == 4_703           # 8 hear only from credibility 0
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
-    assert calls["recommendation_value"] == 10_915  # 599 first + 2 398 + 7 918 decaying
-    assert calls["decayed_counts"] == 13_918   # 629 first + 2 678 + 10 611 decaying
-    assert calls["direct_trust"] == 14_605     # 13 918 memo fills + 687 batches
+    assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
+    assert calls["decayed_counts"] == 7_651    # 629 first + 2 681 + 4 341 moving
+    assert calls["direct_trust"] == 8_338      # 7 651 memo fills + 687 batches
 
 
 def test_badmouthing_work_counts(monkeypatch):

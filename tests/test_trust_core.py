@@ -2,6 +2,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as hs
 
 from pollushield import trust_core
 from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
@@ -118,13 +119,13 @@ class TestModelTruthTable:
 
 
 @pytest.mark.parametrize("fn", [
-    direct_trust, confidence_factor, record_delivery,
+    direct_trust, confidence_factor, decays, record_delivery,
     upload_quality, recommendation_value, PeerBehavior.lies_about,
 ])
 def test_hot_functions_bind_enum_members_once(fn):
-    """Trust reads, deliveries and reports compare against enum members
-    bound at module level: before Python 3.12, `Enum.MEMBER` in a function
-    body is an EnumType.__getattr__ call each time it runs."""
+    """Trust reads, memo fills, deliveries and reports compare against
+    enum members bound at module level: before Python 3.12, `Enum.MEMBER`
+    in a function body is an EnumType.__getattr__ call each time it runs."""
     assert {"CFModel", "DTModel", "ChunkQuality", "BehaviorKind"}.isdisjoint(fn.__code__.co_names)
 
 
@@ -212,29 +213,72 @@ class TestDecay:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def components_hex(st, t, params):
+    """Direct trust and confidence factor of the state decayed to t, exactly."""
+    nc, np_, n = decayed_counts(st, t, params)
+    return direct_trust(nc, np_, params).hex(), confidence_factor(n, params).hex()
+
+
 class TestDecays:
-    # (forgetting, forgiving, n_clean, n_polluted, n_transactions) -> decays
+    # (forgetting, forgiving, n_clean, n_polluted, n_transactions, moves,
+    # models): whether direct trust or the confidence factor of the decayed
+    # counts moves with time; `models` overrides the default PDTM and CFDA
     TRUTH_TABLE = [
-        (0.0, 0.0, 3, 2, 5, False),   # no rate
-        (0.3, 0.0, 3, 0, 3, True),    # clean evidence fades
-        (0.3, 0.0, 0, 2, 2, True),    # only polluted chunks: the transaction count fades
-        (0.3, 0.0, 2, 0, 0, True),    # a clean count alone fades
-        (0.3, 0.0, 0, 0, 0, False),   # nothing left to fade
-        (0.0, 0.3, 3, 0, 3, False),   # forgiving has no polluted count to act on
-        (0.0, 0.3, 0, 2, 2, True),    # polluted evidence fades
-        (0.3, 0.3, 0, 0, 0, False),
-        (0.3, 0.3, 3, 2, 5, True),
+        (0.0, 0.0, 3, 2, 5, False, {}),   # no rate
+        (0.3, 0.0, 3, 0, 3, True, {}),    # clean evidence fades
+        (0.3, 0.0, 0, 2, 2, True, {}),    # only polluted chunks: the transaction count fades
+        (0.3, 0.0, 2, 0, 0, True, {}),    # a clean count alone fades
+        (0.3, 0.0, 0, 0, 0, False, {}),   # nothing left to fade
+        (0.0, 0.3, 3, 0, 3, False, {}),   # forgiving has no polluted count to act on
+        (0.0, 0.3, 0, 2, 2, False, {}),   # no clean count: PDTM reads 0.0 at any polluted count
+        (0.3, 0.3, 0, 0, 0, False, {}),
+        (0.3, 0.3, 3, 2, 5, True, {}),
+        (0.3, 0.3, 0, 2, 2, True, {}),    # direct trust holds, CFDA's weight fades
+        (0.3, 0.3, 0, 2, 2, False, {"cf_model": CFModel.CONSTANT}),  # and a fixed weight holds
+        (0.3, 0.0, 0, 2, 2, True, {"cf_model": CFModel.CFDB}),
+        (0.0, 0.3, 0, 2, 2, True, {"dt_model": DTModel.DTMB}),  # (0 + 1) / (np + 2) rises
+        # 0/np = 0.0 until np underflows, then cold start
+        (0.0, 100.0, 0, 2, 2, True, {"dt_model": DTModel.DTMA}),
+        (0.0, 0.0, 0, 2, 2, False, {"dt_model": DTModel.DTMA}),
     ]
 
-    @pytest.mark.parametrize("forgetting, forgiving, nc, np_, n, want", TRUTH_TABLE)
-    def test_truth_table(self, forgetting, forgiving, nc, np_, n, want):
-        params = TrustParams(forgetting=forgetting, forgiving=forgiving)
+    @pytest.mark.parametrize(
+        "forgetting, forgiving, nc, np_, n, want, models",
+        [pytest.param(*row, id="-".join(map(str, row[:6])) + "".join(
+            f"-{m.value}" for m in row[6].values())) for row in TRUTH_TABLE])
+    def test_truth_table(self, forgetting, forgiving, nc, np_, n, want, models):
+        params = TrustParams(forgetting=forgetting, forgiving=forgiving, **models)
         st = state(float(nc), float(np_), float(n), last_update=1.0)
         assert decays(st, params) is want
-        # exactly when the decayed counts move; otherwise they stay bit for bit
-        stored = [v.hex() for v in st[:3]]
-        later = [[v.hex() for v in decayed_counts(st, t, params)] for t in (2.0, 9.5)]
+        # exactly when the components move; otherwise they stay bit for bit
+        stored = components_hex(st, 1.0, params)
+        later = [components_hex(st, t, params) for t in (2.0, 9.5)]
         assert (later != [stored, stored]) is want
+
+    def test_dtma_underflow_reads_cold_start(self):
+        # forgiving = 100 drives the polluted count below the smallest float
+        params = TrustParams(dt_model=DTModel.DTMA, forgiving=100.0)
+        st = state(0.0, 2.0, last_update=1.0)
+        assert decayed_counts(st, 9.5, params)[1] == 0.0
+        assert direct_trust(*decayed_counts(st, 2.0, params)[:2], params) == 0.0
+        assert direct_trust(*decayed_counts(st, 9.5, params)[:2], params) == 0.5
+
+    @given(
+        counts=hs.tuples(*[hs.sampled_from([0.0, 0.0, 1e-300, 0.37, 1.0, 4.0])] * 3),
+        rates=hs.tuples(*[hs.sampled_from([0.0, 0.0, 0.05, 0.4, 100.0])] * 2),
+        dt_model=hs.sampled_from(list(DTModel)),
+        cf_model=hs.sampled_from(list(CFModel)),
+        later=hs.lists(hs.floats(0.0, 1e4), min_size=1, max_size=4),
+    )
+    def test_held_components_never_move(self, counts, rates, dt_model, cf_model, later):
+        params = TrustParams(forgetting=rates[0], forgiving=rates[1],
+                             dt_model=dt_model, cf_model=cf_model)
+        st = state(*counts, last_update=3.0)
+        if decays(st, params):
+            return
+        stored = components_hex(st, 3.0, params)
+        for dt in later:
+            assert components_hex(st, 3.0 + dt, params) == stored
 
 
 class TestRecordDelivery:
