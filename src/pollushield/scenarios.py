@@ -111,13 +111,27 @@ class ScenarioConfig:
             if len(set(keys)) < len(keys):
                 repeated = sorted(k for k, n in Counter(keys).items() if n > 1)
                 raise ValueError(f"{name} repeats {repeated}")
-        groups = {b.group for b, n in self.behavior_mix if b.group and n > 0}
-        seen: set = set()
-        for group in groups:
-            members = set(group)
-            if members & seen:
-                raise ValueError("a peer may appear in at most one collusion group")
-            seen |= members
+        # build_world numbers the peers in mix order; a group's members are
+        # the peers that carry it, so no peer is in two groups
+        carriers: Dict[Tuple[int, ...], List[int]] = {}
+        end = 0
+        for b, count in self.behavior_mix:
+            start, end = end, end + count
+            if not count:
+                continue
+            for name in ("target_set", "group"):
+                strays = [pid for pid in getattr(b, name) if pid not in ids]
+                if strays:
+                    raise ValueError(f"behavior_mix {name} names non-peers {strays}")
+            if b.designated_polluter is not None and b.designated_polluter not in ids:
+                raise ValueError(
+                    f"behavior_mix designated_polluter names non-peer {b.designated_polluter}")
+            if b.group:
+                carriers.setdefault(b.group, []).extend(range(start, end))
+        for group, pids in carriers.items():
+            if list(group) != pids:
+                raise ValueError(
+                    f"behavior_mix collusion group {list(group)} is carried by peers {pids}")
 
 
 # --- serialization -----------------------------------------------------------

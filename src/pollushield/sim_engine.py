@@ -16,8 +16,10 @@ from anyone, one ranking serves the batch: the peers in its table that
 received from some subject are sorted once by credibility, ties by lowest
 id. Each subject then walks that ranking in turn, adding the report of
 every recommender that received from it to running sums of credibility
-and credibility-weighted report, and stops at k_recommenders reports. So
-each subject sums its own top k in rank order, the operations
+and credibility-weighted report, and stops at k_recommenders reports; a
+ranking of at most k_recommenders peers cannot reach that cut, so there
+each subject is summed with no count of its reports. So each subject sums
+its own top k in rank order, the operations
 `trust_core.indirect_trust` makes, bit for bit; a subject with no report,
 or only reports of credibility 0, takes cold-start trust as its indirect
 value. `select_providers` calls the kernel once per requester and
@@ -72,6 +74,10 @@ class TrustComponents(NamedTuple):
     indirect: float   # cold-start substitute when no recommender qualifies
     alpha: float
     combined: float
+
+
+# bound once: a NamedTuple's own __new__ is a Python function, one more frame per build
+_new_tuple = tuple.__new__
 
 
 class PeerRecord:
@@ -216,9 +222,10 @@ def _walk_recommenders(
 ) -> Dict[int, float]:
     """The ranked walk the module docstring describes: one ranking of the
     observer's recommenders, then one pass over it per subject (a subject
-    listed twice is walked once). Returns the indirect trust of each
-    subject whose top k recommenders carry some credibility; any other
-    subject is absent and keeps cold start."""
+    listed twice is walked once), counting the subject's reports only when
+    the ranking holds more than k recommenders. Returns the indirect trust
+    of each subject whose top k recommenders carry some credibility; any
+    other subject is absent and keeps cold start."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
@@ -238,6 +245,23 @@ def _walk_recommenders(
     k_max = obs.params.k_recommenders
     seed = world.seed
     indirect: Dict[int, float] = {}
+    if len(walk) <= k_max:
+        # no subject has more reports than the ranking has entries, so the
+        # cut at k_max cannot fire: the same sums in the same order, uncounted
+        for subject in dict.fromkeys(subjects):
+            total = 0.0
+            weighted = 0.0
+            for cred, k, received, reports in walk:
+                value = reports.get(subject)
+                if value is None:
+                    if subject not in received:
+                        continue
+                    value = memo.report(k, subject, peers[k], seed, now)
+                total += cred
+                weighted += cred * value
+            if total != 0.0:
+                indirect[subject] = weighted / total
+        return indirect
     for subject in dict.fromkeys(subjects):
         # running sums in rank order: `trust_core.indirect_trust` bit for bit
         n = 0
@@ -290,7 +314,7 @@ def score_candidates(
         ind = indirect.get(subject)
         if ind is not None:
             d, _, a, _ = comp
-            comp = TrustComponents(d, ind, a, combine_trust(d, ind, a))
+            comp = _new_tuple(TrustComponents, (d, ind, a, combine_trust(d, ind, a)))
         scored.append(comp)
     return scored
 

@@ -160,6 +160,26 @@ class TestRunCommand:
         assert f"{field} has entries for non-requesters [2]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exp, overrides, field, edit, strays", [
+        # a rotating group of four member peers that also names peer 99
+        ("e4", {"mode": "rotating", "group_size": 4}, "group", [1, 2, 3, 4, 99], [99]),
+        # a bad-mouther slandering peer 500 in a 13-peer world
+        ("e1", {}, "target_set", [500], [500]),
+    ])
+    def test_behavior_naming_non_peer_rejected(
+            self, tmp_path, capsys, exp, overrides, field, edit, strays):
+        d = config_to_dict(build_experiment(exp, **overrides))
+        for behavior, _ in d["behavior_mix"]:
+            if behavior[field]:
+                behavior[field] = edit
+        path = tmp_path / "stray.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"behavior_mix {field} names non-peers {strays}" in err
+        assert "Traceback" not in err
+
     def test_diagnostics_logged_once_and_stored(self, tmp_path, caplog):
         # e5's newcomer overrides the base params, and both forgive faster
         # than they forget: one distinct message, one log record

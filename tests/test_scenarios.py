@@ -318,6 +318,7 @@ class TestRunScenario:
         }
         assert set(one_of_each) == set(BehaviorKind)
         behaviors = list(one_of_each.values())
+        behaviors += behaviors[-2:]  # peers 6 and 7 complete the two groups
         world = build_world(tiny_config(
             n_peers=len(behaviors),
             behavior_mix=tuple((b, 1) for b in behaviors),
@@ -349,3 +350,19 @@ class TestRunScenario:
         )
         with pytest.raises(ValueError, match="collusion group"):
             tiny_config(behavior_mix=overlapping).validate()
+
+    @pytest.mark.parametrize("mix", [
+        # peer 2 is named but honest
+        ((PeerBehavior.honest(), 1), (PeerBehavior.collab_rotating((1, 2)), 1),
+         (PeerBehavior.honest(), 1)),
+        # peer 2 carries the group but is not named
+        ((PeerBehavior.honest(), 1), (PeerBehavior.collab_static((1,), designated=1), 2)),
+    ])
+    def test_group_members_are_exactly_its_carriers(self, mix):
+        with pytest.raises(ValueError, match=r"collusion group \[1(, 2)?\] is carried by peers"):
+            tiny_config(behavior_mix=mix)
+
+    def test_designated_polluter_must_be_a_peer(self):
+        rotating = replace(PeerBehavior.collab_rotating((1, 2)), designated_polluter=7)
+        with pytest.raises(ValueError, match="designated_polluter names non-peer 7"):
+            tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (rotating, 2)))

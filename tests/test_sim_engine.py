@@ -292,6 +292,33 @@ class TestRankedWalk:
         assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {1: want}
         assert score_candidates(world, 0, (1,))[0].indirect == want
 
+    # (recommender, clean chunks of 10 the observer got from it, clean chunks
+    # of 10 it got from each subject), in rank order: credibility 0.4 to 0.1
+    BOUNDARY = ((5, 4, 7), (4, 3, 3), (3, 2, 9), (2, 1, 6))
+
+    @pytest.mark.parametrize("ranked", [2, 3, 4], ids=["k-1", "k", "k+1"])
+    def test_cut_at_k_around_the_ranking_size(self, ranked):
+        """With k = 3, a ranking of k-1, k or k+1 recommenders: subject 1 is
+        reported on by all of them, subject 6 by all but the first. Each
+        takes `indirect_trust` over its first k reports in rank order; the
+        ranking of k+1 cuts subject 1's last report, not subject 6's."""
+        k_max = 3
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=k_max)
+        world = make_world(7, params=params)
+        reports = {1: [], 6: []}
+        for rank, (k, cred_clean, value_clean) in enumerate(self.BOUNDARY[:ranked]):
+            seed_history(world, 0, k, n_clean=cred_clean, n_polluted=10 - cred_clean)
+            for subject in (1, 6) if rank else (1,):
+                seed_history(world, k, subject, n_clean=value_clean, n_polluted=10 - value_clean)
+                reports[subject].append((cred_clean / 10, value_clean / 10))
+        want = {s: indirect_trust(hits[:k_max]) for s, hits in reports.items()}
+        for s, hits in reports.items():
+            if len(hits) >= 3:  # two floats sum the same either way round
+                assert want[s] != indirect_trust(hits[:k_max][::-1])  # order tells
+        if ranked > k_max:
+            assert want[1] != indirect_trust(reports[1])  # the cut tells
+        assert sim_engine._walk_recommenders(world, 0, (1, 6), TrustMemo()) == want
+
     def test_only_zero_credibility_reports_give_cold_start(self):
         world = make_world(4)
         for k in (2, 3):

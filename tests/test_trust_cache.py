@@ -157,6 +157,13 @@ def fingerprint(report, world):
     }
 
 
+def differing_keys(got, want):
+    """The keys whose values differ between two fingerprints, by name only:
+    pytest's diff of two run-long reprs takes minutes."""
+    assert got.keys() == want.keys()
+    return [key for key in want if got[key] != want[key]]
+
+
 # --- small worlds --------------------------------------------------------------
 
 RATES = st.sampled_from([0.0, 0.0, 0.05, 0.4, 100.0])  # 100: counts underflow to 0
@@ -167,13 +174,16 @@ def small_worlds(draw):
     n = draw(st.integers(3, 8))
     ids = list(range(n))
     kinds = draw(st.lists(
-        st.sampled_from(["honest", "onoff", "badmouth", "collab"]), min_size=n, max_size=n))
+        st.sampled_from(["honest", "persistent", "onoff", "badmouth", "collab"]),
+        min_size=n, max_size=n))
     group = tuple(pid for pid in ids if kinds[pid] == "collab")
     rotating = draw(st.booleans())
     behaviors = []
     for pid, kind in enumerate(kinds):
         if kind == "honest":
             b = PeerBehavior.honest(loss_rate=draw(st.sampled_from([0.0, 0.3])))
+        elif kind == "persistent":
+            b = PeerBehavior.persistent()
         elif kind == "onoff":
             b = PeerBehavior.onoff(draw(st.sampled_from([0.2, 0.5])))
         elif kind == "badmouth":
@@ -238,20 +248,29 @@ def small_worlds(draw):
 def test_memoised_path_matches_oracle(cfg):
     got = fingerprint(*run_to_end(cfg)[:2])
     want = fingerprint(*run_with_oracle(cfg))
-    for key in want:
-        assert got[key] == want[key], key
+    assert differing_keys(got, want) == []
 
 
-def test_newcomer_reads_match_oracle():
-    """e5 seed 1, where the memo keeps most: the requesters' views of
-    persistent polluters hold polluted chunks alone, which forgiving fades
-    while PDTM direct trust stays 0.0, so those entries and every report
-    built on them are kept."""
-    cfg = build_experiment("e5", seed=1)
+@pytest.mark.parametrize("exp, overrides", [
+    ("e5", {}),
+    ("e4", {"mode": "rotating", "group_size": 12, "rounds": 40}),
+    ("e1", {}),
+], ids=["exceeds_k", "fits_k", "holds_k"])
+def test_newcomer_reads_match_oracle(exp, overrides):
+    """Whole runs on both sides of the walk's cut, at seed 1:
+    - e5, where the memo keeps most: the requesters' views of persistent
+      polluters hold polluted chunks alone, which forgiving fades while
+      PDTM direct trust stays 0.0, so those entries and every report built
+      on them are kept. Its newcomer's ranking exceeds k, so the cut
+      fires;
+    - e4 rotating, group 12: every ranking fits within k, so the walk
+      sums each subject's reports uncounted;
+    - e1: every ranking holds exactly k recommenders, the largest ranking
+      the cut cannot reach."""
+    cfg = build_experiment(exp, seed=1, **overrides)
     got = fingerprint(*run_to_end(cfg)[:2])
     want = fingerprint(*run_with_oracle(cfg))
-    # names only: pytest's diff of two run-long reprs takes minutes
-    assert [key for key in want if got[key] != want[key]] == []
+    assert differing_keys(got, want) == []
 
 
 # --- work budget -------------------------------------------------------------
@@ -521,7 +540,4 @@ def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     assert any(lied) and not all(lied)
     # the liar is observer 0's only recommender about the target
     assert {row[2] for row in report.trajectories[(0, 4)]} > {0.0}
-    got = fingerprint(report, world)
-    want = fingerprint(*oracle)
-    for key in want:
-        assert got[key] == want[key], key
+    assert differing_keys(fingerprint(report, world), fingerprint(*oracle)) == []
