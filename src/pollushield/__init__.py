@@ -45,7 +45,6 @@ from .trust_core import (
     combine_trust,
     confidence_factor,
     direct_trust,
-    indirect_trust,
     onoff_resistance_margin,
     record_delivery,
     transaction_probability,
@@ -86,7 +85,6 @@ __all__ = [
     "combine_trust",
     "confidence_factor",
     "direct_trust",
-    "indirect_trust",
     "onoff_resistance_margin",
     "record_delivery",
     "transaction_probability",

@@ -54,7 +54,7 @@ class PeerBehavior:
         if self.kind is BehaviorKind.BADMOUTH:
             if not 0.0 <= self.slander_prob <= 1.0:
                 raise ValueError("slander_prob must lie in [0, 1]")
-        if self.kind in (BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING):
+        if self.kind in _COLLAB:
             if not self.group:
                 raise ValueError("collusion group must be non-empty")
             if tuple(sorted(self.group)) != self.group:

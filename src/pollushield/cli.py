@@ -1,14 +1,13 @@
 """Command-line front end: run experiments or scenario files, emit CSVs.
 
 Exit codes: 0 success, 1 malformed or unreadable scenario config, 2 unknown
-experiment id, 3 output location unwritable.
+experiment id or other bad arguments (raised by argparse), 3 output
+location unwritable. Errors and parameter diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import fields, replace
 from typing import Dict, List, Optional, Sequence
@@ -23,21 +22,9 @@ from .scenarios import (
     run_scenario,
 )
 
-log = logging.getLogger("pollushield")
-
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
-EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_UNWRITABLE = 3
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("POLLUSHIELD_LOG", "info").lower()
-    if level == "off":
-        logging.disable(logging.CRITICAL)
-        return
-    numeric = logging.DEBUG if level == "debug" else logging.INFO
-    logging.basicConfig(level=numeric, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _sweep_keys(experiment: Optional[str]) -> Dict[str, type]:
@@ -78,9 +65,6 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
     if args.experiment is not None:
         try:
             cfg = build_experiment(args.experiment, **overrides)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_UNKNOWN_EXPERIMENT
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
@@ -97,10 +81,9 @@ def _run_one(args, overrides: dict, suffix: str) -> int:
         except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-    log.debug("running %s: %d peers, %d rounds", cfg.name, cfg.n_peers, cfg.rounds)
     report = run_scenario(cfg)
     for msg in report.run_meta["diagnostics"]:
-        log.warning("%s: %s", cfg.name, msg)
+        print(f"warning: {cfg.name}: {msg}", file=sys.stderr)
     try:
         paths = emit_csv(report, args.out)
     except OSError as exc:
@@ -165,7 +148,6 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    _configure_logging()
     sys.exit(run_command(sys.argv[1:]))
 
 

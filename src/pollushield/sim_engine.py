@@ -19,10 +19,10 @@ every recommender that received from it to running sums of credibility
 and credibility-weighted report, and stops at k_recommenders reports; a
 ranking of at most k_recommenders peers cannot reach that cut, so there
 each subject is summed with no count of its reports. So each subject sums
-its own top k in rank order, the operations
-`trust_core.indirect_trust` makes, bit for bit; a subject with no report,
-or only reports of credibility 0, takes cold-start trust as its indirect
-value. `select_providers` calls the kernel once per requester and
+its own top k in rank order, the operations of the test oracle's
+aggregation (tests/test_trust_cache.py), bit for bit; a subject with no
+report, or only reports of credibility 0, takes cold-start trust as its
+indirect value. `select_providers` calls the kernel once per requester and
 `scenarios.Run` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
@@ -263,7 +263,7 @@ def _walk_recommenders(
                 indirect[subject] = weighted / total
         return indirect
     for subject in dict.fromkeys(subjects):
-        # running sums in rank order: `trust_core.indirect_trust` bit for bit
+        # running sums in rank order: the test oracle's aggregation bit for bit
         n = 0
         total = 0.0
         weighted = 0.0

@@ -1,4 +1,4 @@
-"""Core trust math: confidence factors, direct/indirect trust, decay, thresholds.
+"""Core trust math: confidence factors, direct trust, combination, decay, thresholds.
 
 Every function here is pure: it reads its arguments, returns a value, and
 touches no global state. All trust-like quantities live in [0, 1].
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 
 class CFModel(Enum):
@@ -148,27 +148,6 @@ def direct_trust(nc: float, np_: float, params: TrustParams) -> float:
     if model is _DTMB:
         return (nc + 1.0) / (nc + np_ + 2.0)
     return math.exp(-params.rho * np_) * nc / (nc + params.eta)
-
-
-def indirect_trust(
-    recommendations: Sequence[Tuple[float, float]],
-) -> Optional[float]:
-    """Credibility-weighted mean of recommendation values.
-
-    Each element is (credibility, value), both in [0, 1]. Returns None when
-    the list is empty or no recommender carries positive credibility; the
-    caller substitutes cold-start trust. `sim_engine`'s ranked walk keeps
-    the same running sums in the same order, so it reproduces this
-    function bit for bit.
-    """
-    total = 0.0
-    weighted = 0.0
-    for cred, value in recommendations:
-        total += cred
-        weighted += cred * value
-    if total == 0.0:
-        return None
-    return weighted / total
 
 
 def combine_trust(direct: float, indirect: float, alpha: float) -> float:

@@ -19,6 +19,7 @@ The counterexamples outside the region are counted and printed.
 
 import math
 import random
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -27,6 +28,7 @@ from scipy.stats import spearmanr
 from pollushield.cli import run_command
 from pollushield.scenarios import build_experiment, mean_requester_goodput, run_scenario
 from pollushield.trust_core import (
+    CFModel,
     DTModel,
     TrustParams,
     TrustState,
@@ -130,18 +132,42 @@ def test_criterion_2_exponential_model_breaks_onoff(e2_report):
     assert elapsed < 1.0
 
 
+def with_observer_1(cfg, **params):
+    """cfg with its one parameter override, observer 1's, changed by `params`."""
+    (pid, own), = cfg.param_overrides
+    assert pid == 1
+    return replace(cfg, param_overrides=((1, replace(own, **params)),))
+
+
 def test_criterion_3_ratio_model_tolerates_onoff(e2_report):
+    """DTMA, and also DTMB: observer 1 under DTMB must follow
+    (clean + 1) / (chunks + 2) at every interaction, where an on-off
+    uploader of cycle L has sent one polluted chunk per L, clean first."""
     t0 = perf_counter()
     dtma_20 = [row[1] for row in e2_report.trajectories[(1, 3)]]
     dtma_50 = [row[1] for row in e2_report.trajectories[(1, 2)]]
     ok_20 = all(v >= 0.8 - 1e-9 for v in dtma_20)
     ok_50 = all(v >= 0.5 - 1e-9 for v in dtma_50)
+    dtmb = run_scenario(with_observer_1(build_experiment("e2", seed=1), dt_model=DTModel.DTMB))
+    dtmb_ok, dtmb_detail = True, []
+    for attacker, cycle in ((2, 2), (3, 5), (4, 10)):  # 50%, 20% and 10% on-off
+        got = [row[1] for row in dtmb.trajectories[(1, attacker)]]
+        closed = [(n - n // cycle + 1) / (n + 2) for n in range(1, len(got) + 1)]
+        dtmb_ok = dtmb_ok and all(abs(a - b) < 1e-9 for a, b in zip(got, closed))
+        dtmb_detail.append(f"{100 // cycle}%:min={min(got):.4f},final={got[-1]:.4f}")
     elapsed = perf_counter() - t0
-    report(3, "ratio model stays above 0.8 at 20% on-off and 0.5 at 50% on-off",
-           ok_20 and ok_50,
-           f"min@20%={min(dtma_20):.6f}, min@50%={min(dtma_50):.6f}, elapsed={elapsed:.2f}s")
+    report(3, "ratio model stays above 0.8 at 20% on-off and 0.5 at 50% on-off; "
+           "DTMB follows (c+1)/(m+2)",
+           ok_20 and ok_50 and dtmb_ok,
+           f"min@20%={min(dtma_20):.6f}, min@50%={min(dtma_50):.6f}, "
+           f"DTMB {' '.join(dtmb_detail)}, elapsed={elapsed:.2f}s")
     assert ok_20 and ok_50
+    assert dtmb_ok, "DTMB trajectory disagrees with its closed form"
     assert elapsed < 1.0
+
+
+def first_round_at(trajectory, level):
+    return next((i + 1 for i, v in enumerate(trajectory) if v >= level - 1e-9), None)
 
 
 def test_criterion_4_dynamic_confidence_converges_under_slander():
@@ -149,24 +175,36 @@ def test_criterion_4_dynamic_confidence_converges_under_slander():
     # independent oracle: 8 of 10 equal-credibility recommenders report 0,
     # two report the true value 1, so the recommendation aggregate is 0.2 and
     # the combined trust after n clean interactions is (n + 0.2) / (n + 1)
+    # under CFDA, and 1 - 0.8 * 0.5^n under CFDB (weight 1 - 0.5^n)
     oracle = [(n + 0.2) / (n + 1.0) for n in range(1, 51)]
-    rep = run_scenario(build_experiment("e1", seed=1))
+    cfdb_oracle = [1.0 - 0.8 * 0.5 ** n for n in range(1, 51)]
+    cfg = build_experiment("e1", seed=1)
+    rep = run_scenario(cfg)
+    cfdb = [row[4] for row in
+            run_scenario(with_observer_1(cfg, cf_model=CFModel.CFDB)).trajectories[(1, 2)]]
     dynamic = [row[4] for row in rep.trajectories[(0, 2)]]
     constant = [row[4] for row in rep.trajectories[(1, 2)]]
     matches_oracle = all(abs(a - b) < 1e-9 for a, b in zip(dynamic, oracle))
+    cfdb_matches = all(abs(a - b) < 1e-9 for a, b in zip(cfdb, cfdb_oracle))
+    cross_cfda, cross_cfdb = first_round_at(dynamic, 0.9), first_round_at(cfdb, 0.9)
+    cfdb_first = cross_cfdb is not None and cross_cfda is not None and cross_cfdb < cross_cfda
     deviations = [abs(v - 1.0) for v in dynamic]
     non_increasing = all(
         deviations[i + 1] <= deviations[i] + 1e-12 for i in range(len(deviations) - 1)
     )
     final_close = deviations[-1] <= 0.02
     constant_far = abs(constant[-1] - 1.0) >= 0.3
-    ok = matches_oracle and non_increasing and final_close and constant_far
+    ok = (matches_oracle and non_increasing and final_close and constant_far
+          and cfdb_matches and cfdb_first)
     elapsed = perf_counter() - t0
     report(4, "dynamic weighting converges to truth under 80% slander; fixed 0.5 does not",
            ok,
            f"|T(50)-1|={deviations[-1]:.6f}, fixed-weight deviation={abs(constant[-1]-1):.3f}, "
+           f"T>=0.9 from round {cross_cfda} (CFDA) and {cross_cfdb} (CFDB), "
            f"elapsed={elapsed:.2f}s")
     assert matches_oracle, "simulated trajectory disagrees with the closed-form oracle"
+    assert cfdb_matches, "CFDB trajectory disagrees with 1 - 0.8 * 0.5^n"
+    assert cfdb_first, (cross_cfda, cross_cfdb)
     assert non_increasing
     assert final_close
     assert constant_far

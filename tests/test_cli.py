@@ -180,25 +180,23 @@ class TestRunCommand:
         assert f"behavior_mix {field} names non-peers {strays}" in err
         assert "Traceback" not in err
 
-    def test_diagnostics_logged_once_and_stored(self, tmp_path, caplog):
+    def test_diagnostics_logged_once_and_stored(self, tmp_path, capsys):
         # e5's newcomer overrides the base params, and both forgive faster
-        # than they forget: one distinct message, one log record
+        # than they forget: one distinct message, one stderr line
         out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="pollushield"):
-            assert run_command(
-                ["run", "--experiment", "e5", "--rounds", "12", "--out", str(out)]
-            ) == 0
+        assert run_command(
+            ["run", "--experiment", "e5", "--rounds", "12", "--out", str(out)]
+        ) == 0
         meta = json.loads((out / "e5_meta.json").read_text())
         assert len(meta["diagnostics"]) == 1
         assert "forgetting <= forgiving" in meta["diagnostics"][0]
-        assert [r.getMessage() for r in caplog.records] == [f"e5: {meta['diagnostics'][0]}"]
+        assert capsys.readouterr().err.splitlines() == [f"warning: e5: {meta['diagnostics'][0]}"]
 
-    def test_no_diagnostics_for_clean_params(self, tmp_path, caplog):
+    def test_no_diagnostics_for_clean_params(self, tmp_path, capsys):
         out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="pollushield"):
-            assert run_command(["run", "--experiment", "e2", "--out", str(out)]) == 0
+        assert run_command(["run", "--experiment", "e2", "--out", str(out)]) == 0
         assert json.loads((out / "e2_meta.json").read_text())["diagnostics"] == []
-        assert caplog.records == []
+        assert capsys.readouterr().err == ""
 
     def test_unknown_experiment_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

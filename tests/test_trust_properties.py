@@ -2,6 +2,7 @@ import math
 
 from hypothesis import given, strategies as st
 
+from pollushield import sim_engine
 from pollushield.trust_core import (
     CFModel,
     DTModel,
@@ -11,10 +12,11 @@ from pollushield.trust_core import (
     confidence_factor,
     decayed_counts,
     direct_trust,
-    indirect_trust,
     onoff_resistance_margin,
     transaction_probability,
 )
+from test_sim_engine import make_world, seed_history
+from test_trust_cache import indirect_trust, oracle_direct_trust
 
 counts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -81,15 +83,36 @@ def test_combined_trust_is_convex(d, i, alpha):
     assert min(d, i) - 1e-12 <= t <= max(d, i) + 1e-12
 
 
-@given(recs=st.lists(st.tuples(unit, unit), min_size=1, max_size=20))
-def test_indirect_trust_bounded_by_recommendations(recs):
-    # 1e-9 absorbs the float noise of subnormal credibility weights
-    result = indirect_trust(recs)
-    if result is None:
-        assert sum(c for c, _ in recs) == 0.0
-        return
-    values = [v for _, v in recs]
-    assert min(values) - 1e-9 <= result <= max(values) + 1e-9
+chunks = st.integers(min_value=0, max_value=6)
+
+
+@given(
+    # per recommender: clean and polluted chunks the observer got from it,
+    # then clean and polluted chunks it got from the subject
+    histories=st.lists(st.tuples(chunks, chunks, chunks, chunks), min_size=1, max_size=8),
+    k=st.integers(min_value=1, max_value=8),
+    dt=st.sampled_from(ALL_DT),
+)
+def test_indirect_trust_bounded_by_recommendations(histories, k, dt):
+    """The ranked walk's indirect trust of subject 1 equals the oracle's
+    aggregation over the top k reports in rank order (credibility, ties to
+    the lowest id), and lies within those reports' range."""
+    params = TrustParams(dt_model=dt, k_recommenders=k)
+    world = make_world(2 + len(histories), params=params)
+    reports = []
+    for pid, (cred_clean, cred_polluted, clean, polluted) in enumerate(histories, start=2):
+        seed_history(world, 0, pid, cred_clean, cred_polluted)
+        seed_history(world, pid, 1, clean, polluted)
+        cred = oracle_direct_trust(world.peers[0].trust_table[pid], params)
+        value = oracle_direct_trust(world.peers[pid].trust_table[1], params)
+        reports.append((-cred, pid, value))
+    top = [(-neg_cred, value) for neg_cred, _, value in sorted(reports)[:k]]
+    got = sim_engine._walk_recommenders(world, 0, (1,), sim_engine.TrustMemo()).get(1)
+    assert got == indirect_trust(top)
+    if got is not None:
+        values = [value for _, value in top]
+        # 1e-9 absorbs the rounding of the weighted sum
+        assert min(values) - 1e-9 <= got <= max(values) + 1e-9
 
 
 @given(
