@@ -9,6 +9,7 @@ traces.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +52,8 @@ class PeerBehavior:
         if self.kind is BehaviorKind.ONOFF:
             if self.on_ratio is None or not 0.0 < self.on_ratio < 1.0:
                 raise ValueError("on_ratio must lie in (0, 1)")
+            if not math.isfinite(1.0 / self.on_ratio):
+                raise ValueError("on_ratio is too small: 1 / on_ratio overflows")
         if self.kind is BehaviorKind.BADMOUTH:
             if not 0.0 <= self.slander_prob <= 1.0:
                 raise ValueError("slander_prob must lie in [0, 1]")

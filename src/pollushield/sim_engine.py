@@ -22,8 +22,10 @@ each subject is summed with no count of its reports. So each subject sums
 its own top k in rank order, the operations of the test oracle's
 aggregation (tests/test_trust_cache.py), bit for bit; a subject with no
 report, or only reports of credibility 0, takes cold-start trust as its
-indirect value. `select_providers` calls the kernel once per requester and
-`scenarios.Run` once per observer and round.
+indirect value. A subject the observer never received from scores with the
+observer's never-received-from components, which its `PeerRecord` builds
+once, at construction, from its own params. `select_providers` calls the
+kernel once per requester and `scenarios.Run` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -81,7 +83,11 @@ _new_tuple = tuple.__new__
 
 
 class PeerRecord:
-    """One peer: strategy, parameters, and its private trust table."""
+    """One peer: strategy, parameters, and its private trust table.
+
+    `unknown` holds the peer's components of a subject it never received
+    from, `_components(0.0, 0.0, 0.0, params)`, built once here: they
+    depend on nothing but its own fixed params."""
 
     __slots__ = (
         "behavior",
@@ -91,6 +97,7 @@ class PeerRecord:
         "candidates",
         "trust_table",
         "delivery_index",
+        "unknown",
     )
 
     def __init__(
@@ -108,6 +115,7 @@ class PeerRecord:
         self.candidates: Tuple[int, ...] = tuple(candidates)
         self.trust_table: Dict[int, TrustState] = {}
         self.delivery_index: Dict[int, int] = {}
+        self.unknown: TrustComponents = _components(0.0, 0.0, 0.0, params)
 
 
 class World:
@@ -214,7 +222,7 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
     d = direct_trust(nc, np_, params)
     alpha = confidence_factor(n, params)
     cold = params.cold_start_trust
-    return TrustComponents(d, cold, alpha, combine_trust(d, cold, alpha))
+    return _new_tuple(TrustComponents, (d, cold, alpha, combine_trust(d, cold, alpha)))
 
 
 def _walk_recommenders(
@@ -302,14 +310,12 @@ def score_candidates(
     now = world.round
     indirect = _walk_recommenders(world, observer, subjects, memo) if table else {}
     views = memo.direct[observer]
-    unknown: Optional[TrustComponents] = None  # of a subject never received from
+    unknown = obs.unknown
     scored: List[TrustComponents] = []
     for subject in subjects:
         if subject in table:
             comp = views.get(subject) or memo.read(observer, subject, obs, now)
         else:
-            if unknown is None:
-                unknown = _components(0.0, 0.0, 0.0, obs.params)
             comp = unknown
         ind = indirect.get(subject)
         if ind is not None:
@@ -381,5 +387,5 @@ def run_round(world: World, memo: Optional[TrustMemo] = None) -> None:
             )
             memo.delivered(rid, pid)
             world.event_log.append(
-                TransactionOutcome(r, rid, pid, quality, trust_at_selection)
+                _new_tuple(TransactionOutcome, (r, rid, pid, quality, trust_at_selection))
             )

@@ -37,6 +37,8 @@ class ChunkQuality(Enum):
 _DTMA, _DTMB, _PDTM = DTModel.DTMA, DTModel.DTMB, DTModel.PDTM
 _CFDA, _CFDB, _CONSTANT = CFModel.CFDA, CFModel.CFDB, CFModel.CONSTANT
 _CLEAN = ChunkQuality.CLEAN
+# bound once: a NamedTuple's own __new__ is a Python function, one more frame per build
+_new_tuple = tuple.__new__
 
 
 class TrustState(NamedTuple):
@@ -205,8 +207,8 @@ def record_delivery(
     """
     nc, np_, n = decayed_counts(state, now, params)
     if quality is _CLEAN:
-        return TrustState(nc + 1.0, np_, n + 1.0, now)
-    return TrustState(nc, np_ + 1.0, n + 1.0, now)
+        return _new_tuple(TrustState, (nc + 1.0, np_, n + 1.0, now))
+    return _new_tuple(TrustState, (nc, np_ + 1.0, n + 1.0, now))
 
 
 def transaction_probability(trust: float, params: TrustParams) -> float:

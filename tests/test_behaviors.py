@@ -149,6 +149,9 @@ class TestValidation:
             PeerBehavior.onoff(0.0)
         with pytest.raises(ValueError):
             PeerBehavior.onoff(1.0)
+        # in (0, 1), but 1 / on_ratio is inf and cycle_length cannot round it
+        with pytest.raises(ValueError):
+            PeerBehavior.onoff(1e-320)
 
     def test_static_designated_must_be_member(self):
         with pytest.raises(ValueError):

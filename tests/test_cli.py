@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pollushield.cli import run_command
 from pollushield.metrics import MetricsReport, PeerSummary, emit_csv
@@ -180,6 +186,19 @@ class TestRunCommand:
         assert f"behavior_mix {field} names non-peers {strays}" in err
         assert "Traceback" not in err
 
+    def test_underflowing_on_ratio_rejected(self, tmp_path, capsys):
+        # lies in (0, 1), but its cycle length 1 / on_ratio overflows to inf
+        d = config_to_dict(build_experiment("e2"))
+        d["behavior_mix"][1][0]["on_ratio"] = 1e-320
+        path = tmp_path / "tiny.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot load scenario" in err
+        assert "on_ratio" in err
+        assert "Traceback" not in err
+
     def test_diagnostics_logged_once_and_stored(self, tmp_path, capsys):
         # e5's newcomer overrides the base params, and both forgive faster
         # than they forget: one distinct message, one stderr line
@@ -281,6 +300,65 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "sweep" in err
         assert sweep.partition("=")[0] in err
+
+
+# --- single-leaf scenario-file mutations --------------------------------------
+
+MUTATION_BASES = {
+    "e1": config_to_dict(build_experiment("e1", rounds=5)),
+    "e2": config_to_dict(build_experiment("e2", rounds=5)),
+    "e4": config_to_dict(build_experiment("e4", rounds=5, group_size=4)),
+}
+
+
+def leaf_paths(node, path=()):
+    """Paths to every scalar, empty list and empty object of a JSON tree."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = [(exp, path) for exp, d in MUTATION_BASES.items() for path in leaf_paths(d)]
+# wrong types, enum values of other fields, and edge numbers; no count is
+# large, and `rounds` and `n_peers` never grow, so no mutant runs long
+REPLACEMENTS = (
+    None, True, False, -1, 0, 1, 2, 7, -0.0, 0.0, 0.5, 1.0, 1.5, 1e-320, 1e308,
+    math.inf, -math.inf, math.nan, "", "x", "onoff", "collab_static", "dtmb", "constant",
+    [], {},
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(REPLACEMENTS))
+@example(leaf=("e2", ("behavior_mix", 1, 0, "on_ratio")), value=1e-320)
+def test_single_leaf_mutation_exits_cleanly(leaf, value):
+    """A scenario file with one leaf replaced either runs (exit 0) or is
+    refused as a bad config (exit 1), and never ends in a traceback."""
+    exp, path = leaf
+    d = copy.deepcopy(MUTATION_BASES[exp])
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    growing = (path[-1] in ("rounds", "n_peers") and type(value) in (int, float)
+               and value > old)
+    assume(not growing)
+    parent[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "mutant.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_command(
+                ["run", "--scenario", cfg_path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCsvFormat:

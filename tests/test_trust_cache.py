@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pollushield import scenarios, sim_engine
 from pollushield.behaviors import PeerBehavior, recommendation_value
 from pollushield.scenarios import Run, ScenarioConfig, build_experiment, run_scenario
+from pollushield.sim_engine import TransactionOutcome, TrustComponents, score_candidates
 from pollushield.trust_core import (
     EMPTY_STATE,
     CFModel,
@@ -365,11 +366,11 @@ def test_dense_collusion_work_counts(monkeypatch):
     `decayed_counts` counts the memo fills: 576 first reads (529 in
     selections, 47 in observations) and 1 343 refills (936 + 407).
     `direct_trust` adds one evaluation of the never-received-from state per
-    batch holding such a subject: 553 batches. Those components are built
-    only when a batch needs them; built for every batch, they would add 487
-    evaluations. `recommendation_value` runs once per member's report about
-    another member (552: 529 in selections, 23 in observations) and once per
-    report dropped by a repeat delivery (407). A memo kept for one round
+    peer, when its record is built: 25 peers. Built once per batch holding
+    such a subject, those components took 553 evaluations.
+    `recommendation_value` runs once per member's report about another
+    member (552: 529 in selections, 23 in observations) and once per report
+    dropped by a repeat delivery (407). A memo kept for one round
     made 34 412, 34 965 and 16 124 calls, and the 1 920 deliveries decay
     inside `record_delivery`, which these bindings do not see."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
@@ -383,7 +384,7 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
-    assert calls["direct_trust"] == 2_472      # 1 919 memo fills + 553 batches
+    assert calls["direct_trust"] == 1_944      # 1 919 memo fills + 25 peers
     assert calls["decayed_counts"] == 1_919    # 576 first reads + 1 343 after a delivery
 
 
@@ -409,10 +410,12 @@ def test_sparse_mesh_work_counts(monkeypatch):
     trust moves with time, which the memo works out at each read (23 929;
     27 896 when entries were kept only while their counts held).
     `combine_trust` runs once per memo fill, since an entry is the finished
-    score of a subject with no report, once per batch for the components of
-    a subject never received from (every one of the 8 400 batches holds
-    one), and once per subject whose reports give an indirect value
-    (1 419): 33 748. Combining at every scoring made 84 000 calls."""
+    score of a subject with no report, once per peer for its components of
+    a subject never received from, built with its record (500), and once
+    per subject whose reports give an indirect value (1 419): 25 848.
+    Building those components once per batch (every one of the 8 400
+    batches holds such a subject) made 33 748 calls, and combining at every
+    scoring 84 000."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "decayed_counts", "combine_trust"))
     run_scenario(build_experiment("e6", seed=1))
@@ -424,7 +427,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["most_used"] == 2
     assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
     assert calls["decayed_counts"] == 23_929   # 666 first + 14 657 after a delivery + 8 606
-    assert calls["combine_trust"] == 33_748    # 23 929 fills + 8 400 batches + 1 419 reports
+    assert calls["combine_trust"] == 25_848    # 23 929 fills + 500 peers + 1 419 reports
 
 
 def test_newcomer_reads_work_counts(monkeypatch):
@@ -457,9 +460,10 @@ def test_newcomer_reads_work_counts(monkeypatch):
     requesters. A memo that kept only entries whose counts do not decay
     made 13 918 fills, 10 611 of them decaying reads, and one that also
     kept a decaying entry until the round moved made 11 859.
-    `direct_trust` adds one evaluation of the
-    never-received-from state per batch holding such a subject: 637
-    selections and the 50 observation batches (687)."""
+    `direct_trust` adds one evaluation of the never-received-from state per
+    peer, when its record is built (131). Built once per batch holding such
+    a subject, 637 selections and the 50 observation batches, those
+    components took 687."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts"))
     run_scenario(build_experiment("e5", seed=1))
@@ -472,7 +476,7 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["most_used"] == 10
     assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
     assert calls["decayed_counts"] == 7_651    # 629 first + 2 681 + 4 341 moving
-    assert calls["direct_trust"] == 8_338      # 7 651 memo fills + 687 batches
+    assert calls["direct_trust"] == 7_782      # 7 651 memo fills + 131 peers
 
 
 def test_badmouthing_work_counts(monkeypatch):
@@ -488,6 +492,52 @@ def test_badmouthing_work_counts(monkeypatch):
     calls = count_calls(monkeypatch, ("recommendation_value",))
     run_scenario(build_experiment("e1", seed=1))
     assert calls["recommendation_value"] == 500
+
+
+@pytest.mark.parametrize("exp, overrides", [
+    ("e1", {}),
+    ("e4", {"mode": "rotating", "group_size": 12, "rounds": 40}),
+    ("e5", {}),
+])
+def test_records_built_without_the_constructor_are_whole(monkeypatch, exp, overrides):
+    """`record_delivery`, `run_round` and `_components` build their records
+    with `tuple.__new__`, which skips a NamedTuple's check of its field
+    count: every trust-table entry, event, memo entry and scoring of a run
+    is exactly its record type, with every field."""
+    scored = []
+
+    def keeping(*args, **kwargs):
+        result = score_candidates(*args, **kwargs)
+        scored.extend(result)
+        return result
+
+    monkeypatch.setattr(sim_engine, "score_candidates", keeping)
+    monkeypatch.setattr(scenarios, "score_candidates", keeping)
+    _, world, memo = run_to_end(build_experiment(exp, seed=1, **overrides))
+    peers = world.peers.values()
+    states = [st for rec in peers for st in rec.trust_table.values()]
+    components = [c for views in memo.direct.values() for c in views.values()]
+    components += scored + [rec.unknown for rec in peers]
+    assert states and world.event_log and scored
+    assert {(type(r), len(r)) for r in states} == {(TrustState, 4)}
+    assert {(type(r), len(r)) for r in world.event_log} == {(TransactionOutcome, 5)}
+    assert {(type(r), len(r)) for r in components} == {(TrustComponents, 4)}
+
+
+def test_never_received_from_components_use_the_scorers_params():
+    """e1: observer 1 weighs direct trust by a constant 0.5, observer 0 by
+    CFDA, and neither ever receives from the other. Each scores the other
+    with the never-received-from components its record built from its own
+    params: alpha 0.5 for peer 1, and 0.0 for peer 0, whose CFDA weight
+    of no transaction is 0."""
+    run = Run(build_experiment("e1", seed=1)).advance(3)
+    world = run.world
+    for observer, stranger, alpha in ((0, 1, 0.0), (1, 0, 0.5)):
+        rec = world.peers[observer]
+        assert stranger not in rec.trust_table
+        comp = score_candidates(world, observer, (2, stranger), run.memo)[1]
+        assert comp == sim_engine._components(0.0, 0.0, 0.0, rec.params)
+        assert comp.alpha == alpha
 
 
 @pytest.mark.parametrize("exp, overrides", [
