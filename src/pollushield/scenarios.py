@@ -23,7 +23,7 @@ from typing import (
 from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import DETECTION_THRESHOLD, TrustMemo, World, run_round, score_candidates
+from .sim_engine import DETECTION_THRESHOLD, World, run_round, score_candidates
 from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -632,14 +632,14 @@ def build_world(cfg: ScenarioConfig) -> World:
 
 
 class Run:
-    """One scenario run: `Run(cfg)` builds the world and the run's one
-    `TrustMemo`, `advance(n)` plays n rounds with their observations, and
-    `report()` collects the report of a run advanced through cfg.rounds."""
+    """One scenario run: `Run(cfg)` builds the world, which also holds the
+    values each peer keeps from its trust reads, `advance(n)` plays n rounds
+    with their observations, and `report()` collects the report of a run
+    advanced through cfg.rounds."""
 
     def __init__(self, cfg: ScenarioConfig) -> None:
         self.cfg = cfg
         self.world = build_world(cfg)
-        self.memo = TrustMemo()  # see its docstring for what it keeps
         self.trajectories: Dict[Tuple[int, int], List] = {pair: [] for pair in cfg.observed_pairs}
         # each observer's subjects, scored in one batch per round
         self.watched: Dict[int, List[int]] = {}
@@ -647,11 +647,11 @@ class Run:
             self.watched.setdefault(observer, []).append(subject)
 
     def advance(self, rounds: int) -> "Run":
-        world, memo, trajectories = self.world, self.memo, self.trajectories
+        world, trajectories = self.world, self.trajectories
         for _ in range(rounds):
-            run_round(world, memo)
+            run_round(world)
             for observer, subjects in self.watched.items():
-                for s, comp in zip(subjects, score_candidates(world, observer, subjects, memo)):
+                for s, comp in zip(subjects, score_candidates(world, observer, subjects)):
                     trajectories[(observer, s)].append((world.round, *comp))
         return self
 

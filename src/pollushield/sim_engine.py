@@ -32,17 +32,15 @@ selects. Tables change only at delivery, where `record_delivery` decays the
 entry from its last delivery to the round and counts the chunk. Evaluating
 trust reads each entry decayed the same way with `decayed_counts` and
 stores nothing in the tables, so a run does not depend on how often trust
-is read. A `TrustMemo` that a `scenarios.Run` makes and passes to every
-round and observation batch keeps the values that hold for the rest of the
-run (see `TrustMemo`); the memo has no clock, so readers pass it
-`world.round`.
+is read. What a read works out that holds for the rest of the run, each
+peer keeps on its own record (`PeerRecord.views` and `.reports`); the kept
+values have no clock, so readers pass `world.round`.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from typing import DefaultDict, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
@@ -83,11 +81,17 @@ _new_tuple = tuple.__new__
 
 
 class PeerRecord:
-    """One peer: strategy, parameters, and its private trust table.
+    """One peer: strategy, parameters, its private trust table, and the
+    values its trust reads keep.
 
-    `unknown` holds the peer's components of a subject it never received
-    from, `_components(0.0, 0.0, 0.0, params)`, built once here: they
-    depend on nothing but its own fixed params."""
+    `unknown` holds its components of a subject it never received from,
+    built once here from its own fixed params. `views[b]` holds its
+    components of b with no report on b (cold-start trust as the indirect
+    value), and `reports[s]` what it reports about s. `_read` and `_report`
+    keep only values that hold for the rest of the run, and they hold only
+    while the table entry they came from stands: a write to
+    `trust_table[b]`, as `run_round` makes at each delivery, must drop
+    `views[b]` and `reports[b]`. So emptied ones give the same values."""
 
     __slots__ = (
         "behavior",
@@ -98,6 +102,8 @@ class PeerRecord:
         "trust_table",
         "delivery_index",
         "unknown",
+        "views",
+        "reports",
     )
 
     def __init__(
@@ -116,6 +122,8 @@ class PeerRecord:
         self.trust_table: Dict[int, TrustState] = {}
         self.delivery_index: Dict[int, int] = {}
         self.unknown: TrustComponents = _components(0.0, 0.0, 0.0, params)
+        self.views: Dict[int, TrustComponents] = {}
+        self.reports: Dict[int, float] = {}
 
 
 class World:
@@ -165,57 +173,6 @@ class World:
         return rec
 
 
-class TrustMemo:
-    """What trust reads have worked out that holds for the rest of a run.
-
-    `direct[a][b]` is a's `TrustComponents` of b when no recommender reports
-    on b, with a's cold-start trust as the indirect value: a subject's full
-    score in that case, and through `.direct` recommender credibility and
-    honest values. `reports[k][s]` is what recommender k reports about s.
-    Both are keyed by the peer whose view they hold. An entry is kept only
-    if its value holds in every later round: a direct entry whose direct
-    trust and confidence factor do not move with time (`decays` is false;
-    PDTM with no clean chunk holds at 0.0 while forgiving fades the
-    polluted count), and a report built on a kept entry whose recommender
-    does not `lies_about` the subject. Any other is worked out again at
-    each read. A delivery to a from b changes a's entry of b, so
-    `delivered` drops it and a's report about b. A fresh memo thus gives
-    the same values as a carried one.
-    """
-
-    __slots__ = ("direct", "reports")
-
-    def __init__(self) -> None:
-        self.direct: DefaultDict[int, Dict[int, TrustComponents]] = defaultdict(dict)
-        self.reports: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
-
-    def read(self, a: int, b: int, rec: PeerRecord, now: int) -> TrustComponents:
-        """Work out a's components of b in round `now` with no report on b,
-        keeping them if they hold for the rest of the run; `rec` is a's
-        record, whose table holds b. Callers look in `direct` first."""
-        st = rec.trust_table[b]
-        params = rec.params
-        nc, np_, n = decayed_counts(st, now, params)
-        entry = _components(nc, np_, n, params)
-        if not decays(st, params):
-            self.direct[a][b] = entry
-        return entry
-
-    def report(self, k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
-        """What recommender k, whose record is `rec`, reports about s in
-        round `now`."""
-        entry = self.direct[k].get(s) or self.read(k, s, rec, now)
-        value = recommendation_value(rec.behavior, k, s, entry.direct, seed, now)
-        if s in self.direct[k] and not rec.behavior.lies_about(s):
-            self.reports[k][s] = value
-        return value
-
-    def delivered(self, rid: int, pid: int) -> None:
-        """rid received from pid: drop rid's direct entry of pid and its report about pid."""
-        self.direct[rid].pop(pid, None)
-        self.reports[rid].pop(pid, None)
-
-
 def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustComponents:
     """Components of a peer with these decayed counts when no recommender
     reports on it: cold-start trust stands in for indirect trust."""
@@ -225,9 +182,34 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
     return _new_tuple(TrustComponents, (d, cold, alpha, combine_trust(d, cold, alpha)))
 
 
-def _walk_recommenders(
-    world: World, observer: int, subjects: Sequence[int], memo: TrustMemo
-) -> Dict[int, float]:
+def _read(rec: PeerRecord, b: int, now: int) -> TrustComponents:
+    """The components of b in round `now` with no report on b, for the peer
+    whose record is `rec` and whose table holds b. They are kept in
+    `rec.views` when their direct trust and confidence factor do not move
+    with time (`decays` is false; PDTM with no clean chunk holds at 0.0
+    while forgiving fades the polluted count). Callers look there first."""
+    st = rec.trust_table[b]
+    params = rec.params
+    nc, np_, n = decayed_counts(st, now, params)
+    entry = _components(nc, np_, n, params)
+    if not decays(st, params):
+        rec.views[b] = entry
+    return entry
+
+
+def _report(k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
+    """What recommender k, whose record is `rec`, reports about s in round
+    `now`, kept in `rec.reports` when built on a kept view and k does not
+    `lies_about` s. Callers look there first."""
+    views = rec.views
+    entry = views.get(s) or _read(rec, s, now)
+    value = recommendation_value(rec.behavior, k, s, entry.direct, seed, now)
+    if s in views and not rec.behavior.lies_about(s):
+        rec.reports[s] = value
+    return value
+
+
+def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> Dict[int, float]:
     """The ranked walk the module docstring describes: one ranking of the
     observer's recommenders, then one pass over it per subject (a subject
     listed twice is walked once), counting the subject's reports only when
@@ -237,15 +219,16 @@ def _walk_recommenders(
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
-    credibility = memo.direct[observer]
-    # (-credibility, recommender, its trust table, its memoised reports)
+    credibility = obs.views
+    # (-credibility, recommender, its trust table, its kept reports)
     ranked: List[Tuple[float, int, Dict[int, TrustState], Dict[int, float]]] = []
     for k in obs.trust_table:
-        received = peers[k].trust_table
+        rec = peers[k]
+        received = rec.trust_table
         if not received or received.keys().isdisjoint(subjects):
             continue
-        cred = (credibility.get(k) or memo.read(observer, k, obs, now)).direct
-        ranked.append((-cred, k, received, memo.reports[k]))
+        cred = (credibility.get(k) or _read(obs, k, now)).direct
+        ranked.append((-cred, k, received, rec.reports))
     if not ranked:
         return {}
     ranked.sort()  # ids are distinct, so the tables are never compared
@@ -264,7 +247,7 @@ def _walk_recommenders(
                 if value is None:
                     if subject not in received:
                         continue
-                    value = memo.report(k, subject, peers[k], seed, now)
+                    value = _report(k, subject, peers[k], seed, now)
                 total += cred
                 weighted += cred * value
             if total != 0.0:
@@ -281,7 +264,7 @@ def _walk_recommenders(
             if value is None:
                 if subject not in received:
                     continue
-                value = memo.report(k, subject, peers[k], seed, now)
+                value = _report(k, subject, peers[k], seed, now)
             total += cred
             weighted += cred * value
             n += 1
@@ -293,28 +276,23 @@ def _walk_recommenders(
 
 
 def score_candidates(
-    world: World,
-    observer: int,
-    subjects: Sequence[int],
-    memo: Optional[TrustMemo] = None,
+    world: World, observer: int, subjects: Sequence[int]
 ) -> List[TrustComponents]:
     """Direct, indirect, confidence weight, and combined trust of each
     subject for one observer, in the order given, from one ranked walk as
-    the module docstring describes; a fresh memo serves the call when none
-    is passed."""
+    the module docstring describes."""
     if observer in subjects:
         raise ValueError("a peer cannot evaluate trust of itself")
-    memo = memo or TrustMemo()
     obs = world.peers[observer]
     table = obs.trust_table
     now = world.round
-    indirect = _walk_recommenders(world, observer, subjects, memo) if table else {}
-    views = memo.direct[observer]
+    indirect = _walk_recommenders(world, observer, subjects) if table else {}
+    views = obs.views
     unknown = obs.unknown
     scored: List[TrustComponents] = []
     for subject in subjects:
         if subject in table:
-            comp = views.get(subject) or memo.read(observer, subject, obs, now)
+            comp = views.get(subject) or _read(obs, subject, now)
         else:
             comp = unknown
         ind = indirect.get(subject)
@@ -326,10 +304,7 @@ def score_candidates(
 
 
 def select_providers(
-    world: World,
-    requester: int,
-    candidates: Sequence[int],
-    memo: Optional[TrustMemo] = None,
+    world: World, requester: int, candidates: Sequence[int]
 ) -> List[Tuple[int, float]]:
     """Rank candidates by trust, keep the requester's top k_providers, pass
     each through its double-threshold rule, drawing gray-zone probes from its
@@ -338,7 +313,7 @@ def select_providers(
     req = world.peers[requester]
     threshold, detections = world.detection_threshold, world.detections
     ranked: List[Tuple[float, int]] = []  # (-trust, provider)
-    for pid, comp in zip(candidates, score_candidates(world, requester, candidates, memo)):
+    for pid, comp in zip(candidates, score_candidates(world, requester, candidates)):
         t = comp.combined
         if t < threshold and pid not in detections:
             detections[pid] = world.round
@@ -358,15 +333,14 @@ def select_providers(
     return admitted
 
 
-def run_round(world: World, memo: Optional[TrustMemo] = None) -> None:
-    """Advance the world by one round of requests, deliveries, and updates,
-    selecting through `memo` (a fresh one when none is passed); every
-    delivery drops the memo entries it changes, so the memo stays valid."""
+def run_round(world: World) -> None:
+    """Advance the world by one round of requests, deliveries, and updates;
+    every delivery drops the requester's kept view and report of the
+    provider, so what the peers keep stays valid."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
     ads = world.ads_per_round
-    memo = memo or TrustMemo()
     for rid in world.requesters:
         req = world.peers[rid]
         if not req.candidates:
@@ -376,7 +350,7 @@ def run_round(world: World, memo: Optional[TrustMemo] = None) -> None:
         else:
             advertising = req.candidates
         budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
-        admitted = select_providers(world, rid, advertising, memo)
+        admitted = select_providers(world, rid, advertising)
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
@@ -385,7 +359,8 @@ def run_round(world: World, memo: Optional[TrustMemo] = None) -> None:
             req.trust_table[pid] = record_delivery(
                 req.trust_table.get(pid, EMPTY_STATE), quality, r, req.params
             )
-            memo.delivered(rid, pid)
+            req.views.pop(pid, None)
+            req.reports.pop(pid, None)
             world.event_log.append(
                 _new_tuple(TransactionOutcome, (r, rid, pid, quality, trust_at_selection))
             )

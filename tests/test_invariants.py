@@ -56,18 +56,20 @@ def test_extra_reads_leave_the_run_unchanged(exp, seed):
         assert read_more.trajectories[pair] == base.trajectories[pair], pair
 
 
-def left_behind(report, world, memo):
-    """`fingerprint` of a run, with its memo."""
+def left_behind(report, world):
+    """`fingerprint` of a run, with every peer's kept views and reports."""
     return dict(fingerprint(report, world),
-                memo_direct=repr(memo.direct), memo_reports=repr(memo.reports))
+                views=repr({pid: rec.views for pid, rec in world.peers.items()}),
+                reports=repr({pid: rec.reports for pid, rec in world.peers.items()}))
 
 
 def advanced_in_steps(cfg, *steps):
-    """What a run leaves behind, memo included, after advancing by each step."""
+    """What a run leaves behind, kept values included, after advancing by
+    each step."""
     run = Run(cfg)
     for rounds in steps:
         run.advance(rounds)
-    return left_behind(run.report(), run.world, run.memo)
+    return left_behind(run.report(), run.world)
 
 
 SPLIT_CASES = [
@@ -92,8 +94,8 @@ def test_advancing_in_steps_equals_advancing_at_once(cfg, first):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_worlds(), data=st.data())
 def test_small_world_invariants(cfg, data):
-    report, world, memo = run_to_end(cfg)
-    assert reports_from_strangers(world, memo) == []
+    report, world = run_to_end(cfg)
+    assert reports_from_strangers(world) == []
     for rows in report.trajectories.values():
         for row in rows:
             assert all(0.0 <= v <= 1.0 for v in row[1:]), row
@@ -106,5 +108,5 @@ def test_small_world_invariants(cfg, data):
     assert run_scenario(observing_every_request(cfg)).summary == report.summary
     # a fresh run, stopped after a drawn round and resumed, replays this one
     first = data.draw(st.integers(0, cfg.rounds), label="first")
-    at_once = left_behind(report, world, memo)
+    at_once = left_behind(report, world)
     assert differing_keys(advanced_in_steps(cfg, first, cfg.rounds - first), at_once) == []

@@ -4,15 +4,9 @@ import pytest
 
 from pollushield import sim_engine
 from pollushield.behaviors import PeerBehavior
-from pollushield.sim_engine import (
-    TrustMemo,
-    World,
-    run_round,
-    score_candidates,
-    select_providers,
-)
+from pollushield.sim_engine import World, run_round, score_candidates, select_providers
 from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams, TrustState
-from test_trust_cache import indirect_trust
+from test_trust_cache import fresh_scores, indirect_trust
 
 
 DTMA_PARAMS = TrustParams(cf_model=CFModel.CFDA, c=1.0, dt_model=DTModel.DTMA)
@@ -26,9 +20,12 @@ def make_world(n_peers, params=DTMA_PARAMS, seed=1, **world_kwargs):
 
 
 def seed_history(world, observer, subject, n_clean, n_polluted=0.0):
-    """Install a past delivery record, as run_round would leave it."""
-    total = n_clean + n_polluted
-    world.peers[observer].trust_table[subject] = TrustState(n_clean, n_polluted, total, 0.0)
+    """Install a past delivery record, as run_round would leave it: the
+    observer's kept view and report of the subject go with the old one."""
+    rec = world.peers[observer]
+    rec.trust_table[subject] = TrustState(n_clean, n_polluted, n_clean + n_polluted, 0.0)
+    rec.views.pop(subject, None)
+    rec.reports.pop(subject, None)
 
 
 class TestEvaluateTrust:
@@ -113,11 +110,12 @@ class TestQueryIndirect:
         seed_history(world, 0, 1, n_clean=1)
         # peer 2 knows the subject but the observer has received only from the
         # subject, which knows no one: the walk finds no recommender
-        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {}
+        assert sim_engine._walk_recommenders(world, 0, (1,)) == {}
         assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_repeat_query_sees_direct_table_edits(self):
-        # each call without a memo reads the tables as they are now
+        # nothing decays, so every view and report is kept; seed_history
+        # drops the editor's, so each call reads the tables as they are now
         world = make_world(4)
         seed_history(world, 2, 1, n_clean=4, n_polluted=1)  # recommends 0.8
         seed_history(world, 3, 1, n_clean=1, n_polluted=4)  # recommends 0.2
@@ -125,10 +123,14 @@ class TestQueryIndirect:
         seed_history(world, 0, 3, n_clean=3)                # credibility 1.0
         world.round = 2
         assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(0.5)
-        world.peers[0].trust_table[3] = TrustState(1.0, 3.0, 4.0, 2.0)  # credibility 0.25
-        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
-        world.peers[2].trust_table[1] = TrustState(0.0, 5.0, 5.0, 2.0)  # recommends 0.0
-        assert score_candidates(world, 0, (1,))[0].indirect == pytest.approx(0.25 * 0.2 / 1.25)
+        seed_history(world, 0, 3, n_clean=1, n_polluted=3)  # credibility 0.25
+        got = score_candidates(world, 0, (1,))
+        assert got == fresh_scores(world, 0, (1,))
+        assert got[0].indirect == pytest.approx((0.8 + 0.25 * 0.2) / 1.25)
+        seed_history(world, 2, 1, n_clean=0, n_polluted=5)  # recommends 0.0
+        got = score_candidates(world, 0, (1,))
+        assert got == fresh_scores(world, 0, (1,))
+        assert got[0].indirect == pytest.approx(0.25 * 0.2 / 1.25)
 
     def test_queries_leave_every_table_bit_identical(self):
         # reads decay a view of each entry and store nothing, the observer's
@@ -142,10 +144,9 @@ class TestQueryIndirect:
         seed_history(world, 0, 2, n_clean=3)
         world.round = 5
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
-        memo = TrustMemo()
         for subject in (1, 3, 1):
-            assert subject in sim_engine._walk_recommenders(world, 0, (subject,), memo)
-            score_candidates(world, 0, (subject,), memo)
+            assert subject in sim_engine._walk_recommenders(world, 0, (subject,))
+            score_candidates(world, 0, (subject,))
         score_candidates(world, 0, (2,))
         assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
 
@@ -184,15 +185,16 @@ class TestScoreCandidates:
     def test_batch_matches_one_at_a_time(self):
         world = self.world()
         subjects = (5, 1, 3, 2, 4)
-        assert score_candidates(world, 0, subjects) == [
-            score_candidates(world, 0, (s,))[0] for s in subjects]
+        batch = score_candidates(world, 0, subjects)
+        assert batch == [fresh_scores(world, 0, (s,))[0] for s in subjects]
+        assert batch == [score_candidates(world, 0, (s,))[0] for s in subjects]
 
     def test_queries_only_subjects_a_known_peer_received_from(self, monkeypatch):
         world = self.world()
         walks = []
 
-        def spy(world, observer, subjects, memo):
-            walks.append(walk(world, observer, subjects, memo))
+        def spy(world, observer, subjects):
+            walks.append(walk(world, observer, subjects))
             return walks[-1]
 
         walk = sim_engine._walk_recommenders
@@ -265,7 +267,7 @@ class TestRankedWalk:
 
     def test_ties_break_by_lowest_id(self):
         world = self.world()
-        walks = sim_engine._walk_recommenders(world, 0, (1, 8, 9, 7), TrustMemo())
+        walks = sim_engine._walk_recommenders(world, 0, (1, 8, 9, 7))
         # 1: 3 and 4 of the tied 3, 4, 5; 8: 2 and 5, cutting 6; 9: 6 alone
         assert walks == {
             1: indirect_trust([(1.0, 0.8), (1.0, 0.2)]),
@@ -289,7 +291,7 @@ class TestRankedWalk:
         want = indirect_trust(in_rank_order)
         assert want != indirect_trust(in_rank_order[::-1])
         assert want != math.fsum(c * v for c, v in in_rank_order) / math.fsum((0.3, 0.2, 0.1))
-        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {1: want}
+        assert sim_engine._walk_recommenders(world, 0, (1,)) == {1: want}
         assert score_candidates(world, 0, (1,))[0].indirect == want
 
     # (recommender, clean chunks of 10 the observer got from it, clean chunks
@@ -317,37 +319,36 @@ class TestRankedWalk:
                 assert want[s] != indirect_trust(hits[:k_max][::-1])  # order tells
         if ranked > k_max:
             assert want[1] != indirect_trust(reports[1])  # the cut tells
-        assert sim_engine._walk_recommenders(world, 0, (1, 6), TrustMemo()) == want
+        assert sim_engine._walk_recommenders(world, 0, (1, 6)) == want
 
     def test_only_zero_credibility_reports_give_cold_start(self):
         world = make_world(4)
         for k in (2, 3):
             seed_history(world, 0, k, n_clean=0, n_polluted=2)  # credibility 0.0
             seed_history(world, k, 1, n_clean=3)                # recommends 1 at 1.0
-        assert sim_engine._walk_recommenders(world, 0, (1,), TrustMemo()) == {}
+        assert sim_engine._walk_recommenders(world, 0, (1,)) == {}
         assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_batch_equals_each_subject_alone(self):
         world = self.world()
-        batch = score_candidates(world, 0, self.SUBJECTS)
+        batch = fresh_scores(world, 0, self.SUBJECTS)
+        assert batch == [fresh_scores(world, 0, (s,))[0] for s in self.SUBJECTS]
+        assert batch == score_candidates(world, 0, self.SUBJECTS)
+        assert batch == score_candidates(world, 0, self.SUBJECTS)  # from the kept values
         assert batch == [score_candidates(world, 0, (s,))[0] for s in self.SUBJECTS]
-        memo = TrustMemo()
-        assert batch == score_candidates(world, 0, self.SUBJECTS, memo)
-        assert batch == [score_candidates(world, 0, (s,), memo)[0] for s in self.SUBJECTS]
         assert batch[0] == batch[4]
 
 
 class TestMemoAcrossRounds:
-    """A memo carried over rounds without deliveries reads exactly what a
-    fresh memo reads each round, where the values move with the round."""
+    """Views and reports kept over rounds without deliveries read exactly
+    what empty ones read each round, where the values move with the round."""
 
     def assert_carried_equals_fresh(self, world, subjects, rounds=range(1, 7)):
-        memo = TrustMemo()
         seen = set()
         for r in rounds:
             world.round = r
-            got = score_candidates(world, 0, subjects, memo)
-            assert got == score_candidates(world, 0, subjects), r
+            got = score_candidates(world, 0, subjects)
+            assert got == fresh_scores(world, 0, subjects), r
             seen.add(tuple(got))
         assert len(seen) == len(rounds)  # every round reads something new
 
@@ -375,20 +376,19 @@ class TestMemoAcrossRounds:
         world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob=0.5), DTMA_PARAMS)
         seed_history(world, 2, 1, n_clean=5)
         seed_history(world, 0, 2, n_clean=3)
-        memo = TrustMemo()
         heard = []
         for r in range(1, 41):
             world.round = r
-            got = score_candidates(world, 0, (1,), memo)
-            assert got == score_candidates(world, 0, (1,)), r
+            got = score_candidates(world, 0, (1,))
+            assert got == fresh_scores(world, 0, (1,)), r
             heard.append(got[0].indirect)
-            assert 1 not in memo.reports[2]  # a lie that moves with the round is never kept
+            assert 1 not in world.peers[2].reports  # a lie that moves with the round is never kept
         assert set(heard) == {0.0, 1.0}
 
     @pytest.mark.parametrize("slander_prob, told", [(0.0, 1.0), (1.0, 0.0)])
     def test_certain_lies_are_kept(self, monkeypatch, slander_prob, told):
         # at slander probability 0 or 1 the answer does not move with the
-        # round: the carried memo works the report out once and keeps it
+        # round: the recommender works the report out once and keeps it
         world = make_world(2)
         world.add_peer(2, PeerBehavior.badmouther((1,), slander_prob), DTMA_PARAMS)
         seed_history(world, 2, 1, n_clean=5)
@@ -400,22 +400,21 @@ class TestMemoAcrossRounds:
             asked.append(args)
             return ask(*args)
 
-        memo = TrustMemo()
         for r in range(1, 7):
             world.round = r
             monkeypatch.setattr(sim_engine, "recommendation_value", counting)
-            got = score_candidates(world, 0, (1,), memo)
+            got = score_candidates(world, 0, (1,))
             monkeypatch.undo()
-            assert got == score_candidates(world, 0, (1,)), r
+            assert got == fresh_scores(world, 0, (1,)), r
             assert got[0].indirect == told
-            assert memo.reports[2] == {1: told}
+            assert world.peers[2].reports == {1: told}
         assert len(asked) == 1
 
     def test_persistent_polluter_is_kept(self, monkeypatch):
         # forgiving fades the polluted counts every round, but PDTM direct
         # trust with no clean chunk is 0.0 at any polluted count, and with
-        # no forgetting the confidence weight holds: the carried memo keeps
-        # 0's entry of the polluter and the recommender's report about it
+        # no forgetting the confidence weight holds: 0 keeps its view of the
+        # polluter and the recommender its report about it
         params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM, forgiving=0.3)
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), params)
@@ -431,36 +430,33 @@ class TestMemoAcrossRounds:
             asked.append(args)
             return ask(*args)
 
-        memo = TrustMemo()
         for r in range(1, 7):
             world.round = r
             monkeypatch.setattr(sim_engine, "recommendation_value", counting)
-            got = score_candidates(world, 0, (1,), memo)
+            got = score_candidates(world, 0, (1,))
             monkeypatch.undo()
-            assert got == score_candidates(world, 0, (1,)), r
+            assert got == fresh_scores(world, 0, (1,)), r
             assert got[0].direct == got[0].indirect == 0.0
-            assert memo.direct[0][1] == got[0]._replace(indirect=0.5, combined=0.125)
-            assert memo.reports[2] == {1: 0.0}
+            assert world.peers[0].views[1] == got[0]._replace(indirect=0.5, combined=0.125)
+            assert world.peers[2].reports == {1: 0.0}
         assert len(asked) == 1
 
     def test_recommender_gains_the_subject_later(self):
-        # nothing decays, so the memo keeps 0's entry of 1, scored with
+        # nothing decays, so 0 keeps its view of 1, scored with
         # cold-start trust; when 2 later receives from 1, with no delivery to
         # 0, the walk's report must replace the cold start in 0's score
         world = make_world(3)
         seed_history(world, 0, 1, n_clean=2, n_polluted=1)
         seed_history(world, 0, 2, n_clean=3)
-        memo = TrustMemo()
         world.round = 1
-        before = score_candidates(world, 0, (1,), memo)[0]
-        assert before.indirect == 0.5 and memo.direct[0][1] == before
+        before = score_candidates(world, 0, (1,))[0]
+        assert before.indirect == 0.5 and world.peers[0].views[1] == before
         world.round = 2
         seed_history(world, 2, 1, n_clean=1, n_polluted=3)  # 2 recommends 1 at 0.25
-        memo.delivered(2, 1)  # as run_round does at 2's delivery
-        got = score_candidates(world, 0, (1,), memo)[0]
-        assert got == score_candidates(world, 0, (1,))[0]
+        got = score_candidates(world, 0, (1,))[0]
+        assert got == fresh_scores(world, 0, (1,))[0]
         assert got.indirect == 0.25 and got.combined != before.combined
-        assert memo.direct[0][1] == before  # still the score of 1 with no report
+        assert world.peers[0].views[1] == before  # still the score of 1 with no report
 
 
 class TestSelectProviders:
@@ -612,9 +608,9 @@ class TestRunRound:
         score = sim_engine.score_candidates
         indirect = {}
 
-        def checked(world, observer, subjects, memo=None):
-            got = score(world, observer, subjects, memo)
-            assert got == score(world, observer, subjects)  # memo-free
+        def checked(world, observer, subjects):
+            got = score(world, observer, subjects)
+            assert got == fresh_scores(world, observer, subjects)
             indirect[observer] = got[0].indirect
             return got
 

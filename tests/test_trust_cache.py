@@ -1,5 +1,5 @@
-"""The batch scoring kernel and its memo against an unmemoised oracle, and
-their work budget.
+"""The batch scoring kernel, and the values each peer keeps from its trust
+reads, against an oracle that keeps nothing; and their work budget.
 
 The oracle below is the pure definition: it scores one candidate at a time,
 queries recommendations for every candidate, decays a view of each
@@ -10,6 +10,12 @@ formulas itself rather than calling `trust_core`'s, and counts a delivery
 with its own decay. It lives here only, as the reference the `sim_engine`
 path must match bit for bit; `indirect_trust` is the aggregation the ranked
 walk (`sim_engine._walk_recommenders`) reproduces.
+
+A peer keeps the values its reads work out that hold for the rest of the
+run on its own record (`PeerRecord.views` and `.reports`), so a second call
+on the same world reads what the first kept. `fresh_scores` scores with
+every record's kept values set aside: the reference a call on kept values
+must equal.
 """
 
 import math
@@ -91,7 +97,7 @@ def indirect_trust(recommendations) -> Optional[float]:
     return weighted / total
 
 
-def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float]:
+def oracle_query_indirect(world, observer, subject) -> Optional[float]:
     if observer == subject:
         raise ValueError("a peer cannot query indirect trust about itself")
     obs = world.peers[observer]
@@ -118,7 +124,7 @@ def oracle_query_indirect(world, observer, subject, memo=None) -> Optional[float
     return indirect_trust(recommendations)
 
 
-def oracle_evaluate_components(world, observer, subject, memo=None):
+def oracle_evaluate_components(world, observer, subject):
     if observer == subject:
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
@@ -132,23 +138,38 @@ def oracle_evaluate_components(world, observer, subject, memo=None):
     return sim_engine.TrustComponents(d, ind, a, a * d + (1.0 - a) * ind)
 
 
-def oracle_score_candidates(world, observer, subjects, memo=None):
+def oracle_score_candidates(world, observer, subjects):
     return [oracle_evaluate_components(world, observer, s) for s in subjects]
 
 
+def fresh_scores(world, observer, subjects):
+    """The scores of the kernel as imported here, which no test patches,
+    with every record's kept views and reports set aside for empty ones
+    and put back after."""
+    records = list(world.peers.values())
+    kept = [(rec.views, rec.reports) for rec in records]
+    try:
+        for rec in records:
+            rec.views, rec.reports = {}, {}
+        return score_candidates(world, observer, subjects)
+    finally:
+        for rec, (views, reports) in zip(records, kept):
+            rec.views, rec.reports = views, reports
+
+
 def run_to_end(cfg):
-    """The report, final world and `TrustMemo` of a run through cfg.rounds."""
+    """The report and final world of a run through cfg.rounds."""
     run = Run(cfg).advance(cfg.rounds)
-    return run.report(), run.world, run.memo
+    return run.report(), run.world
 
 
-def reports_from_strangers(world, memo):
+def reports_from_strangers(world):
     """Kept reports whose recommender never received from the subject. The
     ranked walk reads a kept report before it tests the recommender's table,
     so this must be empty: a report is kept only from a table entry, and
     tables never lose entries."""
-    return [(k, s) for k, reports in memo.reports.items() for s in reports
-            if s not in world.peers[k].trust_table]
+    return [(k, s) for k, rec in world.peers.items() for s in rec.reports
+            if s not in rec.trust_table]
 
 
 def run_with_oracle(cfg):
@@ -156,7 +177,7 @@ def run_with_oracle(cfg):
         mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "score_candidates", oracle_score_candidates)
-        return run_to_end(cfg)[:2]
+        return run_to_end(cfg)
 
 
 def fingerprint(report, world):
@@ -270,7 +291,7 @@ def small_worlds(draw):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_worlds())
 def test_memoised_path_matches_oracle(cfg):
-    got = fingerprint(*run_to_end(cfg)[:2])
+    got = fingerprint(*run_to_end(cfg))
     want = fingerprint(*run_with_oracle(cfg))
     assert differing_keys(got, want) == []
 
@@ -282,7 +303,7 @@ def test_memoised_path_matches_oracle(cfg):
 ], ids=["exceeds_k", "fits_k", "holds_k"])
 def test_newcomer_reads_match_oracle(exp, overrides):
     """Whole runs on both sides of the walk's cut, at seed 1:
-    - e5, where the memo keeps most: the requesters' views of persistent
+    - e5, where the peers keep most: the requesters' views of persistent
       polluters hold polluted chunks alone, which forgiving fades while
       PDTM direct trust stays 0.0, so those entries and every report built
       on them are kept. Its newcomer's ranking exceeds k, so the cut
@@ -292,7 +313,7 @@ def test_newcomer_reads_match_oracle(exp, overrides):
     - e1: every ranking holds exactly k recommenders, the largest ranking
       the cut cannot reach."""
     cfg = build_experiment(exp, seed=1, **overrides)
-    got = fingerprint(*run_to_end(cfg)[:2])
+    got = fingerprint(*run_to_end(cfg))
     want = fingerprint(*run_with_oracle(cfg))
     assert differing_keys(got, want) == []
 
@@ -340,8 +361,8 @@ WALK = ("_walk_recommenders",)
 
 
 def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the run's memo cuts the decay,
-    scoring and recommendation work, and serves every repeated report.
+    """e4 rotating, group 24, 40 rounds: the kept views and reports cut the
+    decay, scoring and recommendation work, and serve every repeated report.
 
     A batch walks the requester's recommenders whenever the requester has
     received from anyone: every batch but round 1's 25 selections, so 975
@@ -355,15 +376,15 @@ def test_dense_collusion_work_counts(monkeypatch):
     16 593 of them an indirect value. The other 299 hear only from
     recommenders of credibility 0, whose weighted mean is undefined, so
     they keep cold start.
-    Both decay rates are 0 and no one lies, so the memo keeps every entry it
-    works out: an entry is worked out when first read and again after each
+    Both decay rates are 0 and no one lies, so the peers keep every view
+    they work out: a view is worked out when first read and again after each
     delivery that dropped it. There are 576 table entries, the victim's of
     the 24 members and each member's of the 23 others (552). The victim's
     936 deliveries after round 1 each drop an entry its observation reads
     again; of the members' 960, 552 are first deliveries, which drop
     nothing, and 407 of the other 408 drop an entry read again before the
     run ends.
-    `decayed_counts` counts the memo fills: 576 first reads (529 in
+    `decayed_counts` counts the view fills: 576 first reads (529 in
     selections, 47 in observations) and 1 343 refills (936 + 407).
     `direct_trust` adds one evaluation of the never-received-from state per
     peer, when its record is built: 25 peers. Built once per batch holding
@@ -384,7 +405,7 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
-    assert calls["direct_trust"] == 1_944      # 1 919 memo fills + 25 peers
+    assert calls["direct_trust"] == 1_944      # 1 919 view fills + 25 peers
     assert calls["decayed_counts"] == 1_919    # 576 first reads + 1 343 after a delivery
 
 
@@ -396,20 +417,20 @@ def test_sparse_mesh_work_counts(monkeypatch):
     requester has received from has itself received from; only those get
     reports, in 1 369 walks, while the other 6 881 walks find no
     recommender: 1 375 subjects one report and 44 two, 1 463 reports. Each
-    of the 1 419 subjects gets an indirect value. The run's memo serves 817
+    of the 1 419 subjects gets an indirect value. The kept reports serve 817
     of the reports. `recommendation_value` runs for the 26
     (recommender, subject) pairs first asked about, again for 367 kept
     reports that a delivery from the subject to the recommender dropped,
-    and for 253 that the memo never keeps because the recommender's view of
+    and for 253 that are never kept because the recommender's view of
     the subject holds clean and polluted chunks, so the forgiving rate
     (0.03) moves its direct trust every round (646). A view with polluted
     chunks alone has PDTM direct trust 0.0 in every round, so its report is
     kept; a memo that kept only entries whose counts do not decay made 911.
-    `decayed_counts` counts the memo fills: 666 first reads, 14 657 after a
+    `decayed_counts` counts the view fills: 666 first reads, 14 657 after a
     delivery dropped a kept entry, and 8 606 reads of an entry whose direct
-    trust moves with time, which the memo works out at each read (23 929;
+    trust moves with time, which is worked out at each read (23 929;
     27 896 when entries were kept only while their counts held).
-    `combine_trust` runs once per memo fill, since an entry is the finished
+    `combine_trust` runs once per view fill, since a view is the finished
     score of a subject with no report, once per peer for its components of
     a subject never received from, built with its record (500), and once
     per subject whose reports give an indirect value (1 419): 25 848.
@@ -442,19 +463,19 @@ def test_newcomer_reads_work_counts(monkeypatch):
     4 703 of those pairs an indirect value; the other 8 hear only from
     requesters of credibility 0 and keep cold start.
     Nothing but these walks asks the requesters about providers, so every
-    report the memo lacks is worked out in an observation: 599 the first
+    report not kept is worked out in an observation: 599 the first
     time a (requester, provider) pair is asked about, 2 400 after the
     requester received from the provider again, which dropped a kept
-    report, and 3 099 that the memo never keeps because the requester's
+    report, and 3 099 that are never kept because the requester's
     view holds clean and polluted chunks, so the forgiving rate (0.15)
     moves its direct trust every round. A view with polluted chunks alone
     has PDTM direct trust 0.0 in every round, so its report is kept. The
-    memo serves the other 18 359 of the 24 457 reports used; a memo that
+    kept reports serve the other 18 359 of the 24 457 used; a memo that
     kept only entries whose counts do not decay made 10 915 calls.
-    `decayed_counts` counts the memo fills, in selections and
+    `decayed_counts` counts the view fills, in selections and
     observations: 629 first reads, 2 681 after a delivery dropped a kept
     entry, and 4 341 reads of an entry whose direct trust moves with time,
-    which the memo works out at each read (7 651). Most fills (6 054) are
+    which is worked out at each read (7 651). Most fills (6 054) are
     the honest values of the reports above; the rest are the requesters'
     scorings of their providers and the newcomer's credibility of the
     requesters. A memo that kept only entries whose counts do not decay
@@ -476,16 +497,16 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["most_used"] == 10
     assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
     assert calls["decayed_counts"] == 7_651    # 629 first + 2 681 + 4 341 moving
-    assert calls["direct_trust"] == 7_782      # 7 651 memo fills + 131 peers
+    assert calls["direct_trust"] == 7_782      # 7 651 view fills + 131 peers
 
 
 def test_badmouthing_work_counts(monkeypatch):
     """e1 seed 1: eight bad-mouthers slander the subject at slander
     probability 1.0. That lie is certain, so `lies_about` is false and the
-    memo keeps their reports like any other. Each of the 10 recommenders
+    liars keep their reports like any other peer. Each of the 10 recommenders
     receives from the subject in every round, which drops its report;
     observer 0's observation then asks all 10 again, and observer 1's
-    observation and the next round's selections read the memo. Round 1's
+    observation and the next round's selections read the kept ones. Round 1's
     observation asks the 10 first: 10 + 49 x 10 = 500. A memo that dropped
     the liars' reports at each new round asked the 8 again in each later
     round's first selection, 892 calls."""
@@ -502,7 +523,7 @@ def test_badmouthing_work_counts(monkeypatch):
 def test_records_built_without_the_constructor_are_whole(monkeypatch, exp, overrides):
     """`record_delivery`, `run_round` and `_components` build their records
     with `tuple.__new__`, which skips a NamedTuple's check of its field
-    count: every trust-table entry, event, memo entry and scoring of a run
+    count: every trust-table entry, event, kept view and scoring of a run
     is exactly its record type, with every field."""
     scored = []
 
@@ -513,10 +534,10 @@ def test_records_built_without_the_constructor_are_whole(monkeypatch, exp, overr
 
     monkeypatch.setattr(sim_engine, "score_candidates", keeping)
     monkeypatch.setattr(scenarios, "score_candidates", keeping)
-    _, world, memo = run_to_end(build_experiment(exp, seed=1, **overrides))
+    _, world = run_to_end(build_experiment(exp, seed=1, **overrides))
     peers = world.peers.values()
     states = [st for rec in peers for st in rec.trust_table.values()]
-    components = [c for views in memo.direct.values() for c in views.values()]
+    components = [c for rec in peers for c in rec.views.values()]
     components += scored + [rec.unknown for rec in peers]
     assert states and world.event_log and scored
     assert {(type(r), len(r)) for r in states} == {(TrustState, 4)}
@@ -535,7 +556,7 @@ def test_never_received_from_components_use_the_scorers_params():
     for observer, stranger, alpha in ((0, 1, 0.0), (1, 0, 0.5)):
         rec = world.peers[observer]
         assert stranger not in rec.trust_table
-        comp = score_candidates(world, observer, (2, stranger), run.memo)[1]
+        comp = score_candidates(world, observer, (2, stranger))[1]
         assert comp == sim_engine._components(0.0, 0.0, 0.0, rec.params)
         assert comp.alpha == alpha
 
@@ -547,11 +568,11 @@ def test_never_received_from_components_use_the_scorers_params():
 ])
 def test_kept_reports_come_from_received_subjects(exp, overrides):
     """Bad-mouthers (e1), colluders endorsing each other (e4) and a newcomer
-    hearing from decaying views (e5): every report the memo keeps at the
-    end of the run is about a peer its recommender received from."""
-    _, world, memo = run_to_end(build_experiment(exp, seed=1, **overrides))
-    assert any(memo.reports.values())
-    assert reports_from_strangers(world, memo) == []
+    hearing from decaying views (e5): every report a recommender keeps at
+    the end of the run is about a peer it received from."""
+    _, world = run_to_end(build_experiment(exp, seed=1, **overrides))
+    assert any(rec.reports for rec in world.peers.values())
+    assert reports_from_strangers(world) == []
 
 
 def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
@@ -582,7 +603,7 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
 def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     """The three observers ask the bad-mouther about its target in every
     selection after round 1, two of them also in every observation. A lie
-    is keyed on the round, so the memo keeps none of these reports, and
+    is keyed on the round, so the liar keeps none of these reports, and
     the unmemoised oracle asks the liar afresh at every enquiry. Both hear
     the same reports in the same rounds; in each round the liar either lies
     to every enquirer or to none (its honest value may change within the
@@ -602,7 +623,7 @@ def test_memo_and_oracle_give_the_same_lies(monkeypatch):
     memo_heard, oracle_heard = {}, {}
     monkeypatch.setattr(sim_engine, "recommendation_value",
                         spying(memo_heard, recommendation_value))
-    report, world = run_to_end(cfg)[:2]
+    report, world = run_to_end(cfg)
     monkeypatch.setitem(globals(), "recommendation_value",
                         spying(oracle_heard, recommendation_value))
     oracle = run_with_oracle(cfg)

@@ -123,7 +123,7 @@ class TestModelTruthTable:
     upload_quality, recommendation_value, PeerBehavior.lies_about,
 ])
 def test_hot_functions_bind_enum_members_once(fn):
-    """Trust reads, memo fills, deliveries and reports compare against
+    """Trust reads, kept-view fills, deliveries and reports compare against
     enum members bound at module level: before Python 3.12, `Enum.MEMBER`
     in a function body is an EnumType.__getattr__ call each time it runs."""
     assert {"CFModel", "DTModel", "ChunkQuality", "BehaviorKind"}.isdisjoint(fn.__code__.co_names)

@@ -107,7 +107,7 @@ def test_indirect_trust_bounded_by_recommendations(histories, k, dt):
         value = oracle_direct_trust(world.peers[pid].trust_table[1], params)
         reports.append((-cred, pid, value))
     top = [(-neg_cred, value) for neg_cred, _, value in sorted(reports)[:k]]
-    got = sim_engine._walk_recommenders(world, 0, (1,), sim_engine.TrustMemo()).get(1)
+    got = sim_engine._walk_recommenders(world, 0, (1,)).get(1)
     assert got == indirect_trust(top)
     if got is not None:
         values = [value for _, value in top]
