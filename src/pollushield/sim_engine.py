@@ -35,6 +35,13 @@ stores nothing in the tables, so a run does not depend on how often trust
 is read. What a read works out that holds for the rest of the run, each
 peer keeps on its own record (`PeerRecord.views` and `.reports`); the kept
 values have no clock, so readers pass `world.round`.
+
+Peers that hold the same params object often hold equal table entries, so
+within a round they would work out the same arithmetic again and again.
+They share one `RoundMemo`, which maps a table state to its components and
+(state, quality) to the state a delivery leaves, for one round only: a read
+or delivery in another round finds it empty. Each is a pure function of
+the state, the params and the round, so a hit gives what a fill would.
 """
 
 from __future__ import annotations
@@ -80,6 +87,25 @@ class TrustComponents(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+class RoundMemo:
+    """One round's trust arithmetic for one params object: `reads` maps a
+    table state to its components in round `now` and whether they hold for
+    the rest of the run (`decays` is false), and `deliveries` maps (state,
+    quality) to what `record_delivery` returns in round `now`. `start`
+    empties both for a new round, so nothing outlives its round and a table
+    written anywhere needs no invalidation."""
+
+    __slots__ = ("now", "reads", "deliveries")
+
+    def __init__(self) -> None:
+        self.start(None)
+
+    def start(self, now: Optional[int]) -> None:
+        self.now = now
+        self.reads: Dict[TrustState, Tuple[TrustComponents, bool]] = {}
+        self.deliveries: Dict[Tuple[TrustState, ChunkQuality], TrustState] = {}
+
+
 class PeerRecord:
     """One peer: strategy, parameters, its private trust table, and the
     values its trust reads keep.
@@ -91,7 +117,10 @@ class PeerRecord:
     keep only values that hold for the rest of the run, and they hold only
     while the table entry they came from stands: a write to
     `trust_table[b]`, as `run_round` makes at each delivery, must drop
-    `views[b]` and `reports[b]`. So emptied ones give the same values."""
+    `views[b]` and `reports[b]`. So emptied ones give the same values.
+    `memo` is the `RoundMemo` of its params; a `World` gives every record
+    holding the same params object the same one, and a record made alone
+    gets its own."""
 
     __slots__ = (
         "behavior",
@@ -104,6 +133,7 @@ class PeerRecord:
         "unknown",
         "views",
         "reports",
+        "memo",
     )
 
     def __init__(
@@ -113,6 +143,7 @@ class PeerRecord:
         rng: random.Random,
         budget: int = 1,
         candidates: Sequence[int] = (),
+        memo: Optional[RoundMemo] = None,
     ) -> None:
         self.behavior = behavior
         self.params = params
@@ -124,10 +155,16 @@ class PeerRecord:
         self.unknown: TrustComponents = _components(0.0, 0.0, 0.0, params)
         self.views: Dict[int, TrustComponents] = {}
         self.reports: Dict[int, float] = {}
+        self.memo = RoundMemo() if memo is None else memo
 
 
 class World:
-    """A population of peers plus the bookkeeping the experiments read."""
+    """A population of peers plus the bookkeeping the experiments read.
+
+    `memos` holds one `RoundMemo` per params object its peers hold, keyed by
+    identity, not equality: params equal up to the sign of a zero give
+    different components. It holds each params object too, so no id is
+    reused while the world lives."""
 
     def __init__(
         self,
@@ -150,6 +187,7 @@ class World:
         # candidates advertising the chunk it wants (None: all of them)
         self.ads_per_round = ads_per_round
         self.ads_rng = random.Random(f"{seed}:ads")
+        self.memos: Dict[int, Tuple[TrustParams, RoundMemo]] = {}
 
     def add_peer(
         self,
@@ -165,7 +203,10 @@ class World:
         if pid in candidates:
             raise ValueError(f"peer {pid} lists itself as a candidate")
         rng = random.Random(f"{self.seed}:{pid}")
-        rec = PeerRecord(behavior, params, rng, budget, candidates)
+        held = self.memos.get(id(params))
+        if held is None:
+            held = self.memos[id(params)] = (params, RoundMemo())
+        rec = PeerRecord(behavior, params, rng, budget, candidates, held[1])
         self.peers[pid] = rec
         if is_requester:
             self.requesters.append(pid)
@@ -184,15 +225,22 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
 
 def _read(rec: PeerRecord, b: int, now: int) -> TrustComponents:
     """The components of b in round `now` with no report on b, for the peer
-    whose record is `rec` and whose table holds b. They are kept in
+    whose record is `rec` and whose table holds b, worked out once per
+    state and round in the record's `RoundMemo`. They are kept in
     `rec.views` when their direct trust and confidence factor do not move
     with time (`decays` is false; PDTM with no clean chunk holds at 0.0
     while forgiving fades the polluted count). Callers look there first."""
     st = rec.trust_table[b]
-    params = rec.params
-    nc, np_, n = decayed_counts(st, now, params)
-    entry = _components(nc, np_, n, params)
-    if not decays(st, params):
+    memo = rec.memo
+    if memo.now != now:
+        memo.start(now)
+    found = memo.reads.get(st)
+    if found is None:
+        params = rec.params
+        nc, np_, n = decayed_counts(st, now, params)
+        found = memo.reads[st] = (_components(nc, np_, n, params), not decays(st, params))
+    entry, holds = found
+    if holds:
         rec.views[b] = entry
     return entry
 
@@ -336,7 +384,8 @@ def select_providers(
 def run_round(world: World) -> None:
     """Advance the world by one round of requests, deliveries, and updates;
     every delivery drops the requester's kept view and report of the
-    provider, so what the peers keep stays valid."""
+    provider, so what the peers keep stays valid. A delivery update is
+    worked out once per (state, quality) in the round's `RoundMemo`."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
@@ -351,14 +400,20 @@ def run_round(world: World) -> None:
             advertising = req.candidates
         budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
         admitted = select_providers(world, rid, advertising)
+        memo = req.memo
+        if memo.now != r:
+            memo.start(r)
+        delivered = memo.deliveries
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
             quality = upload_quality(provider.behavior, pid, r, idx, provider.rng)
             req.delivery_index[pid] = idx + 1
-            req.trust_table[pid] = record_delivery(
-                req.trust_table.get(pid, EMPTY_STATE), quality, r, req.params
-            )
+            key = (req.trust_table.get(pid, EMPTY_STATE), quality)
+            state = delivered.get(key)
+            if state is None:
+                state = delivered[key] = record_delivery(*key, r, req.params)
+            req.trust_table[pid] = state
             req.views.pop(pid, None)
             req.reports.pop(pid, None)
             world.event_log.append(

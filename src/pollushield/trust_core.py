@@ -172,9 +172,10 @@ def decayed_counts(
         raise ValueError(f"time regression: now={now} precedes last_update={last}")
     if dt == 0.0:
         return nc, np_, n
-    # a zero rate keeps everything; exp(-0.0 * dt) is exactly 1.0 anyway
-    keep_clean = math.exp(-params.forgetting * dt) if params.forgetting else 1.0
-    keep_polluted = math.exp(-params.forgiving * dt) if params.forgiving else 1.0
+    # a zero rate keeps everything (exp(-0.0 * dt) is exactly 1.0 anyway),
+    # and a zero count stays the same zero at any keep in [0, 1]
+    keep_clean = math.exp(-params.forgetting * dt) if params.forgetting and (nc or n) else 1.0
+    keep_polluted = math.exp(-params.forgiving * dt) if params.forgiving and np_ else 1.0
     return nc * keep_clean, np_ * keep_polluted, n * keep_clean
 
 

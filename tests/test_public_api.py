@@ -24,11 +24,11 @@ def test_bench_hooks_resolve(monkeypatch):
     # the call sites a run goes through, where their callers look them up:
     # perfbench's tracer wraps them there, and its worker validates each
     # config it builds; the test oracle and work counts patch the scoring
-    # kernel and its walk
+    # kernel, its walk and the delivery update
     from pollushield import scenarios, sim_engine
 
     for name in ("upload_quality", "recommendation_value", "direct_trust",
-                 "score_candidates", "_walk_recommenders"):
+                 "score_candidates", "_walk_recommenders", "record_delivery"):
         assert callable(getattr(sim_engine, name, None)), f"sim_engine.{name}"
     assert callable(scenarios.ScenarioConfig.validate)
 

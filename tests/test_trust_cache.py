@@ -13,12 +13,14 @@ walk (`sim_engine._walk_recommenders`) reproduces.
 
 A peer keeps the values its reads work out that hold for the rest of the
 run on its own record (`PeerRecord.views` and `.reports`), so a second call
-on the same world reads what the first kept. `fresh_scores` scores with
-every record's kept values set aside: the reference a call on kept values
-must equal.
+on the same world reads what the first kept. Peers holding the same params
+object share a `RoundMemo` of what the current round's reads and deliveries
+worked out. `fresh_scores` scores with every record's kept values set aside
+and a memo of its own: the reference a call on kept values must equal.
 """
 
 import math
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import pytest
@@ -27,7 +29,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pollushield import scenarios, sim_engine
 from pollushield.behaviors import PeerBehavior, recommendation_value
 from pollushield.scenarios import Run, ScenarioConfig, build_experiment, run_scenario
-from pollushield.sim_engine import TransactionOutcome, TrustComponents, score_candidates
+from pollushield.sim_engine import (
+    RoundMemo,
+    TransactionOutcome,
+    TrustComponents,
+    World,
+    score_candidates,
+)
 from pollushield.trust_core import (
     EMPTY_STATE,
     CFModel,
@@ -144,17 +152,18 @@ def oracle_score_candidates(world, observer, subjects):
 
 def fresh_scores(world, observer, subjects):
     """The scores of the kernel as imported here, which no test patches,
-    with every record's kept views and reports set aside for empty ones
-    and put back after."""
+    with every record's kept views and reports set aside for empty ones,
+    and its round memo for a fresh one it shares with no other record, all
+    put back after: so every value is worked out."""
     records = list(world.peers.values())
-    kept = [(rec.views, rec.reports) for rec in records]
+    kept = [(rec.views, rec.reports, rec.memo) for rec in records]
     try:
         for rec in records:
-            rec.views, rec.reports = {}, {}
+            rec.views, rec.reports, rec.memo = {}, {}, RoundMemo()
         return score_candidates(world, observer, subjects)
     finally:
-        for rec, (views, reports) in zip(records, kept):
-            rec.views, rec.reports = views, reports
+        for rec, (views, reports, memo) in zip(records, kept):
+            rec.views, rec.reports, rec.memo = views, reports, memo
 
 
 def run_to_end(cfg):
@@ -384,18 +393,26 @@ def test_dense_collusion_work_counts(monkeypatch):
     again; of the members' 960, 552 are first deliveries, which drop
     nothing, and 407 of the other 408 drop an entry read again before the
     run ends.
-    `decayed_counts` counts the view fills: 576 first reads (529 in
-    selections, 47 in observations) and 1 343 refills (936 + 407).
+    `_read` counts the view fills: 576 first reads (529 in selections, 47
+    in observations) and 1 343 refills (936 + 407).
+    A fill is worked out once per (params object, state, round), in the
+    round memo the peers holding that object share, and a delivery update
+    once per (params object, state, quality, round). The 24 members hold
+    one params object and fill their entries of one another alike, so in a
+    round their reads and deliveries meet few distinct states:
+    `decayed_counts` runs for 263 of the 1 919 fills (79 the victim's, 184
+    the members'), and `record_delivery` for 275 of the 1 920 deliveries.
+    Before the round memo both ran once per fill and delivery.
     `direct_trust` adds one evaluation of the never-received-from state per
     peer, when its record is built: 25 peers. Built once per batch holding
     such a subject, those components took 553 evaluations.
     `recommendation_value` runs once per member's report about another
     member (552: 529 in selections, 23 in observations) and once per report
     dropped by a repeat delivery (407). A memo kept for one round
-    made 34 412, 34 965 and 16 124 calls, and the 1 920 deliveries decay
-    inside `record_delivery`, which these bindings do not see."""
+    made 34 412, 34 965 and 16 124 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "direct_trust", "decayed_counts"))
+                                             "direct_trust", "decayed_counts", "_read",
+                                             "record_delivery"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
     assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
     assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
@@ -405,8 +422,10 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
-    assert calls["direct_trust"] == 1_944      # 1 919 view fills + 25 peers
-    assert calls["decayed_counts"] == 1_919    # 576 first reads + 1 343 after a delivery
+    assert calls["_read"] == 1_919             # 576 first reads + 1 343 after a delivery
+    assert calls["decayed_counts"] == 263      # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 288        # 263 worked-out fills + 25 peers
+    assert calls["record_delivery"] == 275     # distinct (params, state, quality, round)
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
@@ -426,19 +445,25 @@ def test_sparse_mesh_work_counts(monkeypatch):
     (0.03) moves its direct trust every round (646). A view with polluted
     chunks alone has PDTM direct trust 0.0 in every round, so its report is
     kept; a memo that kept only entries whose counts do not decay made 911.
-    `decayed_counts` counts the view fills: 666 first reads, 14 657 after a
+    `_read` counts the view fills: 666 first reads, 14 657 after a
     delivery dropped a kept entry, and 8 606 reads of an entry whose direct
-    trust moves with time, which is worked out at each read (23 929;
-    27 896 when entries were kept only while their counts held).
-    `combine_trust` runs once per view fill, since a view is the finished
-    score of a subject with no report, once per peer for its components of
-    a subject never received from, built with its record (500), and once
-    per subject whose reports give an indirect value (1 419): 25 848.
-    Building those components once per batch (every one of the 8 400
-    batches holds such a subject) made 33 748 calls, and combining at every
-    scoring 84 000."""
+    trust moves with time (23 929; 27 896 when entries were kept only while
+    their counts held). Every peer holds the one params object, so they
+    share one round memo, and a fill is worked out once per (state, round):
+    `decayed_counts` runs 3 894 times (23 929 before the round memo).
+    Likewise a delivery update is worked out once per (state, quality,
+    round): `record_delivery` runs 917 times for the 15 600 deliveries, 29
+    of them first deliveries, of an empty entry.
+    `combine_trust` runs once per worked-out fill, since a view is the
+    finished score of a subject with no report, once per peer for its
+    components of a subject never received from, built with its record
+    (500), and once per subject whose reports give an indirect value
+    (1 419): 5 813 (25 848 with a fill per read). Building those components
+    once per batch (every one of the 8 400 batches holds such a subject)
+    added 7 900 calls, and combining at every scoring made 84 000."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "decayed_counts", "combine_trust"))
+                                             "decayed_counts", "combine_trust", "_read",
+                                             "record_delivery"))
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
@@ -447,8 +472,10 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
     assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
-    assert calls["decayed_counts"] == 23_929   # 666 first + 14 657 after a delivery + 8 606
-    assert calls["combine_trust"] == 25_848    # 23 929 fills + 500 peers + 1 419 reports
+    assert calls["_read"] == 23_929            # 666 first + 14 657 after a delivery + 8 606
+    assert calls["decayed_counts"] == 3_894    # distinct (state, round) of the fills
+    assert calls["combine_trust"] == 5_813     # 3 894 fills + 500 peers + 1 419 reports
+    assert calls["record_delivery"] == 917     # distinct (state, quality, round)
 
 
 def test_newcomer_reads_work_counts(monkeypatch):
@@ -472,21 +499,28 @@ def test_newcomer_reads_work_counts(monkeypatch):
     has PDTM direct trust 0.0 in every round, so its report is kept. The
     kept reports serve the other 18 359 of the 24 457 used; a memo that
     kept only entries whose counts do not decay made 10 915 calls.
-    `decayed_counts` counts the view fills, in selections and
-    observations: 629 first reads, 2 681 after a delivery dropped a kept
-    entry, and 4 341 reads of an entry whose direct trust moves with time,
-    which is worked out at each read (7 651). Most fills (6 054) are
-    the honest values of the reports above; the rest are the requesters'
-    scorings of their providers and the newcomer's credibility of the
-    requesters. A memo that kept only entries whose counts do not decay
-    made 13 918 fills, 10 611 of them decaying reads, and one that also
-    kept a decaying entry until the round moved made 11 859.
+    `_read` counts the view fills, in selections and observations: 629
+    first reads, 2 681 after a delivery dropped a kept entry, and 4 341
+    reads of an entry whose direct trust moves with time (7 651). Most
+    fills (6 054) are the honest values of the reports above; the rest are
+    the requesters' scorings of their providers and the newcomer's
+    credibility of the requesters. A memo that kept only entries whose
+    counts do not decay made 13 918 fills, 10 611 of them decaying reads,
+    and one that also kept a decaying entry until the round moved made
+    11 859.
+    A fill is worked out once per (params object, state, round), in the
+    round memo shared by the peers holding that object: the requesters
+    share one, and the newcomer has its own. So `decayed_counts` runs
+    3 991 times (3 605 for the requesters, 386 for the newcomer).
+    Likewise `record_delivery` runs once per (params object, state,
+    quality, round): 2 274 times for the 3 632 deliveries.
     `direct_trust` adds one evaluation of the never-received-from state per
     peer, when its record is built (131). Built once per batch holding such
     a subject, 637 selections and the 50 observation batches, those
     components took 687."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "direct_trust", "decayed_counts"))
+                                             "direct_trust", "decayed_counts", "_read",
+                                             "record_delivery"))
     run_scenario(build_experiment("e5", seed=1))
     assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
     assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
@@ -496,8 +530,10 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
     assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
-    assert calls["decayed_counts"] == 7_651    # 629 first + 2 681 + 4 341 moving
-    assert calls["direct_trust"] == 7_782      # 7 651 view fills + 131 peers
+    assert calls["_read"] == 7_651             # 629 first + 2 681 + 4 341 moving
+    assert calls["decayed_counts"] == 3_991    # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 4_122      # 3 991 worked-out fills + 131 peers
+    assert calls["record_delivery"] == 2_274   # distinct (params, state, quality, round)
 
 
 def test_badmouthing_work_counts(monkeypatch):
@@ -559,6 +595,44 @@ def test_never_received_from_components_use_the_scorers_params():
         comp = score_candidates(world, observer, (2, stranger))[1]
         assert comp == sim_engine._components(0.0, 0.0, 0.0, rec.params)
         assert comp.alpha == alpha
+
+
+def test_round_memo_is_shared_by_params_identity_not_equality():
+    """e2 with the CONSTANT confidence factor at weight 0.0, and peer 1's
+    override differing only by `cf_constant=-0.0`: the two params compare
+    equal, but peer 1's weight is -0.0. Peers 0 and 1 receive from the same
+    on-off attackers in peer-id order, so a memo shared by equal params
+    would hand peer 1 the components peer 0's reads worked out, weight
+    0.0. Every one of peer 1's trajectory rows keeps -0.0."""
+    cfg = build_experiment("e2", seed=1)
+    base = replace(cfg.params, cf_model=CFModel.CONSTANT, cf_constant=0.0)
+    signed = replace(base, cf_constant=-0.0)
+    assert signed == base and signed is not base
+    run = Run(replace(cfg, params=base, param_overrides=((1, signed),))).advance(cfg.rounds)
+    peers = run.world.peers
+    assert peers[0].memo is peers[2].memo is not peers[1].memo
+    rows = [row for (observer, _), rows in run.trajectories.items() if observer == 1
+            for row in rows]
+    assert len(rows) == 3 * cfg.rounds
+    assert all(math.copysign(1.0, row[3]) == -1.0 for row in rows)
+
+
+def test_round_memo_starts_empty_in_another_round():
+    """An entry whose direct trust decays, scored in round 5 and again in
+    round 8 with its table unchanged: the second score is the oracle's at
+    round 8, not what the memo worked out in round 5."""
+    params = TrustParams(forgetting=0.1, forgiving=0.05)
+    world = World(seed=1)
+    for pid in (0, 1):
+        world.add_peer(pid, PeerBehavior.honest(), params)
+    world.peers[0].trust_table[1] = TrustState(3.0, 1.0, 4.0, 2)
+    world.round = 5
+    first = score_candidates(world, 0, (1,))
+    assert first == oracle_score_candidates(world, 0, (1,))
+    world.round = 8
+    got = score_candidates(world, 0, (1,))
+    assert got == oracle_score_candidates(world, 0, (1,))
+    assert got != first
 
 
 @pytest.mark.parametrize("exp, overrides", [

@@ -166,6 +166,35 @@ def test_decay_keeps_bad_memories_longer(counters, dt):
     assert nc < np_
 
 
+def always_two_exp(state, now, params):
+    """`decayed_counts` as it was first written: both keep factors taken
+    with `exp` whenever time passed, whatever the counts and rates."""
+    nc, np_, n, last = state
+    dt = now - last
+    if dt == 0.0:
+        return nc, np_, n
+    keep_clean = math.exp(-params.forgetting * dt)
+    keep_polluted = math.exp(-params.forgiving * dt)
+    return nc * keep_clean, np_ * keep_polluted, n * keep_clean
+
+
+zero_or_count = st.one_of(st.sampled_from([0.0, -0.0]), counts)
+zero_or_rate = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=200.0))
+
+
+@given(nc=zero_or_count, np_=zero_or_count, n=zero_or_count,
+       forgetting=zero_or_rate, forgiving=zero_or_rate,
+       last=st.integers(0, 50), dt=st.integers(0, 50))
+def test_decay_skips_exp_only_where_it_changes_nothing(nc, np_, n, forgetting, forgiving, last, dt):
+    """Skipping `exp` for a zero count or a zero rate gives the
+    always-two-`exp` formula's floats bit for bit, sign of zero included."""
+    params = TrustParams(forgetting=forgetting, forgiving=forgiving)
+    state = TrustState(nc, np_, n, last)
+    got = decayed_counts(state, last + dt, params)
+    want = always_two_exp(state, last + dt, params)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @given(t1=unit, t2=unit)
 def test_transaction_probability_non_decreasing(t1, t2):
     params = TrustParams(theta_p=0.5, theta_g=0.9, chi=0.5)
