@@ -23,6 +23,7 @@ from .scenarios import (
     dump_config,
     load_config,
     mean_requester_goodput,
+    run_grid,
     run_scenario,
     save_config,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "dump_config",
     "load_config",
     "mean_requester_goodput",
+    "run_grid",
     "run_scenario",
     "save_config",
     "PeerRecord",

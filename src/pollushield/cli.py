@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from typing import Dict, List, Optional, Sequence
+from functools import cache
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .metrics import emit_csv
 from .scenarios import (
@@ -19,7 +20,7 @@ from .scenarios import (
     ScenarioConfig,
     build_experiment,
     load_config,
-    run_scenario,
+    run_grid,
 )
 
 EXIT_OK = 0
@@ -39,7 +40,9 @@ def _sweep_keys(experiment: Optional[str]) -> Dict[str, type]:
     }
 
 
-def _parse_sweep(spec: str, keys: Dict[str, type]) -> List[tuple]:
+def _parse_sweep(spec: str, experiment: Optional[str]) -> Dict[str, List]:
+    """--sweep as a grid of one axis."""
+    keys = _sweep_keys(experiment)
     try:
         key, _, raw = spec.partition("=")
         if key not in keys:
@@ -54,47 +57,33 @@ def _parse_sweep(spec: str, keys: Dict[str, type]) -> List[tuple]:
             raise ValueError(f"repeated values {', '.join(map(str, repeated))}")
     except ValueError as exc:
         raise ValueError(f"bad --sweep argument {spec!r}: {exc}") from exc
-    return [(key, v) for v in values]
+    return {key: values}
 
 
-def _value_slug(value: object) -> str:
-    return str(value).replace(".", "p").replace("-", "m")
+def _point_name(name: str, point: dict) -> str:
+    slugs = (str(v).replace(".", "p").replace("-", "m") for v in point.values())
+    return "_".join([name, *(f"{k}_{slug}" for k, slug in zip(point, slugs))])
 
 
-def _run_one(args, overrides: dict, suffix: str) -> int:
+def _config_maker(args) -> Callable[..., ScenarioConfig]:
+    """The sweep grid's `make`: a point's value overrides --seed/--rounds,
+    and a non-empty point's values suffix the config's name."""
+    base = {k: v for k, v in (("seed", args.seed), ("rounds", args.rounds)) if v is not None}
     if args.experiment is not None:
+        def make(**point):
+            cfg = build_experiment(args.experiment, **dict(base, **point))
+            return replace(cfg, name=_point_name(cfg.name, point)) if point else cfg
+        return make
+    path, load = args.scenario, cache(load_config)  # the first point reads the file
+
+    def make(**point):
         try:
-            cfg = build_experiment(args.experiment, **overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        if suffix:
-            cfg = replace(cfg, name=f"{cfg.name}_{suffix}")
-    else:
-        path = args.scenario
-        try:
-            cfg = load_config(path)
-            if suffix:
-                overrides = dict(overrides, name=f"{cfg.name}_{suffix}")
-            if overrides:
-                cfg = replace(cfg, **overrides)
+            loaded, overrides = load(path), dict(base, **point)
+            name = _point_name(loaded.name, point)
+            return replace(loaded, **overrides, name=name) if overrides else loaded
         except (OSError, ValueError, RecursionError) as exc:
-            print(f"error: cannot load scenario {path!r}: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-    report = run_scenario(cfg)
-    for msg in report.run_meta["diagnostics"]:
-        print(f"warning: {cfg.name}: {msg}", file=sys.stderr)
-    try:
-        paths = emit_csv(report, args.out)
-    except OSError as exc:
-        print(f"error: cannot write to {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    outcomes = sum(s.requests_received for s in report.summary)
-    print(
-        f"{cfg.name}: seed={cfg.seed} peers={cfg.n_peers} rounds={cfg.rounds} "
-        f"deliveries={outcomes} -> {paths[0]}"
-    )
-    return EXIT_OK
+            raise ValueError(f"cannot load scenario {path!r}: {exc}") from exc
+    return make
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -125,25 +114,23 @@ def run_command(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    base_overrides: dict = {}
-    if args.seed is not None:
-        base_overrides["seed"] = args.seed
-    if args.rounds is not None:
-        base_overrides["rounds"] = args.rounds
-
-    if args.sweep is None:
-        return _run_one(args, base_overrides, "")
     try:
-        points = _parse_sweep(args.sweep, _sweep_keys(args.experiment))
+        grid = {} if args.sweep is None else _parse_sweep(args.sweep, args.experiment)
+        runs = run_grid(_config_maker(args), grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    for key, value in points:
-        overrides = dict(base_overrides)
-        overrides[key] = value
-        code = _run_one(args, overrides, f"{key}_{_value_slug(value)}")
-        if code != EXIT_OK:
-            return code
+    for _, run in runs:
+        cfg, report = run.cfg, run.report()
+        for msg in report.run_meta["diagnostics"]:
+            print(f"warning: {cfg.name}: {msg}", file=sys.stderr)
+        try:
+            paths = emit_csv(report, args.out)
+        except OSError as exc:
+            print(f"error: cannot write to {args.out!r}: {exc}", file=sys.stderr)
+            return EXIT_UNWRITABLE
+        print(f"{cfg.name}: seed={cfg.seed} peers={cfg.n_peers} rounds={cfg.rounds} "
+              f"deliveries={sum(s.requests_received for s in report.summary)} -> {paths[0]}")
     return EXIT_OK
 
 

@@ -15,10 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
-from typing import (
-    Any, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
-)
+from itertools import groupby, product
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
@@ -702,6 +701,18 @@ class Run:
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Run the configured world for cfg.rounds and collect the report."""
     return Run(cfg).advance(cfg.rounds).report()
+
+
+def run_grid(
+    make: Callable[..., ScenarioConfig], grid: Mapping[str, Sequence[Any]]
+) -> Iterator[Tuple[Dict[str, Any], Run]]:
+    """(point, run) for each point of `grid` (axis name -> values), in
+    itertools.product order, last axis fastest; {} alone for the empty grid.
+    The call builds each config with `make(**point)`, so a bad point raises
+    ValueError before any run; each run advances through cfg.rounds lazily."""
+    points = [dict(zip(grid, values)) for values in product(*grid.values())]
+    configs = [make(**point) for point in points]
+    return ((point, Run(cfg).advance(cfg.rounds)) for point, cfg in zip(points, configs))
 
 
 def mean_requester_goodput(cfg: ScenarioConfig, report: MetricsReport) -> float:

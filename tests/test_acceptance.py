@@ -20,13 +20,17 @@ The counterexamples outside the region are counted and printed.
 import math
 import random
 from dataclasses import replace
+from functools import partial
 from time import perf_counter
 
 import pytest
 from scipy.stats import spearmanr
+from test_golden import GRID_REPORT_SHA256, report_digest
 
 from pollushield.cli import run_command
-from pollushield.scenarios import build_experiment, mean_requester_goodput, run_scenario
+from pollushield.scenarios import (
+    build_experiment, mean_requester_goodput, run_grid, run_scenario,
+)
 from pollushield.trust_core import (
     CFModel,
     DTModel,
@@ -215,27 +219,44 @@ LOSS_GRID = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10)
 SEEDS = (1, 2, 3, 4, 5)
 
 
+def policy_gaps(exp, axis, values, policies):
+    """Per value of `axis`, the first policy's mean requester goodput over
+    SEEDS (summed in seed order) minus the second's, and how many seeds each
+    policy wins; also the grid points whose report drifted from its pinned
+    digest."""
+    grid = {axis: values, "policy": policies, "seed": SEEDS}
+    goodput, drifted = {}, []
+    for point, run in run_grid(partial(build_experiment, exp), grid):
+        key = tuple(point.values())
+        rep = run.report()
+        if report_digest(rep) != GRID_REPORT_SHA256[(exp, *key)]:
+            drifted.append(key)
+        goodput[key] = mean_requester_goodput(run.cfg, rep)
+    gaps, wins = {}, {}
+    for value in values:
+        first, second = ([goodput[value, policy, seed] for seed in SEEDS] for policy in policies)
+        gaps[value] = sum(first) / len(first) - sum(second) / len(second)
+        wins[value] = (sum(a > b for a, b in zip(first, second)),
+                       sum(b > a for a, b in zip(first, second)))
+    return gaps, wins, drifted
+
+
+def gap_detail(gaps, wins, policies):
+    return f"gaps (seeds won, {'-'.join(policies)})=" + ", ".join(
+        f"{v:.0%}:{gap:+.4f} ({wins[v][0]}-{wins[v][1]})" for v, gap in gaps.items())
+
+
 def test_criterion_5_double_thresholds_beat_single_under_loss():
     t0 = perf_counter()
-    gaps = {}
-    means = {}
-    for loss in LOSS_GRID:
-        double, single = [], []
-        for seed in SEEDS:
-            c_d = build_experiment("e3", seed=seed, loss_rate=loss, policy="proposed")
-            c_s = build_experiment("e3", seed=seed, loss_rate=loss, policy="single")
-            double.append(mean_requester_goodput(c_d, run_scenario(c_d)))
-            single.append(mean_requester_goodput(c_s, run_scenario(c_s)))
-        means[loss] = (sum(double) / len(double), sum(single) / len(single))
-        gaps[loss] = means[loss][0] - means[loss][1]
+    policies = ("proposed", "single")
+    gaps, wins, drifted = policy_gaps("e3", "loss_rate", LOSS_GRID, policies)
     elapsed = perf_counter() - t0
     dominant = all(gaps[loss] >= -1e-12 for loss in LOSS_GRID)
     widening = gaps[0.10] > gaps[0.0]
-    ok = dominant and widening and elapsed < 60.0
+    ok = dominant and widening and not drifted and elapsed < 60.0
     report(5, "double thresholds never lose to single 0.8 and the gap grows with loss",
-           ok,
-           "gaps=" + ", ".join(f"{l:.0%}:{gaps[l]:+.4f}" for l in LOSS_GRID)
-           + f", elapsed={elapsed:.1f}s")
+           ok, gap_detail(gaps, wins, policies) + f", elapsed={elapsed:.1f}s")
+    assert not drifted, f"runs drifted from GRID_REPORT_SHA256: {drifted}"
     assert dominant, f"single threshold won somewhere: {gaps}"
     assert widening, f"gap at 10% loss ({gaps[0.10]:.4f}) must exceed gap at 0% ({gaps[0.0]:.4f})"
     assert elapsed < 60.0
@@ -303,17 +324,8 @@ EQUALITY_BAND = 0.005  # two stochastic systems can only tie up to sampling nois
 
 def test_criterion_8_proposed_system_beats_fixed_weight_baseline():
     t0 = perf_counter()
-    gaps = {}
-    for fraction in FRACTIONS:
-        proposed, baseline = [], []
-        for seed in SEEDS:
-            c_p = build_experiment("e6", seed=seed, malicious_fraction=fraction,
-                                   policy="proposed")
-            c_b = build_experiment("e6", seed=seed, malicious_fraction=fraction,
-                                   policy="peertrust")
-            proposed.append(mean_requester_goodput(c_p, run_scenario(c_p)))
-            baseline.append(mean_requester_goodput(c_b, run_scenario(c_b)))
-        gaps[fraction] = sum(proposed) / len(proposed) - sum(baseline) / len(baseline)
+    policies = ("proposed", "peertrust")
+    gaps, wins, drifted = policy_gaps("e6", "malicious_fraction", FRACTIONS, policies)
     elapsed = perf_counter() - t0
     at_zero_ok = gaps[0.0] >= -EQUALITY_BAND
     strictly_ahead = all(gaps[f] > 0.0 for f in FRACTIONS[1:])
@@ -322,11 +334,10 @@ def test_criterion_8_proposed_system_beats_fixed_weight_baseline():
         gaps[b] >= gaps[a] - 1e-12 or (a == 0.0 and gaps[b] >= gaps[a] - EQUALITY_BAND)
         for a, b in zip(ordered, ordered[1:])
     )
-    ok = at_zero_ok and strictly_ahead and non_decreasing and elapsed < 60.0
+    ok = at_zero_ok and strictly_ahead and non_decreasing and not drifted and elapsed < 60.0
     report(8, "proposed pipeline dominates the fixed-weight baseline, gap widening",
-           ok,
-           "gaps=" + ", ".join(f"{f:.0%}:{gaps[f]:+.4f}" for f in FRACTIONS)
-           + f", elapsed={elapsed:.1f}s")
+           ok, gap_detail(gaps, wins, policies) + f", elapsed={elapsed:.1f}s")
+    assert not drifted, f"runs drifted from GRID_REPORT_SHA256: {drifted}"
     assert at_zero_ok, f"baseline clearly ahead with no attackers: gap={gaps[0.0]:.4f}"
     assert strictly_ahead, f"baseline won at a positive fraction: {gaps}"
     assert non_decreasing, f"advantage must grow with the malicious fraction: {gaps}"

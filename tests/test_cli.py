@@ -4,15 +4,20 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pollushield import cli
 from pollushield.cli import run_command
 from pollushield.metrics import MetricsReport, PeerSummary, emit_csv
-from pollushield.scenarios import ScenarioConfig, build_experiment, config_to_dict, save_config
+from pollushield.scenarios import (
+    EXPERIMENT_IDS, EXPERIMENT_OVERRIDES, ScenarioConfig, build_experiment, config_to_dict,
+    save_config,
+)
 
 
 def read(path):
@@ -281,6 +286,31 @@ class TestRunCommand:
         assert run_command(["run", *argv, "--out", str(tmp_path)]) == 0
         assert len(calls) == validations, calls
 
+    @pytest.mark.parametrize(
+        "target, sweep",
+        [(["--experiment", "e1"], "rounds=5,0"), (["--scenario", "{cfg}"], "rounds=4,0")],
+        ids=["experiment", "scenario"],
+    )
+    def test_bad_sweep_value_writes_nothing(self, tmp_path, capsys, target, sweep):
+        """Every point is built before any runs, so the good first point
+        writes no file either."""
+        path = tmp_path / "e2.cfg"
+        save_config(build_experiment("e2"), str(path))
+        out = tmp_path / "out"
+        argv = [arg.format(cfg=path) for arg in target]
+        assert run_command(["run", *argv, "--sweep", sweep, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "rounds must be positive" in err
+        assert ("e2.cfg" in err) == ("--scenario" in target)
+        assert not out.exists()
+
+    def test_sweep_value_overrides_seed_flag(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_command(
+            ["run", "--experiment", "e1", "--seed", "5", "--sweep", "seed=2", "--out", str(out)]
+        ) == 0
+        assert json.loads((out / "e1_seed_2_meta.json").read_text())["seed"] == 2
+
     def test_sweep_rejects_repeated_values(self, tmp_path, capsys):
         # 1 and 01 cast to the same seed and would write e2_seed_1_* three times
         out = tmp_path / "out"
@@ -300,6 +330,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "sweep" in err
         assert sweep.partition("=")[0] in err
+
+
+def test_readme_sweep_key_table_matches_code():
+    """README's `| target | sweep keys |` table is written by hand: each row
+    lists its targets' override names, values in parentheses aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("  | target | sweep keys |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.lstrip().startswith("|"):
+            break
+        targets, keys = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys))
+        for target in targets.split(", "):
+            assert target not in rows, f"{target} has two rows"
+            rows[target] = keys
+    expected = {exp: list(EXPERIMENT_OVERRIDES[exp]) for exp in EXPERIMENT_IDS}
+    expected["`--scenario` file"] = list(cli._sweep_keys(None))
+    assert rows == expected
 
 
 # --- single-leaf scenario-file mutations --------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from pollushield.scenarios import (
     dump_config,
     load_config,
     mean_requester_goodput,
+    run_grid,
     run_scenario,
     save_config,
 )
@@ -366,3 +368,34 @@ class TestRunScenario:
         rotating = replace(PeerBehavior.collab_rotating((1, 2)), designated_polluter=7)
         with pytest.raises(ValueError, match="designated_polluter names non-peer 7"):
             tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (rotating, 2)))
+
+
+class TestRunGrid:
+    def test_points_in_product_order_last_axis_fastest(self):
+        runs = list(run_grid(tiny_config, {"seed": (3, 1), "rounds": (2, 5, 4)}))
+        assert [point for point, _ in runs] == [
+            {"seed": s, "rounds": r} for s in (3, 1) for r in (2, 5, 4)
+        ]
+        for point, run in runs:
+            assert (run.cfg.seed, run.cfg.rounds, run.world.round) == (
+                point["seed"], point["rounds"], point["rounds"])
+            assert run.report().summary == run_scenario(run.cfg).summary
+
+    def test_empty_grid_runs_one_point(self):
+        runs = list(run_grid(partial(tiny_config, rounds=3), {}))
+        assert [point for point, _ in runs] == [{}]
+        assert runs[0][1].world.round == 3
+
+    def test_bad_last_point_raises_before_any_round(self, monkeypatch):
+        from pollushield import scenarios
+
+        calls = []
+        run_round = scenarios.run_round
+        monkeypatch.setattr(
+            scenarios, "run_round", lambda world: calls.append(world.round) or run_round(world))
+        with pytest.raises(ValueError, match="rounds must be positive"):
+            run_grid(tiny_config, {"seed": (1, 2), "rounds": (3, 0)})
+        assert calls == []
+        # the hook counts: a good grid goes through it
+        list(run_grid(tiny_config, {"rounds": (3,)}))
+        assert calls == [0, 1, 2]
