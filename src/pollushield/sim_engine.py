@@ -14,11 +14,15 @@ has received from that has itself received from the subject; the trust
 tables are the only record of both. So, when the requester has received
 from anyone, one ranking serves the batch: the peers in its table that
 received from some subject are sorted once by credibility, ties by lowest
-id. Each subject then walks that ranking in turn, adding the report of
-every recommender that received from it to running sums of credibility
-and credibility-weighted report, and stops at k_recommenders reports; a
-ranking of at most k_recommenders peers cannot reach that cut, so there
-each subject is summed with no count of its reports. So each subject sums
+id. When the ranking holds at most k_recommenders peers, no subject can
+have more reports than that, so each subject walks the whole ranking in
+turn, adding the report of every recommender that received from it to
+running sums of credibility and credibility-weighted report. A longer
+ranking is walked once, recommender by recommender: one set intersection
+of the recommender's table with the subjects still wanted appends it to
+the holder list of each subject it received from; a subject leaves once
+its list holds k_recommenders, and the pass ends when none is left. Each
+subject then sums its own list the same way. So each subject sums
 its own top k in rank order, the operations of the test oracle's
 aggregation (tests/test_trust_cache.py), bit for bit; a subject with no
 report, or only reports of credibility 0, takes cold-start trust as its
@@ -118,9 +122,8 @@ class PeerRecord:
     while the table entry they came from stands: a write to
     `trust_table[b]`, as `run_round` makes at each delivery, must drop
     `views[b]` and `reports[b]`. So emptied ones give the same values.
-    `memo` is the `RoundMemo` of its params; a `World` gives every record
-    holding the same params object the same one, and a record made alone
-    gets its own."""
+    `memo` is the `RoundMemo` of its params, which `World.add_peer` gives
+    every record holding the same params object."""
 
     __slots__ = (
         "behavior",
@@ -141,9 +144,9 @@ class PeerRecord:
         behavior: PeerBehavior,
         params: TrustParams,
         rng: random.Random,
-        budget: int = 1,
-        candidates: Sequence[int] = (),
-        memo: Optional[RoundMemo] = None,
+        budget: int,
+        candidates: Sequence[int],
+        memo: RoundMemo,
     ) -> None:
         self.behavior = behavior
         self.params = params
@@ -155,7 +158,7 @@ class PeerRecord:
         self.unknown: TrustComponents = _components(0.0, 0.0, 0.0, params)
         self.views: Dict[int, TrustComponents] = {}
         self.reports: Dict[int, float] = {}
-        self.memo = RoundMemo() if memo is None else memo
+        self.memo = memo
 
 
 class World:
@@ -259,11 +262,12 @@ def _report(k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
 
 def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> Dict[int, float]:
     """The ranked walk the module docstring describes: one ranking of the
-    observer's recommenders, then one pass over it per subject (a subject
-    listed twice is walked once), counting the subject's reports only when
-    the ranking holds more than k recommenders. Returns the indirect trust
-    of each subject whose top k recommenders carry some credibility; any
-    other subject is absent and keeps cold start."""
+    observer's recommenders, then either one pass over it per subject (a
+    subject listed twice is walked once), when it holds at most k
+    recommenders, or one pass that lists each subject's first k holders,
+    which each subject then sums. Returns the indirect trust of each
+    subject whose top k recommenders carry some credibility; any other
+    subject is absent and keeps cold start."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
@@ -291,6 +295,7 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
             total = 0.0
             weighted = 0.0
             for cred, k, received, reports in walk:
+                # a kept report implies k received from the subject: tables never lose entries
                 value = reports.get(subject)
                 if value is None:
                     if subject not in received:
@@ -301,23 +306,28 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
             if total != 0.0:
                 indirect[subject] = weighted / total
         return indirect
-    for subject in dict.fromkeys(subjects):
+    # each subject's first k_max holders in rank order, found recommender by
+    # recommender; a subject leaves `wanted` once it has them all
+    wanted = set(subjects)
+    holders: Dict[int, list] = {subject: [] for subject in wanted}
+    for entry in walk:
+        for subject in entry[2].keys() & wanted:
+            held = holders[subject]
+            held.append(entry)
+            if len(held) == k_max:
+                wanted.discard(subject)
+        if not wanted:
+            break
+    for subject, held in holders.items():
         # running sums in rank order: the test oracle's aggregation bit for bit
-        n = 0
         total = 0.0
         weighted = 0.0
-        for cred, k, received, reports in walk:
-            # a kept report implies k received from the subject: tables never lose entries
+        for cred, k, _, reports in held:
             value = reports.get(subject)
             if value is None:
-                if subject not in received:
-                    continue
                 value = _report(k, subject, peers[k], seed, now)
             total += cred
             weighted += cred * value
-            n += 1
-            if n == k_max:
-                break
         if total != 0.0:
             indirect[subject] = weighted / total
     return indirect

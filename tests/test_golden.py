@@ -17,7 +17,13 @@ portable pin.
 """
 
 import hashlib
+import inspect
+import json
 import os
+import platform
+import re
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +127,61 @@ def test_full_precision_digests(exp, overrides):
         f"{exp} {dict(overrides)} output drifted at full precision ({digest}); "
         "if the change is intentional, update FULL_PRECISION_SHA256"
     )
+
+
+# e5 is the one config whose walks build holder lists (rankings longer than
+# k_recommenders); e4 group 24 and e6 peertrust sum their rankings uncounted
+CROSS_VERSION_KEYS = (
+    ("e5", ()),
+    ("e4", (("group_size", 24), ("rounds", 40))),
+    ("e6", (("policy", "peertrust"),)),
+)
+
+CHILD = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from pollushield.scenarios import Run, build_experiment
+{digest}
+keys = json.loads(sys.argv[2])
+print(json.dumps([full_precision_digest(build_experiment(exp, seed=1, **dict(ov)))
+                  for exp, ov in keys]))
+"""
+
+
+def other_cpythons():
+    """(version, interpreter) of every CPython 3.10 or later that pyenv
+    installed, other than the version running the suite."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = []
+    for home in sorted(root.glob("3.*")):
+        match = re.fullmatch(r"3\.(\d+)\.\d+", home.name)
+        if not match or int(match[1]) < 10 or home.name == platform.python_version():
+            continue
+        exe = home / "bin" / f"python3.{match[1]}"
+        if exe.is_file():
+            found.append((home.name, exe))
+    return found
+
+
+def test_full_precision_digests_on_other_cpythons():
+    """The package is stdlib-only, so each other installed CPython runs it
+    as a child with only `src` on its path (`-I -S`: no site-packages, no
+    environment), one child at a time, and must give the pinned
+    full-precision digests of CROSS_VERSION_KEYS."""
+    found = other_cpythons()
+    if not found:
+        pytest.skip("no other CPython 3.10+ installed under pyenv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = CHILD.format(digest=inspect.getsource(full_precision_digest))
+    want = [FULL_PRECISION_SHA256[key] for key in CROSS_VERSION_KEYS]
+    for version, exe in found:
+        child = subprocess.run(
+            [str(exe), "-I", "-S", "-c", script, src, json.dumps(CROSS_VERSION_KEYS)],
+            capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, f"CPython {version}: {child.stderr[-2000:]}"
+        got = json.loads(child.stdout)
+        assert got == want, f"CPython {version} drifted at full precision: {got}"
+    print("full-precision digests match on CPython", ", ".join(v for v, _ in found))
 
 
 # sha-256 of the repr of (sorted trajectories, summary) of each run that

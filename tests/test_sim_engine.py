@@ -321,6 +321,30 @@ class TestRankedWalk:
             assert want[1] != indirect_trust(reports[1])  # the cut tells
         assert sim_engine._walk_recommenders(world, 0, (1, 6)) == want
 
+    # (recommender, clean chunks of 10 the observer got from it, clean chunks
+    # of 10 it got from subject 1, and from subject 7), in rank order
+    EVERY_HOLDER = ((2, 5, 7, 3), (3, 4, 2, 8), (4, 3, 9, 1), (5, 2, 4, 6), (6, 1, 6, 5))
+
+    def test_walk_stops_once_every_subject_has_k_reports(self):
+        """With k = 3, all five ranked recommenders received from both
+        subjects, so both have their k reports at the third recommender,
+        before the ranking ends. Each takes `indirect_trust` over exactly
+        its first k reports in rank order: neither k - 1 nor k + 1."""
+        k_max = 3
+        params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.DTMA, k_recommenders=k_max)
+        world = make_world(8, params=params)
+        reports = {1: [], 7: []}
+        for k, cred_clean, *value_clean in self.EVERY_HOLDER:
+            seed_history(world, 0, k, n_clean=cred_clean, n_polluted=10 - cred_clean)
+            for subject, clean in zip(reports, value_clean):
+                seed_history(world, k, subject, n_clean=clean, n_polluted=10 - clean)
+                reports[subject].append((cred_clean / 10, clean / 10))
+        want = {s: indirect_trust(hits[:k_max]) for s, hits in reports.items()}
+        for s, hits in reports.items():
+            assert want[s] != indirect_trust(hits[:k_max - 1])
+            assert want[s] != indirect_trust(hits[:k_max + 1])
+        assert sim_engine._walk_recommenders(world, 0, (1, 7)) == want
+
     def test_only_zero_credibility_reports_give_cold_start(self):
         world = make_world(4)
         for k in (2, 3):

@@ -337,8 +337,13 @@ def count_calls(monkeypatch, names):
     peer in the observer's table that received from the subject), `used`
     the reports each such subject sums, min(k_recommenders, recommenders),
     whose largest count is `most_used`, and `valued` the subjects the walk
-    gives an indirect value."""
-    calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used", "valued"), 0)
+    gives an indirect value. `counted` counts the walks whose ranking (the
+    observer's peers that received from some subject) holds more than
+    k_recommenders, which find each subject's recommenders by holder
+    lists; over those walks, `pairs` counts (ranked peer, distinct subject)
+    pairs and `holders` the pairs whose peer received from the subject."""
+    calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used", "valued",
+                                   "counted", "pairs", "holders"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -349,7 +354,14 @@ def count_calls(monkeypatch, names):
             elif name == "_walk_recommenders":
                 world, observer, subjects = args[:3]
                 obs = world.peers[observer]
-                for subject in dict.fromkeys(subjects):
+                distinct = dict.fromkeys(subjects)
+                ranking = [world.peers[k].trust_table for k in obs.trust_table]
+                ranking = [t for t in ranking if not t.keys().isdisjoint(distinct)]
+                if len(ranking) > obs.params.k_recommenders:
+                    calls["counted"] += 1
+                    calls["pairs"] += len(ranking) * len(distinct)
+                    calls["holders"] += sum(s in t for t in ranking for s in distinct)
+                for subject in distinct:
                     found = sum(subject in world.peers[k].trust_table for k in obs.trust_table)
                     used = min(obs.params.k_recommenders, found)
                     calls["walked"] += used > 0
@@ -384,7 +396,8 @@ def test_dense_collusion_work_counts(monkeypatch):
     subjects, at most the 23 members other than the subject. The walk gives
     16 593 of them an indirect value. The other 299 hear only from
     recommenders of credibility 0, whose weighted mean is undefined, so
-    they keep cold start.
+    they keep cold start. No ranking exceeds `k_recommenders`, the group
+    size, so no walk builds holder lists.
     Both decay rates are 0 and no one lies, so the peers keep every view
     they work out: a view is worked out when first read and again after each
     delivery that dropped it. There are 576 table entries, the victim's of
@@ -421,6 +434,7 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["valued"] == 16_593           # 299 hear only from credibility 0
     assert calls["used"] == 313_651
     assert calls["most_used"] == 23            # no cut: every other member
+    assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
     assert calls["_read"] == 1_919             # 576 first reads + 1 343 after a delivery
     assert calls["decayed_counts"] == 263      # distinct (params, state, round) of the fills
@@ -436,7 +450,8 @@ def test_sparse_mesh_work_counts(monkeypatch):
     requester has received from has itself received from; only those get
     reports, in 1 369 walks, while the other 6 881 walks find no
     recommender: 1 375 subjects one report and 44 two, 1 463 reports. Each
-    of the 1 419 subjects gets an indirect value. The kept reports serve 817
+    of the 1 419 subjects gets an indirect value. No ranking exceeds k, so
+    no walk builds holder lists. The kept reports serve 817
     of the reports. `recommendation_value` runs for the 26
     (recommender, subject) pairs first asked about, again for 367 kept
     reports that a delivery from the subject to the recommender dropped,
@@ -471,6 +486,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["walked"] == calls["valued"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
+    assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
     assert calls["_read"] == 23_929            # 666 first + 14 657 after a delivery + 8 606
     assert calls["decayed_counts"] == 3_894    # distinct (state, round) of the fills
@@ -489,6 +505,11 @@ def test_newcomer_reads_work_counts(monkeypatch):
     cuts 87 of those subjects' lists, by 191 reports in all. The walks give
     4 703 of those pairs an indirect value; the other 8 hear only from
     requesters of credibility 0 and keep cold start.
+    The 49 observation walks whose ranking exceeds k are the only walks of
+    e1-e6 at seed 1 that build holder lists: their rankings and subjects
+    make 139 100 (requester, provider) pairs, of which 24 630 are holders.
+    The other 82% are misses, which one set intersection per requester
+    skips rather than testing each pair.
     Nothing but these walks asks the requesters about providers, so every
     report not kept is worked out in an observation: 599 the first
     time a (requester, provider) pair is asked about, 2 400 after the
@@ -529,6 +550,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["valued"] == 4_703           # 8 hear only from credibility 0
     assert calls["used"] == 24_457
     assert calls["most_used"] == 10
+    assert calls["counted"] == 49              # 49 of the 50 observation walks
+    assert calls["pairs"] == 139_100
+    assert calls["holders"] == 24_630
     assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
     assert calls["_read"] == 7_651             # 629 first + 2 681 + 4 341 moving
     assert calls["decayed_counts"] == 3_991    # distinct (params, state, round) of the fills
