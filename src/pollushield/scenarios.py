@@ -94,6 +94,8 @@ class ScenarioConfig:
                 raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
         if not 0 <= self.warmup_rounds < self.rounds:
             raise ValueError("warmup_rounds must lie in [0, rounds)")
+        if self.warmup_budget < 0:
+            raise ValueError("warmup_budget must be non-negative")
         if self.measure_from is not None and not 0 <= self.measure_from < self.rounds:
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
@@ -237,10 +239,21 @@ def config_digest(cfg: ScenarioConfig) -> str:
 def _sample_candidates(
     rng: random.Random, pid: int, pool: Sequence[int], count: int
 ) -> Tuple[int, ...]:
-    eligible = [p for p in pool if p != pid]
-    if count >= len(eligible):
-        return tuple(eligible)
-    return tuple(sorted(rng.sample(eligible, count)))
+    """`count` of the pool's ids other than `pid`, sorted; all of them, in
+    pool order, if there are no more. A pool without `pid` is sampled as it
+    is. Otherwise the draw is over positions in the pool without `pid`,
+    mapped back past `pid`'s slot. Either way `rng` makes the same draws and
+    picks the same ids as `rng.sample` on a copy of the pool without `pid`.
+    No such copy is made: from a pool too large for `random.sample` to copy,
+    a call reads just `count` ids."""
+    inside = pid in pool
+    n = len(pool) - inside
+    if count >= n:
+        return tuple(p for p in pool if p != pid)
+    if not inside:
+        return tuple(sorted(rng.sample(pool, count)))
+    skip = pool.index(pid)
+    return tuple(sorted([pool[j + (j >= skip)] for j in rng.sample(range(n), count)]))
 
 
 def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
@@ -542,10 +555,13 @@ def build_e6(
     malicious = sorted(layout_rng.sample(range(n_peers), n_malicious))
     persistent = set(layout_rng.sample(malicious, n_malicious // 2))
     onoff = set(malicious) - persistent
+    # one object per role, shared by its peers, as in build_e3
+    as_persistent, as_onoff, as_honest = (
+        PeerBehavior.persistent(), PeerBehavior.onoff(0.2), PeerBehavior.honest())
     behaviors = [
-        PeerBehavior.persistent() if pid in persistent
-        else PeerBehavior.onoff(0.2) if pid in onoff
-        else PeerBehavior.honest()
+        as_persistent if pid in persistent
+        else as_onoff if pid in onoff
+        else as_honest
         for pid in range(n_peers)
     ]
     params = TrustParams(

@@ -51,6 +51,7 @@ the state, the params and the round, so a hit gives what a fill would.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
@@ -212,8 +213,7 @@ class World:
         rec = PeerRecord(behavior, params, rng, budget, candidates, held[1])
         self.peers[pid] = rec
         if is_requester:
-            self.requesters.append(pid)
-            self.requesters.sort()
+            insort(self.requesters, pid)
         return rec
 
 

@@ -122,6 +122,17 @@ class TestRunCommand:
         assert "detection_threshold" in err
         assert "Traceback" not in err
 
+    def test_negative_warmup_budget_rejected(self, tmp_path, capsys):
+        d = config_to_dict(build_experiment("e5"))
+        d["warmup_budget"] = -5
+        path = tmp_path / "budget.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "warmup_budget" in err
+        assert "Traceback" not in err
+
     def test_invalid_rounds_override_rejected(self, tmp_path, capsys):
         path = tmp_path / "e2.cfg"
         save_config(build_experiment("e2"), str(path))

@@ -140,11 +140,13 @@ CROSS_VERSION_KEYS = (
 CHILD = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
-from pollushield.scenarios import Run, build_experiment
+from pollushield.scenarios import Run, build_experiment, config_digest
 {digest}
-keys = json.loads(sys.argv[2])
+full_keys, config_keys = json.loads(sys.argv[2]), json.loads(sys.argv[3])
 print(json.dumps([full_precision_digest(build_experiment(exp, seed=1, **dict(ov)))
-                  for exp, ov in keys]))
+                  for exp, ov in full_keys]))
+print(json.dumps([config_digest(build_experiment(exp, seed=7, **dict(ov)))
+                  for exp, ov in config_keys]))
 """
 
 
@@ -167,21 +169,28 @@ def test_full_precision_digests_on_other_cpythons():
     """The package is stdlib-only, so each other installed CPython runs it
     as a child with only `src` on its path (`-I -S`: no site-packages, no
     environment), one child at a time, and must give the pinned
-    full-precision digests of CROSS_VERSION_KEYS."""
+    full-precision digests of CROSS_VERSION_KEYS and every CONFIG_SHA256
+    digest: the builders' random draws must pick the same peers there."""
     found = other_cpythons()
     if not found:
         pytest.skip("no other CPython 3.10+ installed under pyenv")
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = CHILD.format(digest=inspect.getsource(full_precision_digest))
-    want = [FULL_PRECISION_SHA256[key] for key in CROSS_VERSION_KEYS]
+    config_keys = sorted(CONFIG_SHA256, key=repr)
+    want_full = [FULL_PRECISION_SHA256[key] for key in CROSS_VERSION_KEYS]
     for version, exe in found:
         child = subprocess.run(
-            [str(exe), "-I", "-S", "-c", script, src, json.dumps(CROSS_VERSION_KEYS)],
+            [str(exe), "-I", "-S", "-c", script, src, json.dumps(CROSS_VERSION_KEYS),
+             json.dumps(config_keys)],
             capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, f"CPython {version}: {child.stderr[-2000:]}"
-        got = json.loads(child.stdout)
-        assert got == want, f"CPython {version} drifted at full precision: {got}"
-    print("full-precision digests match on CPython", ", ".join(v for v, _ in found))
+        full, configs = map(json.loads, child.stdout.splitlines())
+        assert full == want_full, f"CPython {version} drifted at full precision: {full}"
+        drifted = [key for key, got in zip(config_keys, configs) if got != CONFIG_SHA256[key]]
+        assert len(configs) == len(config_keys) and not drifted, (
+            f"CPython {version} builds other configs for {drifted}")
+    print("full-precision and config digests match on CPython",
+          ", ".join(v for v, _ in found))
 
 
 # sha-256 of the repr of (sorted trajectories, summary) of each run that

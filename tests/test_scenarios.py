@@ -1,15 +1,18 @@
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pollushield.behaviors import BehaviorKind, PeerBehavior, upload_quality
 from pollushield.scenarios import (
     EXPERIMENT_IDS,
     Run,
     ScenarioConfig,
+    _sample_candidates,
     build_experiment,
     build_world,
     config_digest,
@@ -109,6 +112,79 @@ class TestBuilders:
         assert cfg.params.rho == pytest.approx(math.log(2))
 
 
+def sample_by_copy(rng, pid, pool, count):
+    """Reference sampler: copy the pool without pid, then sample the copy."""
+    eligible = [p for p in pool if p != pid]
+    if count >= len(eligible):
+        return tuple(eligible)
+    return tuple(sorted(rng.sample(eligible, count)))
+
+
+@st.composite
+def sampler_cases(draw):
+    """(pool, pid, count): a range or a sorted tuple of distinct ids, large
+    enough that random.sample takes both its copying branch (a small pool)
+    and its selected-set branch (a large one); pid inside the pool or
+    outside it; count below, at and above the ids left without pid."""
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 50))
+        pool = range(start, start + draw(st.integers(0, 300)))
+    else:
+        pool = tuple(sorted(draw(st.sets(st.integers(0, 1000), max_size=300))))
+    if pool and draw(st.booleans()):
+        pid = draw(st.sampled_from(pool))
+    else:
+        pid = draw(st.integers(-1, 1001).filter(lambda p: p not in pool))
+    count = draw(st.integers(0, len(pool) + 1))
+    return pool, pid, count
+
+
+class CountingPool(Sequence):
+    """range(100_000) that counts the items read from it one by one."""
+
+    def __init__(self):
+        self.ids = range(100_000)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.ids[i]
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, pid):
+        return pid in self.ids
+
+    def index(self, pid, *args):
+        return self.ids.index(pid, *args)
+
+
+class TestSampleCandidates:
+    # random.sample copies a population of up to 85 ids when drawing 10, and
+    # draws positions into a set above that
+    @given(case=sampler_cases(), seed=st.integers(0, 2 ** 32))
+    @example(case=(range(30), 7, 10), seed=1)
+    @example(case=(range(500), 7, 10), seed=1)
+    @example(case=(tuple(range(0, 200, 2)), 120, 10), seed=1)
+    @example(case=(tuple(range(100)), 130, 20), seed=1)
+    def test_same_draw_as_sampling_a_copy(self, case, seed):
+        pool, pid, count = case
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert _sample_candidates(rng, pid, pool, count) == sample_by_copy(
+            oracle_rng, pid, pool, count)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("pid", [5_000, -1])
+    def test_reads_only_the_drawn_ids(self, pid):
+        pool, rng = CountingPool(), random.Random(3)
+        for _ in range(3):
+            pool.reads = 0
+            picked = _sample_candidates(rng, pid, pool, 10)
+            assert pool.reads == 10
+            assert len(picked) == 10 and pid not in picked
+
+
 class TestConfigFiles:
     @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
     def test_round_trip_is_bit_identical(self, exp, tmp_path):
@@ -198,6 +274,10 @@ class TestValidation:
     def test_warmup_must_fit(self):
         with pytest.raises(ValueError, match="warmup_rounds"):
             tiny_config(warmup_rounds=20).validate()
+
+    def test_negative_warmup_budget_rejected(self):
+        with pytest.raises(ValueError, match="^warmup_budget must be non-negative"):
+            replace(build_experiment("e5"), warmup_budget=-5)
 
     def test_candidate_self_reference_rejected(self):
         with pytest.raises(ValueError, match="candidate"):

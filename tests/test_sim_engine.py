@@ -542,6 +542,13 @@ class TestRunRound:
                            is_requester=True, candidates=[1, 0])
         assert world.peers == {} and world.requesters == []
 
+    def test_requesters_kept_in_id_order(self):
+        world = World(seed=1)
+        for pid in (4, 0, 7, 2, 5, 1):
+            world.add_peer(pid, PeerBehavior.honest(), forced_params(),
+                           is_requester=pid != 5)
+        assert world.requesters == [0, 1, 2, 4, 7]
+
     def test_forced_polluter_delivery(self):
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), forced_params(),
