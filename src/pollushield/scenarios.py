@@ -127,6 +127,12 @@ class ScenarioConfig:
             if b.designated_polluter is not None and b.designated_polluter not in ids:
                 raise ValueError(
                     f"behavior_mix designated_polluter names non-peer {b.designated_polluter}")
+            # only LOSSY_KINDS uploads read a loss rate, and build_world
+            # replaces theirs with a draw when loss_rate_range is set
+            if b.loss_rate and (b.kind not in LOSSY_KINDS or self.loss_rate_range is not None):
+                why = ("loss_rate_range replaces it" if b.kind in LOSSY_KINDS
+                       else f"{b.kind.value} uploads never read it")
+                raise ValueError(f"behavior_mix loss_rate {b.loss_rate} is ignored: {why}")
             if b.group:
                 carriers.setdefault(b.group, []).extend(range(start, end))
         for group, pids in carriers.items():

@@ -14,22 +14,22 @@ has received from that has itself received from the subject; the trust
 tables are the only record of both. So, when the requester has received
 from anyone, one ranking serves the batch: the peers in its table that
 received from some subject are sorted once by credibility, ties by lowest
-id. When the ranking holds at most k_recommenders peers, no subject can
-have more reports than that, so each subject walks the whole ranking in
-turn, adding the report of every recommender that received from it to
-running sums of credibility and credibility-weighted report. A longer
-ranking is walked once, recommender by recommender: one set intersection
-of the recommender's table with the subjects still wanted appends it to
-the holder list of each subject it received from; a subject leaves once
-its list holds k_recommenders, and the pass ends when none is left. Each
-subject then sums its own list the same way. So each subject sums
-its own top k in rank order, the operations of the test oracle's
-aggregation (tests/test_trust_cache.py), bit for bit; a subject with no
-report, or only reports of credibility 0, takes cold-start trust as its
-indirect value. A subject the observer never received from scores with the
-observer's never-received-from components, which its `PeerRecord` builds
-once, at construction, from its own params. `select_providers` calls the
-kernel once per requester and `scenarios.Run` once per observer and round.
+id. Each subject gets a holder list, its candidate recommenders in rank
+order. When the ranking holds at most k_recommenders peers, no subject can
+have more reports than that, so every subject's list is the whole ranking.
+A longer ranking is walked once, recommender by recommender: one set
+intersection of the recommender's table with the subjects still wanted
+appends it to the list of each subject it received from; a subject leaves
+once its list holds k_recommenders, and the pass ends when none is left.
+One loop then sums every list, skipping a recommender that did not receive
+from the subject, into running sums of credibility and credibility-weighted
+report. So each subject sums its own top k in rank order, the operations
+of the test oracle's aggregation (tests/test_trust_cache.py), bit for bit;
+a subject with no report, or only reports of credibility 0, takes
+cold-start trust as its indirect value. A subject the observer never
+received from reads as `EMPTY_STATE`, the entry a first delivery starts
+from. `select_providers` calls the kernel once per requester and
+`scenarios.Run` once per observer and round.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -115,10 +115,10 @@ class PeerRecord:
     """One peer: strategy, parameters, its private trust table, and the
     values its trust reads keep.
 
-    `unknown` holds its components of a subject it never received from,
-    built once here from its own fixed params. `views[b]` holds its
-    components of b with no report on b (cold-start trust as the indirect
-    value), and `reports[s]` what it reports about s. `_read` and `_report`
+    `views[b]` holds its components of b with no report on b (cold-start
+    trust as the indirect value), and `reports[s]` what it reports about s.
+    A subject b absent from `trust_table` reads as `EMPTY_STATE`, so
+    `views[b]` may hold the empty state's components. `_read` and `_report`
     keep only values that hold for the rest of the run, and they hold only
     while the table entry they came from stands: a write to
     `trust_table[b]`, as `run_round` makes at each delivery, must drop
@@ -134,7 +134,6 @@ class PeerRecord:
         "candidates",
         "trust_table",
         "delivery_index",
-        "unknown",
         "views",
         "reports",
         "memo",
@@ -156,7 +155,6 @@ class PeerRecord:
         self.candidates: Tuple[int, ...] = tuple(candidates)
         self.trust_table: Dict[int, TrustState] = {}
         self.delivery_index: Dict[int, int] = {}
-        self.unknown: TrustComponents = _components(0.0, 0.0, 0.0, params)
         self.views: Dict[int, TrustComponents] = {}
         self.reports: Dict[int, float] = {}
         self.memo = memo
@@ -228,12 +226,14 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
 
 def _read(rec: PeerRecord, b: int, now: int) -> TrustComponents:
     """The components of b in round `now` with no report on b, for the peer
-    whose record is `rec` and whose table holds b, worked out once per
-    state and round in the record's `RoundMemo`. They are kept in
-    `rec.views` when their direct trust and confidence factor do not move
-    with time (`decays` is false; PDTM with no clean chunk holds at 0.0
-    while forgiving fades the polluted count). Callers look there first."""
-    st = rec.trust_table[b]
+    whose record is `rec`, worked out once per state and round in the
+    record's `RoundMemo`; a b absent from the record's table reads as
+    `EMPTY_STATE`, as a delivery does. They are kept in `rec.views` when
+    their direct trust and confidence factor do not move with time
+    (`decays` is false, as for the empty state; PDTM with no clean chunk
+    holds at 0.0 while forgiving fades the polluted count). Callers look
+    there first."""
+    st = rec.trust_table.get(b, EMPTY_STATE)
     memo = rec.memo
     if memo.now != now:
         memo.start(now)
@@ -262,12 +262,12 @@ def _report(k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
 
 def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> Dict[int, float]:
     """The ranked walk the module docstring describes: one ranking of the
-    observer's recommenders, then either one pass over it per subject (a
-    subject listed twice is walked once), when it holds at most k
-    recommenders, or one pass that lists each subject's first k holders,
-    which each subject then sums. Returns the indirect trust of each
-    subject whose top k recommenders carry some credibility; any other
-    subject is absent and keeps cold start."""
+    observer's recommenders, then a holder list per subject (a subject
+    listed twice is walked once): the whole ranking when it holds at most
+    k recommenders, or else each subject's first k holders, from one pass.
+    One loop sums every list. Returns the indirect trust of each subject
+    whose top k recommenders carry some credibility; any other subject is
+    absent and keeps cold start."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
@@ -286,45 +286,35 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
     ranked.sort()  # ids are distinct, so the tables are never compared
     walk = [(-neg_cred, k, received, reports) for neg_cred, k, received, reports in ranked]
     k_max = obs.params.k_recommenders
-    seed = world.seed
-    indirect: Dict[int, float] = {}
     if len(walk) <= k_max:
         # no subject has more reports than the ranking has entries, so the
-        # cut at k_max cannot fire: the same sums in the same order, uncounted
-        for subject in dict.fromkeys(subjects):
-            total = 0.0
-            weighted = 0.0
-            for cred, k, received, reports in walk:
-                # a kept report implies k received from the subject: tables never lose entries
-                value = reports.get(subject)
-                if value is None:
-                    if subject not in received:
-                        continue
-                    value = _report(k, subject, peers[k], seed, now)
-                total += cred
-                weighted += cred * value
-            if total != 0.0:
-                indirect[subject] = weighted / total
-        return indirect
-    # each subject's first k_max holders in rank order, found recommender by
-    # recommender; a subject leaves `wanted` once it has them all
-    wanted = set(subjects)
-    holders: Dict[int, list] = {subject: [] for subject in wanted}
-    for entry in walk:
-        for subject in entry[2].keys() & wanted:
-            held = holders[subject]
-            held.append(entry)
-            if len(held) == k_max:
-                wanted.discard(subject)
-        if not wanted:
-            break
+        # cut at k_max cannot fire: each subject's holders are in the ranking
+        holders = dict.fromkeys(subjects, walk)
+    else:
+        # each subject's first k_max holders in rank order, found recommender
+        # by recommender; a subject leaves `wanted` once it has them all
+        wanted = set(subjects)
+        holders = {subject: [] for subject in wanted}
+        for entry in walk:
+            for subject in entry[2].keys() & wanted:
+                held = holders[subject]
+                held.append(entry)
+                if len(held) == k_max:
+                    wanted.discard(subject)
+            if not wanted:
+                break
+    seed = world.seed
+    indirect: Dict[int, float] = {}
     for subject, held in holders.items():
         # running sums in rank order: the test oracle's aggregation bit for bit
         total = 0.0
         weighted = 0.0
-        for cred, k, _, reports in held:
+        for cred, k, received, reports in held:
+            # a kept report implies k received from the subject: tables never lose entries
             value = reports.get(subject)
             if value is None:
+                if subject not in received:
+                    continue
                 value = _report(k, subject, peers[k], seed, now)
             total += cred
             weighted += cred * value
@@ -342,17 +332,12 @@ def score_candidates(
     if observer in subjects:
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
-    table = obs.trust_table
     now = world.round
-    indirect = _walk_recommenders(world, observer, subjects) if table else {}
+    indirect = _walk_recommenders(world, observer, subjects) if obs.trust_table else {}
     views = obs.views
-    unknown = obs.unknown
     scored: List[TrustComponents] = []
     for subject in subjects:
-        if subject in table:
-            comp = views.get(subject) or _read(obs, subject, now)
-        else:
-            comp = unknown
+        comp = views.get(subject) or _read(obs, subject, now)
         ind = indirect.get(subject)
         if ind is not None:
             d, _, a, _ = comp

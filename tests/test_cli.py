@@ -202,6 +202,19 @@ class TestRunCommand:
         assert f"behavior_mix {field} names non-peers {strays}" in err
         assert "Traceback" not in err
 
+    def test_ignored_loss_rate_rejected(self, tmp_path, capsys):
+        # e5 draws its honest providers' loss rates from loss_rate_range
+        d = config_to_dict(build_experiment("e5"))
+        d["behavior_mix"][0][0]["loss_rate"] = 0.9
+        path = tmp_path / "lossy.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "behavior_mix loss_rate 0.9 is ignored" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_underflowing_on_ratio_rejected(self, tmp_path, capsys):
         # lies in (0, 1), but its cycle length 1 / on_ratio overflows to inf
         d = config_to_dict(build_experiment("e2"))

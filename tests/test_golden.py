@@ -130,11 +130,13 @@ def test_full_precision_digests(exp, overrides):
 
 
 # e5 is the one config whose walks build holder lists (rankings longer than
-# k_recommenders); e4 group 24 and e6 peertrust sum their rankings uncounted
+# k_recommenders); e4 group 24 and e6 peertrust sum their rankings uncounted;
+# e3's clean evidence decays, so libm's `exp` runs on nearly every read
 CROSS_VERSION_KEYS = (
     ("e5", ()),
     ("e4", (("group_size", 24), ("rounds", 40))),
     ("e6", (("policy", "peertrust"),)),
+    ("e3", (("loss_rate", 0.08),)),
 )
 
 CHILD = """

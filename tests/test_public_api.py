@@ -1,5 +1,10 @@
 """The package's exported names: each resolves, none repeats, and the
-retired trust wrappers stay unexported."""
+retired trust wrappers stay unexported; and its version matches the
+project metadata."""
+
+from pathlib import Path
+
+import pytest
 
 import pollushield
 
@@ -49,3 +54,11 @@ def test_bench_hooks_resolve(monkeypatch):
     observers = len({observer for observer, _ in cfg.observed_pairs})
     assert calls == {"build_world": 1, "run_round": cfg.rounds,
                      "score_candidates": cfg.rounds * observers, "config_digest": 1}
+
+
+def test_version_matches_pyproject():
+    # every meta.json reports __version__ as engine_version
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == pollushield.__version__

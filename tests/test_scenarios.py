@@ -449,6 +449,32 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="designated_polluter names non-peer 7"):
             tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (rotating, 2)))
 
+    def test_e5_honest_loss_rate_overridden_by_the_range_rejected(self):
+        """e5 draws its providers' loss rates from `loss_rate_range`, so a
+        0.9 written on them would silently become a draw near 0.0069."""
+        cfg = build_experiment("e5")
+        (honest, count), *rest = cfg.behavior_mix
+        mix = ((replace(honest, loss_rate=0.9), count), *rest)
+        with pytest.raises(ValueError, match="loss_rate 0.9 is ignored: loss_rate_range"):
+            replace(cfg, behavior_mix=mix)
+
+    @pytest.mark.parametrize("kind, lossless", [
+        ("persistent", PeerBehavior.persistent()),
+        ("onoff", PeerBehavior.onoff(0.5)),
+        ("collab_rotating", PeerBehavior.collab_rotating((1, 2))),
+    ])
+    def test_loss_rate_no_upload_reads_rejected(self, kind, lossless):
+        mix = ((PeerBehavior.honest(), 1), (replace(lossless, loss_rate=0.3), 2))
+        with pytest.raises(ValueError, match=f"{kind} uploads never read it"):
+            tiny_config(behavior_mix=mix)
+
+    def test_loss_rate_kept_where_it_is_read(self):
+        # a lossy kind with no range keeps its rate; an entry of count 0 builds no peer
+        honest, ignored = PeerBehavior.honest(loss_rate=0.3), PeerBehavior.persistent()
+        mix = ((honest, 3), (replace(ignored, loss_rate=0.3), 0))
+        world = build_world(tiny_config(behavior_mix=mix))
+        assert [rec.behavior for rec in world.peers.values()] == [honest] * 3
+
 
 class TestRunGrid:
     def test_points_in_product_order_last_axis_fastest(self):

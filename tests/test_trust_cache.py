@@ -34,6 +34,7 @@ from pollushield.sim_engine import (
     TransactionOutcome,
     TrustComponents,
     World,
+    run_round,
     score_candidates,
 )
 from pollushield.trust_core import (
@@ -406,19 +407,25 @@ def test_dense_collusion_work_counts(monkeypatch):
     again; of the members' 960, 552 are first deliveries, which drop
     nothing, and 407 of the other 408 drop an entry read again before the
     run ends.
-    `_read` counts the view fills: 576 first reads (529 in selections, 47
-    in observations) and 1 343 refills (936 + 407).
+    `_read` counts the view fills: 576 reads of a subject never received
+    from, one per (observer, subject) pair it scores before its first
+    delivery from that subject (the victim's 24 and each member's 23
+    others, 24 + 24 x 23), which read the empty state, then 576 first reads
+    of a table entry (529 in selections, 47 in observations) and 1 343
+    refills (936 + 407): 2 495.
     A fill is worked out once per (params object, state, round), in the
     round memo the peers holding that object share, and a delivery update
     once per (params object, state, quality, round). The 24 members hold
     one params object and fill their entries of one another alike, so in a
     round their reads and deliveries meet few distinct states:
-    `decayed_counts` runs for 263 of the 1 919 fills (79 the victim's, 184
-    the members'), and `record_delivery` for 275 of the 1 920 deliveries.
-    Before the round memo both ran once per fill and delivery.
-    `direct_trust` adds one evaluation of the never-received-from state per
-    peer, when its record is built: 25 peers. Built once per batch holding
-    such a subject, those components took 553 evaluations.
+    `decayed_counts` runs for 265 of the 2 495 fills (80 the victim's, 185
+    the members', one of each the empty state in round 1), and
+    `record_delivery` for 275 of the 1 920 deliveries. Before the round
+    memo both ran once per fill and delivery.
+    `direct_trust` runs once per worked-out fill. A record that built its
+    never-received-from components at construction took one more
+    evaluation per peer (288); built once per batch holding such a
+    subject, those components took 553 evaluations.
     `recommendation_value` runs once per member's report about another
     member (552: 529 in selections, 23 in observations) and once per report
     dropped by a repeat delivery (407). A memo kept for one round
@@ -436,9 +443,9 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
-    assert calls["_read"] == 1_919             # 576 first reads + 1 343 after a delivery
-    assert calls["decayed_counts"] == 263      # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 288        # 263 worked-out fills + 25 peers
+    assert calls["_read"] == 2_495             # 576 never received + 576 first + 1 343 after
+    assert calls["decayed_counts"] == 265      # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 265        # the worked-out fills
     assert calls["record_delivery"] == 275     # distinct (params, state, quality, round)
 
 
@@ -460,22 +467,26 @@ def test_sparse_mesh_work_counts(monkeypatch):
     (0.03) moves its direct trust every round (646). A view with polluted
     chunks alone has PDTM direct trust 0.0 in every round, so its report is
     kept; a memo that kept only entries whose counts do not decay made 911.
-    `_read` counts the view fills: 666 first reads, 14 657 after a
+    `_read` counts the view fills: 1 500 reads of a candidate never
+    received from, one per (requester, candidate) pair (150 x 10), which
+    read the empty state, 666 first reads of a table entry, 14 657 after a
     delivery dropped a kept entry, and 8 606 reads of an entry whose direct
-    trust moves with time (23 929; 27 896 when entries were kept only while
-    their counts held). Every peer holds the one params object, so they
-    share one round memo, and a fill is worked out once per (state, round):
-    `decayed_counts` runs 3 894 times (23 929 before the round memo).
+    trust moves with time (25 429; 23 929 when a never-received subject
+    took components its record built, and before that 27 896 when entries
+    were kept only while their counts held). Every peer holds the one
+    params object, so they share one round memo, and a fill is worked out
+    once per (state, round): `decayed_counts` runs 3 895 times, once for
+    the empty state in round 1 (23 929 before the round memo).
     Likewise a delivery update is worked out once per (state, quality,
     round): `record_delivery` runs 917 times for the 15 600 deliveries, 29
     of them first deliveries, of an empty entry.
     `combine_trust` runs once per worked-out fill, since a view is the
-    finished score of a subject with no report, once per peer for its
-    components of a subject never received from, built with its record
-    (500), and once per subject whose reports give an indirect value
-    (1 419): 5 813 (25 848 with a fill per read). Building those components
-    once per batch (every one of the 8 400 batches holds such a subject)
-    added 7 900 calls, and combining at every scoring made 84 000."""
+    finished score of a subject with no report, and once per subject whose
+    reports give an indirect value (1 419): 5 314 (25 848 with a fill per
+    read). Building each peer's never-received-from components with its
+    record added 500 calls, building them once per batch (every one of the
+    8 400 batches holds such a subject) 8 400, and combining at every
+    scoring made 84 000."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "decayed_counts", "combine_trust", "_read",
                                              "record_delivery"))
@@ -488,9 +499,9 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["most_used"] == 2
     assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
-    assert calls["_read"] == 23_929            # 666 first + 14 657 after a delivery + 8 606
-    assert calls["decayed_counts"] == 3_894    # distinct (state, round) of the fills
-    assert calls["combine_trust"] == 5_813     # 3 894 fills + 500 peers + 1 419 reports
+    assert calls["_read"] == 25_429            # 1 500 never received + 666 first + 14 657 + 8 606
+    assert calls["decayed_counts"] == 3_895    # distinct (state, round) of the fills
+    assert calls["combine_trust"] == 5_314     # 3 895 fills + 1 419 reports
     assert calls["record_delivery"] == 917     # distinct (state, quality, round)
 
 
@@ -520,9 +531,12 @@ def test_newcomer_reads_work_counts(monkeypatch):
     has PDTM direct trust 0.0 in every round, so its report is kept. The
     kept reports serve the other 18 359 of the 24 457 used; a memo that
     kept only entries whose counts do not decay made 10 915 calls.
-    `_read` counts the view fills, in selections and observations: 629
-    first reads, 2 681 after a delivery dropped a kept entry, and 4 341
-    reads of an entry whose direct trust moves with time (7 651). Most
+    `_read` counts the view fills, in selections and observations: 730
+    reads of a subject never received from, which read the empty state
+    (each requester's 20 candidates, and the newcomer's 100 providers and
+    30 candidates: 30 x 20 + 130), 629 first reads of a table entry, 2 681
+    after a delivery dropped a kept entry, and 4 341 reads of an entry
+    whose direct trust moves with time (8 381). Most
     fills (6 054) are the honest values of the reports above; the rest are
     the requesters' scorings of their providers and the newcomer's
     credibility of the requesters. A memo that kept only entries whose
@@ -532,12 +546,16 @@ def test_newcomer_reads_work_counts(monkeypatch):
     A fill is worked out once per (params object, state, round), in the
     round memo shared by the peers holding that object: the requesters
     share one, and the newcomer has its own. So `decayed_counts` runs
-    3 991 times (3 605 for the requesters, 386 for the newcomer).
+    4 021 times (3 624 for the requesters, 397 for the newcomer), 30 of
+    them for the empty state: in 19 rounds for the requesters' memo and 11
+    for the newcomer's, each a round in which some peer first scores a
+    subject it never received from.
     Likewise `record_delivery` runs once per (params object, state,
     quality, round): 2 274 times for the 3 632 deliveries.
-    `direct_trust` adds one evaluation of the never-received-from state per
-    peer, when its record is built (131). Built once per batch holding such
-    a subject, 637 selections and the 50 observation batches, those
+    `direct_trust` runs once per worked-out fill. A record that built its
+    never-received-from components at construction took one more
+    evaluation per peer (131); built once per batch holding such a
+    subject, 637 selections and the 50 observation batches, those
     components took 687."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
                                              "direct_trust", "decayed_counts", "_read",
@@ -554,9 +572,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["pairs"] == 139_100
     assert calls["holders"] == 24_630
     assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
-    assert calls["_read"] == 7_651             # 629 first + 2 681 + 4 341 moving
-    assert calls["decayed_counts"] == 3_991    # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 4_122      # 3 991 worked-out fills + 131 peers
+    assert calls["_read"] == 8_381             # 730 never received + 629 first + 2 681 + 4 341
+    assert calls["decayed_counts"] == 4_021    # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 4_021      # the worked-out fills
     assert calls["record_delivery"] == 2_274   # distinct (params, state, quality, round)
 
 
@@ -598,7 +616,7 @@ def test_records_built_without_the_constructor_are_whole(monkeypatch, exp, overr
     peers = world.peers.values()
     states = [st for rec in peers for st in rec.trust_table.values()]
     components = [c for rec in peers for c in rec.views.values()]
-    components += scored + [rec.unknown for rec in peers]
+    components += scored
     assert states and world.event_log and scored
     assert {(type(r), len(r)) for r in states} == {(TrustState, 4)}
     assert {(type(r), len(r)) for r in world.event_log} == {(TransactionOutcome, 5)}
@@ -608,9 +626,8 @@ def test_records_built_without_the_constructor_are_whole(monkeypatch, exp, overr
 def test_never_received_from_components_use_the_scorers_params():
     """e1: observer 1 weighs direct trust by a constant 0.5, observer 0 by
     CFDA, and neither ever receives from the other. Each scores the other
-    with the never-received-from components its record built from its own
-    params: alpha 0.5 for peer 1, and 0.0 for peer 0, whose CFDA weight
-    of no transaction is 0."""
+    from the empty state, read with its own params: alpha 0.5 for peer 1,
+    and 0.0 for peer 0, whose CFDA weight of no transaction is 0."""
     run = Run(build_experiment("e1", seed=1)).advance(3)
     world = run.world
     for observer, stranger, alpha in ((0, 1, 0.0), (1, 0, 0.5)):
@@ -619,6 +636,48 @@ def test_never_received_from_components_use_the_scorers_params():
         comp = score_candidates(world, observer, (2, stranger))[1]
         assert comp == sim_engine._components(0.0, 0.0, 0.0, rec.params)
         assert comp.alpha == alpha
+
+
+@pytest.mark.parametrize("exp, overrides, any_kept", [
+    ("e1", {}, False),
+    ("e4", {"mode": "rotating", "group_size": 12, "rounds": 40}, True),
+    ("e5", {}, True),
+    ("e6", {}, True),
+])
+def test_kept_views_of_strangers_are_the_empty_state(exp, overrides, any_kept):
+    """After every round, each view a peer keeps of a subject it never
+    received from is, bit for bit, the components of the empty state under
+    its own params. e1 keeps none at a round's end: every subject its
+    peers score delivers to them in round 1."""
+    cfg = build_experiment(exp, seed=1, **overrides)
+    run = Run(cfg)
+    kept = 0
+    for _ in range(cfg.rounds):
+        run.advance(1)
+        for rec in run.world.peers.values():
+            empty = repr(sim_engine._components(0.0, 0.0, 0.0, rec.params))
+            views = [v for b, v in rec.views.items() if b not in rec.trust_table]
+            assert [repr(v) for v in views] == [empty] * len(views)
+            kept += len(views)
+    assert bool(kept) == any_kept
+
+
+def test_first_delivery_replaces_a_strangers_kept_view():
+    """Peer 0 scores 1 before receiving from it and keeps the empty state's
+    components. Its first delivery from 1 drops that view, so its next
+    score is worked out from the new table entry, as from scratch."""
+    params = TrustParams()
+    world = World(seed=1, warmup_rounds=1)  # round 1 admits without the thresholds
+    world.add_peer(0, PeerBehavior.honest(), params, is_requester=True, candidates=(1,))
+    world.add_peer(1, PeerBehavior.honest(), params)
+    empty = score_candidates(world, 0, (1,))
+    assert world.peers[0].views[1] == empty[0] == sim_engine._components(0.0, 0.0, 0.0, params)
+    run_round(world)
+    assert world.peers[0].trust_table[1].n_clean == 1.0
+    world.round = 2
+    got = score_candidates(world, 0, (1,))
+    assert got == fresh_scores(world, 0, (1,)) == oracle_score_candidates(world, 0, (1,))
+    assert got != empty
 
 
 def test_round_memo_is_shared_by_params_identity_not_equality():
