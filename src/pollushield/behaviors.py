@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -33,6 +33,10 @@ _PERSISTENT, _ONOFF = BehaviorKind.PERSISTENT, BehaviorKind.ONOFF
 _BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
 LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
+# the kinds that read each kind-specific field; any other kind leaves it at its default
+_READERS = {"on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,), "slander_prob": (_BADMOUTH,),
+            "group": _COLLAB, "designated_polluter": (_COLLAB_STATIC,),
+            "rotation_period": (BehaviorKind.COLLAB_ROTATING,)}
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,18 @@ class PeerBehavior:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must lie in [0, 1]")
+        for f in fields(self):
+            readers = _READERS.get(f.name, (self.kind,))
+            if self.kind not in readers and getattr(self, f.name) != f.default:
+                kinds = " or ".join(k.value for k in readers)
+                raise ValueError(f"{f.name} is read only by kind {kinds}, not {self.kind.value}")
         if self.kind is BehaviorKind.ONOFF:
             if self.on_ratio is None or not 0.0 < self.on_ratio < 1.0:
                 raise ValueError("on_ratio must lie in (0, 1)")
             if not math.isfinite(1.0 / self.on_ratio):
                 raise ValueError("on_ratio is too small: 1 / on_ratio overflows")
-        if self.kind is BehaviorKind.BADMOUTH:
-            if not 0.0 <= self.slander_prob <= 1.0:
-                raise ValueError("slander_prob must lie in [0, 1]")
+        if not 0.0 <= self.slander_prob <= 1.0:
+            raise ValueError("slander_prob must lie in [0, 1]")
         if self.kind in _COLLAB:
             if not self.group:
                 raise ValueError("collusion group must be non-empty")
@@ -187,14 +195,12 @@ def recommendation_value(
     """
     kind = behavior.kind
     if kind is _BADMOUTH and subject in behavior.target_set:
-        if behavior.lies_about(subject):
-            key = f"{seed}:{recommender}:{subject}:{round_no}:lie"
-            lie = random.Random(key).random() < behavior.slander_prob
+        p = behavior.slander_prob
+        if 0.0 < p < 1.0:
+            lie = random.Random(f"{seed}:{recommender}:{subject}:{round_no}:lie").random() < p
         else:
-            lie = behavior.slander_prob == 1.0
+            lie = p == 1.0
         return 0.0 if lie else honest_value
-    if kind in _COLLAB:
-        if subject in behavior.group:
-            return 1.0
-        return honest_value
+    if kind in _COLLAB and subject in behavior.group:
+        return 1.0
     return honest_value

@@ -124,9 +124,6 @@ class ScenarioConfig:
                 strays = [pid for pid in getattr(b, name) if pid not in ids]
                 if strays:
                     raise ValueError(f"behavior_mix {name} names non-peers {strays}")
-            if b.designated_polluter is not None and b.designated_polluter not in ids:
-                raise ValueError(
-                    f"behavior_mix designated_polluter names non-peer {b.designated_polluter}")
             # only LOSSY_KINDS uploads read a loss rate, and build_world
             # replaces theirs with a draw when loss_rate_range is set
             if b.loss_rate and (b.kind not in LOSSY_KINDS or self.loss_rate_range is not None):
@@ -639,13 +636,11 @@ def build_world(cfg: ScenarioConfig) -> World:
     overrides = dict(cfg.param_overrides)
     budgets = dict(cfg.request_budgets)
     cand_map = dict(cfg.candidate_map)
-    requesters = set(cfg.requesters)
     for pid, behavior in enumerate(behaviors):
         world.add_peer(
             pid,
             behavior,
             overrides.get(pid, cfg.params),
-            is_requester=pid in requesters,
             budget=budgets.get(pid, 1),
             candidates=cand_map.get(pid, ()),
         )

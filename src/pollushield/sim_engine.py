@@ -1,8 +1,8 @@
 """Round-based mesh overlay simulator.
 
-Each round every requesting peer asks for one chunk: it ranks the peers
-advertising to it by trust, admits the top K through its double-threshold
-rule, and records the qualities of the chunks it receives.
+Each round every peer with candidates requests one chunk: it ranks the
+peers advertising to it by trust, admits the top K through its
+double-threshold rule, and records the qualities of the chunks it receives.
 Trust lives entirely inside per-peer tables; there is no shared registry.
 
 The world advances single-threaded in peer-id order, so a (config, seed)
@@ -196,10 +196,10 @@ class World:
         pid: int,
         behavior: PeerBehavior,
         params: TrustParams,
-        is_requester: bool = False,
         budget: int = 1,
         candidates: Sequence[int] = (),
     ) -> PeerRecord:
+        """Add peer `pid`; it requests, in id order, exactly when it has candidates."""
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
         if pid in candidates:
@@ -210,7 +210,7 @@ class World:
             held = self.memos[id(params)] = (params, RoundMemo())
         rec = PeerRecord(behavior, params, rng, budget, candidates, held[1])
         self.peers[pid] = rec
-        if is_requester:
+        if rec.candidates:
             insort(self.requesters, pid)
         return rec
 
@@ -284,18 +284,17 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
     if not ranked:
         return {}
     ranked.sort()  # ids are distinct, so the tables are never compared
-    walk = [(-neg_cred, k, received, reports) for neg_cred, k, received, reports in ranked]
     k_max = obs.params.k_recommenders
-    if len(walk) <= k_max:
+    if len(ranked) <= k_max:
         # no subject has more reports than the ranking has entries, so the
         # cut at k_max cannot fire: each subject's holders are in the ranking
-        holders = dict.fromkeys(subjects, walk)
+        holders = dict.fromkeys(subjects, ranked)
     else:
         # each subject's first k_max holders in rank order, found recommender
         # by recommender; a subject leaves `wanted` once it has them all
         wanted = set(subjects)
         holders = {subject: [] for subject in wanted}
-        for entry in walk:
+        for entry in ranked:
             for subject in entry[2].keys() & wanted:
                 held = holders[subject]
                 held.append(entry)
@@ -306,18 +305,20 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
     seed = world.seed
     indirect: Dict[int, float] = {}
     for subject, held in holders.items():
-        # running sums in rank order: the test oracle's aggregation bit for bit
+        # running sums in rank order, the test oracle's aggregation bit for bit:
+        # IEEE 754 defines x - y as x + (-y), and (-c) * v is -(c * v) exactly,
+        # so subtracting a negated credibility adds it, signed zeros included
         total = 0.0
         weighted = 0.0
-        for cred, k, received, reports in held:
+        for neg_cred, k, received, reports in held:
             # a kept report implies k received from the subject: tables never lose entries
             value = reports.get(subject)
             if value is None:
                 if subject not in received:
                     continue
                 value = _report(k, subject, peers[k], seed, now)
-            total += cred
-            weighted += cred * value
+            total -= neg_cred
+            weighted -= neg_cred * value
         if total != 0.0:
             indirect[subject] = weighted / total
     return indirect
@@ -387,8 +388,6 @@ def run_round(world: World) -> None:
     ads = world.ads_per_round
     for rid in world.requesters:
         req = world.peers[rid]
-        if not req.candidates:
-            continue
         if ads is not None and ads < len(req.candidates):
             advertising = sorted(world.ads_rng.sample(req.candidates, ads))
         else:

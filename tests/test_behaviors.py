@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -168,6 +170,20 @@ class TestValidation:
     def test_loss_rate_bounds(self):
         with pytest.raises(ValueError):
             PeerBehavior.honest(loss_rate=1.5)
+
+    @pytest.mark.parametrize("base, field, value", [
+        (PeerBehavior.honest(), "on_ratio", 7.0),
+        (PeerBehavior.honest(), "slander_prob", math.nan),
+        (PeerBehavior.honest(), "rotation_period", 5),
+        (PeerBehavior.persistent(), "target_set", (1, 2)),
+        (PeerBehavior.badmouther((1,), 0.5), "group", (1, 2)),
+        (PeerBehavior.onoff(0.5), "designated_polluter", 3),
+        (PeerBehavior.collab_rotating((1, 2)), "designated_polluter", 1),
+    ])
+    def test_field_its_kind_never_reads_rejected(self, base, field, value):
+        # every builder sets only its own kind's fields, so none of these was ever read
+        with pytest.raises(ValueError, match=f"^{field} is read only .*, not {base.kind.value}$"):
+            replace(base, **{field: value})
 
     def test_labels(self):
         assert PeerBehavior.onoff(0.2).label == "onoff(0.2)"

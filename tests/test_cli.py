@@ -215,6 +215,19 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_field_the_kind_never_reads_rejected(self, tmp_path, capsys):
+        # an honest peer never reads on_ratio: the file would run as plain honest
+        d = config_to_dict(build_experiment("e2"))
+        d["behavior_mix"][0][0]["on_ratio"] = 0.5
+        path = tmp_path / "stray.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "on_ratio is read only by kind onoff, not honest" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_underflowing_on_ratio_rejected(self, tmp_path, capsys):
         # lies in (0, 1), but its cycle length 1 / on_ratio overflows to inf
         d = config_to_dict(build_experiment("e2"))

@@ -170,7 +170,8 @@ def other_cpythons():
 def test_full_precision_digests_on_other_cpythons():
     """The package is stdlib-only, so each other installed CPython runs it
     as a child with only `src` on its path (`-I -S`: no site-packages, no
-    environment), one child at a time, and must give the pinned
+    environment; `-B`, since `-I` ignores PYTHONDONTWRITEBYTECODE: no
+    bytecode written into `src`), one child at a time, and must give the pinned
     full-precision digests of CROSS_VERSION_KEYS and every CONFIG_SHA256
     digest: the builders' random draws must pick the same peers there."""
     found = other_cpythons()
@@ -182,7 +183,7 @@ def test_full_precision_digests_on_other_cpythons():
     want_full = [FULL_PRECISION_SHA256[key] for key in CROSS_VERSION_KEYS]
     for version, exe in found:
         child = subprocess.run(
-            [str(exe), "-I", "-S", "-c", script, src, json.dumps(CROSS_VERSION_KEYS),
+            [str(exe), "-I", "-S", "-B", "-c", script, src, json.dumps(CROSS_VERSION_KEYS),
              json.dumps(config_keys)],
             capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, f"CPython {version}: {child.stderr[-2000:]}"

@@ -94,6 +94,13 @@ class TestBuilders:
         with pytest.raises(ValueError, match="group_size"):
             build_experiment("e4", group_size=0)
 
+    @pytest.mark.parametrize("exp, overrides", [
+        *((exp, {}) for exp in EXPERIMENT_IDS), ("e4", {"group_size": 1})])
+    def test_requesters_are_the_peers_with_candidates(self, exp, overrides):
+        # e4's lone rotating colluder is a requester with no candidates
+        cfg = build_experiment(exp, seed=1, **overrides)
+        assert build_world(cfg).requesters == sorted(pid for pid, c in cfg.candidate_map if c)
+
     def test_e6_fraction_sweep_shapes(self):
         cfg = build_experiment("e6", malicious_fraction=0.4)
         counts = {BehaviorKind.PERSISTENT: 0, BehaviorKind.ONOFF: 0}
@@ -445,9 +452,11 @@ class TestRunScenario:
             tiny_config(behavior_mix=mix)
 
     def test_designated_polluter_must_be_a_peer(self):
-        rotating = replace(PeerBehavior.collab_rotating((1, 2)), designated_polluter=7)
-        with pytest.raises(ValueError, match="designated_polluter names non-peer 7"):
-            tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (rotating, 2)))
+        # only a static colluder reads it, and it belongs to the group, whose
+        # members must be peers
+        static = PeerBehavior.collab_static((1, 7), designated=7)
+        with pytest.raises(ValueError, match=r"behavior_mix group names non-peers \[7\]"):
+            tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (static, 2)))
 
     def test_e5_honest_loss_rate_overridden_by_the_range_rejected(self):
         """e5 draws its providers' loss rates from `loss_rate_range`, so a

@@ -219,7 +219,7 @@ class TestScoreCandidates:
         ids = range(len(behaviors))
         ran, fresh = World(seed=3), World(seed=3)
         for pid, behavior in zip(ids, behaviors):
-            ran.add_peer(pid, behavior, params, is_requester=True, budget=2,
+            ran.add_peer(pid, behavior, params, budget=2,
                          candidates=[c for c in ids if c != pid])
             fresh.add_peer(pid, behavior, params)
         for _ in range(8):
@@ -539,20 +539,21 @@ class TestRunRound:
         world = World(seed=1)
         with pytest.raises(ValueError, match="itself"):
             world.add_peer(0, PeerBehavior.honest(), forced_params(),
-                           is_requester=True, candidates=[1, 0])
+                           candidates=[1, 0])
         assert world.peers == {} and world.requesters == []
 
     def test_requesters_kept_in_id_order(self):
+        # a peer requests exactly when it has candidates: 5 has none
         world = World(seed=1)
         for pid in (4, 0, 7, 2, 5, 1):
             world.add_peer(pid, PeerBehavior.honest(), forced_params(),
-                           is_requester=pid != 5)
+                           candidates=() if pid == 5 else [3])
         assert world.requesters == [0, 1, 2, 4, 7]
 
     def test_forced_polluter_delivery(self):
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), forced_params(),
-                       is_requester=True, candidates=[1])
+                       candidates=[1])
         world.add_peer(1, PeerBehavior.persistent(), forced_params())
         run_round(world)
         assert len(world.event_log) == 1
@@ -570,7 +571,7 @@ class TestRunRound:
     def test_budget_caps_deliveries(self):
         world = World(seed=1)
         world.add_peer(0, PeerBehavior.honest(), forced_params(),
-                       is_requester=True, budget=2, candidates=[1, 2, 3])
+                       budget=2, candidates=[1, 2, 3])
         for pid in (1, 2, 3):
             world.add_peer(pid, PeerBehavior.honest(), forced_params())
         run_round(world)
@@ -585,8 +586,7 @@ class TestRunRound:
                     pid,
                     PeerBehavior.honest(loss_rate=0.3) if pid else PeerBehavior.honest(),
                     params,
-                    is_requester=pid < 3,
-                    candidates=[c for c in range(6) if c != pid],
+                    candidates=[c for c in range(6) if c != pid] if pid < 3 else (),
                 )
             return world
 
@@ -600,7 +600,7 @@ class TestRunRound:
         world = World(seed=5)
         for pid in range(4):
             world.add_peer(pid, PeerBehavior.honest(loss_rate=0.2), forced_params(),
-                           is_requester=True, candidates=[c for c in range(4) if c != pid])
+                           candidates=[c for c in range(4) if c != pid])
         for _ in range(25):
             run_round(world)
         total = sum(
@@ -615,8 +615,7 @@ class TestRunRound:
         params = TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
                              theta_p=0.5, theta_g=0.9, chi=0.5)
         world = World(seed=3, warmup_rounds=1, warmup_budget=2)
-        world.add_peer(0, PeerBehavior.honest(), params, is_requester=True,
-                       budget=1, candidates=[1, 2])
+        world.add_peer(0, PeerBehavior.honest(), params, budget=1, candidates=[1, 2])
         world.add_peer(1, PeerBehavior.persistent(), params)
         world.add_peer(2, PeerBehavior.honest(), params)
         for _ in range(60):
@@ -631,7 +630,7 @@ class TestRunRound:
         world = World(seed=1)
         for pid in (0, 2, 3):
             world.add_peer(pid, PeerBehavior.honest(), forced_params(),
-                           is_requester=True, candidates=[1])
+                           candidates=[1])
         world.add_peer(1, PeerBehavior.persistent(), forced_params())
         seed_history(world, 2, 1, n_clean=3)  # R's view of P before the round
         seed_history(world, 0, 2, n_clean=3)  # X and Y have received from R
@@ -664,7 +663,7 @@ class TestWarmupBudget:
     def test_warmup_budget_expands_then_contracts(self):
         world = World(seed=1, warmup_rounds=2, warmup_budget=3)
         world.add_peer(0, PeerBehavior.honest(), forced_params(),
-                       is_requester=True, budget=1, candidates=[1, 2, 3])
+                       budget=1, candidates=[1, 2, 3])
         for pid in (1, 2, 3):
             world.add_peer(pid, PeerBehavior.honest(), forced_params())
         run_round(world)

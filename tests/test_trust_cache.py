@@ -668,7 +668,7 @@ def test_first_delivery_replaces_a_strangers_kept_view():
     score is worked out from the new table entry, as from scratch."""
     params = TrustParams()
     world = World(seed=1, warmup_rounds=1)  # round 1 admits without the thresholds
-    world.add_peer(0, PeerBehavior.honest(), params, is_requester=True, candidates=(1,))
+    world.add_peer(0, PeerBehavior.honest(), params, candidates=(1,))
     world.add_peer(1, PeerBehavior.honest(), params)
     empty = score_candidates(world, 0, (1,))
     assert world.peers[0].views[1] == empty[0] == sim_engine._components(0.0, 0.0, 0.0, params)
@@ -716,6 +716,33 @@ def test_round_memo_starts_empty_in_another_round():
     got = score_candidates(world, 0, (1,))
     assert got == oracle_score_candidates(world, 0, (1,))
     assert got != first
+
+
+@pytest.mark.parametrize("n_recommenders", [3, 8])  # within and beyond k_recommenders = 5
+def test_zero_reports_sum_to_the_oracles_positive_zero(n_recommenders):
+    """Every ranked recommender reports 0.0 about subject 1 with positive
+    credibility: the honest ones received only polluted chunks from it, the
+    bad-mouthers slander it for certain. The walk sums negated credibilities
+    with `-=`, so its indirect value must be the oracle's `indirect_trust`
+    bit for bit: +0.0, not -0.0."""
+    params = TrustParams()
+    world = World(seed=1)
+    world.add_peer(0, PeerBehavior.honest(), params)
+    world.add_peer(1, PeerBehavior.honest(), params)
+    recommenders = range(2, 2 + n_recommenders)
+    liar = PeerBehavior.badmouther((1,), slander_prob=1.0)
+    for k in recommenders:
+        if k % 2:
+            world.add_peer(k, liar, params).trust_table[1] = TrustState(3.0, 0.0, 3.0, 0)
+        else:
+            world.add_peer(k, PeerBehavior.honest(), params).trust_table[1] = TrustState(
+                0.0, 3.0, 3.0, 0)
+        world.peers[0].trust_table[k] = TrustState(float(k), 1.0, k + 1.0, 0)
+    world.round = 1
+    want = oracle_query_indirect(world, 0, 1)
+    got = score_candidates(world, 0, (1,))[0].indirect
+    assert got == want == 0.0
+    assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
 
 
 @pytest.mark.parametrize("exp, overrides", [
