@@ -34,15 +34,16 @@ _BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
 LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
 # the kinds that read each kind-specific field; any other kind leaves it at its default
-_READERS = {"on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,), "slander_prob": (_BADMOUTH,),
-            "group": _COLLAB, "designated_polluter": (_COLLAB_STATIC,),
+_READERS = {"loss_rate": LOSSY_KINDS, "on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,),
+            "slander_prob": (_BADMOUTH,), "group": _COLLAB,
+            "designated_polluter": (_COLLAB_STATIC,),
             "rotation_period": (BehaviorKind.COLLAB_ROTATING,)}
 
 
 @dataclass(frozen=True)
 class PeerBehavior:
     kind: BehaviorKind
-    loss_rate: float = 0.0              # network corruption on honest uploads
+    loss_rate: float = 0.0              # LOSSY_KINDS: network corruption of uploads
     on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
     target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander
     slander_prob: float = 0.0           # BADMOUTH: per-round lie probability

@@ -8,7 +8,6 @@ roles up front, so a config saved to disk reloads bit-identically and a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections import Counter
@@ -18,6 +17,14 @@ from functools import lru_cache
 from itertools import groupby, product
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union, get_args, get_origin, get_type_hints)
+
+try:  # hashlib is pretty heavy to load (OpenSSL), as CPython's `random` notes for sha512
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
@@ -124,12 +131,10 @@ class ScenarioConfig:
                 strays = [pid for pid in getattr(b, name) if pid not in ids]
                 if strays:
                     raise ValueError(f"behavior_mix {name} names non-peers {strays}")
-            # only LOSSY_KINDS uploads read a loss rate, and build_world
-            # replaces theirs with a draw when loss_rate_range is set
-            if b.loss_rate and (b.kind not in LOSSY_KINDS or self.loss_rate_range is not None):
-                why = ("loss_rate_range replaces it" if b.kind in LOSSY_KINDS
-                       else f"{b.kind.value} uploads never read it")
-                raise ValueError(f"behavior_mix loss_rate {b.loss_rate} is ignored: {why}")
+            # build_world replaces a loss rate with a draw when loss_rate_range is set
+            if b.loss_rate and self.loss_rate_range is not None:
+                raise ValueError(f"behavior_mix loss_rate {b.loss_rate} is ignored: "
+                                 "loss_rate_range replaces it")
             if b.group:
                 carriers.setdefault(b.group, []).extend(range(start, end))
         for group, pids in carriers.items():
@@ -142,7 +147,8 @@ class ScenarioConfig:
 
 @lru_cache(maxsize=None)
 def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
-    """(name, resolved annotation) of each field of a config dataclass."""
+    """(name, resolved annotation) of each field of a config dataclass, for
+    decoding; encoding reads only the field names."""
     hints = get_type_hints(cls)
     return tuple((f.name, hints[f.name]) for f in fields(cls))
 
@@ -161,7 +167,7 @@ def _encode(value: Any) -> Any:
         return [v if type(v) in _SCALARS else _encode(v) for v in value]
     if isinstance(value, Enum):
         return value.value
-    return {name: _encode(getattr(value, name)) for name, _ in _field_types(cls)}
+    return {f.name: _encode(getattr(value, f.name)) for f in fields(cls)}
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:
@@ -231,7 +237,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def config_digest(cfg: ScenarioConfig) -> str:
-    return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()
+    return sha256(dump_config(cfg).encode("utf-8")).hexdigest()
 
 
 # --- experiment builders -----------------------------------------------------
@@ -591,9 +597,10 @@ _BUILDERS = {
 }
 EXPERIMENT_IDS = tuple(_BUILDERS)
 
-# experiment id -> {override name: type}, read from the builder signatures
+# experiment id -> {override name: type}, the types of the builders' keyword
+# defaults (a test checks them against the annotations)
 EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
-    exp: {name: tp for name, tp in get_type_hints(builder).items() if name != "return"}
+    exp: {name: type(default) for name, default in builder.__kwdefaults__.items()}
     for exp, builder in _BUILDERS.items()
 }
 

@@ -179,6 +179,11 @@ class TestValidation:
         (PeerBehavior.badmouther((1,), 0.5), "group", (1, 2)),
         (PeerBehavior.onoff(0.5), "designated_polluter", 3),
         (PeerBehavior.collab_rotating((1, 2)), "designated_polluter", 1),
+        # only honest and bad-mouthing uploads can be corrupted by loss
+        (PeerBehavior.persistent(), "loss_rate", 0.3),
+        (PeerBehavior.onoff(0.5), "loss_rate", 0.3),
+        (PeerBehavior.collab_static((1, 2), designated=1), "loss_rate", 0.3),
+        (PeerBehavior.collab_rotating((1, 2)), "loss_rate", 0.3),
     ])
     def test_field_its_kind_never_reads_rejected(self, base, field, value):
         # every builder sets only its own kind's fields, so none of these was ever read

@@ -228,6 +228,19 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_loss_rate_the_kind_never_reads_rejected(self, tmp_path, capsys):
+        # an on-off peer's uploads are never lossy: the rate would be ignored
+        d = config_to_dict(build_experiment("e2"))
+        d["behavior_mix"][1][0]["loss_rate"] = 0.3
+        path = tmp_path / "lossy.cfg"
+        path.write_text(json.dumps(d))
+        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "loss_rate is read only by kind honest or badmouth, not onoff" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_underflowing_on_ratio_rejected(self, tmp_path, capsys):
         # lies in (0, 1), but its cycle length 1 / on_ratio overflows to inf
         d = config_to_dict(build_experiment("e2"))

@@ -1,7 +1,9 @@
 """The package's exported names: each resolves, none repeats, and the
-retired trust wrappers stay unexported; and its version matches the
-project metadata."""
+retired trust wrappers stay unexported; its version matches the project
+metadata; and a run stays lean on imports."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,28 @@ def test_bench_hooks_resolve(monkeypatch):
     observers = len({observer for observer, _ in cfg.observed_pairs})
     assert calls == {"build_world": 1, "run_round": cfg.rounds,
                      "score_candidates": cfg.rounds * observers, "config_digest": 1}
+
+
+LEAN_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pollushield import scenarios
+from pollushield.metrics import emit_csv
+emit_csv(scenarios.run_scenario(scenarios.build_experiment("e2")), sys.argv[2])
+print("_hashlib" in sys.modules, scenarios._field_types.cache_info().currsize)
+"""
+
+
+def test_a_run_loads_no_openssl_and_evaluates_no_annotations(tmp_path):
+    # in a fresh interpreter (-I -S: only `src` on the path; -B: no bytecode
+    # written), config_digest hashes without hashlib's OpenSSL module, and
+    # encoding a config resolves no type hints: only loading a file needs them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", LEAN_RUN, src, str(tmp_path)],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == ["False", "0"]
+    assert list(tmp_path.glob("*.csv"))
 
 
 def test_version_matches_pyproject():

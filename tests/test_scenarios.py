@@ -1,15 +1,21 @@
+import copy
+import hashlib
+import inspect
 import math
 import random
 from collections.abc import Sequence
 from dataclasses import replace
 from functools import partial
+from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from pollushield.behaviors import BehaviorKind, PeerBehavior, upload_quality
 from pollushield.scenarios import (
+    _BUILDERS,
     EXPERIMENT_IDS,
+    EXPERIMENT_OVERRIDES,
     Run,
     ScenarioConfig,
     _sample_candidates,
@@ -40,6 +46,18 @@ class TestBuilders:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unsupported overrides"):
             build_experiment("e2", bogus=1)
+
+    @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
+    def test_override_types_are_the_annotations(self, exp):
+        # EXPERIMENT_OVERRIDES holds the defaults' types, which --sweep casts
+        # with: each must be the annotated type (a float override with an int
+        # default would refuse 0.5), and every parameter has a default
+        builder = _BUILDERS[exp]
+        hints = get_type_hints(builder)
+        del hints["return"]
+        assert list(EXPERIMENT_OVERRIDES[exp].items()) == list(hints.items())
+        for param in inspect.signature(builder).parameters.values():
+            assert param.kind is param.KEYWORD_ONLY and param.default is not param.empty, param
 
     @pytest.mark.parametrize("exp, rounds", [("e3", 24), ("e3", 10), ("e6", 24), ("e6", 0)])
     def test_population_rounds_must_pass_warmup(self, exp, rounds):
@@ -193,6 +211,12 @@ class TestSampleCandidates:
 
 
 class TestConfigFiles:
+    @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
+    def test_digest_is_the_sha256_of_the_file(self, exp):
+        # config_digest avoids hashlib, whose OpenSSL module is slow to load
+        cfg = build_experiment(exp)
+        assert config_digest(cfg) == hashlib.sha256(dump_config(cfg).encode()).hexdigest()
+
     @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
     def test_round_trip_is_bit_identical(self, exp, tmp_path):
         cfg = build_experiment(exp, seed=11)
@@ -415,8 +439,11 @@ class TestRunScenario:
         ))
         for pid, b in enumerate(behaviors):
             drawn = world.peers[pid].behavior.loss_rate == 0.5
+            # set past __post_init__, which refuses a loss rate where uploads never read it
+            at_full_loss = copy.copy(b)
+            object.__setattr__(at_full_loss, "loss_rate", 1.0)
             clean = upload_quality(b, pid, 1, 0, random.Random(0))
-            lossy = upload_quality(replace(b, loss_rate=1.0), pid, 1, 0, random.Random(0))
+            lossy = upload_quality(at_full_loss, pid, 1, 0, random.Random(0))
             pollutes = clean is ChunkQuality.CLEAN and lossy is ChunkQuality.POLLUTED
             assert drawn == pollutes, b.kind
 
@@ -473,15 +500,15 @@ class TestRunScenario:
         ("collab_rotating", PeerBehavior.collab_rotating((1, 2))),
     ])
     def test_loss_rate_no_upload_reads_rejected(self, kind, lossless):
-        mix = ((PeerBehavior.honest(), 1), (replace(lossless, loss_rate=0.3), 2))
-        with pytest.raises(ValueError, match=f"{kind} uploads never read it"):
-            tiny_config(behavior_mix=mix)
+        # PeerBehavior itself refuses it, so no config can carry it
+        with pytest.raises(ValueError, match=f"^loss_rate is read only .*, not {kind}$"):
+            tiny_config(behavior_mix=(
+                (PeerBehavior.honest(), 1), (replace(lossless, loss_rate=0.3), 2)))
 
     def test_loss_rate_kept_where_it_is_read(self):
-        # a lossy kind with no range keeps its rate; an entry of count 0 builds no peer
-        honest, ignored = PeerBehavior.honest(loss_rate=0.3), PeerBehavior.persistent()
-        mix = ((honest, 3), (replace(ignored, loss_rate=0.3), 0))
-        world = build_world(tiny_config(behavior_mix=mix))
+        # a lossy kind with no range keeps its rate
+        honest = PeerBehavior.honest(loss_rate=0.3)
+        world = build_world(tiny_config(behavior_mix=((honest, 3),)))
         assert [rec.behavior for rec in world.peers.values()] == [honest] * 3
 
 
