@@ -48,6 +48,7 @@ from .trust_core import (
     direct_trust,
     onoff_resistance_margin,
     record_delivery,
+    replace,
     transaction_probability,
 )
 
@@ -89,5 +90,6 @@ __all__ = [
     "direct_trust",
     "onoff_resistance_margin",
     "record_delivery",
+    "replace",
     "transaction_probability",
 ]

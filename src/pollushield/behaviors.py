@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .trust_core import ChunkQuality
+from .trust_core import ChunkQuality, Record
 
 
 class BehaviorKind(Enum):
@@ -40,8 +39,7 @@ _READERS = {"loss_rate": LOSSY_KINDS, "on_ratio": (_ONOFF,), "target_set": (_BAD
             "rotation_period": (BehaviorKind.COLLAB_ROTATING,)}
 
 
-@dataclass(frozen=True)
-class PeerBehavior:
+class PeerBehavior(Record):
     kind: BehaviorKind
     loss_rate: float = 0.0              # LOSSY_KINDS: network corruption of uploads
     on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
@@ -51,14 +49,14 @@ class PeerBehavior:
     designated_polluter: Optional[int] = None  # COLLAB_STATIC only
     rotation_period: int = 1            # COLLAB_ROTATING: rounds per duty slot
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must lie in [0, 1]")
-        for f in fields(self):
-            readers = _READERS.get(f.name, (self.kind,))
-            if self.kind not in readers and getattr(self, f.name) != f.default:
+        for name in self._fields:
+            readers = _READERS.get(name, (self.kind,))
+            if self.kind not in readers and getattr(self, name) != getattr(PeerBehavior, name):
                 kinds = " or ".join(k.value for k in readers)
-                raise ValueError(f"{f.name} is read only by kind {kinds}, not {self.kind.value}")
+                raise ValueError(f"{name} is read only by kind {kinds}, not {self.kind.value}")
         if self.kind is BehaviorKind.ONOFF:
             if self.on_ratio is None or not 0.0 < self.on_ratio < 1.0:
                 raise ValueError("on_ratio must lie in (0, 1)")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
 from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -22,6 +21,7 @@ from .scenarios import (
     load_config,
     run_grid,
 )
+from .trust_core import replace
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -33,10 +33,9 @@ def _sweep_keys(experiment: Optional[str]) -> Dict[str, type]:
     the overrides that are config fields."""
     if experiment is not None:
         return EXPERIMENT_OVERRIDES[experiment]
-    config_fields = {f.name for f in fields(ScenarioConfig)}
     return {
         k: t for keys in EXPERIMENT_OVERRIDES.values() for k, t in keys.items()
-        if k in config_fields
+        if k in ScenarioConfig._fields
     }
 
 

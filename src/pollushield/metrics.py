@@ -1,4 +1,5 @@
-"""Run reports and their CSV/JSON serialization.
+"""Run reports, their CSV/JSON serialization, and the seed-by-seed
+comparison of two policies' results.
 
 CSV output is a pure function of the report: fixed column order, rows
 sorted, floats printed with six fractional digits (round-half-even), so
@@ -8,15 +9,14 @@ golden files catch any behavioural drift.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 TrajectoryRow = Tuple[int, float, float, float, float]  # round, D, I, alpha, T
 
 
-@dataclass(frozen=True)
-class PeerSummary:
+class PeerSummary(NamedTuple):
     peer: int
     behavior: str
     goodput: float                    # clean chunks per measured round
@@ -25,11 +25,32 @@ class PeerSummary:
     requests_received: int
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     trajectories: Dict[Tuple[int, int], List[TrajectoryRow]]
     summary: List[PeerSummary]
     run_meta: Dict[str, object]
+
+
+class PairedSeeds(NamedTuple):
+    diffs: List[float]     # first - second, per seed
+    mean_diff: float
+    wins: int              # seeds where first > second
+    losses: int
+    ties: int
+    p_value: float         # exact two-sided sign test over the untied seeds
+
+
+def paired_seeds(first: Sequence[float], second: Sequence[float]) -> PairedSeeds:
+    """Compare two equal-length lists of per-seed values seed by seed. With
+    n = wins + losses, p = min(1, 2 * sum_{i <= min(wins, losses)} C(n, i) / 2^n),
+    so n = 0 gives 1."""
+    if not first or len(first) != len(second):
+        raise ValueError("need two non-empty lists of equal length")
+    diffs = [a - b for a, b in zip(first, second)]
+    wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+    n = wins + losses
+    p = min(1.0, 2 * sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n)
+    return PairedSeeds(diffs, sum(diffs) / len(diffs), wins, losses, len(diffs) - n, p)
 
 
 def emit_csv(report: MetricsReport, out_dir: str) -> List[str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby, product
@@ -30,11 +29,10 @@ from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import DETECTION_THRESHOLD, World, run_round, score_candidates
-from .trust_core import CFModel, ChunkQuality, DTModel, TrustParams
+from .trust_core import CFModel, ChunkQuality, DTModel, Record, TrustParams, replace
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     name: str
     n_peers: int
     rounds: int
@@ -52,9 +50,6 @@ class ScenarioConfig:
     detection_threshold: float = DETECTION_THRESHOLD  # trust below this flags a peer
     measure_from: Optional[int] = None           # None: warmup_rounds
     ads_per_round: Optional[int] = None          # None: every candidate advertises
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         # the name becomes the stem of each output file
@@ -147,10 +142,10 @@ class ScenarioConfig:
 
 @lru_cache(maxsize=None)
 def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
-    """(name, resolved annotation) of each field of a config dataclass, for
-    decoding; encoding reads only the field names."""
+    """(name, resolved annotation) of each field of a config record, for
+    decoding; encoding reads only the field names (`_fields`)."""
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    return tuple((name, hints[name]) for name in cls._fields)
 
 
 _SCALARS = frozenset({type(None), bool, int, float, str})
@@ -158,8 +153,9 @@ _SCALARS = frozenset({type(None), bool, int, float, str})
 
 def _encode(value: Any) -> Any:
     """JSON-ready form of a config value: enums by value, tuples as lists,
-    dataclasses as objects keyed by field name. Scalars are tested first,
-    and tuple items inline, because configs hold thousands of peer ids."""
+    records as objects keyed by field name, in `_fields` order. Scalars are
+    tested first, and tuple items inline, because configs hold thousands of
+    peer ids."""
     cls = type(value)
     if cls in _SCALARS:
         return value
@@ -167,7 +163,7 @@ def _encode(value: Any) -> Any:
         return [v if type(v) in _SCALARS else _encode(v) for v in value]
     if isinstance(value, Enum):
         return value.value
-    return {f.name: _encode(getattr(value, f.name)) for f in fields(cls)}
+    return {name: _encode(getattr(value, name)) for name in cls._fields}
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:
@@ -200,7 +196,7 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
             return tp(value)
         except ValueError:
             raise ValueError(f"{where}: unknown {tp.__name__} {value!r}") from None
-    # a config dataclass
+    # a config record
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object, got {value!r}")
     types = _field_types(tp)

@@ -2,14 +2,79 @@
 
 Every function here is pure: it reads its arguments, returns a value, and
 touches no global state. All trust-like quantities live in [0, 1].
+
+`Record` and `replace`, the base of the package's validated immutable
+records, live here because this is the lowest module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Tuple
+from typing import Any, List, NamedTuple, Tuple
+
+
+class Record:
+    """A frozen dataclass without `dataclasses` (which imports `inspect`).
+
+    A subclass's fields are its annotations, in order; a class attribute
+    gives a field's default. A record is built by keyword only, checked by
+    `validate`, compared, hashed and printed by its fields in order, and
+    changed only through `replace`. Fields are read with getattr, never via
+    the instance `__dict__`: on CPython 3.11 reading that dict stops the
+    hot path's specialised attribute loads on the instance.
+    """
+
+    _fields: Tuple[str, ...] = ()  # the field names, set per subclass
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, **values: Any) -> None:
+        cls = type(self)
+        for name in values:
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        for name in cls._fields:
+            try:
+                value = values[name] if name in values else getattr(cls, name)
+            except AttributeError:
+                raise TypeError(f"{cls.__name__}() missing keyword argument {name!r}") from None
+            object.__setattr__(self, name, value)
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ValueError unless the fields hold a valid record."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:  # as tuples compare, without building them
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and not mine == theirs:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+def replace(record: Record, **changes: Any) -> Record:
+    """A new record with `changes` applied to `record`'s fields, built and
+    so validated anew; an unknown field raises TypeError."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)
 
 
 class CFModel(Enum):
@@ -57,8 +122,7 @@ class TrustState(NamedTuple):
 EMPTY_STATE = TrustState()
 
 
-@dataclass(frozen=True)
-class TrustParams:
+class TrustParams(Record):
     """All tunable constants of the trust pipeline.
 
     One instance describes a single peer's configuration; worlds may give
@@ -82,7 +146,7 @@ class TrustParams:
     k_recommenders: int = 5        # how many top-credibility recommenders to keep
     cold_start_trust: float = 0.5  # substitute when no evidence exists at all
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         for name in ("c", "rho", "eta", "forgetting", "forgiving"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

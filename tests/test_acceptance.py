@@ -19,7 +19,7 @@ The counterexamples outside the region are counted and printed.
 
 import math
 import random
-from dataclasses import replace
+from pollushield import replace
 from functools import partial
 from time import perf_counter
 
@@ -28,6 +28,7 @@ from scipy.stats import spearmanr
 from test_golden import GRID_REPORT_SHA256, report_digest
 
 from pollushield.cli import run_command
+from pollushield.metrics import paired_seeds
 from pollushield.scenarios import (
     build_experiment, mean_requester_goodput, run_grid, run_scenario,
 )
@@ -221,9 +222,9 @@ SEEDS = (1, 2, 3, 4, 5)
 
 def policy_gaps(exp, axis, values, policies):
     """Per value of `axis`, the first policy's mean requester goodput over
-    SEEDS (summed in seed order) minus the second's, and how many seeds each
-    policy wins; also the grid points whose report drifted from its pinned
-    digest."""
+    SEEDS (summed in seed order) minus the second's, and the two policies'
+    per-seed comparison (`paired_seeds`: seeds won, sign-test p); also the
+    grid points whose report drifted from its pinned digest."""
     grid = {axis: values, "policy": policies, "seed": SEEDS}
     goodput, drifted = {}, []
     for point, run in run_grid(partial(build_experiment, exp), grid):
@@ -236,14 +237,14 @@ def policy_gaps(exp, axis, values, policies):
     for value in values:
         first, second = ([goodput[value, policy, seed] for seed in SEEDS] for policy in policies)
         gaps[value] = sum(first) / len(first) - sum(second) / len(second)
-        wins[value] = (sum(a > b for a, b in zip(first, second)),
-                       sum(b > a for a, b in zip(first, second)))
+        wins[value] = paired_seeds(first, second)
     return gaps, wins, drifted
 
 
 def gap_detail(gaps, wins, policies):
-    return f"gaps (seeds won, {'-'.join(policies)})=" + ", ".join(
-        f"{v:.0%}:{gap:+.4f} ({wins[v][0]}-{wins[v][1]})" for v, gap in gaps.items())
+    return f"gaps (seeds won, {'-'.join(policies)}; sign-test p)=" + ", ".join(
+        f"{v:.0%}:{gap:+.4f} ({wins[v].wins}-{wins[v].losses}, p={wins[v].p_value:.4g})"
+        for v, gap in gaps.items())
 
 
 def test_criterion_5_double_thresholds_beat_single_under_loss():

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from pollushield import replace
 from types import SimpleNamespace
 
 import pytest

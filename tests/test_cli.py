@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pollushield import cli
 from pollushield.cli import run_command
-from pollushield.metrics import MetricsReport, PeerSummary, emit_csv
+from pollushield.metrics import MetricsReport, PeerSummary, emit_csv, paired_seeds
 from pollushield.scenarios import (
     EXPERIMENT_IDS, EXPERIMENT_OVERRIDES, ScenarioConfig, build_experiment, config_to_dict,
     save_config,
@@ -40,7 +40,7 @@ class TestRunCommand:
 
     def test_scenario_file_single_pair(self, tmp_path):
         cfg = build_experiment("e2", seed=3)
-        from dataclasses import replace
+        from pollushield import replace
 
         cfg = replace(cfg, observed_pairs=((0, 2),), name="pair")
         path = tmp_path / "pair.cfg"
@@ -497,3 +497,30 @@ class TestCsvFormat:
             "fmt_summary.csv",
             "fmt_meta.json",
         ]
+
+
+class TestPairedSeeds:
+    @pytest.mark.parametrize("wins, losses, p", [
+        (5, 0, 0.0625),       # 2 / 2^5
+        (4, 1, 0.375),        # 2 (1 + 5) / 2^5
+        (3, 2, 1.0),          # 2 (1 + 5 + 10) / 2^5, capped
+        (10, 0, 0.001953125),  # 2 / 2^10
+    ])
+    def test_exact_sign_test(self, wins, losses, p):
+        got = paired_seeds([1.0] * wins + [0.0] * losses, [0.0] * wins + [1.0] * losses)
+        assert (got.wins, got.losses, got.ties, got.p_value) == (wins, losses, 0, p)
+
+    def test_ties_are_dropped(self):
+        got = paired_seeds([0.5, 0.4, 0.3, 0.3], [0.25, 0.4, 0.5, 0.3])
+        assert got.diffs == [0.25, 0.0, -0.2, 0.0]
+        assert got.mean_diff == pytest.approx(0.0125)
+        assert (got.wins, got.losses, got.ties, got.p_value) == (1, 1, 2, 1.0)
+
+    def test_all_ties_give_p_one(self):
+        assert paired_seeds([0.2, 0.2], [0.2, 0.2]) == ([0.0, 0.0], 0.0, 0, 0, 2, 1.0)
+
+    def test_unpaired_lists_rejected(self):
+        with pytest.raises(ValueError):
+            paired_seeds([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            paired_seeds([], [])

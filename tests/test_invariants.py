@@ -7,7 +7,7 @@ save -> load and replays exactly, also when the run is advanced in steps.
 
 import os
 import tempfile
-from dataclasses import replace
+from pollushield import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st

@@ -1,6 +1,7 @@
 """The package's exported names: each resolves, none repeats, and the
 retired trust wrappers stay unexported; its version matches the project
-metadata; and a run stays lean on imports."""
+metadata; and a run stays lean on imports: no OpenSSL, no `dataclasses`
+and so no `inspect`."""
 
 import subprocess
 import sys
@@ -18,6 +19,12 @@ def test_every_export_resolves():
 
 def test_no_export_repeats():
     assert len(set(pollushield.__all__)) == len(pollushield.__all__)
+
+
+def test_record_replace_exported():
+    # configs, params and behaviours are not dataclasses: dataclasses.replace
+    # does not apply to them, pollushield.replace does
+    assert pollushield.replace is pollushield.trust_core.replace
 
 
 def test_retired_trust_wrappers_not_exported():
@@ -64,20 +71,39 @@ sys.path.insert(0, sys.argv[1])
 from pollushield import scenarios
 from pollushield.metrics import emit_csv
 emit_csv(scenarios.run_scenario(scenarios.build_experiment("e2")), sys.argv[2])
-print("_hashlib" in sys.modules, scenarios._field_types.cache_info().currsize)
+print("_hashlib" in sys.modules, scenarios._field_types.cache_info().currsize,
+      "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+LEAN_CLI_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pollushield.cli import run_command
+assert run_command(["run", "--experiment", "e2", "--out", sys.argv[2]]) == 0
+print("dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
 
-def test_a_run_loads_no_openssl_and_evaluates_no_annotations(tmp_path):
-    # in a fresh interpreter (-I -S: only `src` on the path; -B: no bytecode
-    # written), config_digest hashes without hashlib's OpenSSL module, and
-    # encoding a config resolves no type hints: only loading a file needs them
+def lean_child(script, tmp_path):
+    """stdout of `script` in a fresh interpreter (-I -S: only `src` on the
+    path; -B: no bytecode written), after it emitted its CSVs"""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", LEAN_RUN, src, str(tmp_path)],
+    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script, src, str(tmp_path)],
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
-    assert child.stdout.split() == ["False", "0"]
     assert list(tmp_path.glob("*.csv"))
+    return child.stdout.split()
+
+
+def test_a_run_loads_no_openssl_and_evaluates_no_annotations(tmp_path):
+    # config_digest hashes without hashlib's OpenSSL module; encoding a config
+    # resolves no type hints (only loading a file needs them); the records
+    # are no dataclasses, so neither `dataclasses` nor its `inspect` loads
+    assert lean_child(LEAN_RUN, tmp_path) == ["False", "0", "False", "False"]
+
+
+def test_a_cli_run_loads_no_dataclasses(tmp_path):
+    assert lean_child(LEAN_CLI_RUN, tmp_path)[-2:] == ["False", "False"]  # after its own line
 
 
 def test_version_matches_pyproject():

@@ -4,7 +4,7 @@ import inspect
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import replace
+from pollushield import replace
 from functools import partial
 from typing import get_type_hints
 

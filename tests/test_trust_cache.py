@@ -20,7 +20,7 @@ and a memo of its own: the reference a call on kept values must equal.
 """
 
 import math
-from dataclasses import replace
+from pollushield import replace
 from typing import List, Optional, Tuple
 
 import pytest

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as hs
 
-from pollushield import trust_core
+from pollushield import replace, trust_core
 from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
+from pollushield.scenarios import build_experiment
 from pollushield.trust_core import (
     CFModel,
     ChunkQuality,
@@ -392,3 +393,59 @@ class TestParamsValidation:
     def test_silent_when_forgetting_dominates(self):
         assert TrustParams(forgetting=0.5, forgiving=0.1).diagnostics() == []
         assert TrustParams().diagnostics() == []  # both rates zero: nothing to report
+
+
+class TestRecord:
+    """The records keep the frozen dataclasses' contract: keyword fields in
+    annotation order, validation on every build, value equality and hash,
+    and no assignment."""
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(TrustParams()) == (
+            "TrustParams(cf_model=<CFModel.CFDA: 'cfda'>, cf_constant=0.5, c=1.0, beta=0.5, "
+            "dt_model=<DTModel.PDTM: 'pdtm'>, rho=0.6931471805599453, eta=1.0, "
+            "forgetting=0.0, forgiving=0.0, theta_p=0.5, theta_g=0.9, chi=0.5, "
+            "k_providers=5, k_recommenders=5, cold_start_trust=0.5)")
+        assert repr(PeerBehavior.onoff(0.2)) == (
+            "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, loss_rate=0.0, on_ratio=0.2, "
+            "target_set=(), slander_prob=0.0, group=(), designated_polluter=None, "
+            "rotation_period=1)")
+
+    def test_equal_records_hash_equal(self):
+        assert TrustParams(chi=0.2) == TrustParams(chi=0.2) != TrustParams()
+        assert hash(TrustParams(chi=0.2)) == hash(TrustParams(chi=0.2))
+        assert hash(PeerBehavior.onoff(0.2)) == hash(PeerBehavior.onoff(0.2))
+
+    def test_records_of_different_classes_never_equal(self):
+        assert TrustParams() != PeerBehavior.persistent()
+        assert TrustParams() != tuple(getattr(TrustParams(), f) for f in TrustParams._fields)
+
+    def test_fields_cannot_change(self):
+        params = TrustParams()
+        with pytest.raises(AttributeError):
+            params.chi = 0.1
+        with pytest.raises(AttributeError):
+            del params.chi
+        assert params.chi == 0.5
+
+    def test_unknown_or_missing_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="gamma"):
+            TrustParams(gamma=1.0)
+        with pytest.raises(TypeError, match="kind"):
+            PeerBehavior()
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="beta"):
+            replace(TrustParams(), beta=1.0)
+        with pytest.raises(ValueError, match="rounds"):
+            replace(build_experiment("e2"), rounds=0)
+
+    def test_replace_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="gamma"):
+            replace(TrustParams(), gamma=1.0)
+
+    def test_replace_leaves_its_source(self):
+        params = TrustParams()
+        changed = replace(params, chi=0.1, k_providers=2)
+        assert (changed.chi, changed.k_providers, changed.eta) == (0.1, 2, params.eta)
+        assert params == TrustParams()
