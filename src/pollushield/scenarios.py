@@ -34,7 +34,6 @@ from .trust_core import CFModel, ChunkQuality, DTModel, Record, TrustParams, rep
 
 class ScenarioConfig(Record):
     name: str
-    n_peers: int
     rounds: int
     seed: int
     behavior_mix: Tuple[Tuple[PeerBehavior, int], ...]
@@ -42,48 +41,46 @@ class ScenarioConfig(Record):
     param_overrides: Tuple[Tuple[int, TrustParams], ...] = ()
     loss_rate_range: Optional[Tuple[float, float]] = None
     observed_pairs: Tuple[Tuple[int, int], ...] = ()
-    requesters: Tuple[int, ...] = ()
     candidate_map: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
     request_budgets: Tuple[Tuple[int, int], ...] = ()  # non-default (peer, budget)
     warmup_rounds: int = 0       # rounds with the threshold policy disabled
     warmup_budget: int = 0       # minimum per-round deliveries during warmup
     detection_threshold: float = DETECTION_THRESHOLD  # trust below this flags a peer
-    measure_from: Optional[int] = None           # None: warmup_rounds
+    measure_from: int = 0                        # rounds before goodput is counted
     ads_per_round: Optional[int] = None          # None: every candidate advertises
+
+    @property
+    def n_peers(self) -> int:
+        """The behaviour mix's total; build_world numbers the peers 0.. in mix order."""
+        return sum(count for _, count in self.behavior_mix)
 
     def validate(self) -> None:
         # the name becomes the stem of each output file
         if not self.name or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a file-name stem, got {self.name!r}")
-        if self.n_peers < 1:
-            raise ValueError("n_peers must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        total = sum(count for _, count in self.behavior_mix)
-        if total != self.n_peers:
-            raise ValueError(
-                f"behavior mix counts sum to {total}, expected n_peers={self.n_peers}"
-            )
         if any(count < 0 for _, count in self.behavior_mix):
             raise ValueError("behavior mix counts must be non-negative")
         ids = range(self.n_peers)
+        if not ids:
+            raise ValueError("behavior mix counts must sum to a positive number of peers")
         for observer, subject in self.observed_pairs:
             if observer not in ids or subject not in ids or observer == subject:
                 raise ValueError(f"invalid observed pair ({observer}, {subject})")
-        for pid in self.requesters:
+        for pid, cands in self.candidate_map:
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
-        # run_round walks the requesters only: any other entry would be ignored
-        for name in ("candidate_map", "request_budgets"):
-            strays = sorted({pid for pid, _ in getattr(self, name)} - set(self.requesters))
-            if strays:
-                raise ValueError(f"{name} has entries for non-requesters {strays}")
-        for pid, cands in self.candidate_map:
             for c in cands:
                 if c not in ids or c == pid:
                     raise ValueError(f"invalid candidate {c} for peer {pid}")
+        # a peer requests exactly when it has candidates: any other budget would be ignored
+        strays = sorted({pid for pid, _ in self.request_budgets}
+                        - {pid for pid, cands in self.candidate_map if cands})
+        if strays:
+            raise ValueError(f"request_budgets has entries for non-requesters {strays}")
         for pid, budget in self.request_budgets:
             if budget < 1:
                 raise ValueError(f"invalid request budget ({pid}, {budget})")
@@ -98,14 +95,14 @@ class ScenarioConfig(Record):
             raise ValueError("warmup_rounds must lie in [0, rounds)")
         if self.warmup_budget < 0:
             raise ValueError("warmup_budget must be non-negative")
-        if self.measure_from is not None and not 0 <= self.measure_from < self.rounds:
+        if not 0 <= self.measure_from < self.rounds:
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
             raise ValueError("ads_per_round must be >= 1 when set")
         if not 0.0 <= self.detection_threshold <= 1.0:
             raise ValueError("detection_threshold must lie in [0, 1]")
         # a repeated entry would be double-counted or silently overwritten
-        keyed = {"observed_pairs": self.observed_pairs, "requesters": self.requesters}
+        keyed = {"observed_pairs": self.observed_pairs}
         for name in ("candidate_map", "request_budgets", "param_overrides"):
             keyed[name] = [pid for pid, _ in getattr(self, name)]
         for pid, cands in self.candidate_map:
@@ -291,17 +288,14 @@ def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     cand_map += [(k, (subject,)) for k in recommenders]
     return ScenarioConfig(
         name="e1",
-        n_peers=3 + n_recommenders,
         rounds=rounds,
         seed=seed,
         behavior_mix=mix,
         params=params,
         param_overrides=((1, ccfs),),
         observed_pairs=((0, subject), (1, subject)),
-        requesters=(0, 1) + recommenders,
         candidate_map=tuple(cand_map),
         request_budgets=((0, 1 + n_recommenders), (1, 1 + n_recommenders)),
-        measure_from=0,
     )
 
 
@@ -323,21 +317,19 @@ def build_e2(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     observed = tuple((v, a) for v in (0, 1) for a in attackers)
     return ScenarioConfig(
         name="e2",
-        n_peers=5,
         rounds=rounds,
         seed=seed,
         behavior_mix=mix,
         params=params,
         param_overrides=((1, dtma),),
         observed_pairs=observed,
-        requesters=(0, 1),
         candidate_map=((0, attackers), (1, attackers)),
         request_budgets=((0, 3), (1, 3)),
-        measure_from=0,
     )
 
 
 _POP_CANDIDATES = 10
+_POP_WARMUP = 24  # rounds of the population experiments' warmup
 
 # PeerTrust baseline (Xiong & Liu, IEEE TKDE 2004): ratio-based direct
 # trust, fixed half/half weight between direct and indirect evidence, no
@@ -373,13 +365,14 @@ def _population_config(
     behaviors: Sequence[PeerBehavior],
     params: TrustParams,
     loss_range: Tuple[float, float],
-    measure_from: Optional[int] = None,
+    measure_from: int = 0,
 ) -> ScenarioConfig:
     """A lossy population with one behaviour per peer id, in id order. The
     first 150 honest peers request, each from 10 sampled candidates; the
-    first 24 rounds are warmup with a budget of 3 deliveries."""
-    if rounds < 25:
-        raise ValueError(f"rounds must be >= 25 (24 warmup rounds + 1), got {rounds}")
+    first _POP_WARMUP rounds are warmup with a budget of 3 deliveries."""
+    if rounds <= _POP_WARMUP:
+        raise ValueError(f"rounds must be >= {_POP_WARMUP + 1} "
+                         f"({_POP_WARMUP} warmup rounds + 1), got {rounds}")
     requesters = tuple(
         [pid for pid, b in enumerate(behaviors) if b.kind is BehaviorKind.HONEST][:150]
     )
@@ -390,15 +383,13 @@ def _population_config(
     )
     return ScenarioConfig(
         name=name,
-        n_peers=len(behaviors),
         rounds=rounds,
         seed=seed,
         behavior_mix=tuple((b, sum(1 for _ in run)) for b, run in groupby(behaviors)),
         params=params,
         loss_rate_range=loss_range,
-        requesters=requesters,
         candidate_map=cand_map,
-        warmup_rounds=24,
+        warmup_rounds=_POP_WARMUP,
         warmup_budget=3,
         measure_from=measure_from,
     )
@@ -433,6 +424,7 @@ def build_e3(
         "e3", seed, rounds, behaviors,
         _admission_params(policy, params, 0.8),
         loss_range=(loss_rate, loss_rate),
+        measure_from=_POP_WARMUP,
     )
 
 
@@ -468,17 +460,14 @@ def build_e4(
     cand_map += [(m, tuple(x for x in members if x != m)) for m in members]
     return ScenarioConfig(
         name="e4",
-        n_peers=1 + group_size,
         rounds=rounds,
         seed=seed,
         behavior_mix=((PeerBehavior.honest(), 1), (behavior, group_size)),
         params=params,
         param_overrides=tuple((m, member_k1) for m in members),
         observed_pairs=observed,
-        requesters=(0,) + members,
         candidate_map=tuple(cand_map),
         request_budgets=((0, group_size),),
-        measure_from=0,
     )
 
 
@@ -518,7 +507,6 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     cand_map.append((newcomer, reqs))
     return ScenarioConfig(
         name="e5",
-        n_peers=newcomer + 1,
         rounds=rounds,
         seed=seed,
         behavior_mix=mix,
@@ -526,11 +514,11 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         param_overrides=((newcomer, newcomer_params),),
         loss_rate_range=(0.0, 0.08),
         observed_pairs=tuple((newcomer, p) for p in providers),
-        requesters=reqs + (newcomer,),
         candidate_map=tuple(cand_map),
         request_budgets=tuple((rid, 3) for rid in reqs) + ((newcomer, n_req),),
         warmup_rounds=10,
         warmup_budget=3,
+        measure_from=10,
         ads_per_round=6,
     )
 
@@ -579,7 +567,6 @@ def build_e6(
         "e6", seed, rounds, behaviors,
         _admission_params(policy, params, 0.5),
         loss_range=(0.0, 0.02),
-        measure_from=0,
     )
 
 
@@ -681,7 +668,7 @@ class Run:
         if world.round != cfg.rounds:
             raise ValueError(
                 f"report of a run advanced through {world.round} of {cfg.rounds} rounds")
-        measure_from = cfg.measure_from if cfg.measure_from is not None else cfg.warmup_rounds
+        measure_from = cfg.measure_from
         measured_rounds = cfg.rounds - measure_from
         clean_measured: Dict[int, int] = {}
         polluted_total: Dict[int, int] = {}
@@ -736,7 +723,9 @@ def run_grid(
 
 
 def mean_requester_goodput(cfg: ScenarioConfig, report: MetricsReport) -> float:
-    """Average goodput over the served population: the honest requesters."""
+    """Average goodput over the served population: the honest peers with
+    candidates, which are the honest requesters."""
     rows = {s.peer: s for s in report.summary}
-    values = [rows[pid].goodput for pid in cfg.requesters if rows[pid].behavior == "honest"]
+    values = [rows[pid].goodput for pid, cands in cfg.candidate_map
+              if cands and rows[pid].behavior == "honest"]
     return sum(values) / len(values) if values else 0.0

@@ -82,6 +82,20 @@ class TestRunCommand:
         assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
         assert "policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_peers", 5, "unknown config fields: ['n_peers']"),
+        ("requesters", [0, 1], "unknown config fields: ['requesters']"),
+        ("measure_from", None, "config.measure_from: expected int, got None"),
+    ])
+    def test_pre_0_3_0_scenario_rejected(self, tmp_path, capsys, key, value, message):
+        # format 0.3.0 derives n_peers and the requesters, and measure_from is a number
+        d = config_to_dict(build_experiment("e2"))
+        d[key] = value
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_scenario_names_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         code = run_command(["run", "--scenario", str(missing)])
@@ -168,18 +182,21 @@ class TestRunCommand:
         assert "deep.cfg" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, entry", [("candidate_map", [2, [0]]),
+    @pytest.mark.parametrize("field, entry", [("candidate_map", [2, []]),
                                               ("request_budgets", [2, 3])])
     def test_entry_for_non_requester_rejected(self, tmp_path, capsys, field, entry):
-        # e2's requesters are peers 0 and 1: peer 2's entry would be ignored
+        # e2's requesters are peers 0 and 1, the peers with candidates: a budget for
+        # peer 2, listed without candidates or not at all, would be ignored
         d = config_to_dict(build_experiment("e2"))
         d[field].append(entry)
+        if field == "candidate_map":
+            d["request_budgets"].append([2, 3])
         path = tmp_path / "stray.cfg"
         path.write_text(json.dumps(d))
         code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{field} has entries for non-requesters [2]" in err
+        assert "request_budgets has entries for non-requesters [2]" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("exp, overrides, field, edit, strays", [
@@ -425,7 +442,7 @@ def leaf_paths(node, path=()):
 
 LEAVES = [(exp, path) for exp, d in MUTATION_BASES.items() for path in leaf_paths(d)]
 # wrong types, enum values of other fields, and edge numbers; no count is
-# large, and `rounds` and `n_peers` never grow, so no mutant runs long
+# large, and `rounds` never grows, so no mutant runs long
 REPLACEMENTS = (
     None, True, False, -1, 0, 1, 2, 7, -0.0, 0.0, 0.5, 1.0, 1.5, 1e-320, 1e308,
     math.inf, -math.inf, math.nan, "", "x", "onoff", "collab_static", "dtmb", "constant",
@@ -445,8 +462,7 @@ def test_single_leaf_mutation_exits_cleanly(leaf, value):
     for key in path[:-1]:
         parent = parent[key]
     old = parent[path[-1]]
-    growing = (path[-1] in ("rounds", "n_peers") and type(value) in (int, float)
-               and value > old)
+    growing = path[-1] == "rounds" and type(value) in (int, float) and value > old
     assume(not growing)
     parent[path[-1]] = value
     err = io.StringIO()

@@ -50,23 +50,23 @@ EXPERIMENTS = sorted({exp for exp, _ in GOLDEN_SHA256})
 # config_digest of build_experiment(exp, seed=7, **overrides): pins every
 # builder's defaults and the config each override value produces.
 CONFIG_SHA256 = {
-    ("e1", ()): "813f46ce1d253c9db368885f3d76f87b0a8230979d20b746a93267ff9e5731f3",
-    ("e2", ()): "e08fa048b39ac5235d33b24c51c2e32278f59273e612f4de105f5622efc96ad4",
-    ("e3", ()): "d44d7fafafbc5a0d393ceb55a1dcef83d03a55599d7f6549eace0b8805f09093",
-    ("e3", (("policy", "proposed"),)): "d44d7fafafbc5a0d393ceb55a1dcef83d03a55599d7f6549eace0b8805f09093",
-    ("e3", (("policy", "single"),)): "93eb6dbc481cb560662591cbc1bd7081db4b26c5d39e18bba522ffca8c50886b",
-    ("e3", (("policy", "peertrust"),)): "9a9c1ea6a89e0a1ca70c254c89f278b663ba3606ae5222c8622fde01bb33807e",
-    ("e3", (("loss_rate", 0.04),)): "670afb4cfb8a9e9222aefc9a9673968e3a9fec116b7a34b848373b74d58e6ccd",
-    ("e4", ()): "a96eadacba562f135fec0838f5b95b3513fa7c02b70336504aed12ddbc5a4d9f",
-    ("e4", (("mode", "static"),)): "46de93c338bd43978bf3ad4aa74c47ffd4001d68ee1386f92a17fb2ab4710b15",
-    ("e4", (("group_size", 5),)): "0d32eb772d7cf3b6fa4120c6a1204aa59ac05c774b787856e5ea16ed88472d13",
-    ("e5", ()): "93ec0485126f782031a02e6b10babba2dbb7b159d142fb06793731b3fe7ecbe7",
-    ("e6", ()): "a9d63be640cd75d02bcf2aabac69a639ed0950b529319c9c6832eb90c7b507da",
-    ("e6", (("policy", "proposed"),)): "a9d63be640cd75d02bcf2aabac69a639ed0950b529319c9c6832eb90c7b507da",
-    ("e6", (("policy", "single"),)): "521d9805b7ed27cdcfa6b50e0ceb997597dcca9fc008a96da05cc7bc89cb4131",
-    ("e6", (("policy", "peertrust"),)): "ba8685ee2924487393f8ecb311912eb7fabf605edb4dddee672f1e72459ff6a7",
-    ("e6", (("malicious_fraction", 0.0),)): "a7a7ca73dc0b20e81b949e52fd3b5f5690315a5797386715b9bab23f5cebef13",
-    ("e6", (("malicious_fraction", 0.5),)): "632fa0a81c22e39f84df0a9c1a0a76ee5236555991fdb1c23e215a321deea82f",
+    ("e1", ()): "a5699ebf9f65ab653061ca046164998d27dea0ada2e38effba54ed4de9091cd6",
+    ("e2", ()): "f31d234f9423149b8fe676e7d12bd7c4eb9be88bfea3bdf86e223e723047ab32",
+    ("e3", ()): "02da1fd2d79b674a7b383c6d8441232caa23aca8b30e9132ff4db5d343d73b72",
+    ("e3", (("policy", "proposed"),)): "02da1fd2d79b674a7b383c6d8441232caa23aca8b30e9132ff4db5d343d73b72",
+    ("e3", (("policy", "single"),)): "cc74b60dd9be0ed9bfefacadced421855768c52ede6b2cc8ae505d1a77aeba4e",
+    ("e3", (("policy", "peertrust"),)): "df899a884a5f5a53c645bde4a77bb6e28f2af0bc4bbad60ece5c39ba2744b55b",
+    ("e3", (("loss_rate", 0.04),)): "9382d893d31b7f5d2dece730c586f1b52878accd003fe70fda539561c421cca0",
+    ("e4", ()): "9eec4424e7067f0d308d73ff952082825235debc5cc4e3d3736c27a093fb10c5",
+    ("e4", (("mode", "static"),)): "286e6f9f4163b0bd1e89e0e8e301d4f24e23f06d8b7943d5ef7a12bfd41af931",
+    ("e4", (("group_size", 5),)): "0e115222ac19467925662ce4f165a1e4b3b39bfb7fa053cbc32f627808a51863",
+    ("e5", ()): "2ae43175e0fae91ec6ce4bb604dbe198b00ab9bb68896e5a027057dc9a54622b",
+    ("e6", ()): "2794582cc359f055408fac146e332dd225fef66f7c17516423b6b0b2dcdcbeca",
+    ("e6", (("policy", "proposed"),)): "2794582cc359f055408fac146e332dd225fef66f7c17516423b6b0b2dcdcbeca",
+    ("e6", (("policy", "single"),)): "cc91aa02aa8d92d007ed107141401ff1fc9255f8e13245b0795e064fcf2e2267",
+    ("e6", (("policy", "peertrust"),)): "938a124eab81064e952a6eee399db71a25b7b36fa3fe5a1edf39e4db2ccb44b6",
+    ("e6", (("malicious_fraction", 0.0),)): "3a3ce1af8d1e2c5e4eb7a926e7fbc62aac0e1b2614486905cb1b775a1f5e438b",
+    ("e6", (("malicious_fraction", 0.5),)): "a28483b36a7a48ee6031fbfef0133217e067785028b5ac179f3340f49a85e063",
 }
 
 

@@ -115,7 +115,7 @@ class TestBuilders:
     @pytest.mark.parametrize("exp, overrides", [
         *((exp, {}) for exp in EXPERIMENT_IDS), ("e4", {"group_size": 1})])
     def test_requesters_are_the_peers_with_candidates(self, exp, overrides):
-        # e4's lone rotating colluder is a requester with no candidates
+        # e4's lone rotating colluder has a candidate_map entry with no candidates
         cfg = build_experiment(exp, seed=1, **overrides)
         assert build_world(cfg).requesters == sorted(pid for pid, c in cfg.candidate_map if c)
 
@@ -249,12 +249,12 @@ class TestConfigFiles:
         [
             (("seed",), 1.5),
             (("rounds",), True),
-            (("n_peers",), "5"),
+            (("warmup_budget",), "5"),
             (("params", "theta_p"), "0.5"),
             (("behavior_mix", 0, 0, "kind"), "bogus"),
             (("policy",), {"kind": "proposed", "theta": None}),
         ],
-        ids=["seed_float", "rounds_bool", "n_peers_str", "theta_p_str", "kind_bogus",
+        ids=["seed_float", "rounds_bool", "warmup_budget_str", "theta_p_str", "kind_bogus",
              "policy_leftover"],
     )
     def test_wrong_type_or_unknown_value_rejected(self, path, value):
@@ -274,12 +274,10 @@ def tiny_config(**kwargs):
     )
     defaults = dict(
         name="tiny",
-        n_peers=3,
         rounds=20,
         seed=9,
         behavior_mix=((PeerBehavior.honest(), 3),),
         params=params,
-        requesters=(0,),
         candidate_map=((0, (1, 2)),),
         observed_pairs=((0, 1),),
         detection_threshold=0.5,
@@ -291,16 +289,22 @@ def tiny_config(**kwargs):
 
 class TestValidation:
     def test_mix_count_mismatch(self):
-        with pytest.raises(ValueError, match="behavior mix"):
+        # the mix counts the peers: two leave peer 0's candidate 2 outside the world
+        with pytest.raises(ValueError, match="^invalid candidate 2 for peer 0"):
             tiny_config(behavior_mix=((PeerBehavior.honest(), 2),)).validate()
+
+    @pytest.mark.parametrize("mix", [(), ((PeerBehavior.honest(), 0),)])
+    def test_empty_mix_rejected(self, mix):
+        with pytest.raises(ValueError, match="^behavior mix counts must sum to a positive"):
+            tiny_config(behavior_mix=mix, candidate_map=(), observed_pairs=())
 
     def test_self_observation_rejected(self):
         with pytest.raises(ValueError, match="observed pair"):
             tiny_config(observed_pairs=((1, 1),)).validate()
 
     def test_unknown_requester_rejected(self):
-        with pytest.raises(ValueError, match="requester"):
-            tiny_config(requesters=(7,)).validate()
+        with pytest.raises(ValueError, match="^invalid requester id 7"):
+            tiny_config(candidate_map=((0, (1, 2)), (7, (1,)))).validate()
 
     def test_warmup_must_fit(self):
         with pytest.raises(ValueError, match="warmup_rounds"):
@@ -318,7 +322,8 @@ class TestValidation:
         "field, value, name",
         [
             ("observed_pairs", ((0, 1), (0, 1)), "observed_pairs"),
-            ("requesters", (0, 0), "requesters"),
+            # a requester listed twice, once without candidates
+            ("candidate_map", ((0, (1, 2)), (0, ())), "candidate_map"),
             ("candidate_map", ((0, (1, 2, 1)),), r"candidate_map\[0\]"),
             ("candidate_map", ((0, (1,)), (0, (2,))), "candidate_map"),
             ("request_budgets", ((0, 2), (0, 3)), "request_budgets"),
@@ -335,14 +340,18 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("candidate_map", ((0, (1, 2)), (2, (1,)), (1, (0,)))),
+            # peers 1 and 2 listed without candidates, or not listed at all
+            ("candidate_map", ((0, (1, 2)), (2, ()), (1, ()))),
             ("request_budgets", ((0, 2), (2, 3), (1, 1))),
         ],
     )
     def test_entries_for_non_requesters_rejected(self, field, value):
-        # only requesters request: the entries of peers 1 and 2 would be ignored
-        with pytest.raises(ValueError, match=rf"^{field} has entries for non-requesters \[1, 2\]"):
-            tiny_config(**{field: value}).validate()
+        # a peer requests exactly when it has candidates: the budgets of peers 1 and 2
+        # would be ignored
+        cfg = {"request_budgets": ((0, 2), (2, 3), (1, 1)), field: value}
+        with pytest.raises(ValueError,
+                           match=r"^request_budgets has entries for non-requesters \[1, 2\]"):
+            tiny_config(**cfg).validate()
 
     @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
     def test_detection_threshold_out_of_range_rejected(self, value):
@@ -406,6 +415,16 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert mean_requester_goodput(cfg, report) == pytest.approx(1.0)
 
+    def test_mean_requester_goodput_skips_a_member_without_candidates(self):
+        # e4 with one member: colluder 1 lists no candidates, so peer 0 alone is
+        # averaged; it receives only polluted chunks
+        cfg = build_experiment("e4", group_size=1, rounds=20)
+        report = run_scenario(cfg)
+        assert dict(cfg.candidate_map)[1] == ()
+        assert mean_requester_goodput(cfg, report) == 0.0
+        summary = [s._replace(goodput=float(s.peer + 1)) for s in report.summary]
+        assert mean_requester_goodput(cfg, report._replace(summary=summary)) == 1.0
+
     def test_world_honours_per_peer_losses(self):
         cfg = tiny_config(
             behavior_mix=((PeerBehavior.honest(), 3),),
@@ -433,7 +452,6 @@ class TestRunScenario:
         behaviors = list(one_of_each.values())
         behaviors += behaviors[-2:]  # peers 6 and 7 complete the two groups
         world = build_world(tiny_config(
-            n_peers=len(behaviors),
             behavior_mix=tuple((b, 1) for b in behaviors),
             loss_rate_range=(0.5, 0.5),
         ))

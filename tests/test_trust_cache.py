@@ -265,7 +265,6 @@ def small_worlds(draw):
         # a full mesh: every peer may receive from every other in a round, so
         # rankings hold up to n - 1 recommenders and a subject up to n - 2
         # reports, of distinct credibilities and values where uploads are lossy
-        requesters = tuple(ids)
         cand_map = tuple((rid, tuple(x for x in ids if x != rid)) for rid in ids)
         budgets = tuple((rid, n - 1) for rid in ids)
     else:
@@ -281,19 +280,18 @@ def small_worlds(draw):
     pairs = [(o, s) for o in ids for s in ids if o != s]
     return ScenarioConfig(
         name="fuzz",
-        n_peers=n,
         rounds=rounds,
         seed=draw(st.integers(0, 2 ** 32)),
         behavior_mix=tuple((b, 1) for b in behaviors),
         params=base,
         param_overrides=tuple((pid, params()) for pid in overridden),
         observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
-        requesters=requesters,
         candidate_map=cand_map,
         request_budgets=budgets,
         warmup_rounds=draw(st.integers(0, rounds - 1)),
         warmup_budget=draw(st.integers(0, 3)),
         detection_threshold=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        measure_from=draw(st.integers(0, rounds - 1)),
         ads_per_round=draw(st.one_of(st.none(), st.integers(1, 3))),
     )
 
@@ -767,7 +765,6 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
     observers = (0, 1, 2)
     return ScenarioConfig(
         name="liar",
-        n_peers=5,
         rounds=rounds,
         seed=seed,
         behavior_mix=(
@@ -778,7 +775,6 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
         params=TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
                            theta_p=theta_p, theta_g=theta_g),
         observed_pairs=((0, target), (1, target)),
-        requesters=observers + (liar,),
         candidate_map=tuple((rid, (liar, target)) for rid in observers) + ((liar, (target,)),),
         request_budgets=tuple((rid, 2) for rid in observers),
     )
