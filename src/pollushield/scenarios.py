@@ -41,8 +41,9 @@ class ScenarioConfig(Record):
     param_overrides: Tuple[Tuple[int, TrustParams], ...] = ()
     loss_rate_range: Optional[Tuple[float, float]] = None
     observed_pairs: Tuple[Tuple[int, int], ...] = ()
-    candidate_map: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
-    request_budgets: Tuple[Tuple[int, int], ...] = ()  # non-default (peer, budget)
+    # (requester, candidates, chunks it takes per round): the peers with an
+    # entry are the requesters
+    candidate_map: Tuple[Tuple[int, Tuple[int, ...], int], ...] = ()
     warmup_rounds: int = 0       # rounds with the threshold policy disabled
     warmup_budget: int = 0       # minimum per-round deliveries during warmup
     detection_threshold: float = DETECTION_THRESHOLD  # trust below this flags a peer
@@ -70,20 +71,16 @@ class ScenarioConfig(Record):
         for observer, subject in self.observed_pairs:
             if observer not in ids or subject not in ids or observer == subject:
                 raise ValueError(f"invalid observed pair ({observer}, {subject})")
-        for pid, cands in self.candidate_map:
+        for pid, cands, budget in self.candidate_map:
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
+            if not cands:
+                raise ValueError(f"requester {pid} has no candidates")
             for c in cands:
                 if c not in ids or c == pid:
                     raise ValueError(f"invalid candidate {c} for peer {pid}")
-        # a peer requests exactly when it has candidates: any other budget would be ignored
-        strays = sorted({pid for pid, _ in self.request_budgets}
-                        - {pid for pid, cands in self.candidate_map if cands})
-        if strays:
-            raise ValueError(f"request_budgets has entries for non-requesters {strays}")
-        for pid, budget in self.request_budgets:
             if budget < 1:
-                raise ValueError(f"invalid request budget ({pid}, {budget})")
+                raise ValueError(f"requester {pid} has request budget {budget}, expected >= 1")
         for pid, _ in self.param_overrides:
             if pid not in ids:
                 raise ValueError(f"param override references unknown peer {pid}")
@@ -103,9 +100,9 @@ class ScenarioConfig(Record):
             raise ValueError("detection_threshold must lie in [0, 1]")
         # a repeated entry would be double-counted or silently overwritten
         keyed = {"observed_pairs": self.observed_pairs}
-        for name in ("candidate_map", "request_budgets", "param_overrides"):
-            keyed[name] = [pid for pid, _ in getattr(self, name)]
-        for pid, cands in self.candidate_map:
+        for name in ("candidate_map", "param_overrides"):
+            keyed[name] = [entry[0] for entry in getattr(self, name)]
+        for pid, cands, _ in self.candidate_map:
             keyed[f"candidate_map[{pid}]"] = cands
         for name, keys in keyed.items():
             if len(set(keys)) < len(keys):
@@ -284,8 +281,8 @@ def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         (PeerBehavior.honest(), n_recommenders - n_liars),
     )
     observer_candidates = (subject,) + recommenders
-    cand_map = [(0, observer_candidates), (1, observer_candidates)]
-    cand_map += [(k, (subject,)) for k in recommenders]
+    cand_map = [(o, observer_candidates, 1 + n_recommenders) for o in (0, 1)]
+    cand_map += [(k, (subject,), 1) for k in recommenders]
     return ScenarioConfig(
         name="e1",
         rounds=rounds,
@@ -295,7 +292,6 @@ def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         param_overrides=((1, ccfs),),
         observed_pairs=((0, subject), (1, subject)),
         candidate_map=tuple(cand_map),
-        request_budgets=((0, 1 + n_recommenders), (1, 1 + n_recommenders)),
     )
 
 
@@ -323,8 +319,7 @@ def build_e2(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         params=params,
         param_overrides=((1, dtma),),
         observed_pairs=observed,
-        candidate_map=((0, attackers), (1, attackers)),
-        request_budgets=((0, 3), (1, 3)),
+        candidate_map=((0, attackers, 3), (1, attackers, 3)),
     )
 
 
@@ -379,7 +374,7 @@ def _population_config(
     rng = random.Random(f"{seed}:topology:{name}")
     pool = range(len(behaviors))
     cand_map = tuple(
-        (rid, _sample_candidates(rng, rid, pool, _POP_CANDIDATES)) for rid in requesters
+        (rid, _sample_candidates(rng, rid, pool, _POP_CANDIDATES), 1) for rid in requesters
     )
     return ScenarioConfig(
         name=name,
@@ -456,8 +451,9 @@ def build_e4(
         k_recommenders=group_size,
     )
     member_k1 = replace(params, k_providers=1)
-    cand_map = [(0, members)]
-    cand_map += [(m, tuple(x for x in members if x != m)) for m in members]
+    cand_map = [(0, members, group_size)]
+    if group_size > 1:  # a lone member has no one to exchange with, so it does not request
+        cand_map += [(m, tuple(x for x in members if x != m), 1) for m in members]
     return ScenarioConfig(
         name="e4",
         rounds=rounds,
@@ -467,7 +463,6 @@ def build_e4(
         param_overrides=tuple((m, member_k1) for m in members),
         observed_pairs=observed,
         candidate_map=tuple(cand_map),
-        request_budgets=((0, group_size),),
     )
 
 
@@ -502,9 +497,9 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     )
     rng = random.Random(f"{seed}:topology:e5")
     cand_map = [
-        (rid, _sample_candidates(rng, rid, providers, 20)) for rid in reqs
+        (rid, _sample_candidates(rng, rid, providers, 20), 3) for rid in reqs
     ]
-    cand_map.append((newcomer, reqs))
+    cand_map.append((newcomer, reqs, n_req))
     return ScenarioConfig(
         name="e5",
         rounds=rounds,
@@ -515,7 +510,6 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         loss_rate_range=(0.0, 0.08),
         observed_pairs=tuple((newcomer, p) for p in providers),
         candidate_map=tuple(cand_map),
-        request_budgets=tuple((rid, 3) for rid in reqs) + ((newcomer, n_req),),
         warmup_rounds=10,
         warmup_budget=3,
         measure_from=10,
@@ -624,15 +618,15 @@ def build_world(cfg: ScenarioConfig) -> World:
             for b in behaviors
         ]
     overrides = dict(cfg.param_overrides)
-    budgets = dict(cfg.request_budgets)
-    cand_map = dict(cfg.candidate_map)
+    requests = {pid: (cands, budget) for pid, cands, budget in cfg.candidate_map}
     for pid, behavior in enumerate(behaviors):
+        candidates, budget = requests.get(pid, ((), 1))
         world.add_peer(
             pid,
             behavior,
             overrides.get(pid, cfg.params),
-            budget=budgets.get(pid, 1),
-            candidates=cand_map.get(pid, ()),
+            budget=budget,
+            candidates=candidates,
         )
     return world
 
@@ -723,9 +717,8 @@ def run_grid(
 
 
 def mean_requester_goodput(cfg: ScenarioConfig, report: MetricsReport) -> float:
-    """Average goodput over the served population: the honest peers with
-    candidates, which are the honest requesters."""
+    """Average goodput over the served population: the honest requesters."""
     rows = {s.peer: s for s in report.summary}
-    values = [rows[pid].goodput for pid, cands in cfg.candidate_map
-              if cands and rows[pid].behavior == "honest"]
+    values = [rows[pid].goodput for pid, _, _ in cfg.candidate_map
+              if rows[pid].behavior == "honest"]
     return sum(values) / len(values) if values else 0.0

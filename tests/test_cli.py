@@ -96,6 +96,20 @@ class TestRunCommand:
         assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("request_budgets", [[0, 3], [1, 3]], "unknown config fields: ['request_budgets']"),
+        ("candidate_map", [[0, [2, 3, 4]], [1, [2, 3, 4]]],
+         "config.candidate_map[0]: expected 3 items, got 2"),
+    ])
+    def test_pre_0_4_0_scenario_rejected(self, tmp_path, capsys, key, value, message):
+        # format 0.4.0 writes each requester's budget into its candidate_map entry
+        d = config_to_dict(build_experiment("e2"))
+        d[key] = value
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_scenario_names_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         code = run_command(["run", "--scenario", str(missing)])
@@ -182,21 +196,20 @@ class TestRunCommand:
         assert "deep.cfg" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, entry", [("candidate_map", [2, []]),
-                                              ("request_budgets", [2, 3])])
-    def test_entry_for_non_requester_rejected(self, tmp_path, capsys, field, entry):
-        # e2's requesters are peers 0 and 1, the peers with candidates: a budget for
-        # peer 2, listed without candidates or not at all, would be ignored
+    @pytest.mark.parametrize("entry, message", [
+        ([2, [], 3], "requester 2 has no candidates"),
+        ([2, [0, 1], 0], "requester 2 has request budget 0, expected >= 1"),
+    ], ids=["no_candidates", "zero_budget"])
+    def test_entry_for_non_requester_rejected(self, tmp_path, capsys, entry, message):
+        # every candidate_map entry makes its peer a requester: peer 2 could never request
         d = config_to_dict(build_experiment("e2"))
-        d[field].append(entry)
-        if field == "candidate_map":
-            d["request_budgets"].append([2, 3])
+        d["candidate_map"].append(entry)
         path = tmp_path / "stray.cfg"
         path.write_text(json.dumps(d))
         code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "request_budgets has entries for non-requesters [2]" in err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("exp, overrides, field, edit, strays", [

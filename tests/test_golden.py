@@ -50,23 +50,23 @@ EXPERIMENTS = sorted({exp for exp, _ in GOLDEN_SHA256})
 # config_digest of build_experiment(exp, seed=7, **overrides): pins every
 # builder's defaults and the config each override value produces.
 CONFIG_SHA256 = {
-    ("e1", ()): "a5699ebf9f65ab653061ca046164998d27dea0ada2e38effba54ed4de9091cd6",
-    ("e2", ()): "f31d234f9423149b8fe676e7d12bd7c4eb9be88bfea3bdf86e223e723047ab32",
-    ("e3", ()): "02da1fd2d79b674a7b383c6d8441232caa23aca8b30e9132ff4db5d343d73b72",
-    ("e3", (("policy", "proposed"),)): "02da1fd2d79b674a7b383c6d8441232caa23aca8b30e9132ff4db5d343d73b72",
-    ("e3", (("policy", "single"),)): "cc74b60dd9be0ed9bfefacadced421855768c52ede6b2cc8ae505d1a77aeba4e",
-    ("e3", (("policy", "peertrust"),)): "df899a884a5f5a53c645bde4a77bb6e28f2af0bc4bbad60ece5c39ba2744b55b",
-    ("e3", (("loss_rate", 0.04),)): "9382d893d31b7f5d2dece730c586f1b52878accd003fe70fda539561c421cca0",
-    ("e4", ()): "9eec4424e7067f0d308d73ff952082825235debc5cc4e3d3736c27a093fb10c5",
-    ("e4", (("mode", "static"),)): "286e6f9f4163b0bd1e89e0e8e301d4f24e23f06d8b7943d5ef7a12bfd41af931",
-    ("e4", (("group_size", 5),)): "0e115222ac19467925662ce4f165a1e4b3b39bfb7fa053cbc32f627808a51863",
-    ("e5", ()): "2ae43175e0fae91ec6ce4bb604dbe198b00ab9bb68896e5a027057dc9a54622b",
-    ("e6", ()): "2794582cc359f055408fac146e332dd225fef66f7c17516423b6b0b2dcdcbeca",
-    ("e6", (("policy", "proposed"),)): "2794582cc359f055408fac146e332dd225fef66f7c17516423b6b0b2dcdcbeca",
-    ("e6", (("policy", "single"),)): "cc91aa02aa8d92d007ed107141401ff1fc9255f8e13245b0795e064fcf2e2267",
-    ("e6", (("policy", "peertrust"),)): "938a124eab81064e952a6eee399db71a25b7b36fa3fe5a1edf39e4db2ccb44b6",
-    ("e6", (("malicious_fraction", 0.0),)): "3a3ce1af8d1e2c5e4eb7a926e7fbc62aac0e1b2614486905cb1b775a1f5e438b",
-    ("e6", (("malicious_fraction", 0.5),)): "a28483b36a7a48ee6031fbfef0133217e067785028b5ac179f3340f49a85e063",
+    ("e1", ()): "0d2d2ca5db0a0646e39382463acfc7dfe7ec623e7bae9841982587fe75dffdfe",
+    ("e2", ()): "e1d82b4b21355ae3fcfa5adce40c14a9aa65a376ca133933ecbb297fe506d04a",
+    ("e3", ()): "9c76c444d0eb9da97a3167521b5b41adcd96e96defb2a15585dcb833dc99fc3d",
+    ("e3", (("policy", "proposed"),)): "9c76c444d0eb9da97a3167521b5b41adcd96e96defb2a15585dcb833dc99fc3d",
+    ("e3", (("policy", "single"),)): "c4318ffa970702adb0eb9f3fd38506a50dd3d1a3c494127584eb6f94f28d2233",
+    ("e3", (("policy", "peertrust"),)): "fdf7d07e79fc1eada4c0ba72b46d9453897882c6916ccfb59a05c819b0910b1b",
+    ("e3", (("loss_rate", 0.04),)): "b459e53d168af18405081ee33d77d6318e239a63503d19375ba9209c37bc8725",
+    ("e4", ()): "b77337cd1a039932aa8d8626f1606283932cffb69cf87380dff9f509bfeb7f9f",
+    ("e4", (("mode", "static"),)): "8829dd94ff381d06af044db2e99ad2c65e27b0212bf188d7a91d9fa3ccc24663",
+    ("e4", (("group_size", 5),)): "81769ab4179d21cf3fb8a7e44919edeb878b4e0ee61fbf109015db3061052756",
+    ("e5", ()): "cbeac129b69e39811fe528e85107e366896955256872e2d99a77cf1ee57939b0",
+    ("e6", ()): "189f7755f542eba27a10654391b1fe16df8cad3d546464b97618255fc132c13b",
+    ("e6", (("policy", "proposed"),)): "189f7755f542eba27a10654391b1fe16df8cad3d546464b97618255fc132c13b",
+    ("e6", (("policy", "single"),)): "13c5d5f77d40c0f18d64a4711c4e566661a966f31f465bcf42acc968f3934f3e",
+    ("e6", (("policy", "peertrust"),)): "c4735f41d75bfefc3db2e4cef99b3acf156ef33e55062db69f31bd17d6b0d621",
+    ("e6", (("malicious_fraction", 0.0),)): "95dc5b9487c50c1b07d4d335d31cd16d5b12a41601bf0af1e7e8aea5eb16dfc9",
+    ("e6", (("malicious_fraction", 0.5),)): "5792155a8fabc33cb1cf347dc6bf30bc5470eeb08fa928399c7c105f40832307",
 }
 
 
@@ -129,16 +129,6 @@ def test_full_precision_digests(exp, overrides):
     )
 
 
-# e5 is the one config whose walks build holder lists (rankings longer than
-# k_recommenders); e4 group 24 and e6 peertrust sum their rankings uncounted;
-# e3's clean evidence decays, so libm's `exp` runs on nearly every read
-CROSS_VERSION_KEYS = (
-    ("e5", ()),
-    ("e4", (("group_size", 24), ("rounds", 40))),
-    ("e6", (("policy", "peertrust"),)),
-    ("e3", (("loss_rate", 0.08),)),
-)
-
 CHILD = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -171,19 +161,20 @@ def test_full_precision_digests_on_other_cpythons():
     """The package is stdlib-only, so each other installed CPython runs it
     as a child with only `src` on its path (`-I -S`: no site-packages, no
     environment; `-B`, since `-I` ignores PYTHONDONTWRITEBYTECODE: no
-    bytecode written into `src`), one child at a time, and must give the pinned
-    full-precision digests of CROSS_VERSION_KEYS and every CONFIG_SHA256
-    digest: the builders' random draws must pick the same peers there."""
+    bytecode written into `src`), one child at a time, and must give every
+    pinned FULL_PRECISION_SHA256 and CONFIG_SHA256 digest: the builders'
+    random draws must pick the same peers there."""
     found = other_cpythons()
     if not found:
         pytest.skip("no other CPython 3.10+ installed under pyenv")
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = CHILD.format(digest=inspect.getsource(full_precision_digest))
     config_keys = sorted(CONFIG_SHA256, key=repr)
-    want_full = [FULL_PRECISION_SHA256[key] for key in CROSS_VERSION_KEYS]
+    full_keys = sorted(FULL_PRECISION_SHA256, key=repr)
+    want_full = [FULL_PRECISION_SHA256[key] for key in full_keys]
     for version, exe in found:
         child = subprocess.run(
-            [str(exe), "-I", "-S", "-B", "-c", script, src, json.dumps(CROSS_VERSION_KEYS),
+            [str(exe), "-I", "-S", "-B", "-c", script, src, json.dumps(full_keys),
              json.dumps(config_keys)],
             capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, f"CPython {version}: {child.stderr[-2000:]}"

@@ -32,7 +32,7 @@ def observing_every_request(cfg):
     """cfg, also observing every requester -> candidate pair."""
     extra = [
         (rid, c)
-        for rid, cands in cfg.candidate_map
+        for rid, cands, _ in cfg.candidate_map
         for c in cands
         if c != rid and (rid, c) not in cfg.observed_pairs
     ]

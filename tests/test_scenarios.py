@@ -115,9 +115,12 @@ class TestBuilders:
     @pytest.mark.parametrize("exp, overrides", [
         *((exp, {}) for exp in EXPERIMENT_IDS), ("e4", {"group_size": 1})])
     def test_requesters_are_the_peers_with_candidates(self, exp, overrides):
-        # e4's lone rotating colluder has a candidate_map entry with no candidates
+        # e4's lone rotating colluder has no candidate_map entry
         cfg = build_experiment(exp, seed=1, **overrides)
-        assert build_world(cfg).requesters == sorted(pid for pid, c in cfg.candidate_map if c)
+        world = build_world(cfg)
+        assert world.requesters == sorted(pid for pid, _, _ in cfg.candidate_map)
+        for pid, cands, budget in cfg.candidate_map:
+            assert (world.peers[pid].candidates, world.peers[pid].budget) == (cands, budget)
 
     def test_e6_fraction_sweep_shapes(self):
         cfg = build_experiment("e6", malicious_fraction=0.4)
@@ -278,7 +281,7 @@ def tiny_config(**kwargs):
         seed=9,
         behavior_mix=((PeerBehavior.honest(), 3),),
         params=params,
-        candidate_map=((0, (1, 2)),),
+        candidate_map=((0, (1, 2), 1),),
         observed_pairs=((0, 1),),
         detection_threshold=0.5,
         measure_from=0,
@@ -304,7 +307,7 @@ class TestValidation:
 
     def test_unknown_requester_rejected(self):
         with pytest.raises(ValueError, match="^invalid requester id 7"):
-            tiny_config(candidate_map=((0, (1, 2)), (7, (1,)))).validate()
+            tiny_config(candidate_map=((0, (1, 2), 1), (7, (1,), 1))).validate()
 
     def test_warmup_must_fit(self):
         with pytest.raises(ValueError, match="warmup_rounds"):
@@ -316,42 +319,39 @@ class TestValidation:
 
     def test_candidate_self_reference_rejected(self):
         with pytest.raises(ValueError, match="candidate"):
-            tiny_config(candidate_map=((0, (0,)),)).validate()
+            tiny_config(candidate_map=((0, (0,), 1),)).validate()
 
     @pytest.mark.parametrize(
         "field, value, name",
         [
             ("observed_pairs", ((0, 1), (0, 1)), "observed_pairs"),
-            # a requester listed twice, once without candidates
-            ("candidate_map", ((0, (1, 2)), (0, ())), "candidate_map"),
-            ("candidate_map", ((0, (1, 2, 1)),), r"candidate_map\[0\]"),
-            ("candidate_map", ((0, (1,)), (0, (2,))), "candidate_map"),
-            ("request_budgets", ((0, 2), (0, 3)), "request_budgets"),
+            # the same entry twice
+            ("candidate_map", ((0, (1, 2), 1), (0, (1, 2), 1)), "candidate_map"),
+            ("candidate_map", ((0, (1, 2, 1), 1),), r"candidate_map\[0\]"),
+            ("candidate_map", ((0, (1,), 1), (0, (2,), 1)), "candidate_map"),
+            ("candidate_map", ((0, (1, 2), 2), (0, (1, 2), 3)), "candidate_map"),
             ("param_overrides", ((1, TrustParams()), (1, TrustParams(chi=0.1))),
              "param_overrides"),
         ],
         ids=["observed_pair", "requester", "candidate", "candidate_map_key",
-             "request_budgets_key", "param_overrides_key"],
+             "two_budgets", "param_overrides_key"],
     )
     def test_repeated_entry_rejected(self, field, value, name):
         with pytest.raises(ValueError, match=f"^{name} repeats"):
             tiny_config(**{field: value}).validate()
 
     @pytest.mark.parametrize(
-        "field, value",
+        "entry, message",
         [
-            # peers 1 and 2 listed without candidates, or not listed at all
-            ("candidate_map", ((0, (1, 2)), (2, ()), (1, ()))),
-            ("request_budgets", ((0, 2), (2, 3), (1, 1))),
+            ((2, (), 1), "requester 2 has no candidates"),
+            ((2, (0, 1), 0), "requester 2 has request budget 0, expected >= 1"),
         ],
+        ids=["no_candidates", "zero_budget"],
     )
-    def test_entries_for_non_requesters_rejected(self, field, value):
-        # a peer requests exactly when it has candidates: the budgets of peers 1 and 2
-        # would be ignored
-        cfg = {"request_budgets": ((0, 2), (2, 3), (1, 1)), field: value}
-        with pytest.raises(ValueError,
-                           match=r"^request_budgets has entries for non-requesters \[1, 2\]"):
-            tiny_config(**cfg).validate()
+    def test_entries_for_non_requesters_rejected(self, entry, message):
+        # an entry makes its peer a requester: one that could never request is refused
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(candidate_map=((0, (1, 2), 1), entry)).validate()
 
     @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
     def test_detection_threshold_out_of_range_rejected(self, value):
@@ -416,11 +416,11 @@ class TestRunScenario:
         assert mean_requester_goodput(cfg, report) == pytest.approx(1.0)
 
     def test_mean_requester_goodput_skips_a_member_without_candidates(self):
-        # e4 with one member: colluder 1 lists no candidates, so peer 0 alone is
-        # averaged; it receives only polluted chunks
+        # e4 with one member: colluder 1 has no one to request from, so peer 0
+        # alone is averaged; it receives only polluted chunks
         cfg = build_experiment("e4", group_size=1, rounds=20)
         report = run_scenario(cfg)
-        assert dict(cfg.candidate_map)[1] == ()
+        assert [pid for pid, _, _ in cfg.candidate_map] == [0]
         assert mean_requester_goodput(cfg, report) == 0.0
         summary = [s._replace(goodput=float(s.peer + 1)) for s in report.summary]
         assert mean_requester_goodput(cfg, report._replace(summary=summary)) == 1.0
@@ -468,8 +468,7 @@ class TestRunScenario:
     def test_detection_round_reported(self):
         cfg = tiny_config(
             behavior_mix=((PeerBehavior.honest(), 2), (PeerBehavior.persistent(), 1)),
-            candidate_map=((0, (1, 2)),),
-            request_budgets=((0, 2),),
+            candidate_map=((0, (1, 2), 2),),
             rounds=10,
         )
         report = run_scenario(cfg)

@@ -265,17 +265,15 @@ def small_worlds(draw):
         # a full mesh: every peer may receive from every other in a round, so
         # rankings hold up to n - 1 recommenders and a subject up to n - 2
         # reports, of distinct credibilities and values where uploads are lossy
-        cand_map = tuple((rid, tuple(x for x in ids if x != rid)) for rid in ids)
-        budgets = tuple((rid, n - 1) for rid in ids)
+        cand_map = tuple((rid, tuple(x for x in ids if x != rid), n - 1) for rid in ids)
     else:
         requesters = tuple(sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
         cand_map = tuple(
             (rid, tuple(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
-                                      min_size=1, unique=True))))
+                                      min_size=1, unique=True))),
+             draw(st.integers(1, 3)))
             for rid in requesters
         )
-        budgets = tuple(
-            (rid, draw(st.integers(1, 3))) for rid in requesters if draw(st.booleans()))
     rounds = draw(st.integers(2, 12))
     pairs = [(o, s) for o in ids for s in ids if o != s]
     return ScenarioConfig(
@@ -287,7 +285,6 @@ def small_worlds(draw):
         param_overrides=tuple((pid, params()) for pid in overridden),
         observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
         candidate_map=cand_map,
-        request_budgets=budgets,
         warmup_rounds=draw(st.integers(0, rounds - 1)),
         warmup_budget=draw(st.integers(0, 3)),
         detection_threshold=draw(st.sampled_from([0.0, 0.5, 0.9])),
@@ -775,8 +772,8 @@ def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
         params=TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
                            theta_p=theta_p, theta_g=theta_g),
         observed_pairs=((0, target), (1, target)),
-        candidate_map=tuple((rid, (liar, target)) for rid in observers) + ((liar, (target,)),),
-        request_budgets=tuple((rid, 2) for rid in observers),
+        candidate_map=tuple((rid, (liar, target), 2) for rid in observers)
+        + ((liar, (target,), 1),),
     )
 
 
