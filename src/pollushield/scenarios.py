@@ -71,7 +71,14 @@ class ScenarioConfig(Record):
         for observer, subject in self.observed_pairs:
             if observer not in ids or subject not in ids or observer == subject:
                 raise ValueError(f"invalid observed pair ({observer}, {subject})")
-        for pid, cands, budget in self.candidate_map:
+        for i, entry in enumerate(self.candidate_map):
+            try:
+                pid, cands, budget = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"candidate_map[{i}] must be (requester, candidates, budget),"
+                                 f" got {entry!r}") from None
+            if not isinstance(budget, int):
+                raise ValueError(f"candidate_map[{i}] has budget {budget!r}, expected an int")
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
             if not cands:

@@ -8,28 +8,41 @@ Trust lives entirely inside per-peer tables; there is no shared registry.
 The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.
 
-Trust is scored by one kernel, `score_candidates`: it scores all of a
-requester's candidates in one call. A recommender is a peer the requester
-has received from that has itself received from the subject; the trust
-tables are the only record of both. So, when the requester has received
-from anyone, one ranking serves the batch: the peers in its table that
-received from some subject are sorted once by credibility, ties by lowest
-id. Each subject gets a holder list, its candidate recommenders in rank
-order. When the ranking holds at most k_recommenders peers, no subject can
-have more reports than that, so every subject's list is the whole ranking.
-A longer ranking is walked once, recommender by recommender: one set
-intersection of the recommender's table with the subjects still wanted
+Trust is scored in two steps. A recommender is a peer the requester has
+received from that has itself received from the subject; the trust tables
+are the only record of both. So, when the requester has received from
+anyone, one ranking serves a batch (`_walk_recommenders`): the peers in its
+table that received from some subject, sorted once by credibility, ties by
+lowest id. Each subject gets a holder list, its candidate recommenders in
+rank order. When the ranking holds at most k_recommenders peers, no subject
+can have more reports than that, so every subject's list is the whole
+ranking. A longer ranking is walked once, recommender by recommender: one
+set intersection of the recommender's table with the subjects still wanted
 appends it to the list of each subject it received from; a subject leaves
 once its list holds k_recommenders, and the pass ends when none is left.
-One loop then sums every list, skipping a recommender that did not receive
-from the subject, into running sums of credibility and credibility-weighted
-report. So each subject sums its own top k in rank order, the operations
-of the test oracle's aggregation (tests/test_trust_cache.py), bit for bit;
-a subject with no report, or only reports of credibility 0, takes
-cold-start trust as its indirect value. A subject the observer never
-received from reads as `EMPTY_STATE`, the entry a first delivery starts
-from. `select_providers` calls the kernel once per requester and
-`scenarios.Run` once per observer and round.
+Then `_sum_reports` sums the lists of the subjects it is given, skipping a
+recommender that did not receive from the subject, into running sums of
+credibility and credibility-weighted report. So each subject sums its own
+top k in rank order, the operations of the test oracle's aggregation
+(tests/test_trust_cache.py), bit for bit; a subject with no report, or only
+reports of credibility 0, takes cold-start trust as its indirect value. A
+subject the observer never received from reads as `EMPTY_STATE`, the entry
+a first delivery starts from. `score_candidates` sums every subject of its
+batch; `scenarios.Run` calls it once per observer and round, and
+`select_providers` once per requester with no more candidates than
+k_providers.
+
+A requester with more candidates sums only those that can change its
+detections or its top k_providers (`_bounded_top`), after Fagin, Lotem and
+Naor's threshold algorithm. Indirect trust lies in [0, 1], and
+`combine_trust(d, ind, a)` never falls as `ind` grows, rounding included, so
+a candidate's trust lies between its values at 0 and 1, which its kept view
+gives without a sum. In candidate order, an undetected candidate is summed
+only when these bounds straddle the detection threshold; then exact trust
+is worked out in ascending (-upper, id) order until the k-th best exact
+(-trust, id) key beats the next upper-bound key. So the admitted providers,
+their trust, the detections and the probe draws are those of summing every
+candidate.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, where `record_delivery` decays the
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
@@ -260,20 +273,24 @@ def _report(k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
     return value
 
 
-def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> Dict[int, float]:
-    """The ranked walk the module docstring describes: one ranking of the
-    observer's recommenders, then a holder list per subject (a subject
-    listed twice is walked once): the whole ranking when it holds at most
-    k recommenders, or else each subject's first k holders, from one pass.
-    One loop sums every list. Returns the indirect trust of each subject
-    whose top k recommenders carry some credibility; any other subject is
-    absent and keeps cold start."""
+# (-credibility, recommender, its trust table, its kept reports)
+_Ranked = Tuple[float, int, Dict[int, TrustState], Dict[int, float]]
+
+
+def _walk_recommenders(
+    world: World, observer: int, subjects: Sequence[int]
+) -> Dict[int, List[_Ranked]]:
+    """The ranking and holder lists the module docstring describes: one
+    ranking of the observer's recommenders, then a holder list per subject
+    (a subject listed twice gets one): the whole ranking when it holds at
+    most k recommenders, or else each subject's first k holders, from one
+    pass. Empty when no peer the observer received from has received from
+    a subject."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
     credibility = obs.views
-    # (-credibility, recommender, its trust table, its kept reports)
-    ranked: List[Tuple[float, int, Dict[int, TrustState], Dict[int, float]]] = []
+    ranked: List[_Ranked] = []
     for k in obs.trust_table:
         rec = peers[k]
         received = rec.trust_table
@@ -288,29 +305,40 @@ def _walk_recommenders(world: World, observer: int, subjects: Sequence[int]) -> 
     if len(ranked) <= k_max:
         # no subject has more reports than the ranking has entries, so the
         # cut at k_max cannot fire: each subject's holders are in the ranking
-        holders = dict.fromkeys(subjects, ranked)
-    else:
-        # each subject's first k_max holders in rank order, found recommender
-        # by recommender; a subject leaves `wanted` once it has them all
-        wanted = set(subjects)
-        holders = {subject: [] for subject in wanted}
-        for entry in ranked:
-            for subject in entry[2].keys() & wanted:
-                held = holders[subject]
-                held.append(entry)
-                if len(held) == k_max:
-                    wanted.discard(subject)
-            if not wanted:
-                break
+        return dict.fromkeys(subjects, ranked)
+    # each subject's first k_max holders in rank order, found recommender
+    # by recommender; a subject leaves `wanted` once it has them all
+    wanted = set(subjects)
+    holders: Dict[int, List[_Ranked]] = {subject: [] for subject in wanted}
+    for entry in ranked:
+        for subject in entry[2].keys() & wanted:
+            held = holders[subject]
+            held.append(entry)
+            if len(held) == k_max:
+                wanted.discard(subject)
+        if not wanted:
+            break
+    return holders
+
+
+def _sum_reports(
+    world: World, holders: Dict[int, List[_Ranked]], subjects: Iterable[int]
+) -> Dict[int, float]:
+    """The indirect trust of each of `subjects` that `holders` (from
+    `_walk_recommenders`) lists, summed over its holder list in rank order,
+    skipping a holder that did not receive from it. A subject with no
+    report of positive credibility is absent and keeps cold start."""
+    peers = world.peers
     seed = world.seed
+    now = world.round
     indirect: Dict[int, float] = {}
-    for subject, held in holders.items():
+    for subject in subjects:
         # running sums in rank order, the test oracle's aggregation bit for bit:
         # IEEE 754 defines x - y as x + (-y), and (-c) * v is -(c * v) exactly,
         # so subtracting a negated credibility adds it, signed zeros included
         total = 0.0
         weighted = 0.0
-        for neg_cred, k, received, reports in held:
+        for neg_cred, k, received, reports in holders[subject]:
             # a kept report implies k received from the subject: tables never lose entries
             value = reports.get(subject)
             if value is None:
@@ -328,13 +356,14 @@ def score_candidates(
     world: World, observer: int, subjects: Sequence[int]
 ) -> List[TrustComponents]:
     """Direct, indirect, confidence weight, and combined trust of each
-    subject for one observer, in the order given, from one ranked walk as
-    the module docstring describes."""
+    subject for one observer, in the order given, from one ranking and the
+    sums of every subject, as the module docstring describes."""
     if observer in subjects:
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     now = world.round
-    indirect = _walk_recommenders(world, observer, subjects) if obs.trust_table else {}
+    holders = _walk_recommenders(world, observer, subjects) if obs.trust_table else {}
+    indirect = _sum_reports(world, holders, holders) if holders else {}
     views = obs.views
     scored: List[TrustComponents] = []
     for subject in subjects:
@@ -347,25 +376,74 @@ def score_candidates(
     return scored
 
 
+def _bounded_top(
+    world: World, requester: int, candidates: Sequence[int], k_max: int
+) -> List[Tuple[float, int]]:
+    """`select_providers`' detections and its best k_max (-trust, provider)
+    keys, best first, from the bounds the module docstring describes."""
+    if requester in candidates:
+        raise ValueError("a peer cannot evaluate trust of itself")
+    req = world.peers[requester]
+    now = world.round
+    holders = _walk_recommenders(world, requester, candidates) if req.trust_table else {}
+    views = req.views
+    comps: Dict[int, TrustComponents] = {}
+    exact: Dict[int, float] = {}  # trust of the candidates worked out so far
+
+    def trust(pid: int) -> float:
+        t = exact.get(pid)
+        if t is None:
+            d, _, a, t = comps[pid]
+            ind = _sum_reports(world, holders, (pid,)).get(pid)
+            exact[pid] = t = t if ind is None else combine_trust(d, ind, a)
+        return t
+
+    threshold, detections = world.detection_threshold, world.detections
+    keys: List[Tuple[float, int]] = []  # (-upper bound, provider)
+    for pid in candidates:
+        d, _, a, t = comps[pid] = views.get(pid) or _read(req, pid, now)
+        if pid in holders:  # combine_trust(d, ind, a) at ind 0 and 1, up to a zero's sign
+            lower, upper = a * d, a * d + (1.0 - a)
+        else:  # no report can reach pid: its view is its trust
+            lower = upper = exact[pid] = t
+        if (pid not in detections and lower < threshold
+                and (upper < threshold or trust(pid) < threshold)):
+            detections[pid] = now
+        keys.append((-upper, pid))
+    keys.sort()
+    top: List[Tuple[float, int]] = []  # the best k_max exact keys so far
+    for key in keys:
+        if len(top) == k_max and top[-1] < key:
+            break  # every key to come, and so its exact key, is at least `key`
+        insort(top, (-trust(key[1]), key[1]))
+        del top[k_max:]
+    return top
+
+
 def select_providers(
     world: World, requester: int, candidates: Sequence[int]
 ) -> List[Tuple[int, float]]:
     """Rank candidates by trust, keep the requester's top k_providers, pass
     each through its double-threshold rule, drawing gray-zone probes from its
     own stream. During warmup rounds the rule is bypassed. Returns
-    (provider, trust) pairs, best trust first (ties: lowest id)."""
+    (provider, trust) pairs, best trust first (ties: lowest id). With fewer
+    places than candidates, `_bounded_top` ranks them."""
     req = world.peers[requester]
-    threshold, detections = world.detection_threshold, world.detections
-    ranked: List[Tuple[float, int]] = []  # (-trust, provider)
-    for pid, comp in zip(candidates, score_candidates(world, requester, candidates)):
-        t = comp.combined
-        if t < threshold and pid not in detections:
-            detections[pid] = world.round
-        ranked.append((-t, pid))
-    ranked.sort()
+    k_max = req.params.k_providers
+    if k_max < len(candidates):
+        ranked = _bounded_top(world, requester, candidates, k_max)
+    else:
+        threshold, detections = world.detection_threshold, world.detections
+        ranked = []  # (-trust, provider)
+        for pid, comp in zip(candidates, score_candidates(world, requester, candidates)):
+            t = comp.combined
+            if t < threshold and pid not in detections:
+                detections[pid] = world.round
+            ranked.append((-t, pid))
+        ranked.sort()
     gating = world.round > world.warmup_rounds
     admitted: List[Tuple[int, float]] = []
-    for neg_t, pid in ranked[: req.params.k_providers]:
+    for neg_t, pid in ranked[:k_max]:
         t = -neg_t
         if gating:
             p = transaction_probability(t, req.params)

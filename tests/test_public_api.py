@@ -37,12 +37,14 @@ def test_retired_trust_wrappers_not_exported():
 def test_bench_hooks_resolve(monkeypatch):
     # the call sites a run goes through, where their callers look them up:
     # perfbench's tracer wraps them there, and its worker validates each
-    # config it builds; the test oracle and work counts patch the scoring
-    # kernel, its walk and the delivery update
+    # config it builds; the test oracle and work counts patch provider
+    # selection, the scoring kernel, its ranking and sums, and the delivery
+    # update
     from pollushield import scenarios, sim_engine
 
     for name in ("upload_quality", "recommendation_value", "direct_trust",
-                 "score_candidates", "_walk_recommenders", "record_delivery"):
+                 "select_providers", "score_candidates", "_walk_recommenders",
+                 "_sum_reports", "record_delivery"):
         assert callable(getattr(sim_engine, name, None)), f"sim_engine.{name}"
     assert callable(scenarios.ScenarioConfig.validate)
 

@@ -353,6 +353,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             tiny_config(candidate_map=((0, (1, 2), 1), entry)).validate()
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((0, (2, 3)), r"candidate_map\[0\] must be \(requester, candidates, budget\)"),
+            (7, r"candidate_map\[0\] must be \(requester, candidates, budget\)"),
+            ((0, (2, 3), 1.0), r"candidate_map\[0\] has budget 1\.0, expected an int$"),
+            ((0, (2, 3), "2"), r"candidate_map\[0\] has budget '2', expected an int$"),
+        ],
+        ids=["two_items", "not_a_triple", "float_budget", "str_budget"],
+    )
+    def test_malformed_candidate_map_entry_named(self, entry, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(build_experiment("e2"), candidate_map=(entry,))
+
     @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
     def test_detection_threshold_out_of_range_rejected(self, value):
         with pytest.raises(ValueError, match="detection_threshold"):

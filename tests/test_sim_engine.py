@@ -28,6 +28,14 @@ def seed_history(world, observer, subject, n_clean, n_polluted=0.0):
     rec.reports.pop(subject, None)
 
 
+def walk_indirect(world, observer, subjects):
+    """Each subject's indirect value from the observer's ranking and the sums
+    of every subject, as `score_candidates` works them out; a subject with
+    no report of positive credibility is absent."""
+    holders = sim_engine._walk_recommenders(world, observer, subjects)
+    return sim_engine._sum_reports(world, holders, holders)
+
+
 class TestEvaluateTrust:
     def test_cold_start_is_half(self):
         world = make_world(2)
@@ -110,7 +118,7 @@ class TestQueryIndirect:
         seed_history(world, 0, 1, n_clean=1)
         # peer 2 knows the subject but the observer has received only from the
         # subject, which knows no one: the walk finds no recommender
-        assert sim_engine._walk_recommenders(world, 0, (1,)) == {}
+        assert walk_indirect(world, 0, (1,)) == {}
         assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_repeat_query_sees_direct_table_edits(self):
@@ -145,7 +153,7 @@ class TestQueryIndirect:
         world.round = 5
         before = {pid: repr(rec.trust_table) for pid, rec in world.peers.items()}
         for subject in (1, 3, 1):
-            assert subject in sim_engine._walk_recommenders(world, 0, (subject,))
+            assert subject in walk_indirect(world, 0, (subject,))
             score_candidates(world, 0, (subject,))
         score_candidates(world, 0, (2,))
         assert {pid: repr(rec.trust_table) for pid, rec in world.peers.items()} == before
@@ -191,20 +199,24 @@ class TestScoreCandidates:
 
     def test_queries_only_subjects_a_known_peer_received_from(self, monkeypatch):
         world = self.world()
-        walks = []
+        found = {"_walk_recommenders": [], "_sum_reports": []}
 
-        def spy(world, observer, subjects):
-            walks.append(walk(world, observer, subjects))
-            return walks[-1]
+        def spying(name, fn):
+            def spy(*args):
+                found[name].append(fn(*args))
+                return found[name][-1]
+            return spy
 
-        walk = sim_engine._walk_recommenders
-        monkeypatch.setattr(sim_engine, "_walk_recommenders", spy)
+        for name in found:
+            monkeypatch.setattr(sim_engine, name, spying(name, getattr(sim_engine, name)))
+        walks, sums = found.values()
         score_candidates(world, 0, (1, 2, 3, 4, 5))
         # 0 received from 1 and 2; 1 received from no one, and 2 only from
         # 3: only 3 gets a report
-        assert [set(got) for got in walks] == [{3}]
+        assert [set(got) for got in sums] == [{3}]
         score_candidates(world, 0, (1, 2, 4, 5))
-        assert walks[1] == {}  # no recommender received from any subject
+        # no recommender received from any subject: nothing to sum
+        assert walks[1] == {} and len(sums) == 1
         score_candidates(world, 4, (0, 1, 2, 3))
         assert len(walks) == 2  # 4 received from no one: no walk
 
@@ -267,7 +279,7 @@ class TestRankedWalk:
 
     def test_ties_break_by_lowest_id(self):
         world = self.world()
-        walks = sim_engine._walk_recommenders(world, 0, (1, 8, 9, 7))
+        walks = walk_indirect(world, 0, (1, 8, 9, 7))
         # 1: 3 and 4 of the tied 3, 4, 5; 8: 2 and 5, cutting 6; 9: 6 alone
         assert walks == {
             1: indirect_trust([(1.0, 0.8), (1.0, 0.2)]),
@@ -291,7 +303,7 @@ class TestRankedWalk:
         want = indirect_trust(in_rank_order)
         assert want != indirect_trust(in_rank_order[::-1])
         assert want != math.fsum(c * v for c, v in in_rank_order) / math.fsum((0.3, 0.2, 0.1))
-        assert sim_engine._walk_recommenders(world, 0, (1,)) == {1: want}
+        assert walk_indirect(world, 0, (1,)) == {1: want}
         assert score_candidates(world, 0, (1,))[0].indirect == want
 
     # (recommender, clean chunks of 10 the observer got from it, clean chunks
@@ -319,7 +331,7 @@ class TestRankedWalk:
                 assert want[s] != indirect_trust(hits[:k_max][::-1])  # order tells
         if ranked > k_max:
             assert want[1] != indirect_trust(reports[1])  # the cut tells
-        assert sim_engine._walk_recommenders(world, 0, (1, 6)) == want
+        assert walk_indirect(world, 0, (1, 6)) == want
 
     # (recommender, clean chunks of 10 the observer got from it, clean chunks
     # of 10 it got from subject 1, and from subject 7), in rank order
@@ -343,14 +355,14 @@ class TestRankedWalk:
         for s, hits in reports.items():
             assert want[s] != indirect_trust(hits[:k_max - 1])
             assert want[s] != indirect_trust(hits[:k_max + 1])
-        assert sim_engine._walk_recommenders(world, 0, (1, 7)) == want
+        assert walk_indirect(world, 0, (1, 7)) == want
 
     def test_only_zero_credibility_reports_give_cold_start(self):
         world = make_world(4)
         for k in (2, 3):
             seed_history(world, 0, k, n_clean=0, n_polluted=2)  # credibility 0.0
             seed_history(world, k, 1, n_clean=3)                # recommends 1 at 1.0
-        assert sim_engine._walk_recommenders(world, 0, (1,)) == {}
+        assert walk_indirect(world, 0, (1,)) == {}
         assert score_candidates(world, 0, (1,))[0].indirect == 0.5
 
     def test_batch_equals_each_subject_alone(self):

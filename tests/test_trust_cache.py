@@ -8,8 +8,12 @@ nothing, and decay always calls `exp`. It writes out the decay,
 direct-trust, confidence, recommendation-aggregation and combination
 formulas itself rather than calling `trust_core`'s, and counts a delivery
 with its own decay. It lives here only, as the reference the `sim_engine`
-path must match bit for bit; `indirect_trust` is the aggregation the ranked
-walk (`sim_engine._walk_recommenders`) reproduces.
+path must match bit for bit; `indirect_trust` is the aggregation the sums
+over the ranked holder lists (`sim_engine._sum_reports`) reproduce.
+`reference_select_providers` is provider selection as the pure definition:
+it scores every candidate, where `sim_engine.select_providers` sums the
+reports of only the candidates whose trust bounds leave the detections or
+the top k_providers in doubt.
 
 A peer keeps the values its reads work out that hold for the rest of the
 run on its own record (`PeerRecord.views` and `.reports`), so a second call
@@ -36,6 +40,7 @@ from pollushield.sim_engine import (
     World,
     run_round,
     score_candidates,
+    select_providers,
 )
 from pollushield.trust_core import (
     EMPTY_STATE,
@@ -44,6 +49,7 @@ from pollushield.trust_core import (
     DTModel,
     TrustParams,
     TrustState,
+    transaction_probability,
 )
 
 
@@ -151,6 +157,30 @@ def oracle_score_candidates(world, observer, subjects):
     return [oracle_evaluate_components(world, observer, s) for s in subjects]
 
 
+def reference_select_providers(world, requester, candidates):
+    """Provider selection scoring every candidate with `score_candidates` as
+    `sim_engine` looks it up: flag each candidate below the detection
+    threshold, in candidate order, then pass the best k_providers by
+    (-trust, id) through the double threshold, drawing gray-zone probes
+    from the requester's stream after warmup."""
+    req = world.peers[requester]
+    ranked = []
+    for pid, comp in zip(candidates, sim_engine.score_candidates(world, requester, candidates)):
+        t = comp.combined
+        if t < world.detection_threshold and pid not in world.detections:
+            world.detections[pid] = world.round
+        ranked.append((-t, pid))
+    ranked.sort()
+    admitted = []
+    for neg_t, pid in ranked[: req.params.k_providers]:
+        t = -neg_t
+        p = transaction_probability(t, req.params) if world.round > world.warmup_rounds else 1.0
+        if p <= 0.0 or (p < 1.0 and req.rng.random() >= p):
+            continue
+        admitted.append((pid, t))
+    return admitted
+
+
 def fresh_scores(world, observer, subjects):
     """The scores of the kernel as imported here, which no test patches,
     with every record's kept views and reports set aside for empty ones,
@@ -185,6 +215,7 @@ def reports_from_strangers(world):
 def run_with_oracle(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_engine, "record_delivery", oracle_record_delivery)
+        mp.setattr(sim_engine, "select_providers", reference_select_providers)
         mp.setattr(sim_engine, "score_candidates", oracle_score_candidates)
         mp.setattr(scenarios, "score_candidates", oracle_score_candidates)
         return run_to_end(cfg)
@@ -323,23 +354,72 @@ def test_newcomer_reads_match_oracle(exp, overrides):
     assert differing_keys(got, want) == []
 
 
+def with_k_providers(cfg, k):
+    """cfg with every params object's k_providers set to k."""
+    params = [cfg.params] + [p for _, p in cfg.param_overrides]
+    lowered = {id(p): replace(p, k_providers=k) for p in params}
+    return replace(cfg, params=lowered[id(cfg.params)],
+                   param_overrides=tuple((pid, lowered[id(p)]) for pid, p in cfg.param_overrides))
+
+
+def run_with_reference_selection(cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "select_providers", reference_select_providers)
+        return run_to_end(cfg)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("exp", ["e1", "e2", "e3", "e4", "e5", "e6"])
+def test_bounded_selection_matches_scoring_every_candidate(monkeypatch, exp, seed):
+    """e1-e6 with k_providers 2, below every candidate count but e1's
+    single-candidate requesters' (e5 advertises 6 a round): selection that
+    sums only the reports its trust bounds leave in doubt leaves the run
+    that scoring every candidate leaves, detections and probe draws
+    included."""
+    cfg = with_k_providers(build_experiment(exp, seed=seed), 2)
+    want = fingerprint(*run_with_reference_selection(cfg))
+    calls = count_calls(monkeypatch, ("_bounded_top",))
+    got = fingerprint(*run_to_end(cfg))
+    assert calls["_bounded_top"]
+    assert differing_keys(got, want) == []
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_worlds())
+def test_bounded_selection_matches_scoring_every_candidate_in_small_worlds(cfg):
+    got = fingerprint(*run_to_end(cfg))
+    want = fingerprint(*run_with_reference_selection(cfg))
+    assert differing_keys(got, want) == []
+
+
+def test_bounded_selection_rejects_the_requester_as_candidate():
+    world = World(seed=1)
+    for pid in range(3):
+        world.add_peer(pid, PeerBehavior.honest(), TrustParams(k_providers=1))
+    with pytest.raises(ValueError, match="a peer cannot evaluate trust of itself"):
+        select_providers(world, 0, (1, 0, 2))
+
+
 # --- work budget -------------------------------------------------------------
 
 def count_calls(monkeypatch, names):
     """Count calls of these names where `sim_engine` and `scenarios` look
-    them up. `scored` sums the batch sizes of `score_candidates`. Each
-    ranked walk (`_walk_recommenders`) is counted from the trust tables it
-    reads: `walked` counts the subjects with at least one recommender (a
-    peer in the observer's table that received from the subject), `used`
-    the reports each such subject sums, min(k_recommenders, recommenders),
-    whose largest count is `most_used`, and `valued` the subjects the walk
-    gives an indirect value. `counted` counts the walks whose ranking (the
-    observer's peers that received from some subject) holds more than
-    k_recommenders, which find each subject's recommenders by holder
-    lists; over those walks, `pairs` counts (ranked peer, distinct subject)
-    pairs and `holders` the pairs whose peer received from the subject."""
+    them up. `scored` sums the batch sizes of `score_candidates`. The
+    ranking (`_walk_recommenders`) and the sums (`_sum_reports`) are counted
+    from the trust tables they read. `counted` counts the rankings (the
+    observer's peers that received from some subject) that hold more than
+    k_recommenders, which find each subject's recommenders by holder lists;
+    over those, `pairs` counts (ranked peer, distinct subject) pairs and
+    `holders` the pairs whose peer received from the subject. Over the
+    subjects summed, for the observer of the ranking before: `walked`
+    counts those with at least one recommender (a peer in the observer's
+    table that received from the subject), `used` the reports each such
+    subject sums, min(k_recommenders, recommenders), whose largest count is
+    `most_used`, and `valued` the subjects the sums give an indirect
+    value."""
     calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used", "valued",
                                    "counted", "pairs", "holders"), 0)
+    ranking = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -349,15 +429,18 @@ def count_calls(monkeypatch, names):
                 calls["scored"] += len(args[2])
             elif name == "_walk_recommenders":
                 world, observer, subjects = args[:3]
-                obs = world.peers[observer]
+                obs = ranking["observer"] = world.peers[observer]
                 distinct = dict.fromkeys(subjects)
-                ranking = [world.peers[k].trust_table for k in obs.trust_table]
-                ranking = [t for t in ranking if not t.keys().isdisjoint(distinct)]
-                if len(ranking) > obs.params.k_recommenders:
+                tables = [world.peers[k].trust_table for k in obs.trust_table]
+                tables = [t for t in tables if not t.keys().isdisjoint(distinct)]
+                if len(tables) > obs.params.k_recommenders:
                     calls["counted"] += 1
-                    calls["pairs"] += len(ranking) * len(distinct)
-                    calls["holders"] += sum(s in t for t in ranking for s in distinct)
-                for subject in distinct:
+                    calls["pairs"] += len(tables) * len(distinct)
+                    calls["holders"] += sum(s in t for t in tables for s in distinct)
+            elif name == "_sum_reports":
+                world, _, subjects = args[:3]
+                obs = ranking["observer"]
+                for subject in subjects:
                     found = sum(subject in world.peers[k].trust_table for k in obs.trust_table)
                     used = min(obs.params.k_recommenders, found)
                     calls["walked"] += used > 0
@@ -374,73 +457,84 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-WALK = ("_walk_recommenders",)
+WALK = ("_walk_recommenders", "_sum_reports")
 
 
 def test_dense_collusion_work_counts(monkeypatch):
-    """e4 rotating, group 24, 40 rounds: the kept views and reports cut the
+    """e4 rotating, group 24, 40 rounds: each of the 24 members takes its
+    top 1 of 23 candidates, so its selections are bounded (`_bounded_top`)
+    and sum the reports of only the candidates whose trust bounds leave a
+    detection or the top place in doubt. The kept views and reports cut the
     decay, scoring and recommendation work, and serve every repeated report.
 
-    A batch walks the requester's recommenders whenever the requester has
-    received from anyone: every batch but round 1's 25 selections, so 975
-    selection walks and the 40 observation batches. One walk, observer 1's
-    in round 2, finds no recommender: 1 had received only from 2, and 2
-    only from 1. The other 974 give reports to 16 852 of their 23 016
-    subject scorings, and the observations to their one subject each. Each
-    subject with a report aggregates every recommender it has, since
-    `k_recommenders` is the group size: 313 651 reports over the 16 892
-    subjects, at most the 23 members other than the subject. The walk gives
-    16 593 of them an indirect value. The other 299 hear only from
-    recommenders of credibility 0, whose weighted mean is undefined, so
-    they keep cold start. No ranking exceeds `k_recommenders`, the group
-    size, so no walk builds holder lists.
+    The victim takes all 24 of its candidates, so its 40 selections and the
+    40 observation batches score every subject with `score_candidates`.
+    Every batch but round 1's 25 selections ranks the requester's
+    recommenders: 975 selection rankings and the 40 observations. No
+    ranking exceeds `k_recommenders`, the group size, so none builds holder
+    lists, and a subject sums every recommender it has, at most the 23
+    members other than it.
+    The reports summed are the saving: 40 554, where summing every
+    candidate summed 313 651, 297 275 of them in the members' selections.
+    The victim's 39 ranked selections sum 15 456 over 683 subjects and the
+    observations 920 over 40, as before. Of the members' 22 080 candidate
+    checks, 15 159 find the candidate detected already, 574 a lower bound
+    at or above the detection threshold and 1 an upper bound below it; the
+    other 6 346 straddle it and are summed, 1 010 of them with a
+    recommender. Finding the top 1 in upper-bound order sums 894 more, each
+    with a recommender. So 7 319 sums (6 346 + 894 + 39 + 40) reach 2 627
+    subjects with a recommender (16 892 before), and give 2 328 of them an
+    indirect value. The other 299 hear only from recommenders of
+    credibility 0, whose weighted mean is undefined, so they keep cold
+    start.
     Both decay rates are 0 and no one lies, so the peers keep every view
     they work out: a view is worked out when first read and again after each
-    delivery that dropped it. There are 576 table entries, the victim's of
-    the 24 members and each member's of the 23 others (552). The victim's
-    936 deliveries after round 1 each drop an entry its observation reads
-    again; of the members' 960, 552 are first deliveries, which drop
-    nothing, and 407 of the other 408 drop an entry read again before the
-    run ends.
-    `_read` counts the view fills: 576 reads of a subject never received
-    from, one per (observer, subject) pair it scores before its first
-    delivery from that subject (the victim's 24 and each member's 23
-    others, 24 + 24 x 23), which read the empty state, then 576 first reads
-    of a table entry (529 in selections, 47 in observations) and 1 343
-    refills (936 + 407): 2 495.
+    delivery that dropped it. `_read` counts the view fills: 576 reads of a
+    subject never received from, one per (observer, subject) pair it scores
+    before its first delivery from that subject (the victim's 24 and each
+    member's 23 others, 24 + 24 x 23), which read the empty state, then 576
+    first reads of a table entry and 1 341 refills: after each of the
+    victim's 936 deliveries after round 1, which drop an entry its
+    observation reads again, and after 405 of the members' 408 repeat
+    deliveries (552 of their 960 are first deliveries, which drop nothing);
+    summing every candidate read 2 more again.
     A fill is worked out once per (params object, state, round), in the
     round memo the peers holding that object share, and a delivery update
     once per (params object, state, quality, round). The 24 members hold
     one params object and fill their entries of one another alike, so in a
     round their reads and deliveries meet few distinct states:
-    `decayed_counts` runs for 265 of the 2 495 fills (80 the victim's, 185
-    the members', one of each the empty state in round 1), and
-    `record_delivery` for 275 of the 1 920 deliveries. Before the round
-    memo both ran once per fill and delivery.
+    `decayed_counts` runs for 286 of the 2 493 fills, two of them the empty
+    state in round 1, and `record_delivery` for 275 of the 1 920
+    deliveries. Summing every candidate, `decayed_counts` ran for 265 of
+    2 495 fills: a fill that a skipped sum puts off to a later round meets
+    fewer peers filling the same state there. Before the round memo both
+    ran once per fill and delivery.
     `direct_trust` runs once per worked-out fill. A record that built its
     never-received-from components at construction took one more
     evaluation per peer (288); built once per batch holding such a
     subject, those components took 553 evaluations.
     `recommendation_value` runs once per member's report about another
-    member (552: 529 in selections, 23 in observations) and once per report
-    dropped by a repeat delivery (407). A memo kept for one round
+    member (552) and once per report dropped by a repeat delivery and asked
+    again (405; 407 summing every candidate). A memo kept for one round
     made 34 412, 34 965 and 16 124 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "direct_trust", "decayed_counts", "_read",
-                                             "record_delivery"))
+                                             "_bounded_top", "direct_trust", "decayed_counts",
+                                             "_read", "record_delivery"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
-    assert calls["score_candidates"] == 1_040  # 1 000 selections + 40 observations
-    assert calls["scored"] == 23_080           # 23 040 candidates + 40 observed pairs
-    assert calls["_walk_recommenders"] == 1_015  # 975 selection walks + 40 observations
-    assert calls["walked"] == 16_892           # 16 852 selection scorings + 40 observations
-    assert calls["valued"] == 16_593           # 299 hear only from credibility 0
-    assert calls["used"] == 313_651
+    assert calls["_bounded_top"] == 960        # 24 members x 40 rounds
+    assert calls["score_candidates"] == 80     # the victim's 40 selections + 40 observations
+    assert calls["scored"] == 1_000            # 24 candidates x 40 + 40 observed pairs
+    assert calls["_walk_recommenders"] == 1_015  # 975 selection rankings + 40 observations
+    assert calls["_sum_reports"] == 7_319      # 6 346 detections + 894 top 1 + 39 + 40
+    assert calls["used"] == 40_554             # 313 651 summing every candidate
+    assert calls["walked"] == 2_627            # 1 904 members' + 683 victim's + 40 observed
+    assert calls["valued"] == 2_328            # 299 hear only from credibility 0
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["counted"] == 0               # no ranking exceeds k
-    assert calls["recommendation_value"] == 959  # 552 first reports + 407 after a delivery
-    assert calls["_read"] == 2_495             # 576 never received + 576 first + 1 343 after
-    assert calls["decayed_counts"] == 265      # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 265        # the worked-out fills
+    assert calls["recommendation_value"] == 957  # 552 first reports + 405 after a delivery
+    assert calls["_read"] == 2_493             # 576 never received + 576 first + 1 341 after
+    assert calls["decayed_counts"] == 286      # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 286        # the worked-out fills
     assert calls["record_delivery"] == 275     # distinct (params, state, quality, round)
 
 

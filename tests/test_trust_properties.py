@@ -2,7 +2,6 @@ import math
 
 from hypothesis import given, strategies as st
 
-from pollushield import sim_engine
 from pollushield.trust_core import (
     CFModel,
     DTModel,
@@ -15,7 +14,7 @@ from pollushield.trust_core import (
     onoff_resistance_margin,
     transaction_probability,
 )
-from test_sim_engine import make_world, seed_history
+from test_sim_engine import make_world, seed_history, walk_indirect
 from test_trust_cache import indirect_trust, oracle_direct_trust
 
 counts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -107,12 +106,22 @@ def test_indirect_trust_bounded_by_recommendations(histories, k, dt):
         value = oracle_direct_trust(world.peers[pid].trust_table[1], params)
         reports.append((-cred, pid, value))
     top = [(-neg_cred, value) for neg_cred, _, value in sorted(reports)[:k]]
-    got = sim_engine._walk_recommenders(world, 0, (1,)).get(1)
+    got = walk_indirect(world, 0, (1,)).get(1)
     assert got == indirect_trust(top)
     if got is not None:
         values = [value for _, value in top]
         # 1e-9 absorbs the rounding of the weighted sum
         assert min(values) - 1e-9 <= got <= max(values) + 1e-9
+
+
+@given(d=unit, a=unit, ind=unit)
+def test_combined_trust_lies_between_its_indirect_extremes(d, a, ind):
+    """Bounded selection's bounds: `combine_trust` never decreases as
+    indirect trust grows, rounding included, so at any indirect value in
+    [0, 1] it lies between its values at 0 and 1, a * d and a * d + (1 - a)."""
+    assert a * d <= combine_trust(d, ind, a) <= a * d + (1.0 - a)
+    assert combine_trust(d, 1.0, a) == a * d + (1.0 - a)
+    assert combine_trust(d, 0.0, a) == a * d
 
 
 @given(
