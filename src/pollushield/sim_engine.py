@@ -3,29 +3,35 @@
 Each round every peer with candidates requests one chunk: it ranks the
 peers advertising to it by trust, admits the top K through its
 double-threshold rule, and records the qualities of the chunks it receives.
-Trust lives entirely inside per-peer tables; there is no shared registry.
+Trust lives entirely inside per-peer tables; the world keeps no trust
+value of its own.
 
 The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.
 
 Trust is scored in two steps. A recommender is a peer the requester has
-received from that has itself received from the subject; the trust tables
-are the only record of both. So, when the requester has received from
+received from that has itself received from the subject. The trust tables
+record both, and `World.receivers` holds the second inverted: the peers
+that received from each subject. `World.write_entry`, the one way a table
+changes, keeps the two in step. When the requester has received from
 anyone, one ranking serves a batch (`_walk_recommenders`): the peers in its
-table that received from some subject, sorted once by credibility, ties by
-lowest id. Each subject gets a holder list, its candidate recommenders in
-rank order. When the ranking holds at most k_recommenders peers, no subject
-can have more reports than that, so every subject's list is the whole
-ranking. A longer ranking is walked once, recommender by recommender: one
-set intersection of the recommender's table with the subjects still wanted
-appends it to the list of each subject it received from; a subject leaves
-once its list holds k_recommenders, and the pass ends when none is left.
-Then `_sum_reports` sums the lists of the subjects it is given, skipping a
-recommender that did not receive from the subject, into running sums of
-credibility and credibility-weighted report. So each subject sums its own
-top k in rank order, the operations of the test oracle's aggregation
-(tests/test_trust_cache.py), bit for bit; a subject with no report, or only
-reports of credibility 0, takes cold-start trust as its indirect value. A
+table of positive credibility that received from some subject, sorted once
+by credibility, ties by lowest id. A report of credibility 0 would leave
+both sums below as they are, bit for bit, and would sort after every other,
+so leaving it out moves no subject's first k holders. Each subject gets a
+holder list, its candidate recommenders in rank order. When the ranking
+holds at most k_recommenders peers, no subject can have more reports than
+that, so every subject's list is the whole ranking. A longer ranking is
+walked once, recommender by recommender: one set intersection of the
+recommender's table with the subjects still wanted appends it to the list
+of each subject it received from; a subject leaves once its list holds
+k_recommenders, and the pass ends when none is left. Then `_sum_reports`
+sums the lists of the subjects it is given, skipping a recommender that did
+not receive from the subject, into running sums of credibility and
+credibility-weighted report. So each subject sums its own top k in rank
+order, the operations of the test oracle's aggregation
+(tests/test_trust_cache.py), bit for bit; a subject with no report of
+positive credibility takes cold-start trust as its indirect value. A
 subject the observer never received from reads as `EMPTY_STATE`, the entry
 a first delivery starts from. `score_candidates` sums every subject of its
 batch; `scenarios.Run` calls it once per observer and round, and
@@ -35,23 +41,25 @@ k_providers.
 A requester with more candidates sums only those that can change its
 detections or its top k_providers (`_bounded_top`), after Fagin, Lotem and
 Naor's threshold algorithm. Indirect trust lies in [0, 1], and
-`combine_trust(d, ind, a)` never falls as `ind` grows, rounding included, so
-a candidate's trust lies between its values at 0 and 1, which its kept view
-gives without a sum. In candidate order, an undetected candidate is summed
-only when these bounds straddle the detection threshold; then exact trust
-is worked out in ascending (-upper, id) order until the k-th best exact
-(-trust, id) key beats the next upper-bound key. So the admitted providers,
-their trust, the detections and the probe draws are those of summing every
-candidate.
+`combine_trust(d, ind, a)` never falls as `ind` grows, rounding included,
+so a candidate's trust lies between its values at 0 and 1, which its kept
+view gives without a sum. A candidate that no peer in the requester's table
+received from (`World.receivers`), or whose requester ranks no peer, hears
+no report, so its view is its trust. In candidate order, an undetected
+candidate is summed only when its bounds straddle the detection threshold;
+then exact trust is worked out in ascending (-upper, id) order until the
+k-th best exact (-trust, id) key beats the next upper-bound key. So the
+admitted providers, their trust, the detections and the probe draws are
+those of summing every candidate.
 
 The one clock is `world.round`, which `run_round` advances before it
-selects. Tables change only at delivery, where `record_delivery` decays the
-entry from its last delivery to the round and counts the chunk. Evaluating
-trust reads each entry decayed the same way with `decayed_counts` and
-stores nothing in the tables, so a run does not depend on how often trust
-is read. What a read works out that holds for the rest of the run, each
-peer keeps on its own record (`PeerRecord.views` and `.reports`); the kept
-values have no clock, so readers pass `world.round`.
+selects. Tables change only at delivery, through `World.write_entry`, where
+`record_delivery` decays the entry from its last delivery to the round and
+counts the chunk. Evaluating trust reads each entry decayed the same way
+with `decayed_counts` and stores nothing in the tables, so a run does not
+depend on how often trust is read. What a read works out that holds for the
+rest of the run, each peer keeps on its own record (`PeerRecord.views` and
+`.reports`); the kept values have no clock, so readers pass `world.round`.
 
 Peers that hold the same params object often hold equal table entries, so
 within a round they would work out the same arithmetic again and again.
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .behaviors import PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
@@ -133,9 +141,9 @@ class PeerRecord:
     A subject b absent from `trust_table` reads as `EMPTY_STATE`, so
     `views[b]` may hold the empty state's components. `_read` and `_report`
     keep only values that hold for the rest of the run, and they hold only
-    while the table entry they came from stands: a write to
-    `trust_table[b]`, as `run_round` makes at each delivery, must drop
-    `views[b]` and `reports[b]`. So emptied ones give the same values.
+    while the table entry they came from stands, so `World.write_entry`
+    drops `views[b]` and `reports[b]` with each write to `trust_table[b]`.
+    Emptied ones give the same values.
     `memo` is the `RoundMemo` of its params, which `World.add_peer` gives
     every record holding the same params object."""
 
@@ -179,7 +187,9 @@ class World:
     `memos` holds one `RoundMemo` per params object its peers hold, keyed by
     identity, not equality: params equal up to the sign of a zero give
     different components. It holds each params object too, so no id is
-    reused while the world lives."""
+    reused while the world lives. `receivers[b]` is the set of peers whose
+    trust tables hold b, that is, that have received from b; it holds only
+    while every table is written through `write_entry`."""
 
     def __init__(
         self,
@@ -203,6 +213,7 @@ class World:
         self.ads_per_round = ads_per_round
         self.ads_rng = random.Random(f"{seed}:ads")
         self.memos: Dict[int, Tuple[TrustParams, RoundMemo]] = {}
+        self.receivers: Dict[int, Set[int]] = {}
 
     def add_peer(
         self,
@@ -226,6 +237,19 @@ class World:
         if rec.candidates:
             insort(self.requesters, pid)
         return rec
+
+    def write_entry(self, peer: int, subject: int, state: TrustState) -> None:
+        """Set `peer`'s trust table entry for `subject` to `state`, the one
+        way a table changes. It drops the peer's kept view and report of
+        the subject, which held only while the old entry stood, and at a
+        first entry adds the peer to `receivers[subject]`."""
+        rec = self.peers[peer]
+        table = rec.trust_table
+        if subject not in table:
+            self.receivers.setdefault(subject, set()).add(peer)
+        table[subject] = state
+        rec.views.pop(subject, None)
+        rec.reports.pop(subject, None)
 
 
 def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustComponents:
@@ -284,8 +308,8 @@ def _walk_recommenders(
     ranking of the observer's recommenders, then a holder list per subject
     (a subject listed twice gets one): the whole ranking when it holds at
     most k recommenders, or else each subject's first k holders, from one
-    pass. Empty when no peer the observer received from has received from
-    a subject."""
+    pass. Empty when no peer the observer received from, of positive
+    credibility, has received from a subject."""
     obs = world.peers[observer]
     peers = world.peers
     now = world.round
@@ -297,7 +321,8 @@ def _walk_recommenders(
         if not received or received.keys().isdisjoint(subjects):
             continue
         cred = (credibility.get(k) or _read(obs, k, now)).direct
-        ranked.append((-cred, k, received, rec.reports))
+        if cred:  # a report of credibility 0 leaves both sums as they are
+            ranked.append((-cred, k, received, rec.reports))
     if not ranked:
         return {}
     ranked.sort()  # ids are distinct, so the tables are never compared
@@ -385,7 +410,9 @@ def _bounded_top(
         raise ValueError("a peer cannot evaluate trust of itself")
     req = world.peers[requester]
     now = world.round
-    holders = _walk_recommenders(world, requester, candidates) if req.trust_table else {}
+    known = req.trust_table.keys()
+    holders = _walk_recommenders(world, requester, candidates) if known else {}
+    receivers = world.receivers
     views = req.views
     comps: Dict[int, TrustComponents] = {}
     exact: Dict[int, float] = {}  # trust of the candidates worked out so far
@@ -402,7 +429,8 @@ def _bounded_top(
     keys: List[Tuple[float, int]] = []  # (-upper bound, provider)
     for pid in candidates:
         d, _, a, t = comps[pid] = views.get(pid) or _read(req, pid, now)
-        if pid in holders:  # combine_trust(d, ind, a) at ind 0 and 1, up to a zero's sign
+        if pid in holders and not known.isdisjoint(receivers.get(pid, ())):
+            # combine_trust(d, ind, a) at ind 0 and 1, up to a zero's sign
             lower, upper = a * d, a * d + (1.0 - a)
         else:  # no report can reach pid: its view is its trust
             lower = upper = exact[pid] = t
@@ -457,9 +485,9 @@ def select_providers(
 
 def run_round(world: World) -> None:
     """Advance the world by one round of requests, deliveries, and updates;
-    every delivery drops the requester's kept view and report of the
-    provider, so what the peers keep stays valid. A delivery update is
-    worked out once per (state, quality) in the round's `RoundMemo`."""
+    every delivery goes through `World.write_entry`, so what the peers keep
+    stays valid. A delivery update is worked out once per (state, quality)
+    in the round's `RoundMemo`."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
@@ -485,9 +513,7 @@ def run_round(world: World) -> None:
             state = delivered.get(key)
             if state is None:
                 state = delivered[key] = record_delivery(*key, r, req.params)
-            req.trust_table[pid] = state
-            req.views.pop(pid, None)
-            req.reports.pop(pid, None)
+            world.write_entry(rid, pid, state)
             world.event_log.append(
                 _new_tuple(TransactionOutcome, (r, rid, pid, quality, trust_at_selection))
             )

@@ -20,12 +20,10 @@ def make_world(n_peers, params=DTMA_PARAMS, seed=1, **world_kwargs):
 
 
 def seed_history(world, observer, subject, n_clean, n_polluted=0.0):
-    """Install a past delivery record, as run_round would leave it: the
-    observer's kept view and report of the subject go with the old one."""
-    rec = world.peers[observer]
-    rec.trust_table[subject] = TrustState(n_clean, n_polluted, n_clean + n_polluted, 0.0)
-    rec.views.pop(subject, None)
-    rec.reports.pop(subject, None)
+    """Install a past delivery record through `World.write_entry`, as
+    run_round would leave it."""
+    world.write_entry(observer, subject,
+                      TrustState(n_clean, n_polluted, n_clean + n_polluted, 0.0))
 
 
 def walk_indirect(world, observer, subjects):
@@ -238,7 +236,8 @@ class TestScoreCandidates:
             run_round(ran)
         fresh.round = ran.round
         for pid in ids:
-            fresh.peers[pid].trust_table = dict(ran.peers[pid].trust_table)
+            for subject, state in ran.peers[pid].trust_table.items():
+                fresh.write_entry(pid, subject, state)
         recommended = 0
         for observer in ids:
             subjects = [s for s in ids if s != observer]

@@ -379,17 +379,59 @@ def test_bounded_selection_matches_scoring_every_candidate(monkeypatch, exp, see
     cfg = with_k_providers(build_experiment(exp, seed=seed), 2)
     want = fingerprint(*run_with_reference_selection(cfg))
     calls = count_calls(monkeypatch, ("_bounded_top",))
-    got = fingerprint(*run_to_end(cfg))
+    report, world = run_to_end(cfg)
     assert calls["_bounded_top"]
-    assert differing_keys(got, want) == []
+    assert differing_keys(fingerprint(report, world), want) == []
+    assert world.receivers == receivers_of(world)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_worlds())
 def test_bounded_selection_matches_scoring_every_candidate_in_small_worlds(cfg):
-    got = fingerprint(*run_to_end(cfg))
+    report, world = run_to_end(cfg)
     want = fingerprint(*run_with_reference_selection(cfg))
-    assert differing_keys(got, want) == []
+    assert differing_keys(fingerprint(report, world), want) == []
+    assert world.receivers == receivers_of(world)
+
+
+def receivers_of(world):
+    """The inversion of every peer's trust table: each subject some table
+    holds, mapped to the peers whose tables hold it. `World.receivers`
+    must equal it, or a bounded selection misses reports."""
+    inverted = {}
+    for pid, rec in world.peers.items():
+        for subject in rec.trust_table:
+            inverted.setdefault(subject, set()).add(pid)
+    return inverted
+
+
+def test_bounded_selection_sums_only_candidates_in_reach(monkeypatch):
+    """e4 rotating, group 12: each member takes its top 1 of 11, so its
+    selections are bounded. Every sum one asks for is of a candidate that
+    some peer in the requester's table has received from, found from the
+    tables themselves; any other candidate's view is its trust."""
+    bounded, sum_reports = sim_engine._bounded_top, sim_engine._sum_reports
+    selecting = []  # (world, requester) of the bounded selection under way
+    in_reach = []
+
+    def top(world, requester, candidates, k_max):
+        selecting.append((world, requester))
+        try:
+            return bounded(world, requester, candidates, k_max)
+        finally:
+            selecting.pop()
+
+    def sums(world, holders, subjects):
+        if selecting:
+            known = world.peers[selecting[-1][1]].trust_table
+            in_reach.extend(any(s in world.peers[k].trust_table for k in known)
+                            for s in subjects)
+        return sum_reports(world, holders, subjects)
+
+    monkeypatch.setattr(sim_engine, "_bounded_top", top)
+    monkeypatch.setattr(sim_engine, "_sum_reports", sums)
+    run_to_end(build_experiment("e4", mode="rotating", group_size=12, rounds=40, seed=1))
+    assert in_reach and all(in_reach)
 
 
 def test_bounded_selection_rejects_the_requester_as_candidate():
@@ -413,10 +455,11 @@ def count_calls(monkeypatch, names):
     `holders` the pairs whose peer received from the subject. Over the
     subjects summed, for the observer of the ranking before: `walked`
     counts those with at least one recommender (a peer in the observer's
-    table that received from the subject), `used` the reports each such
-    subject sums, min(k_recommenders, recommenders), whose largest count is
+    table that received from the subject), `used` min(k_recommenders,
+    recommenders) for each such subject, whose largest count is
     `most_used`, and `valued` the subjects the sums give an indirect
-    value."""
+    value. These count peers of credibility 0 too, which no ranking holds,
+    so `used` bounds the reports summed from above."""
     calls = dict.fromkeys(names + ("scored", "walked", "used", "most_used", "valued",
                                    "counted", "pairs", "holders"), 0)
     ranking = {}
@@ -474,19 +517,31 @@ def test_dense_collusion_work_counts(monkeypatch):
     ranking exceeds `k_recommenders`, the group size, so none builds holder
     lists, and a subject sums every recommender it has, at most the 23
     members other than it.
-    The reports summed are the saving: 40 554, where summing every
-    candidate summed 313 651, 297 275 of them in the members' selections.
-    The victim's 39 ranked selections sum 15 456 over 683 subjects and the
-    observations 920 over 40, as before. Of the members' 22 080 candidate
-    checks, 15 159 find the candidate detected already, 574 a lower bound
-    at or above the detection threshold and 1 an upper bound below it; the
-    other 6 346 straddle it and are summed, 1 010 of them with a
-    recommender. Finding the top 1 in upper-bound order sums 894 more, each
-    with a recommender. So 7 319 sums (6 346 + 894 + 39 + 40) reach 2 627
-    subjects with a recommender (16 892 before), and give 2 328 of them an
-    indirect value. The other 299 hear only from recommenders of
-    credibility 0, whose weighted mean is undefined, so they keep cold
-    start.
+    The sums skipped are the saving. `used` counts the recommenders in
+    reach of each subject summed: 36 506, where summing every candidate
+    counted 313 651, 297 275 of them in the members' selections. The
+    victim's 39 ranked selections reach 15 456 over 683 subjects and the
+    observations 920 over 40, as before. A bounded selection sums a
+    candidate only when some peer in the requester's table has received
+    from it (`World.receivers`) and the ranking holds a peer of positive
+    credibility; any other candidate's view is its trust. Of the members'
+    22 080 candidate checks, 15 159 find the candidate detected already.
+    5 910 find a lower bound at or above the detection threshold: 574 as
+    before, and 5 336 that no peer in the requester's table received from
+    (5 105 that the receiver index rules out, 231 whose requester ranks no
+    peer), whose straddling bounds were summed before to find no report.
+    20 find an upper bound below it: 1 as before, and 19 whose
+    recommenders all have credibility 0, so their requester ranks no
+    peer. The other 991
+    straddle it and are summed, each with a recommender. Finding the top 1
+    in upper-bound order sums 638 more, each with a recommender (894 when
+    a candidate out of reach had upper bound 1 and came first). So 1 708
+    sums (991 + 638 + 39 + 40; 7 319 before) reach 2 352 subjects with a
+    recommender (2 627 before), and give 2 328 of them an indirect value,
+    as before. The other 24 hear only from recommenders of credibility 0,
+    which no ranking holds, so they keep cold start. The sums read 30 071
+    holders that received from the subject, all of positive credibility;
+    the 10 483 of credibility 0 they also read before added nothing.
     Both decay rates are 0 and no one lies, so the peers keep every view
     they work out: a view is worked out when first read and again after each
     delivery that dropped it. `_read` counts the view fills: 576 reads of a
@@ -503,12 +558,13 @@ def test_dense_collusion_work_counts(monkeypatch):
     once per (params object, state, quality, round). The 24 members hold
     one params object and fill their entries of one another alike, so in a
     round their reads and deliveries meet few distinct states:
-    `decayed_counts` runs for 286 of the 2 493 fills, two of them the empty
+    `decayed_counts` runs for 287 of the 2 493 fills, two of them the empty
     state in round 1, and `record_delivery` for 275 of the 1 920
-    deliveries. Summing every candidate, `decayed_counts` ran for 265 of
-    2 495 fills: a fill that a skipped sum puts off to a later round meets
-    fewer peers filling the same state there. Before the round memo both
-    ran once per fill and delivery.
+    deliveries. Summing every candidate in reach of a ranking,
+    `decayed_counts` ran for 286 fills, and summing every candidate for
+    265 of 2 495: a fill that a skipped sum puts off to a later round
+    meets fewer peers filling the same state there. Before the round memo
+    both ran once per fill and delivery.
     `direct_trust` runs once per worked-out fill. A record that built its
     never-received-from components at construction took one more
     evaluation per peer (288); built once per batch holding such a
@@ -525,16 +581,16 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["score_candidates"] == 80     # the victim's 40 selections + 40 observations
     assert calls["scored"] == 1_000            # 24 candidates x 40 + 40 observed pairs
     assert calls["_walk_recommenders"] == 1_015  # 975 selection rankings + 40 observations
-    assert calls["_sum_reports"] == 7_319      # 6 346 detections + 894 top 1 + 39 + 40
-    assert calls["used"] == 40_554             # 313 651 summing every candidate
-    assert calls["walked"] == 2_627            # 1 904 members' + 683 victim's + 40 observed
-    assert calls["valued"] == 2_328            # 299 hear only from credibility 0
+    assert calls["_sum_reports"] == 1_708      # 991 detections + 638 top 1 + 39 + 40
+    assert calls["used"] == 36_506             # 313 651 summing every candidate
+    assert calls["walked"] == 2_352            # 1 629 members' + 683 victim's + 40 observed
+    assert calls["valued"] == 2_328            # 24 hear only from credibility 0
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 957  # 552 first reports + 405 after a delivery
     assert calls["_read"] == 2_493             # 576 never received + 576 first + 1 341 after
-    assert calls["decayed_counts"] == 286      # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 286        # the worked-out fills
+    assert calls["decayed_counts"] == 287      # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 287        # the worked-out fills
     assert calls["record_delivery"] == 275     # distinct (params, state, quality, round)
 
 
@@ -612,21 +668,28 @@ def test_newcomer_reads_work_counts(monkeypatch):
     skips rather than testing each pair.
     Nothing but these walks asks the requesters about providers, so every
     report not kept is worked out in an observation: 599 the first
-    time a (requester, provider) pair is asked about, 2 400 after the
+    time a (requester, provider) pair is asked about, 2 389 after the
     requester received from the provider again, which dropped a kept
-    report, and 3 099 that are never kept because the requester's
+    report, and 3 096 that are never kept because the requester's
     view holds clean and polluted chunks, so the forgiving rate (0.15)
     moves its direct trust every round. A view with polluted chunks alone
-    has PDTM direct trust 0.0 in every round, so its report is kept. The
-    kept reports serve the other 18 359 of the 24 457 used; a memo that
-    kept only entries whose counts do not decay made 10 915 calls.
+    has PDTM direct trust 0.0 in every round, so its report is kept; a
+    memo that kept only entries whose counts do not decay made 10 915
+    calls. The rankings hold no requester of credibility 0, whose report
+    adds nothing to the sums: asking those too made 6 098 calls (2 400
+    after a delivery and 3 099 never kept), 23 of them for such a
+    requester, 9 of which kept a report a later ranked requester read.
+    The kept reports serve the other 18 314 of the 24 398 summed (18 359
+    of 24 457 with those of credibility 0, which `used` still counts).
     `_read` counts the view fills, in selections and observations: 730
     reads of a subject never received from, which read the empty state
     (each requester's 20 candidates, and the newcomer's 100 providers and
     30 candidates: 30 x 20 + 130), 629 first reads of a table entry, 2 681
-    after a delivery dropped a kept entry, and 4 341 reads of an entry
-    whose direct trust moves with time (8 381). Most
-    fills (6 054) are the honest values of the reports above; the rest are
+    after a delivery dropped a kept entry, and 4 338 reads of an entry
+    whose direct trust moves with time (8 378; 4 341 and 8 381 asking
+    requesters of credibility 0 too). Most
+    fills (6 035; 6 054 before) are the honest values of the reports
+    above; the rest are
     the requesters' scorings of their providers and the newcomer's
     credibility of the requesters. A memo that kept only entries whose
     counts do not decay made 13 918 fills, 10 611 of them decaying reads,
@@ -635,7 +698,8 @@ def test_newcomer_reads_work_counts(monkeypatch):
     A fill is worked out once per (params object, state, round), in the
     round memo shared by the peers holding that object: the requesters
     share one, and the newcomer has its own. So `decayed_counts` runs
-    4 021 times (3 624 for the requesters, 397 for the newcomer), 30 of
+    4 024 times (3 627 for the requesters, 397 for the newcomer; 3 624
+    asking requesters of credibility 0 too), 30 of
     them for the empty state: in 19 rounds for the requesters' memo and 11
     for the newcomer's, each a round in which some peer first scores a
     subject it never received from.
@@ -660,10 +724,10 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["counted"] == 49              # 49 of the 50 observation walks
     assert calls["pairs"] == 139_100
     assert calls["holders"] == 24_630
-    assert calls["recommendation_value"] == 6_098  # 599 first + 2 400 + 3 099 moving
-    assert calls["_read"] == 8_381             # 730 never received + 629 first + 2 681 + 4 341
-    assert calls["decayed_counts"] == 4_021    # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 4_021      # the worked-out fills
+    assert calls["recommendation_value"] == 6_084  # 599 first + 2 389 + 3 096 moving
+    assert calls["_read"] == 8_378             # 730 never received + 629 first + 2 681 + 4 338
+    assert calls["decayed_counts"] == 4_024    # distinct (params, state, round) of the fills
+    assert calls["direct_trust"] == 4_024      # the worked-out fills
     assert calls["record_delivery"] == 2_274   # distinct (params, state, quality, round)
 
 
@@ -797,7 +861,7 @@ def test_round_memo_starts_empty_in_another_round():
     world = World(seed=1)
     for pid in (0, 1):
         world.add_peer(pid, PeerBehavior.honest(), params)
-    world.peers[0].trust_table[1] = TrustState(3.0, 1.0, 4.0, 2)
+    world.write_entry(0, 1, TrustState(3.0, 1.0, 4.0, 2))
     world.round = 5
     first = score_candidates(world, 0, (1,))
     assert first == oracle_score_candidates(world, 0, (1,))
@@ -822,16 +886,69 @@ def test_zero_reports_sum_to_the_oracles_positive_zero(n_recommenders):
     liar = PeerBehavior.badmouther((1,), slander_prob=1.0)
     for k in recommenders:
         if k % 2:
-            world.add_peer(k, liar, params).trust_table[1] = TrustState(3.0, 0.0, 3.0, 0)
+            world.add_peer(k, liar, params)
+            world.write_entry(k, 1, TrustState(3.0, 0.0, 3.0, 0))
         else:
-            world.add_peer(k, PeerBehavior.honest(), params).trust_table[1] = TrustState(
-                0.0, 3.0, 3.0, 0)
-        world.peers[0].trust_table[k] = TrustState(float(k), 1.0, k + 1.0, 0)
+            world.add_peer(k, PeerBehavior.honest(), params)
+            world.write_entry(k, 1, TrustState(0.0, 3.0, 3.0, 0))
+        world.write_entry(0, k, TrustState(float(k), 1.0, k + 1.0, 0))
     world.round = 1
     want = oracle_query_indirect(world, 0, 1)
     got = score_candidates(world, 0, (1,))[0].indirect
     assert got == want == 0.0
     assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
+
+
+@pytest.mark.parametrize("exp, overrides", [
+    ("e4", {"mode": "rotating", "group_size": 24, "rounds": 40}),
+    ("e5", {}),
+])
+def test_rankings_hold_no_recommender_of_credibility_0(monkeypatch, exp, overrides):
+    """A recommender the observer holds at credibility 0 adds nothing to
+    the sums, so no ranking holds one. Both runs have such recommenders
+    in reach of a subject, by the oracle's credibility: the colluders of
+    e4 pollute in turn, and e5's requesters receive polluted chunks."""
+    walk = sim_engine._walk_recommenders
+    ranked, left_out = [], []
+
+    def spy(world, observer, subjects):
+        obs = world.peers[observer]
+        for k, st in obs.trust_table.items():
+            if world.peers[k].trust_table.keys().isdisjoint(subjects):
+                continue
+            cred = oracle_direct_trust(oracle_apply_decay(st, world.round, obs.params),
+                                       obs.params)
+            if cred == 0.0:
+                left_out.append(k)
+        holders = walk(world, observer, subjects)
+        ranked.extend(entry[0] for held in holders.values() for entry in held)
+        return holders
+
+    monkeypatch.setattr(sim_engine, "_walk_recommenders", spy)
+    run_to_end(build_experiment(exp, seed=1, **overrides))
+    assert left_out and ranked
+    assert 0.0 not in ranked
+
+
+def test_recommenders_of_credibility_0_leave_cold_start():
+    """Observer 0 received only polluted chunks from recommenders 2 and 3,
+    so under PDTM and DTMA it holds both at credibility 0, and they
+    received clean chunks from subject 1. The ranking is empty, and 1
+    scores at cold start, as the oracle's sum with no positive weight."""
+    for dt_model in (DTModel.PDTM, DTModel.DTMA):
+        params = TrustParams(dt_model=dt_model)
+        world = World(seed=1)
+        for pid in range(4):
+            world.add_peer(pid, PeerBehavior.honest(), params)
+        for k in (2, 3):
+            world.write_entry(0, k, TrustState(0.0, 2.0, 2.0, 0))
+            world.write_entry(k, 1, TrustState(3.0, 0.0, 3.0, 0))
+        world.round = 1
+        assert sim_engine._walk_recommenders(world, 0, (1,)) == {}
+        got = score_candidates(world, 0, (1,))
+        assert got == oracle_score_candidates(world, 0, (1,))
+        assert got[0].indirect == params.cold_start_trust
+        assert oracle_query_indirect(world, 0, 1) is None
 
 
 @pytest.mark.parametrize("exp, overrides", [
