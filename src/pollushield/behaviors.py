@@ -2,9 +2,8 @@
 
 A behavior decides two things about its owner: the quality of each chunk it
 uploads, and the recommendation value it reports when asked about another
-peer. Uploads are pure given the caller-supplied random stream and lies are
-keyed on the seed and round, so identical seeds replay identical attack
-traces.
+peer. Uploads are pure given the caller-supplied random stream and reports
+draw nothing, so identical seeds replay identical attack traces.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ class BehaviorKind(Enum):
     HONEST = "honest"
     PERSISTENT = "persistent"           # every upload polluted
     ONOFF = "onoff"                     # periodic pollution, clean chunks first
-    BADMOUTH = "badmouth"               # uploads honestly, slanders targets
+    BADMOUTH = "badmouth"               # uploads honestly, reports 0.0 about targets
     COLLAB_STATIC = "collab_static"     # fixed polluter, accomplices endorse
-    COLLAB_ROTATING = "collab_rotating" # polluter duty rotates round-robin
+    COLLAB_ROTATING = "collab_rotating" # polluter duty passes to the next member each round
 
 
 # bound once: before Python 3.12, `Enum.MEMBER` in a function costs an EnumType.__getattr__ call
@@ -34,9 +33,7 @@ LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
 # the kinds that read each kind-specific field; any other kind leaves it at its default
 _READERS = {"loss_rate": LOSSY_KINDS, "on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,),
-            "slander_prob": (_BADMOUTH,), "group": _COLLAB,
-            "designated_polluter": (_COLLAB_STATIC,),
-            "rotation_period": (BehaviorKind.COLLAB_ROTATING,)}
+            "group": _COLLAB, "designated_polluter": (_COLLAB_STATIC,)}
 
 
 class PeerBehavior(Record):
@@ -44,10 +41,8 @@ class PeerBehavior(Record):
     loss_rate: float = 0.0              # LOSSY_KINDS: network corruption of uploads
     on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
     target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander
-    slander_prob: float = 0.0           # BADMOUTH: per-round lie probability
     group: Tuple[int, ...] = ()         # COLLAB_*: sorted member ids
     designated_polluter: Optional[int] = None  # COLLAB_STATIC only
-    rotation_period: int = 1            # COLLAB_ROTATING: rounds per duty slot
 
     def validate(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
@@ -62,8 +57,6 @@ class PeerBehavior(Record):
                 raise ValueError("on_ratio must lie in (0, 1)")
             if not math.isfinite(1.0 / self.on_ratio):
                 raise ValueError("on_ratio is too small: 1 / on_ratio overflows")
-        if not 0.0 <= self.slander_prob <= 1.0:
-            raise ValueError("slander_prob must lie in [0, 1]")
         if self.kind in _COLLAB:
             if not self.group:
                 raise ValueError("collusion group must be non-empty")
@@ -72,8 +65,6 @@ class PeerBehavior(Record):
         if self.kind is BehaviorKind.COLLAB_STATIC:
             if self.designated_polluter not in self.group:
                 raise ValueError("designated polluter must belong to the group")
-        if self.rotation_period < 1:
-            raise ValueError("rotation_period must be >= 1")
 
     # --- constructors ---
 
@@ -90,15 +81,9 @@ class PeerBehavior(Record):
         return cls(kind=BehaviorKind.ONOFF, on_ratio=on_ratio)
 
     @classmethod
-    def badmouther(
-        cls, targets: Tuple[int, ...], slander_prob: float, loss_rate: float = 0.0
-    ) -> "PeerBehavior":
-        return cls(
-            kind=BehaviorKind.BADMOUTH,
-            target_set=tuple(sorted(targets)),
-            slander_prob=slander_prob,
-            loss_rate=loss_rate,
-        )
+    def badmouther(cls, targets: Tuple[int, ...], loss_rate: float = 0.0) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.BADMOUTH, target_set=tuple(sorted(targets)),
+                   loss_rate=loss_rate)
 
     @classmethod
     def collab_static(cls, group: Tuple[int, ...], designated: int) -> "PeerBehavior":
@@ -109,25 +94,14 @@ class PeerBehavior(Record):
         )
 
     @classmethod
-    def collab_rotating(cls, group: Tuple[int, ...], period: int = 1) -> "PeerBehavior":
-        return cls(
-            kind=BehaviorKind.COLLAB_ROTATING,
-            group=tuple(sorted(group)),
-            rotation_period=period,
-        )
+    def collab_rotating(cls, group: Tuple[int, ...]) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.COLLAB_ROTATING, group=tuple(sorted(group)))
 
     @property
     def cycle_length(self) -> int:
         """ONOFF period: one polluted chunk per this many uploads."""
         assert self.on_ratio is not None
         return max(1, round(1.0 / self.on_ratio))
-
-    def lies_about(self, subject: int) -> bool:
-        """Whether the owner's reports about `subject` move with the round: a
-        bad-mouther's about one of its targets, unless slander_prob is 0 or 1
-        and so its answer is certain."""
-        return (self.kind is _BADMOUTH and 0.0 < self.slander_prob < 1.0
-                and subject in self.target_set)
 
     @property
     def label(self) -> str:
@@ -169,37 +143,22 @@ def upload_quality(
         return _CLEAN
     # COLLAB_ROTATING: member on duty this round pollutes all its uploads
     group = behavior.group
-    duty = (round_no // behavior.rotation_period) % len(group)
-    if group[duty] == uploader:
+    if group[round_no % len(group)] == uploader:
         return _POLLUTED
     return _CLEAN
 
 
-def recommendation_value(
-    behavior: PeerBehavior,
-    recommender: int,
-    subject: int,
-    honest_value: float,
-    seed: int,
-    round_no: int,
-) -> float:
+def recommendation_value(behavior: PeerBehavior, subject: int, honest_value: float) -> float:
     """Recommendation the owner reports when asked about `subject`.
 
     Honest peers (and upload-only attackers) report their true direct trust.
-    A bad-mouther zeroes out a targeted peer in a round when a uniform keyed
-    on (seed, recommender, subject, round_no) falls below slander_prob, so it
-    tells every enquirer the same thing within a round and draws from no
-    stream. At slander_prob 0 or 1 the outcome is certain and nothing is
-    drawn. Colluders endorse fellow group members at full trust.
+    A bad-mouther reports 0.0 about each of its targets, and colluders
+    endorse fellow group members at full trust. A report depends on its
+    arguments alone and draws nothing.
     """
     kind = behavior.kind
     if kind is _BADMOUTH and subject in behavior.target_set:
-        p = behavior.slander_prob
-        if 0.0 < p < 1.0:
-            lie = random.Random(f"{seed}:{recommender}:{subject}:{round_no}:lie").random() < p
-        else:
-            lie = p == 1.0
-        return 0.0 if lie else honest_value
+        return 0.0
     if kind in _COLLAB and subject in behavior.group:
         return 1.0
     return honest_value

@@ -28,7 +28,7 @@ except ImportError:
 from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
-from .sim_engine import DETECTION_THRESHOLD, World, run_round, score_candidates
+from .sim_engine import World, run_round, score_candidates
 from .trust_core import CFModel, ChunkQuality, DTModel, Record, TrustParams, replace
 
 
@@ -45,8 +45,6 @@ class ScenarioConfig(Record):
     # entry are the requesters
     candidate_map: Tuple[Tuple[int, Tuple[int, ...], int], ...] = ()
     warmup_rounds: int = 0       # rounds with the threshold policy disabled
-    warmup_budget: int = 0       # minimum per-round deliveries during warmup
-    detection_threshold: float = DETECTION_THRESHOLD  # trust below this flags a peer
     measure_from: int = 0                        # rounds before goodput is counted
     ads_per_round: Optional[int] = None          # None: every candidate advertises
 
@@ -97,14 +95,10 @@ class ScenarioConfig(Record):
                 raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
         if not 0 <= self.warmup_rounds < self.rounds:
             raise ValueError("warmup_rounds must lie in [0, rounds)")
-        if self.warmup_budget < 0:
-            raise ValueError("warmup_budget must be non-negative")
         if not 0 <= self.measure_from < self.rounds:
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
             raise ValueError("ads_per_round must be >= 1 when set")
-        if not 0.0 <= self.detection_threshold <= 1.0:
-            raise ValueError("detection_threshold must lie in [0, 1]")
         # a repeated entry would be double-counted or silently overwritten
         keyed = {"observed_pairs": self.observed_pairs}
         for name in ("candidate_map", "param_overrides"):
@@ -284,7 +278,7 @@ def build_e1(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     ccfs = replace(params, cf_model=CFModel.CONSTANT, cf_constant=0.5)
     mix = (
         (PeerBehavior.honest(), 3),
-        (PeerBehavior.badmouther((subject,), slander_prob=1.0), n_liars),
+        (PeerBehavior.badmouther((subject,)), n_liars),
         (PeerBehavior.honest(), n_recommenders - n_liars),
     )
     observer_candidates = (subject,) + recommenders
@@ -371,7 +365,7 @@ def _population_config(
 ) -> ScenarioConfig:
     """A lossy population with one behaviour per peer id, in id order. The
     first 150 honest peers request, each from 10 sampled candidates; the
-    first _POP_WARMUP rounds are warmup with a budget of 3 deliveries."""
+    first _POP_WARMUP rounds are warmup."""
     if rounds <= _POP_WARMUP:
         raise ValueError(f"rounds must be >= {_POP_WARMUP + 1} "
                          f"({_POP_WARMUP} warmup rounds + 1), got {rounds}")
@@ -392,7 +386,6 @@ def _population_config(
         loss_rate_range=loss_range,
         candidate_map=cand_map,
         warmup_rounds=_POP_WARMUP,
-        warmup_budget=3,
         measure_from=measure_from,
     )
 
@@ -446,7 +439,7 @@ def build_e4(
         raise ValueError(f"group_size must be >= {min_size} in {mode} mode, got {group_size}")
     members = tuple(range(1, group_size + 1))
     if mode == "rotating":
-        behavior = PeerBehavior.collab_rotating(members, period=1)
+        behavior = PeerBehavior.collab_rotating(members)
         observed = ((0, members[0]),)
     else:
         behavior = PeerBehavior.collab_static(members, designated=members[0])
@@ -518,7 +511,6 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         observed_pairs=tuple((newcomer, p) for p in providers),
         candidate_map=tuple(cand_map),
         warmup_rounds=10,
-        warmup_budget=3,
         measure_from=10,
         ads_per_round=6,
     )
@@ -607,13 +599,7 @@ def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
 
 def build_world(cfg: ScenarioConfig) -> World:
     """Materialize a World from a config."""
-    world = World(
-        seed=cfg.seed,
-        detection_threshold=cfg.detection_threshold,
-        warmup_rounds=cfg.warmup_rounds,
-        warmup_budget=cfg.warmup_budget,
-        ads_per_round=cfg.ads_per_round,
-    )
+    world = World(cfg.seed, cfg.warmup_rounds, cfg.ads_per_round)
     behaviors: List[PeerBehavior] = []
     for behavior, count in cfg.behavior_mix:
         behaviors.extend([behavior] * count)

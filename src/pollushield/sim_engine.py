@@ -91,7 +91,8 @@ from .trust_core import (
 )
 
 
-DETECTION_THRESHOLD = 0.5  # default: combined trust below this flags a peer
+DETECTION_THRESHOLD = 0.5  # combined trust below this flags a peer
+WARMUP_BUDGET = 3  # chunks a requester takes per warmup round, at least
 
 
 class TransactionOutcome(NamedTuple):
@@ -137,8 +138,9 @@ class PeerRecord:
     values its trust reads keep.
 
     `views[b]` holds its components of b with no report on b (cold-start
-    trust as the indirect value), and `reports[s]` what it reports about s.
-    A subject b absent from `trust_table` reads as `EMPTY_STATE`, so
+    trust as the indirect value), and `reports[s]` what it reports about s,
+    which `_report` keeps whenever it kept the view of s the report is built
+    on. A subject b absent from `trust_table` reads as `EMPTY_STATE`, so
     `views[b]` may hold the empty state's components. `_read` and `_report`
     keep only values that hold for the rest of the run, and they hold only
     while the table entry they came from stands, so `World.write_entry`
@@ -192,12 +194,7 @@ class World:
     while every table is written through `write_entry`."""
 
     def __init__(
-        self,
-        seed: int,
-        detection_threshold: float = DETECTION_THRESHOLD,
-        warmup_rounds: int = 0,
-        warmup_budget: int = 0,
-        ads_per_round: Optional[int] = None,
+        self, seed: int, warmup_rounds: int = 0, ads_per_round: Optional[int] = None
     ) -> None:
         self.seed = seed
         self.round = 0  # 0 before the first run_round
@@ -205,9 +202,7 @@ class World:
         self.requesters: List[int] = []
         self.event_log: List[TransactionOutcome] = []
         self.detections: Dict[int, int] = {}
-        self.detection_threshold = detection_threshold
         self.warmup_rounds = warmup_rounds
-        self.warmup_budget = warmup_budget
         # chunk scarcity: per round, each requester sees only this many of its
         # candidates advertising the chunk it wants (None: all of them)
         self.ads_per_round = ads_per_round
@@ -228,6 +223,8 @@ class World:
             raise ValueError(f"duplicate peer id {pid}")
         if pid in candidates:
             raise ValueError(f"peer {pid} lists itself as a candidate")
+        if len(set(candidates)) < len(candidates):
+            raise ValueError(f"peer {pid} lists a candidate twice: {list(candidates)}")
         rng = random.Random(f"{self.seed}:{pid}")
         held = self.memos.get(id(params))
         if held is None:
@@ -285,14 +282,14 @@ def _read(rec: PeerRecord, b: int, now: int) -> TrustComponents:
     return entry
 
 
-def _report(k: int, s: int, rec: PeerRecord, seed: int, now: int) -> float:
-    """What recommender k, whose record is `rec`, reports about s in round
-    `now`, kept in `rec.reports` when built on a kept view and k does not
-    `lies_about` s. Callers look there first."""
+def _report(s: int, rec: PeerRecord, now: int) -> float:
+    """What the recommender whose record is `rec` reports about s in round
+    `now`, kept in `rec.reports` when built on a kept view: a report moves
+    only with the view it is built on. Callers look there first."""
     views = rec.views
     entry = views.get(s) or _read(rec, s, now)
-    value = recommendation_value(rec.behavior, k, s, entry.direct, seed, now)
-    if s in views and not rec.behavior.lies_about(s):
+    value = recommendation_value(rec.behavior, s, entry.direct)
+    if s in views:
         rec.reports[s] = value
     return value
 
@@ -354,7 +351,6 @@ def _sum_reports(
     skipping a holder that did not receive from it. A subject with no
     report of positive credibility is absent and keeps cold start."""
     peers = world.peers
-    seed = world.seed
     now = world.round
     indirect: Dict[int, float] = {}
     for subject in subjects:
@@ -369,7 +365,7 @@ def _sum_reports(
             if value is None:
                 if subject not in received:
                     continue
-                value = _report(k, subject, peers[k], seed, now)
+                value = _report(subject, peers[k], now)
             total -= neg_cred
             weighted -= neg_cred * value
         if total != 0.0:
@@ -425,7 +421,7 @@ def _bounded_top(
             exact[pid] = t = t if ind is None else combine_trust(d, ind, a)
         return t
 
-    threshold, detections = world.detection_threshold, world.detections
+    threshold, detections = DETECTION_THRESHOLD, world.detections
     keys: List[Tuple[float, int]] = []  # (-upper bound, provider)
     for pid in candidates:
         d, _, a, t = comps[pid] = views.get(pid) or _read(req, pid, now)
@@ -461,7 +457,7 @@ def select_providers(
     if k_max < len(candidates):
         ranked = _bounded_top(world, requester, candidates, k_max)
     else:
-        threshold, detections = world.detection_threshold, world.detections
+        threshold, detections = DETECTION_THRESHOLD, world.detections
         ranked = []  # (-trust, provider)
         for pid, comp in zip(candidates, score_candidates(world, requester, candidates)):
             t = comp.combined
@@ -485,9 +481,11 @@ def select_providers(
 
 def run_round(world: World) -> None:
     """Advance the world by one round of requests, deliveries, and updates;
-    every delivery goes through `World.write_entry`, so what the peers keep
-    stays valid. A delivery update is worked out once per (state, quality)
-    in the round's `RoundMemo`."""
+    in a warmup round each requester takes up to WARMUP_BUDGET chunks, or
+    its own budget if that is larger. Every delivery goes through
+    `World.write_entry`, so what the peers keep stays valid. A delivery
+    update is worked out once per (state, quality) in the round's
+    `RoundMemo`."""
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds
@@ -498,7 +496,7 @@ def run_round(world: World) -> None:
             advertising = sorted(world.ads_rng.sample(req.candidates, ads))
         else:
             advertising = req.candidates
-        budget = max(req.budget, world.warmup_budget) if in_warmup else req.budget
+        budget = max(req.budget, WARMUP_BUDGET) if in_warmup else req.budget
         admitted = select_providers(world, rid, advertising)
         memo = req.memo
         if memo.now != r:

@@ -1,4 +1,3 @@
-import math
 import random
 from pollushield import replace
 from types import SimpleNamespace
@@ -39,7 +38,7 @@ class TestUploadQuality:
         assert qualities(PeerBehavior.honest(loss_rate=1.0), 7, 5) == [POLLUTED] * 5
 
     def test_badmouther_uploads_honestly(self):
-        behavior = PeerBehavior.badmouther((3,), slander_prob=1.0)
+        behavior = PeerBehavior.badmouther((3,))
         assert qualities(behavior, 7, 5) == [CLEAN] * 5
 
     @pytest.mark.parametrize("ratio,n", [(0.5, 17), (0.2, 43), (0.1, 101)])
@@ -61,7 +60,7 @@ class TestUploadQuality:
 
     def test_collab_rotating_round_robin(self):
         group = (4, 5, 6)
-        behavior = PeerBehavior.collab_rotating(group, period=1)
+        behavior = PeerBehavior.collab_rotating(group)
         rng = random.Random(0)
         for round_no in range(9):
             duty = group[round_no % 3]
@@ -71,16 +70,9 @@ class TestUploadQuality:
 
     def test_collab_rotating_member_fraction(self):
         group = tuple(range(1, 11))
-        behavior = PeerBehavior.collab_rotating(group, period=1)
+        behavior = PeerBehavior.collab_rotating(group)
         got = qualities(behavior, 1, 200, round_of=lambda i: i)
         assert got.count(POLLUTED) / 200 == pytest.approx(1 / len(group))
-
-    def test_rotation_period_stretches_duty(self):
-        group = (1, 2)
-        behavior = PeerBehavior.collab_rotating(group, period=3)
-        rng = random.Random(0)
-        duties = [upload_quality(behavior, 1, r, 0, rng) for r in range(12)]
-        assert duties == [POLLUTED] * 3 + [CLEAN] * 3 + [POLLUTED] * 3 + [CLEAN] * 3
 
     def test_deterministic_replay(self):
         behavior = PeerBehavior.honest(loss_rate=0.4)
@@ -92,57 +84,31 @@ class TestUploadQuality:
 class TestRecommendationValue:
     def test_honest_passthrough(self):
         for behavior in (PeerBehavior.honest(), PeerBehavior.persistent(), PeerBehavior.onoff(0.2)):
-            assert recommendation_value(behavior, 1, 2, 0.73, seed=0, round_no=1) == 0.73
+            assert recommendation_value(behavior, 2, 0.73) == 0.73
 
     def test_badmouther_slanders_target(self):
-        behavior = PeerBehavior.badmouther((5,), slander_prob=1.0)
-        assert all(recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=r) == 0.0
-                   for r in range(1, 50))
+        behavior = PeerBehavior.badmouther((5,))
+        assert recommendation_value(behavior, 5, 0.9) == 0.0
 
     def test_badmouther_spares_non_target(self):
-        behavior = PeerBehavior.badmouther((5,), slander_prob=1.0)
-        assert recommendation_value(behavior, 1, 6, 0.9, seed=0, round_no=1) == 0.9
+        behavior = PeerBehavior.badmouther((5,))
+        assert recommendation_value(behavior, 6, 0.9) == 0.9
 
-    def test_badmouther_zero_probability_is_honest(self):
-        behavior = PeerBehavior.badmouther((5,), slander_prob=0.0)
-        assert all(recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=r) == 0.9
-                   for r in range(1, 50))
-
-    @pytest.mark.parametrize("p, want", [(0.0, 0.9), (1.0, 0.0)])
-    def test_certain_outcome_draws_nothing(self, monkeypatch, p, want):
+    def test_lie_draws_nothing(self, monkeypatch):
         def no_draw(*_args):
-            raise AssertionError("a certain outcome seeded a random stream")
+            raise AssertionError("a report seeded a random stream")
 
         monkeypatch.setattr(behaviors, "random", SimpleNamespace(Random=no_draw))
-        behavior = PeerBehavior.badmouther((5,), slander_prob=p)
-        assert recommendation_value(behavior, 1, 5, 0.9, seed=0, round_no=1) == want
-
-    def test_badmouther_partial_probability(self):
-        behavior = PeerBehavior.badmouther((5,), slander_prob=0.5)
-        values = [recommendation_value(behavior, 1, 5, 0.9, seed=3, round_no=r)
-                  for r in range(1, 51)]
-        assert set(values) == {0.0, 0.9}
-        # a lie is keyed on (seed, recommender, subject, round): asking again
-        # in the same round gives the same answer
-        assert values == [recommendation_value(behavior, 1, 5, 0.9, seed=3, round_no=r)
-                          for r in range(1, 51)]
-
-    def test_lies_about_only_a_badmouthers_targets(self):
-        badmouther = PeerBehavior.badmouther((5, 7), slander_prob=0.5)
-        assert [badmouther.lies_about(s) for s in (5, 6, 7)] == [True, False, True]
-        # at slander probability 0 or 1 the answer is certain
-        for p in (0.0, 1.0):
-            assert not PeerBehavior.badmouther((5, 7), slander_prob=p).lies_about(5)
-        for behavior in (PeerBehavior.honest(), PeerBehavior.collab_rotating((1, 5))):
-            assert not behavior.lies_about(5)
+        behavior = PeerBehavior.badmouther((5,))
+        assert recommendation_value(behavior, 5, 0.9) == 0.0
 
     def test_collab_endorses_members(self):
         behavior = PeerBehavior.collab_static((1, 2, 3), designated=1)
-        assert recommendation_value(behavior, 2, 3, 0.1, seed=0, round_no=1) == 1.0
+        assert recommendation_value(behavior, 3, 0.1) == 1.0
 
     def test_collab_honest_about_outsiders(self):
         behavior = PeerBehavior.collab_rotating((1, 2, 3))
-        assert recommendation_value(behavior, 2, 9, 0.42, seed=0, round_no=1) == 0.42
+        assert recommendation_value(behavior, 9, 0.42) == 0.42
 
 
 class TestValidation:
@@ -163,20 +129,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PeerBehavior.collab_rotating(())
 
-    def test_rotation_period_positive(self):
-        with pytest.raises(ValueError):
-            PeerBehavior.collab_rotating((1, 2), period=0)
-
     def test_loss_rate_bounds(self):
         with pytest.raises(ValueError):
             PeerBehavior.honest(loss_rate=1.5)
 
     @pytest.mark.parametrize("base, field, value", [
         (PeerBehavior.honest(), "on_ratio", 7.0),
-        (PeerBehavior.honest(), "slander_prob", math.nan),
-        (PeerBehavior.honest(), "rotation_period", 5),
+        (PeerBehavior.honest(), "target_set", (1,)),
+        (PeerBehavior.badmouther((1,)), "on_ratio", 0.5),
         (PeerBehavior.persistent(), "target_set", (1, 2)),
-        (PeerBehavior.badmouther((1,), 0.5), "group", (1, 2)),
+        (PeerBehavior.badmouther((1,)), "group", (1, 2)),
         (PeerBehavior.onoff(0.5), "designated_polluter", 3),
         (PeerBehavior.collab_rotating((1, 2)), "designated_polluter", 1),
         # only honest and bad-mouthing uploads can be corrupted by loss

@@ -50,23 +50,23 @@ EXPERIMENTS = sorted({exp for exp, _ in GOLDEN_SHA256})
 # config_digest of build_experiment(exp, seed=7, **overrides): pins every
 # builder's defaults and the config each override value produces.
 CONFIG_SHA256 = {
-    ("e1", ()): "0d2d2ca5db0a0646e39382463acfc7dfe7ec623e7bae9841982587fe75dffdfe",
-    ("e2", ()): "e1d82b4b21355ae3fcfa5adce40c14a9aa65a376ca133933ecbb297fe506d04a",
-    ("e3", ()): "9c76c444d0eb9da97a3167521b5b41adcd96e96defb2a15585dcb833dc99fc3d",
-    ("e3", (("policy", "proposed"),)): "9c76c444d0eb9da97a3167521b5b41adcd96e96defb2a15585dcb833dc99fc3d",
-    ("e3", (("policy", "single"),)): "c4318ffa970702adb0eb9f3fd38506a50dd3d1a3c494127584eb6f94f28d2233",
-    ("e3", (("policy", "peertrust"),)): "fdf7d07e79fc1eada4c0ba72b46d9453897882c6916ccfb59a05c819b0910b1b",
-    ("e3", (("loss_rate", 0.04),)): "b459e53d168af18405081ee33d77d6318e239a63503d19375ba9209c37bc8725",
-    ("e4", ()): "b77337cd1a039932aa8d8626f1606283932cffb69cf87380dff9f509bfeb7f9f",
-    ("e4", (("mode", "static"),)): "8829dd94ff381d06af044db2e99ad2c65e27b0212bf188d7a91d9fa3ccc24663",
-    ("e4", (("group_size", 5),)): "81769ab4179d21cf3fb8a7e44919edeb878b4e0ee61fbf109015db3061052756",
-    ("e5", ()): "cbeac129b69e39811fe528e85107e366896955256872e2d99a77cf1ee57939b0",
-    ("e6", ()): "189f7755f542eba27a10654391b1fe16df8cad3d546464b97618255fc132c13b",
-    ("e6", (("policy", "proposed"),)): "189f7755f542eba27a10654391b1fe16df8cad3d546464b97618255fc132c13b",
-    ("e6", (("policy", "single"),)): "13c5d5f77d40c0f18d64a4711c4e566661a966f31f465bcf42acc968f3934f3e",
-    ("e6", (("policy", "peertrust"),)): "c4735f41d75bfefc3db2e4cef99b3acf156ef33e55062db69f31bd17d6b0d621",
-    ("e6", (("malicious_fraction", 0.0),)): "95dc5b9487c50c1b07d4d335d31cd16d5b12a41601bf0af1e7e8aea5eb16dfc9",
-    ("e6", (("malicious_fraction", 0.5),)): "5792155a8fabc33cb1cf347dc6bf30bc5470eeb08fa928399c7c105f40832307",
+    ("e1", ()): "baf1b7068ae430018fba0de4241470041835b57cee75ad4f2b9d2b7a3de37591",
+    ("e2", ()): "7efa9fde58388a7b7177de067e8458d03c0b4a0a03c0939f59ab527809459ddf",
+    ("e3", ()): "554cdd03868bc03fcebd19e5edad36a3a0b387767dec71a15fa34d36760d8d5b",
+    ("e3", (("policy", "proposed"),)): "554cdd03868bc03fcebd19e5edad36a3a0b387767dec71a15fa34d36760d8d5b",
+    ("e3", (("policy", "single"),)): "9f88a0605afdbdfbea28bf6a77473fb175e205747496d2ee6027cbaaec513e44",
+    ("e3", (("policy", "peertrust"),)): "d5c944b5b3b080b9e1b43fc7f9cdabdc701bc529aa6466944f774448d060a9ee",
+    ("e3", (("loss_rate", 0.04),)): "48226af31f10f1f6fd1e0a80ce6f11b04eb2a2ba8db16cc5af37db6f884ed764",
+    ("e4", ()): "591d46e13f3c3b6772849bddf618964006992638cc7450de87f2e867c193e360",
+    ("e4", (("mode", "static"),)): "3ca2eb8c99b3bafb98033e036af10560bf036d93bd415bcdc79e95d27a9aea98",
+    ("e4", (("group_size", 5),)): "eb72b966ca0a7f73cb25bad329120f18a54ac72e93866bd2bec91c2e23937041",
+    ("e5", ()): "08eecfd4391bb9ac013aa102df13e912c5a997ea051075848e98b2c80e4d982e",
+    ("e6", ()): "6135ec39fcd4cfdc9b02e0bb3d2b818d955558e92887a9cb0ef03ecd6bbcbea3",
+    ("e6", (("policy", "proposed"),)): "6135ec39fcd4cfdc9b02e0bb3d2b818d955558e92887a9cb0ef03ecd6bbcbea3",
+    ("e6", (("policy", "single"),)): "8a72d04543f98fa3e1003840d3237a12a054ead5c96f112455ce90e601e70d81",
+    ("e6", (("policy", "peertrust"),)): "a733aa47d298068d20527358af3cc7e53816a54b4239df28629e0342e81562ce",
+    ("e6", (("malicious_fraction", 0.0),)): "187b49309beb06780a5b566984fa191abeb224d6333f4307b9c795f0300dc574",
+    ("e6", (("malicious_fraction", 0.5),)): "6055b86129f3d29c7ba96626101630256d87f788899355c451c17a1c814e6c76",
 }
 
 

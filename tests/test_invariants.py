@@ -21,11 +21,11 @@ from pollushield.scenarios import (
     save_config,
 )
 from test_trust_cache import (
-    differing_keys, fingerprint, liar_world, reports_from_strangers, run_to_end, small_worlds,
+    differing_keys, fingerprint, reports_from_strangers, run_to_end, small_worlds,
 )
 
 READ_CASES = [(exp, seed) for exp in ("e1", "e2", "e4", "e5") for seed in (1, 2, 3)]
-READ_CASES += [("e3", 1), ("e6", 1), ("liar", 7)]
+READ_CASES += [("e3", 1), ("e6", 1)]
 
 
 def observing_every_request(cfg):
@@ -42,13 +42,8 @@ def observing_every_request(cfg):
 @pytest.mark.parametrize("exp, seed", READ_CASES)
 def test_extra_reads_leave_the_run_unchanged(exp, seed):
     """Observing every requester -> candidate pair as well changes neither
-    the summary nor the trajectories of the pairs observed anyway. The
-    liar case has a bad-mouther with slander probability 0.5, whose lies
-    are keyed on the round rather than drawn per enquiry."""
-    if exp == "liar":
-        cfg = liar_world(rounds=30, seed=seed, theta_p=0.3, theta_g=0.9)
-    else:
-        cfg = build_experiment(exp, seed=seed)
+    the summary nor the trajectories of the pairs observed anyway."""
+    cfg = build_experiment(exp, seed=seed)
     base = run_scenario(cfg)
     read_more = run_scenario(observing_every_request(cfg))
     assert read_more.summary == base.summary
@@ -78,12 +73,11 @@ SPLIT_CASES = [
     (build_experiment("e5"), 10),  # the warmup boundary
     (build_experiment("e5"), 25),
     (build_experiment("e3", seed=2, loss_rate=0.06), 22),  # every entry decays
-    (liar_world(30, seed=7, theta_p=0.3, theta_g=0.9), 15),
 ]
 
 
 @pytest.mark.parametrize("cfg, first", SPLIT_CASES,
-                         ids=["e1", "e4", "e5_warmup", "e5_mid", "e3", "liar"])
+                         ids=["e1", "e4", "e5_warmup", "e5_mid", "e3"])
 def test_advancing_in_steps_equals_advancing_at_once(cfg, first):
     """A run carries all its state between rounds: stopping after `first`
     rounds and going on changes nothing a run leaves behind."""

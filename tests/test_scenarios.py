@@ -252,12 +252,12 @@ class TestConfigFiles:
         [
             (("seed",), 1.5),
             (("rounds",), True),
-            (("warmup_budget",), "5"),
+            (("warmup_rounds",), "5"),
             (("params", "theta_p"), "0.5"),
             (("behavior_mix", 0, 0, "kind"), "bogus"),
             (("policy",), {"kind": "proposed", "theta": None}),
         ],
-        ids=["seed_float", "rounds_bool", "warmup_budget_str", "theta_p_str", "kind_bogus",
+        ids=["seed_float", "rounds_bool", "warmup_rounds_str", "theta_p_str", "kind_bogus",
              "policy_leftover"],
     )
     def test_wrong_type_or_unknown_value_rejected(self, path, value):
@@ -283,7 +283,6 @@ def tiny_config(**kwargs):
         params=params,
         candidate_map=((0, (1, 2), 1),),
         observed_pairs=((0, 1),),
-        detection_threshold=0.5,
         measure_from=0,
     )
     defaults.update(kwargs)
@@ -312,10 +311,6 @@ class TestValidation:
     def test_warmup_must_fit(self):
         with pytest.raises(ValueError, match="warmup_rounds"):
             tiny_config(warmup_rounds=20).validate()
-
-    def test_negative_warmup_budget_rejected(self):
-        with pytest.raises(ValueError, match="^warmup_budget must be non-negative"):
-            replace(build_experiment("e5"), warmup_budget=-5)
 
     def test_candidate_self_reference_rejected(self):
         with pytest.raises(ValueError, match="candidate"):
@@ -366,15 +361,6 @@ class TestValidation:
     def test_malformed_candidate_map_entry_named(self, entry, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             replace(build_experiment("e2"), candidate_map=(entry,))
-
-    @pytest.mark.parametrize("value", [math.nan, 7.0, -0.1, math.inf])
-    def test_detection_threshold_out_of_range_rejected(self, value):
-        with pytest.raises(ValueError, match="detection_threshold"):
-            tiny_config(detection_threshold=value).validate()
-
-    @pytest.mark.parametrize("value", [0.0, 1.0])
-    def test_detection_threshold_bounds_accepted(self, value):
-        tiny_config(detection_threshold=value).validate()
 
     @pytest.mark.parametrize("name", ["", "../escaped", "sub/dir", "a\\b", "a\0b"])
     def test_name_must_be_file_stem(self, name):
@@ -457,7 +443,7 @@ class TestRunScenario:
             BehaviorKind.HONEST: PeerBehavior.honest(),
             BehaviorKind.PERSISTENT: PeerBehavior.persistent(),
             BehaviorKind.ONOFF: PeerBehavior.onoff(0.5),
-            BehaviorKind.BADMOUTH: PeerBehavior.badmouther((0,), slander_prob=0.5),
+            BehaviorKind.BADMOUTH: PeerBehavior.badmouther((0,)),
             # peers 4 and 5 are members off duty: their round-1 uploads are clean
             BehaviorKind.COLLAB_STATIC: PeerBehavior.collab_static((4, 6), designated=6),
             BehaviorKind.COLLAB_ROTATING: PeerBehavior.collab_rotating((5, 7)),

@@ -134,7 +134,7 @@ def oracle_query_indirect(world, observer, subject) -> Optional[float]:
         rec = world.peers[k]
         kst = oracle_apply_decay(rec.trust_table.get(subject, EMPTY_STATE), now, rec.params)
         honest = oracle_direct_trust(kst, rec.params)
-        value = recommendation_value(rec.behavior, k, subject, honest, world.seed, now)
+        value = recommendation_value(rec.behavior, subject, honest)
         recommendations.append((cred, value))
     return indirect_trust(recommendations)
 
@@ -167,7 +167,7 @@ def reference_select_providers(world, requester, candidates):
     ranked = []
     for pid, comp in zip(candidates, sim_engine.score_candidates(world, requester, candidates)):
         t = comp.combined
-        if t < world.detection_threshold and pid not in world.detections:
+        if t < sim_engine.DETECTION_THRESHOLD and pid not in world.detections:
             world.detections[pid] = world.round
         ranked.append((-t, pid))
     ranked.sort()
@@ -266,9 +266,7 @@ def small_worlds(draw):
         elif kind == "badmouth":
             others = [x for x in ids if x != pid]
             targets = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
-            b = PeerBehavior.badmouther(
-                targets, slander_prob=draw(st.floats(0.05, 0.95)),
-                loss_rate=draw(st.sampled_from([0.0, 0.2])))
+            b = PeerBehavior.badmouther(targets, loss_rate=draw(st.sampled_from([0.0, 0.2])))
         elif rotating:
             b = PeerBehavior.collab_rotating(group)
         else:
@@ -317,8 +315,6 @@ def small_worlds(draw):
         observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
         candidate_map=cand_map,
         warmup_rounds=draw(st.integers(0, rounds - 1)),
-        warmup_budget=draw(st.integers(0, 3)),
-        detection_threshold=draw(st.sampled_from([0.0, 0.5, 0.9])),
         measure_from=draw(st.integers(0, rounds - 1)),
         ads_per_round=draw(st.one_of(st.none(), st.integers(1, 3))),
     )
@@ -732,9 +728,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
 
 
 def test_badmouthing_work_counts(monkeypatch):
-    """e1 seed 1: eight bad-mouthers slander the subject at slander
-    probability 1.0. That lie is certain, so `lies_about` is false and the
-    liars keep their reports like any other peer. Each of the 10 recommenders
+    """e1 seed 1: eight bad-mouthers slander the subject. A lie does not
+    move with the round, so the liars keep their reports like any other
+    peer. Each of the 10 recommenders
     receives from the subject in every round, which drops its report;
     observer 0's observation then asks all 10 again, and observer 1's
     observation and the next round's selections read the kept ones. Round 1's
@@ -883,7 +879,7 @@ def test_zero_reports_sum_to_the_oracles_positive_zero(n_recommenders):
     world.add_peer(0, PeerBehavior.honest(), params)
     world.add_peer(1, PeerBehavior.honest(), params)
     recommenders = range(2, 2 + n_recommenders)
-    liar = PeerBehavior.badmouther((1,), slander_prob=1.0)
+    liar = PeerBehavior.badmouther((1,))
     for k in recommenders:
         if k % 2:
             world.add_peer(k, liar, params)
@@ -963,63 +959,3 @@ def test_kept_reports_come_from_received_subjects(exp, overrides):
     _, world = run_to_end(build_experiment(exp, seed=1, **overrides))
     assert any(rec.reports for rec in world.peers.values())
     assert reports_from_strangers(world) == []
-
-
-def liar_world(rounds, seed, theta_p=0.0, theta_g=0.0):
-    """Three observers receive from a bad-mouther (slander probability 0.5)
-    and from its target 4, and the bad-mouther 3 receives from the target;
-    observers 0 and 1 watch the target."""
-    liar, target = 3, 4
-    observers = (0, 1, 2)
-    return ScenarioConfig(
-        name="liar",
-        rounds=rounds,
-        seed=seed,
-        behavior_mix=(
-            (PeerBehavior.honest(), 3),
-            (PeerBehavior.badmouther((target,), slander_prob=0.5), 1),
-            (PeerBehavior.honest(), 1),
-        ),
-        params=TrustParams(cf_model=CFModel.CFDA, dt_model=DTModel.PDTM,
-                           theta_p=theta_p, theta_g=theta_g),
-        observed_pairs=((0, target), (1, target)),
-        candidate_map=tuple((rid, (liar, target), 2) for rid in observers)
-        + ((liar, (target,), 1),),
-    )
-
-
-def test_memo_and_oracle_give_the_same_lies(monkeypatch):
-    """The three observers ask the bad-mouther about its target in every
-    selection after round 1, two of them also in every observation. A lie
-    is keyed on the round, so the liar keeps none of these reports, and
-    the unmemoised oracle asks the liar afresh at every enquiry. Both hear
-    the same reports in the same rounds; in each round the liar either lies
-    to every enquirer or to none (its honest value may change within the
-    round, when it receives from the target); it both lies and tells the
-    truth over the run; and the runs match."""
-    liar, target = 3, 4
-    cfg = liar_world(8, seed=7)
-
-    def spying(heard, fn):
-        def spy(behavior, recommender, subject, honest, seed, round_no):
-            value = fn(behavior, recommender, subject, honest, seed, round_no)
-            if (recommender, subject) == (liar, target):
-                heard.setdefault(round_no, set()).add(value)
-            return value
-        return spy
-
-    memo_heard, oracle_heard = {}, {}
-    monkeypatch.setattr(sim_engine, "recommendation_value",
-                        spying(memo_heard, recommendation_value))
-    report, world = run_to_end(cfg)
-    monkeypatch.setitem(globals(), "recommendation_value",
-                        spying(oracle_heard, recommendation_value))
-    oracle = run_with_oracle(cfg)
-    monkeypatch.undo()
-    assert memo_heard == oracle_heard
-    lied = [0.0 in values for values in oracle_heard.values()]
-    assert all(values == {0.0} for values in oracle_heard.values() if 0.0 in values)
-    assert any(lied) and not all(lied)
-    # the liar is observer 0's only recommender about the target
-    assert {row[2] for row in report.trajectories[(0, 4)]} > {0.0}
-    assert differing_keys(fingerprint(report, world), fingerprint(*oracle)) == []

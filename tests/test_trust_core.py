@@ -121,7 +121,7 @@ class TestModelTruthTable:
 
 @pytest.mark.parametrize("fn", [
     direct_trust, confidence_factor, decays, record_delivery,
-    upload_quality, recommendation_value, PeerBehavior.lies_about,
+    upload_quality, recommendation_value,
 ])
 def test_hot_functions_bind_enum_members_once(fn):
     """Trust reads, kept-view fills, deliveries and reports compare against
@@ -408,8 +408,7 @@ class TestRecord:
             "k_providers=5, k_recommenders=5, cold_start_trust=0.5)")
         assert repr(PeerBehavior.onoff(0.2)) == (
             "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, loss_rate=0.0, on_ratio=0.2, "
-            "target_set=(), slander_prob=0.0, group=(), designated_polluter=None, "
-            "rotation_period=1)")
+            "target_set=(), group=(), designated_polluter=None)")
 
     def test_equal_records_hash_equal(self):
         assert TrustParams(chi=0.2) == TrustParams(chi=0.2) != TrustParams()
