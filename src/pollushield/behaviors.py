@@ -1,15 +1,15 @@
 """Peer strategies: honest uploaders and the four attacker archetypes.
 
 A behavior decides two things about its owner: the quality of each chunk it
-uploads, and the recommendation value it reports when asked about another
-peer. Uploads are pure given the caller-supplied random stream and reports
-draw nothing, so identical seeds replay identical attack traces.
+uploads before the network touches it, and the recommendation value it
+reports when asked about another peer. Neither draws anything, so identical
+seeds replay identical attack traces; network loss is the world's, drawn
+from each uploader's own stream.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -21,7 +21,7 @@ class BehaviorKind(Enum):
     PERSISTENT = "persistent"           # every upload polluted
     ONOFF = "onoff"                     # periodic pollution, clean chunks first
     BADMOUTH = "badmouth"               # uploads honestly, reports 0.0 about targets
-    COLLAB_STATIC = "collab_static"     # fixed polluter, accomplices endorse
+    COLLAB_STATIC = "collab_static"     # lowest member pollutes, accomplices endorse
     COLLAB_ROTATING = "collab_rotating" # polluter duty passes to the next member each round
 
 
@@ -32,21 +32,16 @@ _BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
 LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
 # the kinds that read each kind-specific field; any other kind leaves it at its default
-_READERS = {"loss_rate": LOSSY_KINDS, "on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,),
-            "group": _COLLAB, "designated_polluter": (_COLLAB_STATIC,)}
+_READERS = {"on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,), "group": _COLLAB}
 
 
 class PeerBehavior(Record):
     kind: BehaviorKind
-    loss_rate: float = 0.0              # LOSSY_KINDS: network corruption of uploads
     on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
     target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander
     group: Tuple[int, ...] = ()         # COLLAB_*: sorted member ids
-    designated_polluter: Optional[int] = None  # COLLAB_STATIC only
 
     def validate(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must lie in [0, 1]")
         for name in self._fields:
             readers = _READERS.get(name, (self.kind,))
             if self.kind not in readers and getattr(self, name) != getattr(PeerBehavior, name):
@@ -62,15 +57,12 @@ class PeerBehavior(Record):
                 raise ValueError("collusion group must be non-empty")
             if tuple(sorted(self.group)) != self.group:
                 raise ValueError("collusion group must be sorted")
-        if self.kind is BehaviorKind.COLLAB_STATIC:
-            if self.designated_polluter not in self.group:
-                raise ValueError("designated polluter must belong to the group")
 
     # --- constructors ---
 
     @classmethod
-    def honest(cls, loss_rate: float = 0.0) -> "PeerBehavior":
-        return cls(kind=BehaviorKind.HONEST, loss_rate=loss_rate)
+    def honest(cls) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.HONEST)
 
     @classmethod
     def persistent(cls) -> "PeerBehavior":
@@ -81,17 +73,12 @@ class PeerBehavior(Record):
         return cls(kind=BehaviorKind.ONOFF, on_ratio=on_ratio)
 
     @classmethod
-    def badmouther(cls, targets: Tuple[int, ...], loss_rate: float = 0.0) -> "PeerBehavior":
-        return cls(kind=BehaviorKind.BADMOUTH, target_set=tuple(sorted(targets)),
-                   loss_rate=loss_rate)
+    def badmouther(cls, targets: Tuple[int, ...]) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.BADMOUTH, target_set=tuple(sorted(targets)))
 
     @classmethod
-    def collab_static(cls, group: Tuple[int, ...], designated: int) -> "PeerBehavior":
-        return cls(
-            kind=BehaviorKind.COLLAB_STATIC,
-            group=tuple(sorted(group)),
-            designated_polluter=designated,
-        )
+    def collab_static(cls, group: Tuple[int, ...]) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.COLLAB_STATIC, group=tuple(sorted(group)))
 
     @classmethod
     def collab_rotating(cls, group: Tuple[int, ...]) -> "PeerBehavior":
@@ -115,20 +102,19 @@ def upload_quality(
     uploader: int,
     round_no: int,
     interaction_index: int,
-    rng: random.Random,
 ) -> ChunkQuality:
-    """Quality of one upload from `uploader` to a single requesting peer.
+    """Quality of one upload from `uploader` to a single requesting peer,
+    as sent, before network loss.
 
     `interaction_index` counts this uploader's prior deliveries to that peer
     (starting at 0), so on-off cycles run independently per victim. Cycles
     are off-first: the clean chunks of a cycle precede its polluted one.
-    Honest uploads are corrupted with probability loss_rate; the receiver
-    cannot tell loss corruption from malice and records it as polluted.
+    Honest and bad-mouthing uploads are clean; loss may corrupt them on the
+    way (`sim_engine.run_round`), and the receiver, unable to tell loss
+    from malice, records such a chunk as polluted.
     """
     kind = behavior.kind
     if kind in LOSSY_KINDS:
-        if behavior.loss_rate > 0.0 and rng.random() < behavior.loss_rate:
-            return _POLLUTED
         return _CLEAN
     if kind is _PERSISTENT:
         return _POLLUTED
@@ -137,13 +123,10 @@ def upload_quality(
         if interaction_index % cycle == cycle - 1:
             return _POLLUTED
         return _CLEAN
-    if kind is _COLLAB_STATIC:
-        if uploader == behavior.designated_polluter:
-            return _POLLUTED
-        return _CLEAN
-    # COLLAB_ROTATING: member on duty this round pollutes all its uploads
+    # a colluder on duty pollutes all its uploads: a static group's lowest
+    # member, or a rotating group's member of this round
     group = behavior.group
-    if group[round_no % len(group)] == uploader:
+    if uploader == (group[0] if kind is _COLLAB_STATIC else group[round_no % len(group)]):
         return _POLLUTED
     return _CLEAN
 

@@ -39,7 +39,8 @@ class ScenarioConfig(Record):
     behavior_mix: Tuple[Tuple[PeerBehavior, int], ...]
     params: TrustParams
     param_overrides: Tuple[Tuple[int, TrustParams], ...] = ()
-    loss_rate_range: Optional[Tuple[float, float]] = None
+    # each LOSSY_KINDS peer's loss rate, drawn uniformly from [lo, hi]
+    loss_rate_range: Tuple[float, float] = (0.0, 0.0)
     observed_pairs: Tuple[Tuple[int, int], ...] = ()
     # (requester, candidates, chunks it takes per round): the peers with an
     # entry are the requesters
@@ -89,10 +90,9 @@ class ScenarioConfig(Record):
         for pid, _ in self.param_overrides:
             if pid not in ids:
                 raise ValueError(f"param override references unknown peer {pid}")
-        if self.loss_rate_range is not None:
-            lo, hi = self.loss_rate_range
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
+        lo, hi = self.loss_rate_range
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
         if not 0 <= self.warmup_rounds < self.rounds:
             raise ValueError("warmup_rounds must lie in [0, rounds)")
         if not 0 <= self.measure_from < self.rounds:
@@ -121,10 +121,6 @@ class ScenarioConfig(Record):
                 strays = [pid for pid in getattr(b, name) if pid not in ids]
                 if strays:
                     raise ValueError(f"behavior_mix {name} names non-peers {strays}")
-            # build_world replaces a loss rate with a draw when loss_rate_range is set
-            if b.loss_rate and self.loss_rate_range is not None:
-                raise ValueError(f"behavior_mix loss_rate {b.loss_rate} is ignored: "
-                                 "loss_rate_range replaces it")
             if b.group:
                 carriers.setdefault(b.group, []).extend(range(start, end))
         for group, pids in carriers.items():
@@ -354,6 +350,12 @@ def _admission_params(policy: str, params: TrustParams, single_theta: float) -> 
     raise ValueError(f"unknown policy {policy!r}")
 
 
+def _check_past_warmup(rounds: int, warmup: int) -> None:
+    if rounds <= warmup:
+        raise ValueError(f"rounds must be >= {warmup + 1} ({warmup} warmup rounds + 1), "
+                         f"got {rounds}")
+
+
 def _population_config(
     name: str,
     seed: int,
@@ -366,9 +368,7 @@ def _population_config(
     """A lossy population with one behaviour per peer id, in id order. The
     first 150 honest peers request, each from 10 sampled candidates; the
     first _POP_WARMUP rounds are warmup."""
-    if rounds <= _POP_WARMUP:
-        raise ValueError(f"rounds must be >= {_POP_WARMUP + 1} "
-                         f"({_POP_WARMUP} warmup rounds + 1), got {rounds}")
+    _check_past_warmup(rounds, _POP_WARMUP)
     requesters = tuple(
         [pid for pid, b in enumerate(behaviors) if b.kind is BehaviorKind.HONEST][:150]
     )
@@ -399,6 +399,8 @@ def build_e3(
     rate applies identically to every honest upload; sweep it to compare
     how each policy treats good peers with degraded records.
     """
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError("loss_rate must lie in [0, 1]")
     # Loss-sweep tuning: slow forgetting keeps honest evidence deep; the
     # forgiving rate is set so light loss leaves honest trust above the
     # unconditional-accept threshold while sustained loss pulls it through
@@ -442,7 +444,7 @@ def build_e4(
         behavior = PeerBehavior.collab_rotating(members)
         observed = ((0, members[0]),)
     else:
-        behavior = PeerBehavior.collab_static(members, designated=members[0])
+        behavior = PeerBehavior.collab_static(members)
         observed = ((0, members[0]), (0, members[1]))
     params = TrustParams(
         theta_p=0.0,
@@ -477,7 +479,8 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     advertisement subsets spread demand across providers in proportion to
     their local trust ranking.
     """
-    n_honest_prov, n_persistent, n_onoff, n_req = 60, 20, 20, 30
+    n_honest_prov, n_persistent, n_onoff, n_req, warmup = 60, 20, 20, 30, 10
+    _check_past_warmup(rounds, warmup)
     providers = tuple(range(100))
     reqs = tuple(range(100, 100 + n_req))
     newcomer = 100 + n_req
@@ -510,8 +513,8 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
         loss_rate_range=(0.0, 0.08),
         observed_pairs=tuple((newcomer, p) for p in providers),
         candidate_map=tuple(cand_map),
-        warmup_rounds=10,
-        measure_from=10,
+        warmup_rounds=warmup,
+        measure_from=warmup,
         ads_per_round=6,
     )
 
@@ -604,12 +607,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     for behavior, count in cfg.behavior_mix:
         behaviors.extend([behavior] * count)
     loss_rng = random.Random(f"{cfg.seed}:loss")
-    if cfg.loss_rate_range is not None:
-        lo, hi = cfg.loss_rate_range
-        behaviors = [
-            replace(b, loss_rate=loss_rng.uniform(lo, hi)) if b.kind in LOSSY_KINDS else b
-            for b in behaviors
-        ]
+    lo, hi = cfg.loss_rate_range
     overrides = dict(cfg.param_overrides)
     requests = {pid: (cands, budget) for pid, cands, budget in cfg.candidate_map}
     for pid, behavior in enumerate(behaviors):
@@ -620,6 +618,7 @@ def build_world(cfg: ScenarioConfig) -> World:
             overrides.get(pid, cfg.params),
             budget=budget,
             candidates=candidates,
+            loss_rate=loss_rng.uniform(lo, hi) if behavior.kind in LOSSY_KINDS else 0.0,
         )
     return world
 

@@ -75,7 +75,7 @@ import random
 from bisect import insort
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .behaviors import PeerBehavior, recommendation_value, upload_quality
+from .behaviors import LOSSY_KINDS, PeerBehavior, recommendation_value, upload_quality
 from .trust_core import (
     EMPTY_STATE,
     ChunkQuality,
@@ -134,8 +134,8 @@ class RoundMemo:
 
 
 class PeerRecord:
-    """One peer: strategy, parameters, its private trust table, and the
-    values its trust reads keep.
+    """One peer: strategy, parameters, loss rate, its private trust table,
+    and the values its trust reads keep.
 
     `views[b]` holds its components of b with no report on b (cold-start
     trust as the indirect value), and `reports[s]` what it reports about s,
@@ -152,6 +152,7 @@ class PeerRecord:
     __slots__ = (
         "behavior",
         "params",
+        "loss_rate",
         "rng",
         "budget",
         "candidates",
@@ -166,6 +167,7 @@ class PeerRecord:
         self,
         behavior: PeerBehavior,
         params: TrustParams,
+        loss_rate: float,
         rng: random.Random,
         budget: int,
         candidates: Sequence[int],
@@ -173,6 +175,7 @@ class PeerRecord:
     ) -> None:
         self.behavior = behavior
         self.params = params
+        self.loss_rate = loss_rate
         self.rng = rng
         self.budget = budget
         self.candidates: Tuple[int, ...] = tuple(candidates)
@@ -217,10 +220,20 @@ class World:
         params: TrustParams,
         budget: int = 1,
         candidates: Sequence[int] = (),
+        loss_rate: float = 0.0,
     ) -> PeerRecord:
-        """Add peer `pid`; it requests, in id order, exactly when it has candidates."""
+        """Add peer `pid`; it requests, in id order, exactly when it has
+        candidates. Loss corrupts each of its uploads with probability
+        `loss_rate`, drawn from its own stream, so only `LOSSY_KINDS` take one."""
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
+        if budget < 1:
+            raise ValueError(f"peer {pid} has request budget {budget}, expected >= 1")
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError("loss_rate must lie in [0, 1]")
+        if loss_rate and behavior.kind not in LOSSY_KINDS:
+            kinds = " or ".join(k.value for k in LOSSY_KINDS)
+            raise ValueError(f"loss_rate is read only by kind {kinds}, not {behavior.kind.value}")
         if pid in candidates:
             raise ValueError(f"peer {pid} lists itself as a candidate")
         if len(set(candidates)) < len(candidates):
@@ -229,7 +242,7 @@ class World:
         held = self.memos.get(id(params))
         if held is None:
             held = self.memos[id(params)] = (params, RoundMemo())
-        rec = PeerRecord(behavior, params, rng, budget, candidates, held[1])
+        rec = PeerRecord(behavior, params, loss_rate, rng, budget, candidates, held[1])
         self.peers[pid] = rec
         if rec.candidates:
             insort(self.requesters, pid)
@@ -505,7 +518,9 @@ def run_round(world: World) -> None:
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
-            quality = upload_quality(provider.behavior, pid, r, idx, provider.rng)
+            quality = upload_quality(provider.behavior, pid, r, idx)
+            if provider.loss_rate and provider.rng.random() < provider.loss_rate:
+                quality = ChunkQuality.POLLUTED  # the requester cannot tell loss from malice
             req.delivery_index[pid] = idx + 1
             key = (req.trust_table.get(pid, EMPTY_STATE), quality)
             state = delivered.get(key)

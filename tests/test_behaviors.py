@@ -1,21 +1,29 @@
-import random
-from pollushield import replace
-from types import SimpleNamespace
+import inspect
 
 import pytest
 
-from pollushield import behaviors
-from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
-from pollushield.trust_core import ChunkQuality
+from pollushield import behaviors, replace
+from pollushield.behaviors import PeerBehavior, _READERS, recommendation_value, upload_quality
+from pollushield.sim_engine import World, run_round
+from pollushield.trust_core import ChunkQuality, TrustParams
 
 CLEAN, POLLUTED = ChunkQuality.CLEAN, ChunkQuality.POLLUTED
 
 
-def qualities(behavior, uploader, n, rng=None, round_of=lambda i: i):
-    rng = rng or random.Random(0)
-    return [
-        upload_quality(behavior, uploader, round_of(i), i, rng) for i in range(n)
-    ]
+def qualities(behavior, uploader, n, round_of=lambda i: i):
+    return [upload_quality(behavior, uploader, round_of(i), i) for i in range(n)]
+
+
+def delivered(behavior, loss_rate, rounds, seed=1):
+    """The qualities peer 0 receives from peer 1, which has `behavior` and
+    `loss_rate`, over `rounds` rounds of forced transactions."""
+    params = TrustParams(theta_p=0.0, theta_g=0.0)
+    world = World(seed)
+    world.add_peer(0, PeerBehavior.honest(), params, candidates=(1,))
+    world.add_peer(1, behavior, params, loss_rate=loss_rate)
+    for _ in range(rounds):
+        run_round(world)
+    return [ev.quality for ev in world.event_log]
 
 
 class TestUploadQuality:
@@ -35,7 +43,8 @@ class TestUploadQuality:
         assert qualities(PeerBehavior.honest(), 7, 20) == [CLEAN] * 20
 
     def test_honest_total_loss_always_polluted(self):
-        assert qualities(PeerBehavior.honest(loss_rate=1.0), 7, 5) == [POLLUTED] * 5
+        # loss is the world's: an honest upload, clean as sent, arrives polluted
+        assert delivered(PeerBehavior.honest(), 1.0, 5) == [POLLUTED] * 5
 
     def test_badmouther_uploads_honestly(self):
         behavior = PeerBehavior.badmouther((3,))
@@ -53,19 +62,19 @@ class TestUploadQuality:
             assert got.count(POLLUTED) / 1000 == pytest.approx(ratio)
 
     def test_collab_static_designated_only(self):
-        behavior = PeerBehavior.collab_static((1, 2, 3), designated=2)
-        assert qualities(behavior, 2, 5) == [POLLUTED] * 5
-        assert qualities(behavior, 1, 5) == [CLEAN] * 5
+        # the group's lowest member pollutes, whatever order it is given in
+        behavior = PeerBehavior.collab_static((3, 1, 2))
+        assert qualities(behavior, 1, 5) == [POLLUTED] * 5
+        assert qualities(behavior, 2, 5) == [CLEAN] * 5
         assert qualities(behavior, 3, 5) == [CLEAN] * 5
 
     def test_collab_rotating_round_robin(self):
         group = (4, 5, 6)
         behavior = PeerBehavior.collab_rotating(group)
-        rng = random.Random(0)
         for round_no in range(9):
             duty = group[round_no % 3]
             for member in group:
-                q = upload_quality(behavior, member, round_no, 0, rng)
+                q = upload_quality(behavior, member, round_no, 0)
                 assert q == (POLLUTED if member == duty else CLEAN)
 
     def test_collab_rotating_member_fraction(self):
@@ -75,10 +84,10 @@ class TestUploadQuality:
         assert got.count(POLLUTED) / 200 == pytest.approx(1 / len(group))
 
     def test_deterministic_replay(self):
-        behavior = PeerBehavior.honest(loss_rate=0.4)
-        a = qualities(behavior, 7, 100, rng=random.Random("replay"))
-        b = qualities(behavior, 7, 100, rng=random.Random("replay"))
-        assert a == b
+        # loss draws from the uploader's own stream, seeded by the world's seed
+        a = delivered(PeerBehavior.honest(), 0.4, 100, seed=5)
+        assert a == delivered(PeerBehavior.honest(), 0.4, 100, seed=5)
+        assert CLEAN in a and POLLUTED in a
 
 
 class TestRecommendationValue:
@@ -94,16 +103,17 @@ class TestRecommendationValue:
         behavior = PeerBehavior.badmouther((5,))
         assert recommendation_value(behavior, 6, 0.9) == 0.9
 
-    def test_lie_draws_nothing(self, monkeypatch):
-        def no_draw(*_args):
-            raise AssertionError("a report seeded a random stream")
-
-        monkeypatch.setattr(behaviors, "random", SimpleNamespace(Random=no_draw))
-        behavior = PeerBehavior.badmouther((5,))
-        assert recommendation_value(behavior, 5, 0.9) == 0.0
+    def test_lie_draws_nothing(self):
+        # neither an upload nor a report takes a stream, and the module has none
+        assert not hasattr(behaviors, "random")
+        assert list(inspect.signature(upload_quality).parameters) == [
+            "behavior", "uploader", "round_no", "interaction_index"]
+        assert list(inspect.signature(recommendation_value).parameters) == [
+            "behavior", "subject", "honest_value"]
+        assert recommendation_value(PeerBehavior.badmouther((5,)), 5, 0.9) == 0.0
 
     def test_collab_endorses_members(self):
-        behavior = PeerBehavior.collab_static((1, 2, 3), designated=1)
+        behavior = PeerBehavior.collab_static((1, 2, 3))
         assert recommendation_value(behavior, 3, 0.1) == 1.0
 
     def test_collab_honest_about_outsiders(self):
@@ -121,17 +131,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             PeerBehavior.onoff(1e-320)
 
-    def test_static_designated_must_be_member(self):
-        with pytest.raises(ValueError):
-            PeerBehavior.collab_static((1, 2), designated=9)
-
     def test_group_must_be_non_empty(self):
         with pytest.raises(ValueError):
             PeerBehavior.collab_rotating(())
 
     def test_loss_rate_bounds(self):
-        with pytest.raises(ValueError):
-            PeerBehavior.honest(loss_rate=1.5)
+        # a peer's loss rate is the world's, checked where the world takes it
+        world = World(seed=1)
+        for rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^loss_rate must lie in \[0, 1\]$"):
+                world.add_peer(0, PeerBehavior.honest(), TrustParams(), loss_rate=rate)
+        assert world.peers == {}
 
     @pytest.mark.parametrize("base, field, value", [
         (PeerBehavior.honest(), "on_ratio", 7.0),
@@ -139,18 +149,26 @@ class TestValidation:
         (PeerBehavior.badmouther((1,)), "on_ratio", 0.5),
         (PeerBehavior.persistent(), "target_set", (1, 2)),
         (PeerBehavior.badmouther((1,)), "group", (1, 2)),
-        (PeerBehavior.onoff(0.5), "designated_polluter", 3),
-        (PeerBehavior.collab_rotating((1, 2)), "designated_polluter", 1),
-        # only honest and bad-mouthing uploads can be corrupted by loss
+        (PeerBehavior.onoff(0.5), "group", (1, 2)),
+        (PeerBehavior.collab_rotating((1, 2)), "on_ratio", 0.5),
+        # only honest and bad-mouthing uploads can be corrupted by loss, a
+        # rate the world takes per peer
         (PeerBehavior.persistent(), "loss_rate", 0.3),
         (PeerBehavior.onoff(0.5), "loss_rate", 0.3),
-        (PeerBehavior.collab_static((1, 2), designated=1), "loss_rate", 0.3),
+        (PeerBehavior.collab_static((1, 2)), "loss_rate", 0.3),
         (PeerBehavior.collab_rotating((1, 2)), "loss_rate", 0.3),
     ])
     def test_field_its_kind_never_reads_rejected(self, base, field, value):
         # every builder sets only its own kind's fields, so none of these was ever read
         with pytest.raises(ValueError, match=f"^{field} is read only .*, not {base.kind.value}$"):
-            replace(base, **{field: value})
+            if field == "loss_rate":
+                World(seed=1).add_peer(0, base, TrustParams(), loss_rate=value)
+            else:
+                replace(base, **{field: value})
+
+    def test_every_kind_specific_field_has_readers(self):
+        # validate reads a field missing from _READERS as read by every kind
+        assert set(_READERS) == set(PeerBehavior._fields) - {"kind"}
 
     def test_labels(self):
         assert PeerBehavior.onoff(0.2).label == "onoff(0.2)"

@@ -134,6 +134,36 @@ class TestRunCommand:
         assert f"{message}: ['{key}']" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cfg, where, key, value, message", [
+        # e5 draws its honest providers' rates from loss_rate_range
+        (build_experiment("e5"), ("behavior_mix", 0, 0), "loss_rate", 0.9,
+         "unknown config.behavior_mix[0][0] fields: ['loss_rate']"),
+        # an on-off peer's uploads are never lossy
+        (build_experiment("e2"), ("behavior_mix", 1, 0), "loss_rate", 0.3,
+         "unknown config.behavior_mix[1][0] fields: ['loss_rate']"),
+        (build_experiment("e4", mode="static"), ("behavior_mix", 1, 0), "designated_polluter", 1,
+         "unknown config.behavior_mix[1][0] fields: ['designated_polluter']"),
+        (build_experiment("e2"), (), "loss_rate_range", None,
+         "config.loss_rate_range: expected a list, got None"),
+    ], ids=["ignored_loss_rate", "loss_rate_the_kind_never_reads", "designated_polluter",
+            "null_loss_rate_range"])
+    def test_pre_0_6_0_scenario_rejected(self, tmp_path, capsys, cfg, where, key, value,
+                                         message):
+        # format 0.6.0 states loss only as loss_rate_range, [0, 0] for none,
+        # and a static group's polluter is its lowest member
+        d = config_to_dict(cfg)
+        target = d
+        for step in where:
+            target = target[step]
+        target[key] = value
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5", "null"])
     def test_bad_detection_threshold_rejected(self, tmp_path, capsys, value):
         # detection_threshold is no longer a field, so a file holding any
@@ -245,19 +275,6 @@ class TestRunCommand:
         assert f"behavior_mix {field} names non-peers {strays}" in err
         assert "Traceback" not in err
 
-    def test_ignored_loss_rate_rejected(self, tmp_path, capsys):
-        # e5 draws its honest providers' loss rates from loss_rate_range
-        d = config_to_dict(build_experiment("e5"))
-        d["behavior_mix"][0][0]["loss_rate"] = 0.9
-        path = tmp_path / "lossy.cfg"
-        path.write_text(json.dumps(d))
-        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "behavior_mix loss_rate 0.9 is ignored" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.glob("*.csv"))
-
     def test_field_the_kind_never_reads_rejected(self, tmp_path, capsys):
         # an honest peer never reads on_ratio: the file would run as plain honest
         d = config_to_dict(build_experiment("e2"))
@@ -268,19 +285,6 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "on_ratio is read only by kind onoff, not honest" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_loss_rate_the_kind_never_reads_rejected(self, tmp_path, capsys):
-        # an on-off peer's uploads are never lossy: the rate would be ignored
-        d = config_to_dict(build_experiment("e2"))
-        d["behavior_mix"][1][0]["loss_rate"] = 0.3
-        path = tmp_path / "lossy.cfg"
-        path.write_text(json.dumps(d))
-        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "loss_rate is read only by kind honest or badmouth, not onoff" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
@@ -395,6 +399,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "rounds must be positive" in err
         assert ("e2.cfg" in err) == ("--scenario" in target)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "e5", "--rounds", "10"],
+         "rounds must be >= 11 (10 warmup rounds + 1), got 10"),
+        (["--experiment", "e3", "--sweep", "loss_rate=0,1.5"], "loss_rate must lie in [0, 1]"),
+    ], ids=["e5_rounds", "e3_loss_rate"])
+    def test_builder_error_names_the_override(self, tmp_path, capsys, argv, message):
+        # the caller set rounds or loss_rate, not the config fields they become
+        out = tmp_path / "out"
+        assert run_command(["run", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "warmup_rounds" not in err and "loss_rate_range" not in err
         assert not out.exists()
 
     def test_sweep_value_overrides_seed_flag(self, tmp_path):

@@ -50,23 +50,23 @@ EXPERIMENTS = sorted({exp for exp, _ in GOLDEN_SHA256})
 # config_digest of build_experiment(exp, seed=7, **overrides): pins every
 # builder's defaults and the config each override value produces.
 CONFIG_SHA256 = {
-    ("e1", ()): "baf1b7068ae430018fba0de4241470041835b57cee75ad4f2b9d2b7a3de37591",
-    ("e2", ()): "7efa9fde58388a7b7177de067e8458d03c0b4a0a03c0939f59ab527809459ddf",
-    ("e3", ()): "554cdd03868bc03fcebd19e5edad36a3a0b387767dec71a15fa34d36760d8d5b",
-    ("e3", (("policy", "proposed"),)): "554cdd03868bc03fcebd19e5edad36a3a0b387767dec71a15fa34d36760d8d5b",
-    ("e3", (("policy", "single"),)): "9f88a0605afdbdfbea28bf6a77473fb175e205747496d2ee6027cbaaec513e44",
-    ("e3", (("policy", "peertrust"),)): "d5c944b5b3b080b9e1b43fc7f9cdabdc701bc529aa6466944f774448d060a9ee",
-    ("e3", (("loss_rate", 0.04),)): "48226af31f10f1f6fd1e0a80ce6f11b04eb2a2ba8db16cc5af37db6f884ed764",
-    ("e4", ()): "591d46e13f3c3b6772849bddf618964006992638cc7450de87f2e867c193e360",
-    ("e4", (("mode", "static"),)): "3ca2eb8c99b3bafb98033e036af10560bf036d93bd415bcdc79e95d27a9aea98",
-    ("e4", (("group_size", 5),)): "eb72b966ca0a7f73cb25bad329120f18a54ac72e93866bd2bec91c2e23937041",
-    ("e5", ()): "08eecfd4391bb9ac013aa102df13e912c5a997ea051075848e98b2c80e4d982e",
-    ("e6", ()): "6135ec39fcd4cfdc9b02e0bb3d2b818d955558e92887a9cb0ef03ecd6bbcbea3",
-    ("e6", (("policy", "proposed"),)): "6135ec39fcd4cfdc9b02e0bb3d2b818d955558e92887a9cb0ef03ecd6bbcbea3",
-    ("e6", (("policy", "single"),)): "8a72d04543f98fa3e1003840d3237a12a054ead5c96f112455ce90e601e70d81",
-    ("e6", (("policy", "peertrust"),)): "a733aa47d298068d20527358af3cc7e53816a54b4239df28629e0342e81562ce",
-    ("e6", (("malicious_fraction", 0.0),)): "187b49309beb06780a5b566984fa191abeb224d6333f4307b9c795f0300dc574",
-    ("e6", (("malicious_fraction", 0.5),)): "6055b86129f3d29c7ba96626101630256d87f788899355c451c17a1c814e6c76",
+    ("e1", ()): "a6de9f898c9a6460f708b762b1e5b1569d3a4daec71db04608480041e9309b7a",
+    ("e2", ()): "29eb517b82bb5e1c99a86a8eea97a5c4d486f924e6136887fd7f73c93e7228e4",
+    ("e3", ()): "aafee297cbc8a5daa444303611945120605c45a31541bc2526926a95e91345a1",
+    ("e3", (("policy", "proposed"),)): "aafee297cbc8a5daa444303611945120605c45a31541bc2526926a95e91345a1",
+    ("e3", (("policy", "single"),)): "85fba8911a6526e35b9384fd1d85b2800857f83793ec4129a8b5639a95ee8b70",
+    ("e3", (("policy", "peertrust"),)): "02133bd1bdf2d7242df74f75f50d095ce30313f35d99477ad50b185a65c12d6d",
+    ("e3", (("loss_rate", 0.04),)): "3fac0d90b57f03e68b7aa55ea4bbd0d8fa0060e8d398feee45a2d316e64058c7",
+    ("e4", ()): "fedb7593f915af562e3fdaeac69a44a5e41f1fd5e69a366e0c8cbaee88f83e8c",
+    ("e4", (("mode", "static"),)): "e012168c5b9fb35e0552693717e93f62ced933d5cdd8cd221a9ac96ccff21b13",
+    ("e4", (("group_size", 5),)): "fb1e6f6c2681df85bd5c67e006c3ef086728b3901aeca22c6dce5fd0dab22a41",
+    ("e5", ()): "a0caef967e7af1c74bbedd1fe51f673f2aad31c4a4ce3ea93053f132fd9c55cb",
+    ("e6", ()): "835689001dc278f1cfb444051af5c7795a5806c22be1911d065507e697fd3303",
+    ("e6", (("policy", "proposed"),)): "835689001dc278f1cfb444051af5c7795a5806c22be1911d065507e697fd3303",
+    ("e6", (("policy", "single"),)): "e4fec1ea6105d94757a2267da8baae4c4d32812c30ce245eabe6206b23f3ecbb",
+    ("e6", (("policy", "peertrust"),)): "67cf49526f22919f79f6af8d1c46caa3620985be680151a9911bcb4f23787be1",
+    ("e6", (("malicious_fraction", 0.0),)): "a759e28140b10770024f1f4e27a5b4c43bccdfe10503946de4cfaad68f4f231e",
+    ("e6", (("malicious_fraction", 0.5),)): "26a950e38aba8a6083d1175911f8508ca6ca08e2c5d086ae6ceea96551444a92",
 }
 
 

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import inspect
 import math
@@ -31,6 +30,7 @@ from pollushield.scenarios import (
     run_scenario,
     save_config,
 )
+from pollushield.sim_engine import World, run_round
 from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams
 
 
@@ -59,11 +59,22 @@ class TestBuilders:
         for param in inspect.signature(builder).parameters.values():
             assert param.kind is param.KEYWORD_ONLY and param.default is not param.empty, param
 
-    @pytest.mark.parametrize("exp, rounds", [("e3", 24), ("e3", 10), ("e6", 24), ("e6", 0)])
+    @pytest.mark.parametrize("exp, rounds", [
+        ("e3", 24), ("e3", 10), ("e6", 24), ("e6", 0), ("e5", 10), ("e5", 0)])
     def test_population_rounds_must_pass_warmup(self, exp, rounds):
-        with pytest.raises(ValueError, match=f"rounds must be >= 25.*got {rounds}$"):
+        # the caller set rounds, not warmup_rounds: the message names rounds
+        warmup = 10 if exp == "e5" else 24
+        with pytest.raises(ValueError, match=rf"^rounds must be >= {warmup + 1} "
+                                             rf"\({warmup} warmup rounds \+ 1\), got {rounds}$"):
             build_experiment(exp, rounds=rounds)
-        assert build_experiment(exp, rounds=25).rounds == 25
+        assert build_experiment(exp, rounds=warmup + 1).rounds == warmup + 1
+
+    @pytest.mark.parametrize("loss_rate", [1.5, -0.1, math.nan])
+    def test_e3_loss_rate_must_be_a_probability(self, loss_rate):
+        # the caller set loss_rate, not loss_rate_range: the message names loss_rate
+        with pytest.raises(ValueError, match=r"^loss_rate must lie in \[0, 1\]$"):
+            build_experiment("e3", loss_rate=loss_rate)
+        assert build_experiment("e3", loss_rate=1.0).loss_rate_range == (1.0, 1.0)
 
     def test_e1_has_both_confidence_schemes(self):
         cfg = build_experiment("e1")
@@ -431,21 +442,20 @@ class TestRunScenario:
             loss_rate_range=(0.2, 0.4),
         )
         world = build_world(cfg)
-        rates = [rec.behavior.loss_rate for rec in world.peers.values()]
+        rates = [rec.loss_rate for rec in world.peers.values()]
         assert all(0.2 <= r <= 0.4 for r in rates)
         assert len(set(rates)) > 1
 
     def test_loss_rate_drawn_exactly_where_loss_pollutes(self):
-        """A peer draws a loss rate exactly when network loss can pollute its
-        uploads: at loss rate 1, an upload it would send clean arrives
+        """A peer draws a loss rate exactly when `World.add_peer` takes one
+        for its kind, and at loss rate 1 an upload it sends clean arrives
         polluted."""
         one_of_each = {
             BehaviorKind.HONEST: PeerBehavior.honest(),
             BehaviorKind.PERSISTENT: PeerBehavior.persistent(),
             BehaviorKind.ONOFF: PeerBehavior.onoff(0.5),
             BehaviorKind.BADMOUTH: PeerBehavior.badmouther((0,)),
-            # peers 4 and 5 are members off duty: their round-1 uploads are clean
-            BehaviorKind.COLLAB_STATIC: PeerBehavior.collab_static((4, 6), designated=6),
+            BehaviorKind.COLLAB_STATIC: PeerBehavior.collab_static((4, 6)),
             BehaviorKind.COLLAB_ROTATING: PeerBehavior.collab_rotating((5, 7)),
         }
         assert set(one_of_each) == set(BehaviorKind)
@@ -455,15 +465,21 @@ class TestRunScenario:
             behavior_mix=tuple((b, 1) for b in behaviors),
             loss_rate_range=(0.5, 0.5),
         ))
+        forced = TrustParams(theta_p=0.0, theta_g=0.0)
         for pid, b in enumerate(behaviors):
-            drawn = world.peers[pid].behavior.loss_rate == 0.5
-            # set past __post_init__, which refuses a loss rate where uploads never read it
-            at_full_loss = copy.copy(b)
-            object.__setattr__(at_full_loss, "loss_rate", 1.0)
-            clean = upload_quality(b, pid, 1, 0, random.Random(0))
-            lossy = upload_quality(at_full_loss, pid, 1, 0, random.Random(0))
-            pollutes = clean is ChunkQuality.CLEAN and lossy is ChunkQuality.POLLUTED
-            assert drawn == pollutes, b.kind
+            drawn = world.peers[pid].loss_rate == 0.5
+            # peer pid uploads once, in round 1, to a requester at pid + 1
+            lossy = World(seed=1)
+            lossy.add_peer(pid + 1, PeerBehavior.honest(), forced, candidates=(pid,))
+            try:
+                lossy.add_peer(pid, b, forced, loss_rate=1.0)
+            except ValueError:
+                assert not drawn, b.kind
+                continue
+            run_round(lossy)
+            assert upload_quality(b, pid, 1, 0) is ChunkQuality.CLEAN
+            assert [ev.quality for ev in lossy.event_log] == [ChunkQuality.POLLUTED]
+            assert drawn, b.kind
 
     def test_detection_round_reported(self):
         cfg = tiny_config(
@@ -489,27 +505,11 @@ class TestRunScenario:
         ((PeerBehavior.honest(), 1), (PeerBehavior.collab_rotating((1, 2)), 1),
          (PeerBehavior.honest(), 1)),
         # peer 2 carries the group but is not named
-        ((PeerBehavior.honest(), 1), (PeerBehavior.collab_static((1,), designated=1), 2)),
+        ((PeerBehavior.honest(), 1), (PeerBehavior.collab_static((1,)), 2)),
     ])
     def test_group_members_are_exactly_its_carriers(self, mix):
         with pytest.raises(ValueError, match=r"collusion group \[1(, 2)?\] is carried by peers"):
             tiny_config(behavior_mix=mix)
-
-    def test_designated_polluter_must_be_a_peer(self):
-        # only a static colluder reads it, and it belongs to the group, whose
-        # members must be peers
-        static = PeerBehavior.collab_static((1, 7), designated=7)
-        with pytest.raises(ValueError, match=r"behavior_mix group names non-peers \[7\]"):
-            tiny_config(behavior_mix=((PeerBehavior.honest(), 1), (static, 2)))
-
-    def test_e5_honest_loss_rate_overridden_by_the_range_rejected(self):
-        """e5 draws its providers' loss rates from `loss_rate_range`, so a
-        0.9 written on them would silently become a draw near 0.0069."""
-        cfg = build_experiment("e5")
-        (honest, count), *rest = cfg.behavior_mix
-        mix = ((replace(honest, loss_rate=0.9), count), *rest)
-        with pytest.raises(ValueError, match="loss_rate 0.9 is ignored: loss_rate_range"):
-            replace(cfg, behavior_mix=mix)
 
     @pytest.mark.parametrize("kind, lossless", [
         ("persistent", PeerBehavior.persistent()),
@@ -517,16 +517,26 @@ class TestRunScenario:
         ("collab_rotating", PeerBehavior.collab_rotating((1, 2))),
     ])
     def test_loss_rate_no_upload_reads_rejected(self, kind, lossless):
-        # PeerBehavior itself refuses it, so no config can carry it
+        # World.add_peer refuses a loss rate on a kind whose uploads it never
+        # corrupts, so build_world draws none for it, whatever the range
         with pytest.raises(ValueError, match=f"^loss_rate is read only .*, not {kind}$"):
-            tiny_config(behavior_mix=(
-                (PeerBehavior.honest(), 1), (replace(lossless, loss_rate=0.3), 2)))
+            World(seed=1).add_peer(1, lossless, TrustParams(), loss_rate=0.3)
+        world = build_world(tiny_config(
+            behavior_mix=((PeerBehavior.honest(), 1), (lossless, 2)),
+            loss_rate_range=(0.3, 0.3)))
+        assert [rec.loss_rate for rec in world.peers.values()] == [0.3, 0.0, 0.0]
 
     def test_loss_rate_kept_where_it_is_read(self):
-        # a lossy kind with no range keeps its rate
-        honest = PeerBehavior.honest(loss_rate=0.3)
-        world = build_world(tiny_config(behavior_mix=((honest, 3),)))
-        assert [rec.behavior for rec in world.peers.values()] == [honest] * 3
+        # each lossy peer keeps its drawn rate on its record, and the peers
+        # of one behaviour share its one object
+        honest = PeerBehavior.honest()
+        world = build_world(tiny_config(behavior_mix=((honest, 3),), loss_rate_range=(0.3, 0.3)))
+        assert [rec.loss_rate for rec in world.peers.values()] == [0.3] * 3
+        assert all(rec.behavior is honest for rec in world.peers.values())
+
+    def test_e6_world_holds_one_behaviour_object_per_role(self):
+        world = build_world(build_experiment("e6"))
+        assert len({id(rec.behavior) for rec in world.peers.values()}) == 3
 
 
 class TestRunGrid:

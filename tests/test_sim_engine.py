@@ -222,14 +222,15 @@ class TestScoreCandidates:
         its trust tables and round."""
         params = TrustParams(cf_model=CFModel.CFDB, dt_model=DTModel.PDTM,
                              forgetting=0.05, forgiving=0.1, theta_p=0.0, theta_g=0.0)
-        behaviors = [PeerBehavior.honest(), PeerBehavior.honest(loss_rate=0.3),
+        behaviors = [PeerBehavior.honest(), PeerBehavior.honest(),
                      PeerBehavior.badmouther((0, 1)),
                      PeerBehavior.onoff(0.5), PeerBehavior.honest(), PeerBehavior.persistent()]
         ids = range(len(behaviors))
         ran, fresh = World(seed=3), World(seed=3)
         for pid, behavior in zip(ids, behaviors):
             ran.add_peer(pid, behavior, params, budget=2,
-                         candidates=[c for c in ids if c != pid])
+                         candidates=[c for c in ids if c != pid],
+                         loss_rate=0.3 if pid == 1 else 0.0)
             fresh.add_peer(pid, behavior, params)
         for _ in range(8):
             run_round(ran)
@@ -545,6 +546,17 @@ class TestRunRound:
                            budget=3, candidates=(1, 1))
         assert world.peers == {} and world.requesters == []
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # at -1, admitted[:budget] kept all but the last admitted provider; at
+        # 0 the peer selected, drawing probes and flagging detections, but
+        # never received
+        world = World(seed=1)
+        with pytest.raises(ValueError, match=f"^peer 0 has request budget {budget}, expected >= 1$"):
+            world.add_peer(0, PeerBehavior.honest(), forced_params(k_providers=3),
+                           budget=budget, candidates=(1, 2, 3))
+        assert world.peers == {} and world.requesters == []
+
     def test_requesters_kept_in_id_order(self):
         # a peer requests exactly when it has candidates: 5 has none
         world = World(seed=1)
@@ -587,9 +599,10 @@ class TestRunRound:
             for pid in range(6):
                 world.add_peer(
                     pid,
-                    PeerBehavior.honest(loss_rate=0.3) if pid else PeerBehavior.honest(),
+                    PeerBehavior.honest(),
                     params,
                     candidates=[c for c in range(6) if c != pid] if pid < 3 else (),
+                    loss_rate=0.3 if pid else 0.0,
                 )
             return world
 
@@ -602,8 +615,8 @@ class TestRunRound:
     def test_conservation(self):
         world = World(seed=5)
         for pid in range(4):
-            world.add_peer(pid, PeerBehavior.honest(loss_rate=0.2), forced_params(),
-                           candidates=[c for c in range(4) if c != pid])
+            world.add_peer(pid, PeerBehavior.honest(), forced_params(),
+                           candidates=[c for c in range(4) if c != pid], loss_rate=0.2)
         for _ in range(25):
             run_round(world)
         total = sum(

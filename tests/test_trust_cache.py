@@ -258,7 +258,7 @@ def small_worlds(draw):
     behaviors = []
     for pid, kind in enumerate(kinds):
         if kind == "honest":
-            b = PeerBehavior.honest(loss_rate=draw(st.sampled_from([0.0, 0.3])))
+            b = PeerBehavior.honest()
         elif kind == "persistent":
             b = PeerBehavior.persistent()
         elif kind == "onoff":
@@ -266,11 +266,11 @@ def small_worlds(draw):
         elif kind == "badmouth":
             others = [x for x in ids if x != pid]
             targets = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
-            b = PeerBehavior.badmouther(targets, loss_rate=draw(st.sampled_from([0.0, 0.2])))
+            b = PeerBehavior.badmouther(targets)
         elif rotating:
             b = PeerBehavior.collab_rotating(group)
         else:
-            b = PeerBehavior.collab_static(group, designated=group[0])
+            b = PeerBehavior.collab_static(group)
         behaviors.append(b)
 
     def params():
@@ -312,6 +312,7 @@ def small_worlds(draw):
         behavior_mix=tuple((b, 1) for b in behaviors),
         params=base,
         param_overrides=tuple((pid, params()) for pid in overridden),
+        loss_rate_range=draw(st.sampled_from([(0.0, 0.0), (0.0, 0.3), (0.2, 0.2)])),
         observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
         candidate_map=cand_map,
         warmup_rounds=draw(st.integers(0, rounds - 1)),

@@ -407,8 +407,8 @@ class TestRecord:
             "forgetting=0.0, forgiving=0.0, theta_p=0.5, theta_g=0.9, chi=0.5, "
             "k_providers=5, k_recommenders=5, cold_start_trust=0.5)")
         assert repr(PeerBehavior.onoff(0.2)) == (
-            "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, loss_rate=0.0, on_ratio=0.2, "
-            "target_set=(), group=(), designated_polluter=None)")
+            "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, on_ratio=0.2, "
+            "target_set=(), group=())")
 
     def test_equal_records_hash_equal(self):
         assert TrustParams(chi=0.2) == TrustParams(chi=0.2) != TrustParams()
