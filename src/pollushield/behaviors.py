@@ -9,9 +9,8 @@ from each uploader's own stream.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .trust_core import ChunkQuality, Record
 
@@ -32,31 +31,28 @@ _BADMOUTH, _COLLAB_STATIC = BehaviorKind.BADMOUTH, BehaviorKind.COLLAB_STATIC
 LOSSY_KINDS = (BehaviorKind.HONEST, _BADMOUTH)  # loss can corrupt their uploads
 _COLLAB = (_COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING)
 # the kinds that read each kind-specific field; any other kind leaves it at its default
-_READERS = {"on_ratio": (_ONOFF,), "target_set": (_BADMOUTH,), "group": _COLLAB}
+_READERS = {"period": (_ONOFF,), "target_set": (_BADMOUTH,), "group": _COLLAB}
 
 
 class PeerBehavior(Record):
     kind: BehaviorKind
-    on_ratio: Optional[float] = None    # ONOFF: polluted fraction per cycle
-    target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander
-    group: Tuple[int, ...] = ()         # COLLAB_*: sorted member ids
+    period: int = 0                     # ONOFF: one polluted chunk per this many uploads
+    target_set: Tuple[int, ...] = ()    # BADMOUTH: peers to slander, strictly increasing
+    group: Tuple[int, ...] = ()         # COLLAB_*: member ids, strictly increasing
 
     def validate(self) -> None:
-        for name in self._fields:
-            readers = _READERS.get(name, (self.kind,))
-            if self.kind not in readers and getattr(self, name) != getattr(PeerBehavior, name):
+        for name, readers in _READERS.items():
+            value, default = getattr(self, name), getattr(PeerBehavior, name)
+            if self.kind not in readers and (type(value) is not type(default) or value != default):
                 kinds = " or ".join(k.value for k in readers)
                 raise ValueError(f"{name} is read only by kind {kinds}, not {self.kind.value}")
-        if self.kind is BehaviorKind.ONOFF:
-            if self.on_ratio is None or not 0.0 < self.on_ratio < 1.0:
-                raise ValueError("on_ratio must lie in (0, 1)")
-            if not math.isfinite(1.0 / self.on_ratio):
-                raise ValueError("on_ratio is too small: 1 / on_ratio overflows")
-        if self.kind in _COLLAB:
-            if not self.group:
-                raise ValueError("collusion group must be non-empty")
-            if tuple(sorted(self.group)) != self.group:
-                raise ValueError("collusion group must be sorted")
+        # period 1 would be persistent
+        if self.kind is _ONOFF and not (type(self.period) is int and self.period >= 2):
+            raise ValueError(f"period must be an int >= 2, got {self.period!r}")
+        for name in ("target_set", "group"):
+            ids = getattr(self, name)
+            if self.kind in _READERS[name] and not (ids and list(ids) == sorted(set(ids))):
+                raise ValueError(f"{name} must be non-empty and strictly increasing, got {ids}")
 
     # --- constructors ---
 
@@ -69,8 +65,8 @@ class PeerBehavior(Record):
         return cls(kind=BehaviorKind.PERSISTENT)
 
     @classmethod
-    def onoff(cls, on_ratio: float) -> "PeerBehavior":
-        return cls(kind=BehaviorKind.ONOFF, on_ratio=on_ratio)
+    def onoff(cls, period: int) -> "PeerBehavior":
+        return cls(kind=BehaviorKind.ONOFF, period=period)
 
     @classmethod
     def badmouther(cls, targets: Tuple[int, ...]) -> "PeerBehavior":
@@ -85,16 +81,8 @@ class PeerBehavior(Record):
         return cls(kind=BehaviorKind.COLLAB_ROTATING, group=tuple(sorted(group)))
 
     @property
-    def cycle_length(self) -> int:
-        """ONOFF period: one polluted chunk per this many uploads."""
-        assert self.on_ratio is not None
-        return max(1, round(1.0 / self.on_ratio))
-
-    @property
     def label(self) -> str:
-        if self.kind is BehaviorKind.ONOFF:
-            return f"onoff({self.on_ratio:g})"
-        return self.kind.value
+        return f"onoff({1 / self.period:g})" if self.kind is _ONOFF else self.kind.value
 
 
 def upload_quality(
@@ -118,11 +106,8 @@ def upload_quality(
         return _CLEAN
     if kind is _PERSISTENT:
         return _POLLUTED
-    if kind is _ONOFF:
-        cycle = behavior.cycle_length
-        if interaction_index % cycle == cycle - 1:
-            return _POLLUTED
-        return _CLEAN
+    if kind is _ONOFF:  # the last upload of each period is polluted
+        return _CLEAN if (interaction_index + 1) % behavior.period else _POLLUTED
     # a colluder on duty pollutes all its uploads: a static group's lowest
     # member, or a rotating group's member of this round
     group = behavior.group

@@ -58,12 +58,16 @@ class ScenarioConfig(Record):
         # the name becomes the stem of each output file
         if not self.name or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a file-name stem, got {self.name!r}")
+        for name in ("rounds", "seed", "warmup_rounds", "measure_from", "ads_per_round"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "ads_per_round"):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if any(count < 0 for _, count in self.behavior_mix):
-            raise ValueError("behavior mix counts must be non-negative")
+        if any(type(count) is not int or count < 0 for _, count in self.behavior_mix):
+            raise ValueError("behavior mix counts must be non-negative ints")
         ids = range(self.n_peers)
         if not ids:
             raise ValueError("behavior mix counts must sum to a positive number of peers")
@@ -76,7 +80,7 @@ class ScenarioConfig(Record):
             except (TypeError, ValueError):
                 raise ValueError(f"candidate_map[{i}] must be (requester, candidates, budget),"
                                  f" got {entry!r}") from None
-            if not isinstance(budget, int):
+            if type(budget) is not int:
                 raise ValueError(f"candidate_map[{i}] has budget {budget!r}, expected an int")
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
@@ -90,6 +94,8 @@ class ScenarioConfig(Record):
         for pid, _ in self.param_overrides:
             if pid not in ids:
                 raise ValueError(f"param override references unknown peer {pid}")
+        if type(self.loss_rate_range) is not tuple or len(self.loss_rate_range) != 2:
+            raise ValueError(f"loss_rate_range must be (lo, hi), got {self.loss_rate_range!r}")
         lo, hi = self.loss_rate_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
@@ -303,9 +309,9 @@ def build_e2(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     dtma = replace(params, dt_model=DTModel.DTMA)
     mix = (
         (PeerBehavior.honest(), 2),
-        (PeerBehavior.onoff(0.5), 1),
-        (PeerBehavior.onoff(0.2), 1),
-        (PeerBehavior.onoff(0.1), 1),
+        (PeerBehavior.onoff(2), 1),
+        (PeerBehavior.onoff(5), 1),
+        (PeerBehavior.onoff(10), 1),
     )
     observed = tuple((v, a) for v in (0, 1) for a in attackers)
     return ScenarioConfig(
@@ -415,7 +421,7 @@ def build_e3(
     behaviors = (
         [PeerBehavior.honest()] * 400
         + [PeerBehavior.persistent()] * 50
-        + [PeerBehavior.onoff(0.2)] * 50
+        + [PeerBehavior.onoff(5)] * 50
     )
     return _population_config(
         "e3", seed, rounds, behaviors,
@@ -494,7 +500,7 @@ def build_e5(*, seed: int = 1, rounds: int = 50) -> ScenarioConfig:
     mix = (
         (PeerBehavior.honest(), n_honest_prov),
         (PeerBehavior.persistent(), n_persistent),
-        (PeerBehavior.onoff(0.2), n_onoff),
+        (PeerBehavior.onoff(5), n_onoff),
         (PeerBehavior.honest(), n_req),
         (PeerBehavior.honest(), 1),
     )
@@ -546,7 +552,7 @@ def build_e6(
     onoff = set(malicious) - persistent
     # one object per role, shared by its peers, as in build_e3
     as_persistent, as_onoff, as_honest = (
-        PeerBehavior.persistent(), PeerBehavior.onoff(0.2), PeerBehavior.honest())
+        PeerBehavior.persistent(), PeerBehavior.onoff(5), PeerBehavior.honest())
     behaviors = [
         as_persistent if pid in persistent
         else as_onoff if pid in onoff
@@ -603,9 +609,7 @@ def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
 def build_world(cfg: ScenarioConfig) -> World:
     """Materialize a World from a config."""
     world = World(cfg.seed, cfg.warmup_rounds, cfg.ads_per_round)
-    behaviors: List[PeerBehavior] = []
-    for behavior, count in cfg.behavior_mix:
-        behaviors.extend([behavior] * count)
+    behaviors = [behavior for behavior, count in cfg.behavior_mix for _ in range(count)]
     loss_rng = random.Random(f"{cfg.seed}:loss")
     lo, hi = cfg.loss_rate_range
     overrides = dict(cfg.param_overrides)

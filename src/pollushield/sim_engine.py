@@ -212,6 +212,7 @@ class World:
         self.ads_rng = random.Random(f"{seed}:ads")
         self.memos: Dict[int, Tuple[TrustParams, RoundMemo]] = {}
         self.receivers: Dict[int, Set[int]] = {}
+        self.missing: Set[int] = set()  # candidates not yet added as peers
 
     def add_peer(
         self,
@@ -223,10 +224,13 @@ class World:
         loss_rate: float = 0.0,
     ) -> PeerRecord:
         """Add peer `pid`; it requests, in id order, exactly when it has
-        candidates. Loss corrupts each of its uploads with probability
-        `loss_rate`, drawn from its own stream, so only `LOSSY_KINDS` take one."""
+        candidates, each a peer by the next `run_round`. Loss corrupts each of
+        its uploads with probability `loss_rate`, drawn from its own stream,
+        so only `LOSSY_KINDS` take one."""
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
+        if type(budget) is not int:
+            raise ValueError(f"peer {pid} has budget {budget!r}, expected an int")
         if budget < 1:
             raise ValueError(f"peer {pid} has request budget {budget}, expected >= 1")
         if not 0.0 <= loss_rate <= 1.0:
@@ -234,6 +238,8 @@ class World:
         if loss_rate and behavior.kind not in LOSSY_KINDS:
             kinds = " or ".join(k.value for k in LOSSY_KINDS)
             raise ValueError(f"loss_rate is read only by kind {kinds}, not {behavior.kind.value}")
+        if behavior.group and pid not in behavior.group:
+            raise ValueError(f"peer {pid} is not in its collusion group {list(behavior.group)}")
         if pid in candidates:
             raise ValueError(f"peer {pid} lists itself as a candidate")
         if len(set(candidates)) < len(candidates):
@@ -244,6 +250,8 @@ class World:
             held = self.memos[id(params)] = (params, RoundMemo())
         rec = PeerRecord(behavior, params, loss_rate, rng, budget, candidates, held[1])
         self.peers[pid] = rec
+        self.missing.discard(pid)
+        self.missing.update(c for c in candidates if c not in self.peers)
         if rec.candidates:
             insort(self.requesters, pid)
         return rec
@@ -499,6 +507,8 @@ def run_round(world: World) -> None:
     `World.write_entry`, so what the peers keep stays valid. A delivery
     update is worked out once per (state, quality) in the round's
     `RoundMemo`."""
+    if world.missing:
+        raise ValueError(f"candidates {sorted(world.missing)} were never added as peers")
     world.round += 1
     r = world.round
     in_warmup = r <= world.warmup_rounds

@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from pollushield import behaviors, replace
+from pollushield import BehaviorKind, behaviors, replace
 from pollushield.behaviors import PeerBehavior, _READERS, recommendation_value, upload_quality
 from pollushield.sim_engine import World, run_round
 from pollushield.trust_core import ChunkQuality, TrustParams
@@ -31,12 +31,12 @@ class TestUploadQuality:
         assert qualities(PeerBehavior.persistent(), 7, 10) == [POLLUTED] * 10
 
     def test_onoff_20_percent_cycle(self):
-        got = qualities(PeerBehavior.onoff(0.2), 7, 10)
+        got = qualities(PeerBehavior.onoff(5), 7, 10)
         expect = [CLEAN] * 4 + [POLLUTED] + [CLEAN] * 4 + [POLLUTED]
         assert got == expect
 
     def test_onoff_50_percent_cycle(self):
-        got = qualities(PeerBehavior.onoff(0.5), 7, 6)
+        got = qualities(PeerBehavior.onoff(2), 7, 6)
         assert got == [CLEAN, POLLUTED] * 3
 
     def test_honest_lossless_always_clean(self):
@@ -50,16 +50,17 @@ class TestUploadQuality:
         behavior = PeerBehavior.badmouther((3,))
         assert qualities(behavior, 7, 5) == [CLEAN] * 5
 
-    @pytest.mark.parametrize("ratio,n", [(0.5, 17), (0.2, 43), (0.1, 101)])
-    def test_onoff_polluted_count(self, ratio, n):
-        behavior = PeerBehavior.onoff(ratio)
-        got = qualities(behavior, 7, n)
-        assert got.count(POLLUTED) == n // behavior.cycle_length
+    # ids name each period by its polluted share, as the summary labels do
+    @pytest.mark.parametrize("period,n", [(2, 17), (5, 43), (10, 101)],
+                             ids=["0.5-17", "0.2-43", "0.1-101"])
+    def test_onoff_polluted_count(self, period, n):
+        got = qualities(PeerBehavior.onoff(period), 7, n)
+        assert got.count(POLLUTED) == n // period
 
     def test_onoff_long_run_fraction(self):
-        for ratio in (0.5, 0.2, 0.1):
-            got = qualities(PeerBehavior.onoff(ratio), 7, 1000)
-            assert got.count(POLLUTED) / 1000 == pytest.approx(ratio)
+        for period in (2, 5, 10):
+            got = qualities(PeerBehavior.onoff(period), 7, 1000)
+            assert got.count(POLLUTED) / 1000 == pytest.approx(1 / period)
 
     def test_collab_static_designated_only(self):
         # the group's lowest member pollutes, whatever order it is given in
@@ -92,7 +93,7 @@ class TestUploadQuality:
 
 class TestRecommendationValue:
     def test_honest_passthrough(self):
-        for behavior in (PeerBehavior.honest(), PeerBehavior.persistent(), PeerBehavior.onoff(0.2)):
+        for behavior in (PeerBehavior.honest(), PeerBehavior.persistent(), PeerBehavior.onoff(5)):
             assert recommendation_value(behavior, 2, 0.73) == 0.73
 
     def test_badmouther_slanders_target(self):
@@ -123,17 +124,40 @@ class TestRecommendationValue:
 
 class TestValidation:
     def test_onoff_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            PeerBehavior.onoff(0.0)
-        with pytest.raises(ValueError):
-            PeerBehavior.onoff(1.0)
-        # in (0, 1), but 1 / on_ratio is inf and cycle_length cannot round it
-        with pytest.raises(ValueError):
-            PeerBehavior.onoff(1e-320)
+        # one polluted chunk per `period` uploads: period 1 would be persistent,
+        # and a float or bool period is a second spelling of an int one
+        for period in (0, 1, -1, 2.0, True):
+            with pytest.raises(ValueError, match=f"^period must be an int >= 2, got {period!r}$"):
+                PeerBehavior.onoff(period)
+        assert PeerBehavior.onoff(2).period == 2
 
     def test_group_must_be_non_empty(self):
         with pytest.raises(ValueError):
             PeerBehavior.collab_rotating(())
+
+    @pytest.mark.parametrize("target_set", [(), (3, 1), (1, 1), (1, 3, 3)],
+                             ids=["empty", "unsorted", "repeated", "repeated_last"])
+    def test_target_set_must_be_non_empty_and_strictly_increasing(self, target_set):
+        # an empty set slanders no one, and (3, 1) or (1, 3, 3) would spell (1, 3) again
+        with pytest.raises(ValueError, match="^target_set must be non-empty and strictly"):
+            PeerBehavior(kind=BehaviorKind.BADMOUTH, target_set=target_set)
+
+    def test_badmouther_needs_a_target(self):
+        # badmouther(()) would upload and report exactly as an honest peer
+        with pytest.raises(ValueError, match="^target_set must be non-empty"):
+            PeerBehavior.badmouther(())
+
+    @pytest.mark.parametrize("kind", [BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING])
+    def test_repeated_group_member_rejected(self, kind):
+        # (1, 1, 2) is sorted, but a rotating group would give peer 1 two duty rounds in three
+        with pytest.raises(ValueError, match="^group must be non-empty and strictly increasing"):
+            PeerBehavior(kind=kind, group=(1, 1, 2))
+        with pytest.raises(ValueError, match="^group must be"):
+            PeerBehavior(kind=kind, group=(2, 1))
+
+    def test_constructors_sort_their_input(self):
+        assert PeerBehavior.badmouther((3, 1)).target_set == (1, 3)
+        assert PeerBehavior.collab_rotating((3, 1, 2)).group == (1, 2, 3)
 
     def test_loss_rate_bounds(self):
         # a peer's loss rate is the world's, checked where the world takes it
@@ -144,19 +168,22 @@ class TestValidation:
         assert world.peers == {}
 
     @pytest.mark.parametrize("base, field, value", [
-        (PeerBehavior.honest(), "on_ratio", 7.0),
+        (PeerBehavior.honest(), "period", 7),
         (PeerBehavior.honest(), "target_set", (1,)),
-        (PeerBehavior.badmouther((1,)), "on_ratio", 0.5),
+        (PeerBehavior.badmouther((1,)), "period", 2),
         (PeerBehavior.persistent(), "target_set", (1, 2)),
         (PeerBehavior.badmouther((1,)), "group", (1, 2)),
-        (PeerBehavior.onoff(0.5), "group", (1, 2)),
-        (PeerBehavior.collab_rotating((1, 2)), "on_ratio", 0.5),
+        (PeerBehavior.onoff(2), "group", (1, 2)),
+        (PeerBehavior.collab_rotating((1, 2)), "period", 2),
         # only honest and bad-mouthing uploads can be corrupted by loss, a
         # rate the world takes per peer
         (PeerBehavior.persistent(), "loss_rate", 0.3),
-        (PeerBehavior.onoff(0.5), "loss_rate", 0.3),
+        (PeerBehavior.onoff(2), "loss_rate", 0.3),
         (PeerBehavior.collab_static((1, 2)), "loss_rate", 0.3),
         (PeerBehavior.collab_rotating((1, 2)), "loss_rate", 0.3),
+        # equal to the default, but a float: saved as 0.0, it would not load
+        (PeerBehavior.honest(), "period", 0.0),
+        (PeerBehavior.persistent(), "period", False),
     ])
     def test_field_its_kind_never_reads_rejected(self, base, field, value):
         # every builder sets only its own kind's fields, so none of these was ever read
@@ -167,9 +194,11 @@ class TestValidation:
                 replace(base, **{field: value})
 
     def test_every_kind_specific_field_has_readers(self):
-        # validate reads a field missing from _READERS as read by every kind
+        # validate checks only the fields in _READERS
         assert set(_READERS) == set(PeerBehavior._fields) - {"kind"}
 
     def test_labels(self):
-        assert PeerBehavior.onoff(0.2).label == "onoff(0.2)"
+        # a period is labelled by its polluted share
+        assert [PeerBehavior.onoff(p).label for p in (2, 5, 10, 3)] == [
+            "onoff(0.5)", "onoff(0.2)", "onoff(0.1)", "onoff(0.333333)"]
         assert PeerBehavior.persistent().label == "persistent"

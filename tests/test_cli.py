@@ -164,6 +164,30 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("on_ratio, period, message", [
+        (0.5, None, "unknown config.behavior_mix[1][0] fields: ['on_ratio']"),
+        (None, 1, "period must be an int >= 2, got 1"),
+        (None, 2.0, "config.behavior_mix[1][0].period: expected int, got 2.0"),
+    ], ids=["on_ratio", "period_1", "float_period"])
+    def test_pre_0_7_0_scenario_rejected(self, tmp_path, capsys, on_ratio, period, message):
+        # format 0.7.0 states an on-off peer's period, one polluted chunk per
+        # `period` uploads, where a 0.6.0 file held its polluted share
+        d = config_to_dict(build_experiment("e2"))
+        behavior = d["behavior_mix"][1][0]
+        assert behavior["kind"] == "onoff"
+        if on_ratio is not None:
+            del behavior["period"]
+            behavior["on_ratio"] = on_ratio
+        else:
+            behavior["period"] = period
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5", "null"])
     def test_bad_detection_threshold_rejected(self, tmp_path, capsys, value):
         # detection_threshold is no longer a field, so a file holding any
@@ -276,30 +300,17 @@ class TestRunCommand:
         assert "Traceback" not in err
 
     def test_field_the_kind_never_reads_rejected(self, tmp_path, capsys):
-        # an honest peer never reads on_ratio: the file would run as plain honest
+        # an honest peer never reads period: the file would run as plain honest
         d = config_to_dict(build_experiment("e2"))
-        d["behavior_mix"][0][0]["on_ratio"] = 0.5
+        d["behavior_mix"][0][0]["period"] = 2
         path = tmp_path / "stray.cfg"
         path.write_text(json.dumps(d))
         code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "on_ratio is read only by kind onoff, not honest" in err
+        assert "period is read only by kind onoff, not honest" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
-
-    def test_underflowing_on_ratio_rejected(self, tmp_path, capsys):
-        # lies in (0, 1), but its cycle length 1 / on_ratio overflows to inf
-        d = config_to_dict(build_experiment("e2"))
-        d["behavior_mix"][1][0]["on_ratio"] = 1e-320
-        path = tmp_path / "tiny.cfg"
-        path.write_text(json.dumps(d))
-        code = run_command(["run", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "cannot load scenario" in err
-        assert "on_ratio" in err
-        assert "Traceback" not in err
 
     def test_diagnostics_logged_once_and_stored(self, tmp_path, capsys):
         # e5's newcomer overrides the base params, and both forgive faster
@@ -496,7 +507,7 @@ REPLACEMENTS = (
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(REPLACEMENTS))
-@example(leaf=("e2", ("behavior_mix", 1, 0, "on_ratio")), value=1e-320)
+@example(leaf=("e2", ("behavior_mix", 1, 0, "period")), value=1)
 def test_single_leaf_mutation_exits_cleanly(leaf, value):
     """A scenario file with one leaf replaced either runs (exit 0) or is
     refused as a bad config (exit 1), and never ends in a traceback."""

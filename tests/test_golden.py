@@ -50,23 +50,23 @@ EXPERIMENTS = sorted({exp for exp, _ in GOLDEN_SHA256})
 # config_digest of build_experiment(exp, seed=7, **overrides): pins every
 # builder's defaults and the config each override value produces.
 CONFIG_SHA256 = {
-    ("e1", ()): "a6de9f898c9a6460f708b762b1e5b1569d3a4daec71db04608480041e9309b7a",
-    ("e2", ()): "29eb517b82bb5e1c99a86a8eea97a5c4d486f924e6136887fd7f73c93e7228e4",
-    ("e3", ()): "aafee297cbc8a5daa444303611945120605c45a31541bc2526926a95e91345a1",
-    ("e3", (("policy", "proposed"),)): "aafee297cbc8a5daa444303611945120605c45a31541bc2526926a95e91345a1",
-    ("e3", (("policy", "single"),)): "85fba8911a6526e35b9384fd1d85b2800857f83793ec4129a8b5639a95ee8b70",
-    ("e3", (("policy", "peertrust"),)): "02133bd1bdf2d7242df74f75f50d095ce30313f35d99477ad50b185a65c12d6d",
-    ("e3", (("loss_rate", 0.04),)): "3fac0d90b57f03e68b7aa55ea4bbd0d8fa0060e8d398feee45a2d316e64058c7",
-    ("e4", ()): "fedb7593f915af562e3fdaeac69a44a5e41f1fd5e69a366e0c8cbaee88f83e8c",
-    ("e4", (("mode", "static"),)): "e012168c5b9fb35e0552693717e93f62ced933d5cdd8cd221a9ac96ccff21b13",
-    ("e4", (("group_size", 5),)): "fb1e6f6c2681df85bd5c67e006c3ef086728b3901aeca22c6dce5fd0dab22a41",
-    ("e5", ()): "a0caef967e7af1c74bbedd1fe51f673f2aad31c4a4ce3ea93053f132fd9c55cb",
-    ("e6", ()): "835689001dc278f1cfb444051af5c7795a5806c22be1911d065507e697fd3303",
-    ("e6", (("policy", "proposed"),)): "835689001dc278f1cfb444051af5c7795a5806c22be1911d065507e697fd3303",
-    ("e6", (("policy", "single"),)): "e4fec1ea6105d94757a2267da8baae4c4d32812c30ce245eabe6206b23f3ecbb",
-    ("e6", (("policy", "peertrust"),)): "67cf49526f22919f79f6af8d1c46caa3620985be680151a9911bcb4f23787be1",
-    ("e6", (("malicious_fraction", 0.0),)): "a759e28140b10770024f1f4e27a5b4c43bccdfe10503946de4cfaad68f4f231e",
-    ("e6", (("malicious_fraction", 0.5),)): "26a950e38aba8a6083d1175911f8508ca6ca08e2c5d086ae6ceea96551444a92",
+    ("e1", ()): "7da8986e257dd5f7413d6d0232991a03fa04c889fcc8ec81572512cab861768f",
+    ("e2", ()): "dea0c2af1bcecf7fad58be880fad9d6e4d60c3a61f09fbe95a524f05a056b853",
+    ("e3", ()): "97bbccef7ca1e86a74dac840a6674f7196206e1605e2579a8324ae5ad44ece29",
+    ("e3", (("policy", "proposed"),)): "97bbccef7ca1e86a74dac840a6674f7196206e1605e2579a8324ae5ad44ece29",
+    ("e3", (("policy", "single"),)): "006845b496108458a096008565c89b284c7c56b09dd68a3a91d99242ae735b8f",
+    ("e3", (("policy", "peertrust"),)): "526d7c5fad5c564111e09ca4c08bd63eef18d5ed2ec50460922a35a0040e004d",
+    ("e3", (("loss_rate", 0.04),)): "d871a5aaed05072849646b877411aed539d02a0923b06d5c2687a22587d6e02e",
+    ("e4", ()): "5c40a2ffb7be7a4bccd01662d0b9c5dbd378f7be6692619e26b1402741e38564",
+    ("e4", (("mode", "static"),)): "2dd7e9cd736f034ba73510056f810ac66cf0c1032e7b8610c0dabd54618c4dc3",
+    ("e4", (("group_size", 5),)): "115284b02693a80203c3659920a5518a798df5187bcadc06b07f4a517a943900",
+    ("e5", ()): "711203791b905518827e86e188a12052bee024fb3a56e9d0d14952718d3d1555",
+    ("e6", ()): "3cf635ff5e3a178b73f6dc067d86b55afbd306745b1480df66fe8f747bed1ebe",
+    ("e6", (("policy", "proposed"),)): "3cf635ff5e3a178b73f6dc067d86b55afbd306745b1480df66fe8f747bed1ebe",
+    ("e6", (("policy", "single"),)): "3f6a4940ee5e6d8dbfa817624b5c508e7f34935f2e98b5bf863e54fcd4d820f1",
+    ("e6", (("policy", "peertrust"),)): "0bf47db2f4f7f4118bb26f4a454f6c606289a36324ecc193bc2c963229a49bf2",
+    ("e6", (("malicious_fraction", 0.0),)): "b94fbf042b5c19da377ebd93ffe1fccceecc5ef9fcf65d242bc983b78361afcc",
+    ("e6", (("malicious_fraction", 0.5),)): "2ac024f71f6b8d4b2804d1a0b1ddb7c3b97626bea981bfb41b7fda0097a3f186",
 }
 
 

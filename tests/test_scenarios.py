@@ -89,8 +89,9 @@ class TestBuilders:
 
     def test_e2_mix_contains_all_ratios(self):
         cfg = build_experiment("e2")
-        ratios = {b.on_ratio for b, _ in cfg.behavior_mix if b.kind is BehaviorKind.ONOFF}
-        assert ratios == {0.5, 0.2, 0.1}
+        periods = {b.period for b, _ in cfg.behavior_mix if b.kind is BehaviorKind.ONOFF}
+        assert periods == {2, 5, 10}
+        assert {b.label for b, _ in cfg.behavior_mix} >= {"onoff(0.5)", "onoff(0.2)", "onoff(0.1)"}
         assert dict(cfg.param_overrides)[1].dt_model is DTModel.DTMA
 
     def test_e3_thresholds_from_setup(self):
@@ -366,8 +367,10 @@ class TestValidation:
             (7, r"candidate_map\[0\] must be \(requester, candidates, budget\)"),
             ((0, (2, 3), 1.0), r"candidate_map\[0\] has budget 1\.0, expected an int$"),
             ((0, (2, 3), "2"), r"candidate_map\[0\] has budget '2', expected an int$"),
+            # saved as `true`, which load_config refuses
+            ((0, (2, 3), True), r"candidate_map\[0\] has budget True, expected an int$"),
         ],
-        ids=["two_items", "not_a_triple", "float_budget", "str_budget"],
+        ids=["two_items", "not_a_triple", "float_budget", "str_budget", "bool_budget"],
     )
     def test_malformed_candidate_map_entry_named(self, entry, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -386,6 +389,38 @@ class TestValidation:
     def test_replace_cannot_make_invalid_config(self):
         with pytest.raises(ValueError, match="rounds must be positive"):
             replace(build_experiment("e2"), rounds=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 44.0), ("seed", 1.0), ("seed", True), ("warmup_rounds", 0.0),
+        ("measure_from", False), ("ads_per_round", 2.0), ("ads_per_round", "2"),
+    ])
+    def test_non_int_field_rejected(self, field, value):
+        # each would be saved as a float, bool or string that load_config refuses
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            replace(build_experiment("e2"), **{field: value})
+
+    def test_float_rounds_override_rejected(self):
+        # it used to build a config that run_scenario failed on with a TypeError
+        with pytest.raises(ValueError, match="^rounds must be an int, got 44.0$"):
+            build_experiment("e3", rounds=44.0)
+
+    @pytest.mark.parametrize("count", [2.0, True, -1])
+    def test_mix_count_must_be_a_non_negative_int(self, count):
+        # 2.0 was a bare TypeError, and True would be saved as `true`
+        with pytest.raises(ValueError, match="^behavior mix counts must be non-negative ints$"):
+            tiny_config(behavior_mix=((PeerBehavior.honest(), 3), (PeerBehavior.honest(), count)))
+
+    @pytest.mark.parametrize("value", [None, [0.0, 0.0], (0.0,)])
+    def test_loss_rate_range_must_be_a_pair(self, value):
+        # None was a bare TypeError; a list would reload as a tuple
+        with pytest.raises(ValueError, match=r"^loss_rate_range must be \(lo, hi\), got "):
+            replace(build_experiment("e2"), loss_rate_range=value)
+
+    def test_every_valid_config_survives_save_and_load(self, tmp_path):
+        path = str(tmp_path / "e2.cfg")
+        cfg = replace(build_experiment("e2"), ads_per_round=2, seed=2 ** 64 - 1)
+        save_config(cfg, path)
+        assert load_config(path) == cfg
 
 
 class TestRunScenario:
@@ -453,7 +488,7 @@ class TestRunScenario:
         one_of_each = {
             BehaviorKind.HONEST: PeerBehavior.honest(),
             BehaviorKind.PERSISTENT: PeerBehavior.persistent(),
-            BehaviorKind.ONOFF: PeerBehavior.onoff(0.5),
+            BehaviorKind.ONOFF: PeerBehavior.onoff(2),
             BehaviorKind.BADMOUTH: PeerBehavior.badmouther((0,)),
             BehaviorKind.COLLAB_STATIC: PeerBehavior.collab_static((4, 6)),
             BehaviorKind.COLLAB_ROTATING: PeerBehavior.collab_rotating((5, 7)),
@@ -513,7 +548,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("kind, lossless", [
         ("persistent", PeerBehavior.persistent()),
-        ("onoff", PeerBehavior.onoff(0.5)),
+        ("onoff", PeerBehavior.onoff(2)),
         ("collab_rotating", PeerBehavior.collab_rotating((1, 2))),
     ])
     def test_loss_rate_no_upload_reads_rejected(self, kind, lossless):

@@ -224,7 +224,7 @@ class TestScoreCandidates:
                              forgetting=0.05, forgiving=0.1, theta_p=0.0, theta_g=0.0)
         behaviors = [PeerBehavior.honest(), PeerBehavior.honest(),
                      PeerBehavior.badmouther((0, 1)),
-                     PeerBehavior.onoff(0.5), PeerBehavior.honest(), PeerBehavior.persistent()]
+                     PeerBehavior.onoff(2), PeerBehavior.honest(), PeerBehavior.persistent()]
         ids = range(len(behaviors))
         ran, fresh = World(seed=3), World(seed=3)
         for pid, behavior in zip(ids, behaviors):
@@ -556,6 +556,38 @@ class TestRunRound:
             world.add_peer(0, PeerBehavior.honest(), forced_params(k_providers=3),
                            budget=budget, candidates=(1, 2, 3))
         assert world.peers == {} and world.requesters == []
+
+    @pytest.mark.parametrize("budget", [1.5, True, "2"])
+    def test_non_int_budget_rejected(self, budget):
+        # at 1.5 the first round raised TypeError from admitted[:budget]
+        world = World(seed=1)
+        with pytest.raises(ValueError, match=f"^peer 0 has budget {budget!r}, expected an int$"):
+            world.add_peer(0, PeerBehavior.honest(), forced_params(), budget=budget,
+                           candidates=(1, 2))
+        assert world.peers == {} and world.requesters == []
+
+    def test_candidate_never_added_rejected_before_selection(self):
+        # delivery used to raise KeyError: 5 after selection had drawn and flagged
+        world = World(seed=1)
+        world.add_peer(0, PeerBehavior.honest(), forced_params(), budget=2, candidates=(1, 5))
+        world.add_peer(1, PeerBehavior.honest(), forced_params())
+        assert world.missing == {5}
+        with pytest.raises(ValueError, match=r"^candidates \[5\] were never added as peers$"):
+            run_round(world)
+        assert world.round == 0 and world.event_log == [] and world.detections == {}
+        world.add_peer(5, PeerBehavior.honest(), forced_params())
+        assert world.missing == set()
+        run_round(world)
+        assert [ev.provider for ev in world.event_log] == [1, 5]
+
+    @pytest.mark.parametrize("behavior", [PeerBehavior.collab_static((1, 2)),
+                                          PeerBehavior.collab_rotating((1, 2))])
+    def test_colluder_outside_its_group_rejected(self, behavior):
+        # such a peer never pollutes, yet its summary row names a collusion kind
+        world = World(seed=1)
+        with pytest.raises(ValueError, match=r"^peer 3 is not in its collusion group \[1, 2\]$"):
+            world.add_peer(3, behavior, forced_params())
+        assert world.peers == {}
 
     def test_requesters_kept_in_id_order(self):
         # a peer requests exactly when it has candidates: 5 has none

@@ -262,7 +262,7 @@ def small_worlds(draw):
         elif kind == "persistent":
             b = PeerBehavior.persistent()
         elif kind == "onoff":
-            b = PeerBehavior.onoff(draw(st.sampled_from([0.2, 0.5])))
+            b = PeerBehavior.onoff(draw(st.sampled_from([5, 2])))
         elif kind == "badmouth":
             others = [x for x in ids if x != pid]
             targets = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))

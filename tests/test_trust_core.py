@@ -406,14 +406,15 @@ class TestRecord:
             "dt_model=<DTModel.PDTM: 'pdtm'>, rho=0.6931471805599453, eta=1.0, "
             "forgetting=0.0, forgiving=0.0, theta_p=0.5, theta_g=0.9, chi=0.5, "
             "k_providers=5, k_recommenders=5, cold_start_trust=0.5)")
-        assert repr(PeerBehavior.onoff(0.2)) == (
-            "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, on_ratio=0.2, "
+        # format 0.7.0: an on-off peer states its period, not a polluted share
+        assert repr(PeerBehavior.onoff(5)) == (
+            "PeerBehavior(kind=<BehaviorKind.ONOFF: 'onoff'>, period=5, "
             "target_set=(), group=())")
 
     def test_equal_records_hash_equal(self):
         assert TrustParams(chi=0.2) == TrustParams(chi=0.2) != TrustParams()
         assert hash(TrustParams(chi=0.2)) == hash(TrustParams(chi=0.2))
-        assert hash(PeerBehavior.onoff(0.2)) == hash(PeerBehavior.onoff(0.2))
+        assert hash(PeerBehavior.onoff(5)) == hash(PeerBehavior.onoff(5))
 
     def test_records_of_different_classes_never_equal(self):
         assert TrustParams() != PeerBehavior.persistent()
