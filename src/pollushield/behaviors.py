@@ -7,8 +7,6 @@ seeds replay identical attack traces; network loss is the world's, drawn
 from each uploader's own stream.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import Tuple
 
@@ -42,12 +40,10 @@ class PeerBehavior(Record):
 
     def validate(self) -> None:
         for name, readers in _READERS.items():
-            value, default = getattr(self, name), getattr(PeerBehavior, name)
-            if self.kind not in readers and (type(value) is not type(default) or value != default):
+            if self.kind not in readers and getattr(self, name) != getattr(PeerBehavior, name):
                 kinds = " or ".join(k.value for k in readers)
                 raise ValueError(f"{name} is read only by kind {kinds}, not {self.kind.value}")
-        # period 1 would be persistent
-        if self.kind is _ONOFF and not (type(self.period) is int and self.period >= 2):
+        if self.kind is _ONOFF and self.period < 2:  # period 1 would be persistent
             raise ValueError(f"period must be an int >= 2, got {self.period!r}")
         for name in ("target_set", "group"):
             ids = getattr(self, name)

@@ -6,16 +6,12 @@ roles up front, so a config saved to disk reloads bit-identically and a
 (config, seed) pair always replays the same run.
 """
 
-from __future__ import annotations
-
 import json
 import random
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
 from itertools import groupby, product
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 try:  # hashlib is pretty heavy to load (OpenSSL), as CPython's `random` notes for sha512
     from _sha2 import sha256  # 3.12+
@@ -29,7 +25,8 @@ from . import __version__
 from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import World, run_round, score_candidates
-from .trust_core import CFModel, ChunkQuality, DTModel, Record, TrustParams, replace
+from .trust_core import (CFModel, ChunkQuality, DTModel, FieldTypeError, Record, TrustParams,
+                         replace, type_mismatch)
 
 
 class ScenarioConfig(Record):
@@ -58,15 +55,11 @@ class ScenarioConfig(Record):
         # the name becomes the stem of each output file
         if not self.name or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a file-name stem, got {self.name!r}")
-        for name in ("rounds", "seed", "warmup_rounds", "measure_from", "ads_per_round"):
-            value = getattr(self, name)
-            if type(value) is not int and not (value is None and name == "ads_per_round"):
-                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if any(type(count) is not int or count < 0 for _, count in self.behavior_mix):
+        if any(count < 0 for _, count in self.behavior_mix):
             raise ValueError("behavior mix counts must be non-negative ints")
         ids = range(self.n_peers)
         if not ids:
@@ -74,14 +67,7 @@ class ScenarioConfig(Record):
         for observer, subject in self.observed_pairs:
             if observer not in ids or subject not in ids or observer == subject:
                 raise ValueError(f"invalid observed pair ({observer}, {subject})")
-        for i, entry in enumerate(self.candidate_map):
-            try:
-                pid, cands, budget = entry
-            except (TypeError, ValueError):
-                raise ValueError(f"candidate_map[{i}] must be (requester, candidates, budget),"
-                                 f" got {entry!r}") from None
-            if type(budget) is not int:
-                raise ValueError(f"candidate_map[{i}] has budget {budget!r}, expected an int")
+        for pid, cands, budget in self.candidate_map:
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
             if not cands:
@@ -94,8 +80,6 @@ class ScenarioConfig(Record):
         for pid, _ in self.param_overrides:
             if pid not in ids:
                 raise ValueError(f"param override references unknown peer {pid}")
-        if type(self.loss_rate_range) is not tuple or len(self.loss_rate_range) != 2:
-            raise ValueError(f"loss_rate_range must be (lo, hi), got {self.loss_rate_range!r}")
         lo, hi = self.loss_rate_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError("loss_rate_range must satisfy 0 <= lo <= hi <= 1")
@@ -137,14 +121,6 @@ class ScenarioConfig(Record):
 
 # --- serialization -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _field_types(cls: type) -> Tuple[Tuple[str, Any], ...]:
-    """(name, resolved annotation) of each field of a config record, for
-    decoding; encoding reads only the field names (`_fields`)."""
-    hints = get_type_hints(cls)
-    return tuple((name, hints[name]) for name in cls._fields)
-
-
 _SCALARS = frozenset({type(None), bool, int, float, str})
 
 
@@ -164,47 +140,36 @@ def _encode(value: Any) -> Any:
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:
-    """Rebuild a value of annotation `tp` from its JSON form, or raise
-    ValueError naming the offending field."""
-    if tp is int or tp is float or tp is str:
-        # JSON numbers may fill float fields; bool is never an int
-        if type(value) is tp or (tp is float and type(value) is int):
+    """Rebuild a value of annotation `tp` from its JSON form: lists become
+    tuples, enum values members, objects records (ValueError naming `where`
+    for a non-object or unknown or missing keys); each record checks the rest."""
+    if isinstance(tp, type):
+        if issubclass(tp, Enum):
+            return next((member for member in tp if member.value == value), value)
+        if not issubclass(tp, Record):
             return value
-        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
-    origin = get_origin(tp)
-    if origin is Union:  # Optional[X]
-        if value is None:
-            return None
-        (inner,) = [a for a in get_args(tp) if a is not type(None)]
-        return _decode(inner, value, where)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{where}: expected a list, got {value!r}")
-        args = get_args(tp)
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(args) != len(value):
-            raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
-        return tuple(
-            _decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value))
-        )
-    if isinstance(tp, type) and issubclass(tp, Enum):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected an object, got {value!r}")
+        for problem, keys in (("unknown", set(value) - set(tp._fields)),
+                              ("missing", set(tp._fields) - set(value))):
+            if keys:
+                raise ValueError(f"{problem} {where} fields: {sorted(keys)}")
+        fields = {name: _decode(t, value[name], f"{where}.{name}")
+                  for name, t in tp.__annotations__.items()}
         try:
-            return tp(value)
-        except ValueError:
-            raise ValueError(f"{where}: unknown {tp.__name__} {value!r}") from None
-    # a config record
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected an object, got {value!r}")
-    types = _field_types(tp)
-    names = {name for name, _ in types}
-    unknown = set(value) - names
-    if unknown:
-        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
-    missing = names - set(value)
-    if missing:
-        raise ValueError(f"missing {where} fields: {sorted(missing)}")
-    return tp(**{name: _decode(t, value[name], f"{where}.{name}") for name, t in types})
+            return tp(**fields)
+        except FieldTypeError as exc:
+            raise FieldTypeError(f"{where}.{exc}") from None
+    if type(value) is not list:
+        return value
+    args = tp.__args__
+    if tp.__origin__ is not tuple:  # Optional[X]
+        return _decode(args[0], value, where)
+    if args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    if len(args) != len(value):  # refused by its arity when the record is built
+        return tuple(value)
+    return tuple(_decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -593,14 +558,20 @@ EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
 def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
     """Deterministic config for one of the canned experiments
     e1..e6. Overrides are the builder's keyword parameters (listed per
-    experiment in EXPERIMENT_OVERRIDES); any other key raises ValueError,
-    and an unknown experiment id raises KeyError."""
+    experiment in EXPERIMENT_OVERRIDES); any other key, or a value not of
+    the key's type (by `type_mismatch`), raises ValueError, and an unknown
+    experiment id raises KeyError."""
     key = exp_id.lower()
     if key not in _BUILDERS:
         raise KeyError(f"unknown experiment id {exp_id!r}")
-    unknown = set(overrides) - set(EXPERIMENT_OVERRIDES[key])
+    types = EXPERIMENT_OVERRIDES[key]
+    unknown = set(overrides) - set(types)
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
+    for name, value in overrides.items():
+        wrong = type_mismatch(types[name], value)
+        if wrong:
+            raise ValueError(name + wrong)
     return _BUILDERS[key](**overrides)
 
 

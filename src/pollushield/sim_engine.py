@@ -1,10 +1,10 @@
 """Round-based mesh overlay simulator.
 
-Each round every peer with candidates requests one chunk: it ranks the
-peers advertising to it by trust, admits the top K through its
-double-threshold rule, and records the qualities of the chunks it receives.
-Trust lives entirely inside per-peer tables; the world keeps no trust
-value of its own.
+Each round every peer with candidates ranks the peers advertising to it by
+trust, admits the top K through its double-threshold rule, takes a chunk
+from each of the first `budget` admitted (WARMUP_BUDGET, if more, in warmup)
+and records their qualities. Trust lives entirely inside per-peer tables;
+the world keeps no trust value of its own.
 
 The world advances single-threaded in peer-id order, so a (config, seed)
 pair replays to a byte-identical event log.

@@ -7,21 +7,51 @@ touches no global state. All trust-like quantities live in [0, 1].
 records, live here because this is the lowest module.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
-from typing import Any, List, NamedTuple, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
+
+
+def type_mismatch(tp: Any, value: Any) -> Optional[str]:
+    """None if `value` holds annotation `tp` (a class, `Optional[X]` or a
+    `Tuple`), else the path below it and what it expected: `[0][2]: expected
+    int, got 1.0`. A class is matched by exact type (a bool is never an int;
+    a record was checked when built), but an int may fill a float field."""
+    cls = type(value)
+    if cls is tp or (tp is float and cls is int):
+        return None
+    if isinstance(tp, type):
+        return f": expected {tp.__name__}, got {value!r}"
+    args = tp.__args__
+    if tp.__origin__ is Union:  # Optional[X]
+        return None if value is None else type_mismatch(args[0], value)
+    if cls is not tuple:
+        return f": expected a tuple, got {value!r}"
+    if args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    elif len(args) != len(value):
+        return f": expected {len(args)} items, got {len(value)}"
+    for i, (item_tp, item) in enumerate(zip(args, value)):
+        wrong = None if type(item) is item_tp else type_mismatch(item_tp, item)
+        if wrong:
+            return f"[{i}]{wrong}"
+    return None
+
+
+class FieldTypeError(ValueError):
+    """A record field not of its annotated type; the message starts with its path."""
 
 
 class Record:
     """A frozen dataclass without `dataclasses` (which imports `inspect`).
 
-    A subclass's fields are its annotations, in order; a class attribute
-    gives a field's default. A record is built by keyword only, checked by
-    `validate`, compared, hashed and printed by its fields in order, and
-    changed only through `replace`. Fields are read with getattr, never via
-    the instance `__dict__`: on CPython 3.11 reading that dict stops the
+    A subclass's fields are its annotations, in order, evaluated (no module
+    defining a record imports `annotations` from `__future__`, so no run
+    resolves a string); a class attribute gives a field's default. A record
+    is built by keyword only, checked by `type_mismatch` field by field and
+    then by `validate`, compared, hashed and printed by its fields in order,
+    and changed only through `replace`. Fields are read with getattr, never
+    via the instance `__dict__`: on CPython 3.11 reading that dict stops the
     hot path's specialised attribute loads on the instance.
     """
 
@@ -32,15 +62,17 @@ class Record:
 
     def __init__(self, **values: Any) -> None:
         cls = type(self)
-        for name in values:
-            if name not in cls._fields:
-                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
-        for name in cls._fields:
+        for name, tp in cls.__annotations__.items():
             try:
-                value = values[name] if name in values else getattr(cls, name)
+                value = values.pop(name) if name in values else getattr(cls, name)
             except AttributeError:
                 raise TypeError(f"{cls.__name__}() missing keyword argument {name!r}") from None
+            wrong = type_mismatch(tp, value)
+            if wrong:
+                raise FieldTypeError(name + wrong)
             object.__setattr__(self, name, value)
+        if values:  # what no field took
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {min(values)!r}")
         self.validate()
 
     def validate(self) -> None:

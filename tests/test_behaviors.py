@@ -126,8 +126,11 @@ class TestValidation:
     def test_onoff_ratio_bounds(self):
         # one polluted chunk per `period` uploads: period 1 would be persistent,
         # and a float or bool period is a second spelling of an int one
-        for period in (0, 1, -1, 2.0, True):
+        for period in (0, 1, -1):
             with pytest.raises(ValueError, match=f"^period must be an int >= 2, got {period!r}$"):
+                PeerBehavior.onoff(period)
+        for period in (2.0, True):
+            with pytest.raises(ValueError, match=f"^period: expected int, got {period!r}$"):
                 PeerBehavior.onoff(period)
         assert PeerBehavior.onoff(2).period == 2
 
@@ -155,6 +158,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="^group must be"):
             PeerBehavior(kind=kind, group=(2, 1))
 
+    @pytest.mark.parametrize("fields, message", [
+        # built, then its label raised an AttributeError
+        ({"kind": "honest"}, "kind: expected BehaviorKind, got 'honest'"),
+        # float and bool ids passed the config's `in range(n_peers)`
+        ({"kind": BehaviorKind.BADMOUTH, "target_set": (1.0, 2.0)},
+         r"target_set\[0\]: expected int, got 1.0"),
+        ({"kind": BehaviorKind.COLLAB_STATIC, "group": (True, 2)},
+         r"group\[0\]: expected int, got True"),
+        ({"kind": BehaviorKind.BADMOUTH, "target_set": [1, 2]},
+         r"target_set: expected a tuple, got \[1, 2\]"),
+        ({"kind": BehaviorKind.ONOFF, "period": "5"}, "period: expected int, got '5'"),
+    ], ids=["kind_str", "float_target", "bool_member", "list_target_set", "str_period"])
+    def test_wrongly_typed_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PeerBehavior(**fields)
+
     def test_constructors_sort_their_input(self):
         assert PeerBehavior.badmouther((3, 1)).target_set == (1, 3)
         assert PeerBehavior.collab_rotating((3, 1, 2)).group == (1, 2, 3)
@@ -181,13 +200,16 @@ class TestValidation:
         (PeerBehavior.onoff(2), "loss_rate", 0.3),
         (PeerBehavior.collab_static((1, 2)), "loss_rate", 0.3),
         (PeerBehavior.collab_rotating((1, 2)), "loss_rate", 0.3),
-        # equal to the default, but a float: saved as 0.0, it would not load
+        # equal to the default, but not an int: refused by the field's type first
         (PeerBehavior.honest(), "period", 0.0),
         (PeerBehavior.persistent(), "period", False),
     ])
     def test_field_its_kind_never_reads_rejected(self, base, field, value):
         # every builder sets only its own kind's fields, so none of these was ever read
-        with pytest.raises(ValueError, match=f"^{field} is read only .*, not {base.kind.value}$"):
+        message = f"^{field} is read only .*, not {base.kind.value}$"
+        if field == "period" and type(value) is not int:
+            message = f"^period: expected int, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
             if field == "loss_rate":
                 World(seed=1).add_peer(0, base, TrustParams(), loss_rate=value)
             else:

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pollushield import cli
+from pollushield import BehaviorKind, cli, replace
 from pollushield.cli import run_command
 from pollushield.metrics import MetricsReport, PeerSummary, emit_csv, paired_seeds
 from pollushield.scenarios import (
-    EXPERIMENT_IDS, EXPERIMENT_OVERRIDES, ScenarioConfig, build_experiment, config_to_dict,
-    save_config,
+    EXPERIMENT_IDS, EXPERIMENT_OVERRIDES, ScenarioConfig, build_experiment, config_digest,
+    config_to_dict, load_config, save_config,
 )
+from pollushield.trust_core import CFModel, DTModel, Record
 
 
 def read(path):
@@ -144,7 +145,7 @@ class TestRunCommand:
         (build_experiment("e4", mode="static"), ("behavior_mix", 1, 0), "designated_polluter", 1,
          "unknown config.behavior_mix[1][0] fields: ['designated_polluter']"),
         (build_experiment("e2"), (), "loss_rate_range", None,
-         "config.loss_rate_range: expected a list, got None"),
+         "config.loss_rate_range: expected a tuple, got None"),
     ], ids=["ignored_loss_rate", "loss_rate_the_kind_never_reads", "designated_polluter",
             "null_loss_rate_range"])
     def test_pre_0_6_0_scenario_rejected(self, tmp_path, capsys, cfg, where, key, value,
@@ -213,6 +214,15 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert run_command(["run", "--scenario", str(bad)]) == 1
         assert "bad.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+    def test_non_object_scenario_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "top.cfg"
+        path.write_text(text)
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config: expected an object, got {json.loads(text)!r}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [("rho", "NaN"), ("eta", "Infinity"),
                                             ("forgiving", "-Infinity")])
@@ -476,11 +486,12 @@ def test_readme_sweep_key_table_matches_code():
 
 # --- single-leaf scenario-file mutations --------------------------------------
 
-MUTATION_BASES = {
-    "e1": config_to_dict(build_experiment("e1", rounds=5)),
-    "e2": config_to_dict(build_experiment("e2", rounds=5)),
-    "e4": config_to_dict(build_experiment("e4", rounds=5, group_size=4)),
+RECORD_BASES = {
+    "e1": build_experiment("e1", rounds=5),
+    "e2": build_experiment("e2", rounds=5),
+    "e4": build_experiment("e4", rounds=5, group_size=4),
 }
+MUTATION_BASES = {exp: config_to_dict(cfg) for exp, cfg in RECORD_BASES.items()}
 
 
 def leaf_paths(node, path=()):
@@ -530,6 +541,57 @@ def test_single_leaf_mutation_exits_cleanly(leaf, value):
                 ["run", "--scenario", cfg_path, "--out", os.path.join(tmp, "out")])
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
+
+
+def record_leaf_paths(node, path=()):
+    """Paths to every scalar, enum member and empty tuple of a config."""
+    if isinstance(node, tuple) and node:
+        for i, value in enumerate(node):
+            yield from record_leaf_paths(value, path + (i,))
+    elif isinstance(node, Record):
+        for name in node._fields:
+            yield from record_leaf_paths(getattr(node, name), path + (name,))
+    else:
+        yield path
+
+
+def with_leaf(node, path, value):
+    """`node` with the leaf at `path` replaced by `value`, each record on the
+    way rebuilt through `replace`."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(node, tuple):
+        return node[:key] + (with_leaf(node[key], rest, value),) + node[key + 1:]
+    return replace(node, **{key: with_leaf(getattr(node, key), rest, value)})
+
+
+RECORD_LEAVES = [(exp, path) for exp, cfg in RECORD_BASES.items()
+                 for path in record_leaf_paths(cfg)]
+# the file mutations' values, plus what only the Python API can hold
+RECORD_REPLACEMENTS = REPLACEMENTS + (
+    [0, 1], (), (1,), (0, 1), (0.5, 0.5), (True,),
+    CFModel.CONSTANT, DTModel.DTMA, BehaviorKind.HONEST, BehaviorKind.ONOFF,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(leaf=st.sampled_from(RECORD_LEAVES), value=st.sampled_from(RECORD_REPLACEMENTS))
+def test_single_leaf_replace_builds_only_what_a_file_holds(leaf, value):
+    """The Python-API twin of the file mutations: a config with one leaf
+    replaced either is refused with ValueError when it is built, or
+    survives save and load unchanged, digest included."""
+    exp, path = leaf
+    try:
+        cfg = with_leaf(RECORD_BASES[exp], path, value)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "mutant.cfg")
+        save_config(cfg, cfg_path)
+        loaded = load_config(cfg_path)
+    assert loaded == cfg
+    assert config_digest(loaded) == config_digest(cfg)
 
 
 class TestCsvFormat:

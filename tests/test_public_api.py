@@ -69,11 +69,18 @@ def test_bench_hooks_resolve(monkeypatch):
 
 LEAN_RUN = """
 import sys
+import typing
+hint_calls = []
+get_type_hints = typing.get_type_hints
+typing.get_type_hints = lambda *args, **kwargs: (
+    hint_calls.append(args) or get_type_hints(*args, **kwargs))
 sys.path.insert(0, sys.argv[1])
 from pollushield import scenarios
 from pollushield.metrics import emit_csv
 emit_csv(scenarios.run_scenario(scenarios.build_experiment("e2")), sys.argv[2])
-print("_hashlib" in sys.modules, scenarios._field_types.cache_info().currsize,
+records = (scenarios.ScenarioConfig, scenarios.TrustParams, scenarios.PeerBehavior)
+print("_hashlib" in sys.modules, len(hint_calls),
+      any(isinstance(tp, str) for cls in records for tp in cls.__annotations__.values()),
       "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
@@ -98,10 +105,11 @@ def lean_child(script, tmp_path):
 
 
 def test_a_run_loads_no_openssl_and_evaluates_no_annotations(tmp_path):
-    # config_digest hashes without hashlib's OpenSSL module; encoding a config
-    # resolves no type hints (only loading a file needs them); the records
-    # are no dataclasses, so neither `dataclasses` nor its `inspect` loads
-    assert lean_child(LEAN_RUN, tmp_path) == ["False", "0", "False", "False"]
+    # config_digest hashes without hashlib's OpenSSL module; building and
+    # encoding a config call no get_type_hints, since every record's
+    # annotations are evaluated objects, never strings; the records are no
+    # dataclasses, so neither `dataclasses` nor its `inspect` loads
+    assert lean_child(LEAN_RUN, tmp_path) == ["False", "0", "False", "False", "False"]
 
 
 def test_a_cli_run_loads_no_dataclasses(tmp_path):

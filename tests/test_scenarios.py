@@ -47,6 +47,19 @@ class TestBuilders:
         with pytest.raises(ValueError, match="unsupported overrides"):
             build_experiment("e2", bogus=1)
 
+    @pytest.mark.parametrize("exp, key, value, expected", [
+        ("e4", "group_size", 2.0, "int"),  # was a TypeError from range
+        ("e6", "malicious_fraction", "0.2", "float"),  # were TypeErrors from <=
+        ("e3", "loss_rate", "0.1", "float"),
+        ("e3", "policy", 1, "str"),
+        ("e1", "seed", True, "int"),
+    ])
+    def test_wrongly_typed_override_rejected(self, exp, key, value, expected):
+        # the rule of a record's fields: exact type, but an int fills a float
+        with pytest.raises(ValueError, match=f"^{key}: expected {expected}, got {value!r}$"):
+            build_experiment(exp, **{key: value})
+        assert build_experiment("e3", loss_rate=0).loss_rate_range == (0, 0)
+
     @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
     def test_override_types_are_the_annotations(self, exp):
         # EXPERIMENT_OVERRIDES holds the defaults' types, which --sweep casts
@@ -268,9 +281,15 @@ class TestConfigFiles:
             (("params", "theta_p"), "0.5"),
             (("behavior_mix", 0, 0, "kind"), "bogus"),
             (("policy",), {"kind": "proposed", "theta": None}),
+            (("params", "k_providers"), True),
+            (("params", "dt_model"), 5),
+            (("name",), 5),
+            (("params",), 5),
+            (("behavior_mix", 0, 0), []),
         ],
         ids=["seed_float", "rounds_bool", "warmup_rounds_str", "theta_p_str", "kind_bogus",
-             "policy_leftover"],
+             "policy_leftover", "k_providers_bool", "dt_model_int", "name_int",
+             "params_int", "behavior_list"],
     )
     def test_wrong_type_or_unknown_value_rejected(self, path, value):
         d = config_to_dict(build_experiment("e2"))
@@ -280,6 +299,12 @@ class TestConfigFiles:
         target[path[-1]] = value
         with pytest.raises(ValueError, match=str(path[-1])):
             config_from_dict(d)
+
+
+    @pytest.mark.parametrize("value", [[], 5, "x", None])
+    def test_non_object_config_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^config: expected an object, got "):
+            config_from_dict(value)
 
 
 def tiny_config(**kwargs):
@@ -363,12 +388,12 @@ class TestValidation:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ((0, (2, 3)), r"candidate_map\[0\] must be \(requester, candidates, budget\)"),
-            (7, r"candidate_map\[0\] must be \(requester, candidates, budget\)"),
-            ((0, (2, 3), 1.0), r"candidate_map\[0\] has budget 1\.0, expected an int$"),
-            ((0, (2, 3), "2"), r"candidate_map\[0\] has budget '2', expected an int$"),
+            ((0, (2, 3)), r"candidate_map\[0\]: expected 3 items, got 2$"),
+            (7, r"candidate_map\[0\]: expected a tuple, got 7$"),
+            ((0, (2, 3), 1.0), r"candidate_map\[0\]\[2\]: expected int, got 1\.0$"),
+            ((0, (2, 3), "2"), r"candidate_map\[0\]\[2\]: expected int, got '2'$"),
             # saved as `true`, which load_config refuses
-            ((0, (2, 3), True), r"candidate_map\[0\] has budget True, expected an int$"),
+            ((0, (2, 3), True), r"candidate_map\[0\]\[2\]: expected int, got True$"),
         ],
         ids=["two_items", "not_a_triple", "float_budget", "str_budget", "bool_budget"],
     )
@@ -396,24 +421,68 @@ class TestValidation:
     ])
     def test_non_int_field_rejected(self, field, value):
         # each would be saved as a float, bool or string that load_config refuses
-        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^{field}: expected int, got {value!r}$"):
             replace(build_experiment("e2"), **{field: value})
+
+    @pytest.mark.parametrize("record, changes, message", [
+        # ran as PDTM, but saved and reloaded ran as DTMA
+        ("params", {"dt_model": "dtma"}, "dt_model: expected DTModel, got 'dtma'"),
+        # built, then the first round raised a bare TypeError
+        ("params", {"k_providers": 2.0}, "k_providers: expected int, got 2.0"),
+        # built and saved, but load_config refused the file
+        ("params", {"k_providers": True}, "k_providers: expected int, got True"),
+        ("params", {"theta_g": True}, "theta_g: expected float, got True"),
+        # was a bare TypeError
+        ("params", {"theta_p": "0.5"}, "theta_p: expected float, got '0.5'"),
+        # built, but the config could not be hashed
+        ("config", {"candidate_map": [(0, (2, 3, 4), 3)]},
+         r"candidate_map: expected a tuple, got \[\(0, \(2, 3, 4\), 3\)\]"),
+        ("config", {"param_overrides": ((1, "x"),)},
+         r"param_overrides\[0\]\[1\]: expected TrustParams, got 'x'"),
+        # float and bool peer ids passed `in range(n_peers)`
+        ("config", {"observed_pairs": ((0, 2.0),)}, r"observed_pairs\[0\]\[1\]: expected int"),
+        ("config", {"observed_pairs": ((True, 2),)}, r"observed_pairs\[0\]\[0\]: expected int"),
+        ("config", {"candidate_map": ((0, (2.0, 3, 4), 3),)},
+         r"candidate_map\[0\]\[1\]\[0\]: expected int, got 2.0"),
+        ("config", {"candidate_map": ((0.0, (2, 3, 4), 3),)},
+         r"candidate_map\[0\]\[0\]: expected int, got 0.0"),
+        ("config", {"param_overrides": ((1.0, TrustParams()),)},
+         r"param_overrides\[0\]\[0\]: expected int, got 1.0"),
+        # a bare TypeError from the file-stem check
+        ("config", {"name": 5}, "name: expected str, got 5"),
+        # an AttributeError from the behaviour checks
+        ("config", {"behavior_mix": (("x", 3), (PeerBehavior.honest(), 4))},
+         r"behavior_mix\[0\]\[0\]: expected PeerBehavior, got 'x'"),
+    ], ids=["dt_model_str", "k_providers_float", "k_providers_bool", "theta_g_bool",
+            "theta_p_str", "candidate_map_list", "override_params_str", "observed_float_id",
+            "observed_bool_id", "candidate_float_id", "requester_float_id",
+            "override_float_id", "name_int", "mix_behavior_str"])
+    def test_python_api_refuses_what_no_file_holds(self, record, changes, message):
+        cfg = build_experiment("e2")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            if record == "params":
+                replace(cfg.params, **changes)
+            else:
+                replace(cfg, **changes)
 
     def test_float_rounds_override_rejected(self):
         # it used to build a config that run_scenario failed on with a TypeError
-        with pytest.raises(ValueError, match="^rounds must be an int, got 44.0$"):
+        with pytest.raises(ValueError, match="^rounds: expected int, got 44.0$"):
             build_experiment("e3", rounds=44.0)
 
     @pytest.mark.parametrize("count", [2.0, True, -1])
     def test_mix_count_must_be_a_non_negative_int(self, count):
         # 2.0 was a bare TypeError, and True would be saved as `true`
-        with pytest.raises(ValueError, match="^behavior mix counts must be non-negative ints$"):
+        message = "^behavior mix counts must be non-negative ints$"
+        if count != -1:
+            message = rf"^behavior_mix\[1\]\[1\]: expected int, got {count!r}$"
+        with pytest.raises(ValueError, match=message):
             tiny_config(behavior_mix=((PeerBehavior.honest(), 3), (PeerBehavior.honest(), count)))
 
     @pytest.mark.parametrize("value", [None, [0.0, 0.0], (0.0,)])
     def test_loss_rate_range_must_be_a_pair(self, value):
         # None was a bare TypeError; a list would reload as a tuple
-        with pytest.raises(ValueError, match=r"^loss_rate_range must be \(lo, hi\), got "):
+        with pytest.raises(ValueError, match=r"^loss_rate_range: expected (a tuple|2 items), got "):
             replace(build_experiment("e2"), loss_rate_range=value)
 
     def test_every_valid_config_survives_save_and_load(self, tmp_path):
