@@ -21,7 +21,7 @@ from .scenarios import (
     load_config,
     run_grid,
 )
-from .trust_core import replace
+from .trust_core import canonical, replace
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -47,7 +47,7 @@ def _parse_sweep(spec: str, experiment: Optional[str]) -> Dict[str, List]:
         if key not in keys:
             raise ValueError(f"unknown sweep key {key!r} (valid: {', '.join(keys)})")
         cast = keys[key]
-        values = [cast(v) for v in raw.split(",") if v != ""]
+        values = [canonical(cast, cast(v), key) for v in raw.split(",") if v != ""]
         if not values:
             raise ValueError("sweep needs at least one value")
         repeated = [v for v in dict.fromkeys(values) if values.count(v) > 1]

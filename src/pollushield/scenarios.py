@@ -26,7 +26,7 @@ from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import World, run_round, score_candidates
 from .trust_core import (CFModel, ChunkQuality, DTModel, FieldTypeError, Record, TrustParams,
-                         replace, type_mismatch)
+                         canonical, replace)
 
 
 class ScenarioConfig(Record):
@@ -558,9 +558,9 @@ EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
 def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
     """Deterministic config for one of the canned experiments
     e1..e6. Overrides are the builder's keyword parameters (listed per
-    experiment in EXPERIMENT_OVERRIDES); any other key, or a value not of
-    the key's type (by `type_mismatch`), raises ValueError, and an unknown
-    experiment id raises KeyError."""
+    experiment in EXPERIMENT_OVERRIDES), each passed on as `canonical` stores
+    it; any other key, or a value not of the key's type, raises ValueError,
+    and an unknown experiment id raises KeyError."""
     key = exp_id.lower()
     if key not in _BUILDERS:
         raise KeyError(f"unknown experiment id {exp_id!r}")
@@ -568,11 +568,8 @@ def build_experiment(exp_id: str, **overrides) -> ScenarioConfig:
     unknown = set(overrides) - set(types)
     if unknown:
         raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    for name, value in overrides.items():
-        wrong = type_mismatch(types[name], value)
-        if wrong:
-            raise ValueError(name + wrong)
-    return _BUILDERS[key](**overrides)
+    return _BUILDERS[key](**{name: canonical(types[name], value, name)
+                             for name, value in overrides.items()})
 
 
 # --- execution ---------------------------------------------------------------

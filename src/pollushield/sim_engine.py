@@ -61,12 +61,12 @@ depend on how often trust is read. What a read works out that holds for the
 rest of the run, each peer keeps on its own record (`PeerRecord.views` and
 `.reports`); the kept values have no clock, so readers pass `world.round`.
 
-Peers that hold the same params object often hold equal table entries, so
-within a round they would work out the same arithmetic again and again.
-They share one `RoundMemo`, which maps a table state to its components and
-(state, quality) to the state a delivery leaves, for one round only: a read
-or delivery in another round finds it empty. Each is a pure function of
-the state, the params and the round, so a hit gives what a fill would.
+Peers that hold equal params often hold equal table entries, so within a
+round they would work out the same arithmetic again and again. They share
+one `RoundMemo`, which maps a table state to its components and (state,
+quality) to the state a delivery leaves, for one round only: a read or
+delivery in another round finds it empty. Each is a pure function of the
+state, the params and the round, so a hit gives what a fill would.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ _new_tuple = tuple.__new__
 
 
 class RoundMemo:
-    """One round's trust arithmetic for one params object: `reads` maps a
+    """One round's trust arithmetic for one params value: `reads` maps a
     table state to its components in round `now` and whether they hold for
     the rest of the run (`decays` is false), and `deliveries` maps (state,
     quality) to what `record_delivery` returns in round `now`. `start`
@@ -147,7 +147,7 @@ class PeerRecord:
     drops `views[b]` and `reports[b]` with each write to `trust_table[b]`.
     Emptied ones give the same values.
     `memo` is the `RoundMemo` of its params, which `World.add_peer` gives
-    every record holding the same params object."""
+    every record holding equal params."""
 
     __slots__ = (
         "behavior",
@@ -189,10 +189,8 @@ class PeerRecord:
 class World:
     """A population of peers plus the bookkeeping the experiments read.
 
-    `memos` holds one `RoundMemo` per params object its peers hold, keyed by
-    identity, not equality: params equal up to the sign of a zero give
-    different components. It holds each params object too, so no id is
-    reused while the world lives. `receivers[b]` is the set of peers whose
+    `memos` holds one `RoundMemo` per params value its peers hold (equal
+    records hold identical bits). `receivers[b]` is the set of peers whose
     trust tables hold b, that is, that have received from b; it holds only
     while every table is written through `write_entry`."""
 
@@ -210,7 +208,7 @@ class World:
         # candidates advertising the chunk it wants (None: all of them)
         self.ads_per_round = ads_per_round
         self.ads_rng = random.Random(f"{seed}:ads")
-        self.memos: Dict[int, Tuple[TrustParams, RoundMemo]] = {}
+        self.memos: Dict[TrustParams, RoundMemo] = {}
         self.receivers: Dict[int, Set[int]] = {}
         self.missing: Set[int] = set()  # candidates not yet added as peers
 
@@ -245,10 +243,10 @@ class World:
         if len(set(candidates)) < len(candidates):
             raise ValueError(f"peer {pid} lists a candidate twice: {list(candidates)}")
         rng = random.Random(f"{self.seed}:{pid}")
-        held = self.memos.get(id(params))
-        if held is None:
-            held = self.memos[id(params)] = (params, RoundMemo())
-        rec = PeerRecord(behavior, params, loss_rate, rng, budget, candidates, held[1])
+        memo = self.memos.get(params)
+        if memo is None:
+            memo = self.memos[params] = RoundMemo()
+        rec = PeerRecord(behavior, params, loss_rate, rng, budget, candidates, memo)
         self.peers[pid] = rec
         self.missing.discard(pid)
         self.missing.update(c for c in candidates if c not in self.peers)

@@ -9,33 +9,41 @@ records, live here because this is the lowest module.
 
 import math
 from enum import Enum
-from typing import Any, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, List, NamedTuple, Tuple, Union
 
 
-def type_mismatch(tp: Any, value: Any) -> Optional[str]:
-    """None if `value` holds annotation `tp` (a class, `Optional[X]` or a
-    `Tuple`), else the path below it and what it expected: `[0][2]: expected
-    int, got 1.0`. A class is matched by exact type (a bool is never an int;
-    a record was checked when built), but an int may fill a float field."""
+def canonical(tp: Any, value: Any, where: str) -> Any:
+    """`value` as field `where` of annotation `tp` (a class, `Optional[X]` or
+    a `Tuple`) stores it, else FieldTypeError naming the path: `where[0][2]:
+    expected int, got 1.0`. A class matches by exact type (a bool is never an
+    int; a record checked itself), but a float field takes an int and stores
+    `float(value) + 0.0`, never -0.0: equal records hold identical bits."""
     cls = type(value)
-    if cls is tp or (tp is float and cls is int):
-        return None
+    if tp is float and (cls is float or cls is int):
+        try:
+            return float(value) + 0.0
+        except OverflowError:  # an int beyond float range
+            raise FieldTypeError(f"{where}: expected float, got an int too large") from None
+    if cls is tp:
+        return value
     if isinstance(tp, type):
-        return f": expected {tp.__name__}, got {value!r}"
+        raise FieldTypeError(f"{where}: expected {tp.__name__}, got {value!r}")
     args = tp.__args__
     if tp.__origin__ is Union:  # Optional[X]
-        return None if value is None else type_mismatch(args[0], value)
+        return None if value is None else canonical(args[0], value, where)
     if cls is not tuple:
-        return f": expected a tuple, got {value!r}"
+        raise FieldTypeError(f"{where}: expected a tuple, got {value!r}")
     if args[-1] is Ellipsis:
         args = args[:1] * len(value)
     elif len(args) != len(value):
-        return f": expected {len(args)} items, got {len(value)}"
+        raise FieldTypeError(f"{where}: expected {len(args)} items, got {len(value)}")
+    stored = value  # a tuple with no float item is returned as it is
     for i, (item_tp, item) in enumerate(zip(args, value)):
-        wrong = None if type(item) is item_tp else type_mismatch(item_tp, item)
-        if wrong:
-            return f"[{i}]{wrong}"
-    return None
+        if type(item) is not item_tp or item_tp is float:  # items of their class inline
+            new = canonical(item_tp, item, f"{where}[{i}]")
+            if new is not item:
+                stored = stored[:i] + (new,) + stored[i + 1:]
+    return stored
 
 
 class FieldTypeError(ValueError):
@@ -48,11 +56,11 @@ class Record:
     A subclass's fields are its annotations, in order, evaluated (no module
     defining a record imports `annotations` from `__future__`, so no run
     resolves a string); a class attribute gives a field's default. A record
-    is built by keyword only, checked by `type_mismatch` field by field and
-    then by `validate`, compared, hashed and printed by its fields in order,
-    and changed only through `replace`. Fields are read with getattr, never
-    via the instance `__dict__`: on CPython 3.11 reading that dict stops the
-    hot path's specialised attribute loads on the instance.
+    is built by keyword only, each field stored as `canonical` gives it, then
+    checked by `validate`; it is compared, hashed and printed by its fields in
+    order, and changed only through `replace`. Fields are read with getattr,
+    never via the instance `__dict__`: on CPython 3.11 reading that dict stops
+    the hot path's specialised attribute loads on the instance.
     """
 
     _fields: Tuple[str, ...] = ()  # the field names, set per subclass
@@ -67,10 +75,7 @@ class Record:
                 value = values.pop(name) if name in values else getattr(cls, name)
             except AttributeError:
                 raise TypeError(f"{cls.__name__}() missing keyword argument {name!r}") from None
-            wrong = type_mismatch(tp, value)
-            if wrong:
-                raise FieldTypeError(name + wrong)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, canonical(tp, value, name))
         if values:  # what no field took
             raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {min(values)!r}")
         self.validate()

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import tempfile
@@ -453,6 +455,21 @@ class TestRunCommand:
         assert capsys.readouterr().err.rstrip().endswith("repeated values 1")
         assert not out.exists()
 
+    def test_sweep_value_is_cast_to_its_canonical_form(self, tmp_path, capsys):
+        # -0.0 names its files and digests its config as 0.0 does, so the two
+        # are one value
+        out = tmp_path / "out"
+        argv = ["run", "--experiment", "e3", "--rounds", "25", "--out", str(out)]
+        assert run_command([*argv, "--sweep", "loss_rate=-0.0"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"e3_loss_rate_0p0_{kind}"
+            for kind in ("meta.json", "summary.csv", "trajectories.csv")]
+        meta = json.loads((out / "e3_loss_rate_0p0_meta.json").read_text())
+        cfg = replace(build_experiment("e3", loss_rate=0.0, rounds=25), name="e3_loss_rate_0p0")
+        assert meta["config_digest"] == config_digest(cfg)
+        assert run_command([*argv, "--sweep", "loss_rate=0.0,-0.0"]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("repeated values 0.0")
+
     @pytest.mark.parametrize("sweep", ["volume=11", "loss_rate=0.1"])
     def test_bad_sweep_key(self, tmp_path, capsys, sweep):
         code = run_command(
@@ -543,6 +560,31 @@ def test_single_leaf_mutation_exits_cleanly(leaf, value):
     assert "Traceback" not in err.getvalue()
 
 
+FLOAT_LEAVES = [(exp, path) for exp, path in LEAVES
+                if type(functools.reduce(operator.getitem, path, MUTATION_BASES[exp])) is float]
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["big", "minus_big"])
+@pytest.mark.parametrize(
+    "leaf", FLOAT_LEAVES, ids=lambda leaf: "-".join(map(str, (leaf[0], *leaf[1]))))
+def test_int_beyond_float_range_exits_cleanly(tmp_path, capsys, leaf, value):
+    """A float leaf holding an int no float can hold, which JSON reads
+    exactly, is refused naming the leaf's path; no traceback. Not one of
+    REPLACEMENTS: in an int leaf such as a mix count it would build a world
+    of that many peers."""
+    exp, path = leaf
+    d = copy.deepcopy(MUTATION_BASES[exp])
+    functools.reduce(operator.getitem, path[:-1], d)[path[-1]] = value
+    cfg_path = tmp_path / "mutant.cfg"
+    cfg_path.write_text(json.dumps(d), encoding="utf-8")
+    code = run_command(["run", "--scenario", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    where = "config" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    assert code == 1
+    assert f"{where}: expected float, got an int too large" in err
+    assert "Traceback" not in err
+
+
 def record_leaf_paths(node, path=()):
     """Paths to every scalar, enum member and empty tuple of a config."""
     if isinstance(node, tuple) and node:
@@ -575,17 +617,34 @@ RECORD_REPLACEMENTS = REPLACEMENTS + (
 )
 
 
+def leaf_of(node, path):
+    for key in path:
+        node = node[key] if isinstance(node, tuple) else getattr(node, key)
+    return node
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(leaf=st.sampled_from(RECORD_LEAVES), value=st.sampled_from(RECORD_REPLACEMENTS))
+@example(leaf=("e1", ("params", "c")), value=2)
+@example(leaf=("e1", ("param_overrides", 0, 1, "cf_constant")), value=-0.0)
+@example(leaf=("e2", ("loss_rate_range", 1)), value=1)
+@example(leaf=("e4", ("loss_rate_range", 0)), value=-0.0)
 def test_single_leaf_replace_builds_only_what_a_file_holds(leaf, value):
     """The Python-API twin of the file mutations: a config with one leaf
     replaced either is refused with ValueError when it is built, or
-    survives save and load unchanged, digest included."""
+    survives save and load unchanged, digest included. A float leaf given
+    an int or -0.0 holds `float(value) + 0.0`, so the config is its twin
+    built with that float, digest included."""
     exp, path = leaf
     try:
         cfg = with_leaf(RECORD_BASES[exp], path, value)
     except ValueError:
         return
+    if type(leaf_of(RECORD_BASES[exp], path)) is float and type(value) in (int, float):
+        twin = with_leaf(RECORD_BASES[exp], path, float(value) + 0.0)
+        assert repr(leaf_of(cfg, path)) == repr(float(value) + 0.0)
+        assert cfg == twin
+        assert config_digest(cfg) == config_digest(twin)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "mutant.cfg")
         save_config(cfg, cfg_path)

@@ -58,7 +58,7 @@ class TestBuilders:
         # the rule of a record's fields: exact type, but an int fills a float
         with pytest.raises(ValueError, match=f"^{key}: expected {expected}, got {value!r}$"):
             build_experiment(exp, **{key: value})
-        assert build_experiment("e3", loss_rate=0).loss_rate_range == (0, 0)
+        assert repr(build_experiment("e3", loss_rate=0).loss_rate_range) == "(0.0, 0.0)"
 
     @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
     def test_override_types_are_the_annotations(self, exp):

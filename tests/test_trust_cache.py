@@ -17,13 +17,14 @@ the top k_providers in doubt.
 
 A peer keeps the values its reads work out that hold for the rest of the
 run on its own record (`PeerRecord.views` and `.reports`), so a second call
-on the same world reads what the first kept. Peers holding the same params
-object share a `RoundMemo` of what the current round's reads and deliveries
+on the same world reads what the first kept. Peers holding equal params
+share a `RoundMemo` of what the current round's reads and deliveries
 worked out. `fresh_scores` scores with every record's kept values set aside
 and a memo of its own: the reference a call on kept values must equal.
 """
 
 import math
+from pathlib import Path
 from pollushield import replace
 from typing import List, Optional, Tuple
 
@@ -32,7 +33,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pollushield import scenarios, sim_engine
 from pollushield.behaviors import PeerBehavior, recommendation_value
-from pollushield.scenarios import Run, ScenarioConfig, build_experiment, run_scenario
+from pollushield.metrics import emit_csv
+from pollushield.scenarios import (
+    Run, ScenarioConfig, build_experiment, config_digest, load_config, run_scenario, save_config,
+)
 from pollushield.sim_engine import (
     RoundMemo,
     TransactionOutcome,
@@ -352,11 +356,10 @@ def test_newcomer_reads_match_oracle(exp, overrides):
 
 
 def with_k_providers(cfg, k):
-    """cfg with every params object's k_providers set to k."""
-    params = [cfg.params] + [p for _, p in cfg.param_overrides]
-    lowered = {id(p): replace(p, k_providers=k) for p in params}
-    return replace(cfg, params=lowered[id(cfg.params)],
-                   param_overrides=tuple((pid, lowered[id(p)]) for pid, p in cfg.param_overrides))
+    """cfg with every params record's k_providers set to k."""
+    return replace(cfg, params=replace(cfg.params, k_providers=k),
+                   param_overrides=tuple((pid, replace(p, k_providers=k))
+                                         for pid, p in cfg.param_overrides))
 
 
 def run_with_reference_selection(cfg):
@@ -550,10 +553,10 @@ def test_dense_collusion_work_counts(monkeypatch):
     observation reads again, and after 405 of the members' 408 repeat
     deliveries (552 of their 960 are first deliveries, which drop nothing);
     summing every candidate read 2 more again.
-    A fill is worked out once per (params object, state, round), in the
-    round memo the peers holding that object share, and a delivery update
-    once per (params object, state, quality, round). The 24 members hold
-    one params object and fill their entries of one another alike, so in a
+    A fill is worked out once per (params value, state, round), in the
+    round memo the peers holding that value share, and a delivery update
+    once per (params value, state, quality, round). The 24 members hold
+    one params value and fill their entries of one another alike, so in a
     round their reads and deliveries meet few distinct states:
     `decayed_counts` runs for 287 of the 2 493 fills, two of them the empty
     state in round 1, and `record_delivery` for 275 of the 1 920
@@ -616,7 +619,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     trust moves with time (25 429; 23 929 when a never-received subject
     took components its record built, and before that 27 896 when entries
     were kept only while their counts held). Every peer holds the one
-    params object, so they share one round memo, and a fill is worked out
+    params value, so they share one round memo, and a fill is worked out
     once per (state, round): `decayed_counts` runs 3 895 times, once for
     the empty state in round 1 (23 929 before the round memo).
     Likewise a delivery update is worked out once per (state, quality,
@@ -692,15 +695,15 @@ def test_newcomer_reads_work_counts(monkeypatch):
     counts do not decay made 13 918 fills, 10 611 of them decaying reads,
     and one that also kept a decaying entry until the round moved made
     11 859.
-    A fill is worked out once per (params object, state, round), in the
-    round memo shared by the peers holding that object: the requesters
+    A fill is worked out once per (params value, state, round), in the
+    round memo shared by the peers holding that value: the requesters
     share one, and the newcomer has its own. So `decayed_counts` runs
     4 024 times (3 627 for the requesters, 397 for the newcomer; 3 624
     asking requesters of credibility 0 too), 30 of
     them for the empty state: in 19 rounds for the requesters' memo and 11
     for the newcomer's, each a round in which some peer first scores a
     subject it never received from.
-    Likewise `record_delivery` runs once per (params object, state,
+    Likewise `record_delivery` runs once per (params value, state,
     quality, round): 2 274 times for the 3 632 deliveries.
     `direct_trust` runs once per worked-out fill. A record that built its
     never-received-from components at construction took one more
@@ -830,24 +833,42 @@ def test_first_delivery_replaces_a_strangers_kept_view():
     assert got != empty
 
 
-def test_round_memo_is_shared_by_params_identity_not_equality():
-    """e2 with the CONSTANT confidence factor at weight 0.0, and peer 1's
-    override differing only by `cf_constant=-0.0`: the two params compare
-    equal, but peer 1's weight is -0.0. Peers 0 and 1 receive from the same
-    on-off attackers in peer-id order, so a memo shared by equal params
-    would hand peer 1 the components peer 0's reads worked out, weight
-    0.0. Every one of peer 1's trajectory rows keeps -0.0."""
+def test_configs_equal_up_to_a_zero_sign_are_one_config(tmp_path):
+    """e2 with the CONSTANT confidence factor at weight 0.0, and twins whose
+    peer-1 override is `cf_constant=0.0` in one and `-0.0` in the other. A
+    record stores -0.0 as 0.0, so the twins are equal with one digest, every
+    peer of each run shares the one `RoundMemo` of their equal params, and
+    the runs write the same bytes: a -0.0 weight would print `-0.000000` in
+    each of peer 1's trajectory rows."""
     cfg = build_experiment("e2", seed=1)
     base = replace(cfg.params, cf_model=CFModel.CONSTANT, cf_constant=0.0)
-    signed = replace(base, cf_constant=-0.0)
-    assert signed == base and signed is not base
-    run = Run(replace(cfg, params=base, param_overrides=((1, signed),))).advance(cfg.rounds)
-    peers = run.world.peers
-    assert peers[0].memo is peers[2].memo is not peers[1].memo
-    rows = [row for (observer, _), rows in run.trajectories.items() if observer == 1
-            for row in rows]
-    assert len(rows) == 3 * cfg.rounds
-    assert all(math.copysign(1.0, row[3]) == -1.0 for row in rows)
+    twins = [replace(cfg, params=base, param_overrides=((1, replace(base, cf_constant=zero)),))
+             for zero in (0.0, -0.0)]
+    assert twins[0] == twins[1]
+    assert math.copysign(1.0, twins[1].param_overrides[0][1].cf_constant) == 1.0
+    assert config_digest(twins[0]) == config_digest(twins[1])
+    outputs = []
+    for i, twin in enumerate(twins):
+        run = Run(twin).advance(twin.rounds)
+        assert len({id(rec.memo) for rec in run.world.peers.values()}) == 1
+        outputs.append([Path(path).read_bytes()
+                        for path in emit_csv(run.report(), str(tmp_path / str(i)))])
+    assert outputs[0] == outputs[1]
+
+
+def test_saved_config_shares_round_memos_like_the_built_one(tmp_path):
+    """e4's rotating group of 24: the builder gives its 24 override entries
+    one params object, and the other peers the config's, so its run holds 2
+    round memos. The same config saved and loaded holds a fresh params
+    object per entry, each equal to the builder's, so its run holds the same
+    2 memos, not one per entry and one more (25), and the same event log."""
+    cfg = build_experiment("e4", mode="rotating", group_size=24, rounds=40)
+    save_config(cfg, str(tmp_path / "e4.cfg"))
+    loaded = load_config(str(tmp_path / "e4.cfg"))
+    assert loaded == cfg
+    built, reloaded = Run(cfg).advance(cfg.rounds), Run(loaded).advance(loaded.rounds)
+    assert len(built.world.memos) == len(reloaded.world.memos) == 2
+    assert reloaded.world.event_log == built.world.event_log
 
 
 def test_round_memo_starts_empty_in_another_round():
