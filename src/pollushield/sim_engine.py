@@ -11,46 +11,46 @@ pair replays to a byte-identical event log.
 
 Trust is scored in two steps. A recommender is a peer the requester has
 received from that has itself received from the subject. The trust tables
-record both, and `World.receivers` holds the second inverted: the peers
-that received from each subject. `World.write_entry`, the one way a table
-changes, keeps the two in step. When the requester has received from
-anyone, one ranking serves a batch (`_walk_recommenders`): the peers in its
-table of positive credibility that received from some subject, sorted once
-by credibility, ties by lowest id. A report of credibility 0 would leave
-both sums below as they are, bit for bit, and would sort after every other,
-so leaving it out moves no subject's first k holders. Each subject gets a
-holder list, its candidate recommenders in rank order. When the ranking
-holds at most k_recommenders peers, no subject can have more reports than
-that, so every subject's list is the whole ranking. A longer ranking is
-walked once, recommender by recommender: one set intersection of the
-recommender's table with the subjects still wanted appends it to the list
-of each subject it received from; a subject leaves once its list holds
-k_recommenders, and the pass ends when none is left. Then `_sum_reports`
-sums the lists of the subjects it is given, skipping a recommender that did
-not receive from the subject, into running sums of credibility and
-credibility-weighted report. So each subject sums its own top k in rank
-order, the operations of the test oracle's aggregation
-(tests/test_trust_cache.py), bit for bit; a subject with no report of
-positive credibility takes cold-start trust as its indirect value. A
-subject the observer never received from reads as `EMPTY_STATE`, the entry
-a first delivery starts from. `score_candidates` sums every subject of its
-batch; `scenarios.Run` calls it once per observer and round, and
-`select_providers` once per requester with no more candidates than
-k_providers.
+record both, and each peer's `PeerRecord.reach` holds the subjects that
+some peer in its table has received from: the only subjects it can hear a
+report on. `World.write_entry`, the one way a table changes, keeps every
+`reach` in step. When a batch holds a subject in the requester's reach, one
+ranking serves it (`_walk_recommenders`): the peers in its table of
+positive credibility that received from some subject, sorted once by
+credibility, ties by lowest id; a batch out of reach is not walked. A
+report of credibility 0 would leave both sums below as they are, bit for
+bit, and would sort after every other, so leaving it out moves no subject's
+first k holders. Each subject gets a holder list, its candidate
+recommenders in rank order. When the ranking holds at most k_recommenders
+peers, no subject can have more reports than that, so every subject's list
+is the whole ranking. A longer ranking is walked once, recommender by
+recommender: one set intersection of the recommender's table with the
+subjects still wanted appends it to the list of each subject it received
+from; a subject leaves once its list holds k_recommenders, and the pass
+ends when none is left. Then `_sum_reports` sums the lists of the subjects
+it is given, skipping a recommender that did not receive from the subject,
+into running sums of credibility and credibility-weighted report. So each
+subject sums its own top k in rank order, the operations of the test
+oracle's aggregation (tests/test_trust_cache.py), bit for bit; a subject
+with no report of positive credibility takes cold-start trust as its
+indirect value. A subject the observer never received from reads as
+`EMPTY_STATE`, the entry a first delivery starts from. `score_candidates`
+sums every subject of its batch; `scenarios.Run` calls it once per observer
+and round, and `select_providers` once per requester with no more
+candidates than k_providers.
 
 A requester with more candidates sums only those that can change its
 detections or its top k_providers (`_bounded_top`), after Fagin, Lotem and
 Naor's threshold algorithm. Indirect trust lies in [0, 1], and
 `combine_trust(d, ind, a)` never falls as `ind` grows, rounding included,
 so a candidate's trust lies between its values at 0 and 1, which its kept
-view gives without a sum. A candidate that no peer in the requester's table
-received from (`World.receivers`), or whose requester ranks no peer, hears
-no report, so its view is its trust. In candidate order, an undetected
-candidate is summed only when its bounds straddle the detection threshold;
-then exact trust is worked out in ascending (-upper, id) order until the
-k-th best exact (-trust, id) key beats the next upper-bound key. So the
-admitted providers, their trust, the detections and the probe draws are
-those of summing every candidate.
+view gives without a sum. A candidate outside the requester's reach, or
+whose requester ranks no peer, hears no report, so its view is its trust.
+In candidate order, an undetected candidate is summed only when its bounds
+straddle the detection threshold; then exact trust is worked out in
+ascending (-upper, id) order until the k-th best exact (-trust, id) key
+beats the next upper-bound key. So the admitted providers, their trust, the
+detections and the probe draws are those of summing every candidate.
 
 The one clock is `world.round`, which `run_round` advances before it
 selects. Tables change only at delivery, through `World.write_entry`, where
@@ -63,10 +63,10 @@ rest of the run, each peer keeps on its own record (`PeerRecord.views` and
 
 Peers that hold equal params often hold equal table entries, so within a
 round they would work out the same arithmetic again and again. They share
-one `RoundMemo`, which maps a table state to its components and (state,
-quality) to the state a delivery leaves, for one round only: a read or
-delivery in another round finds it empty. Each is a pure function of the
-state, the params and the round, so a hit gives what a fill would.
+one `RoundMemo`, which maps a table state to its components and, one map
+per chunk quality, to the state a delivery leaves, for one round only: a
+read or delivery in another round finds it empty. Each is a pure function
+of the state, the params and the round, so a hit gives what a fill would.
 """
 
 from __future__ import annotations
@@ -112,17 +112,20 @@ class TrustComponents(NamedTuple):
 
 # bound once: a NamedTuple's own __new__ is a Python function, one more frame per build
 _new_tuple = tuple.__new__
+# bound once: before Python 3.12, `Enum.MEMBER` in a function costs an EnumType.__getattr__ call
+_CLEAN, _POLLUTED = ChunkQuality.CLEAN, ChunkQuality.POLLUTED
 
 
 class RoundMemo:
     """One round's trust arithmetic for one params value: `reads` maps a
     table state to its components in round `now` and whether they hold for
-    the rest of the run (`decays` is false), and `deliveries` maps (state,
-    quality) to what `record_delivery` returns in round `now`. `start`
-    empties both for a new round, so nothing outlives its round and a table
-    written anywhere needs no invalidation."""
+    the rest of the run (`decays` is false), and `clean` and `polluted` map
+    a state to what `record_delivery` returns in round `now` for a chunk of
+    that quality. A map per quality keys on the state alone, so a lookup
+    hashes no Enum. `start` empties all three for a new round, so nothing
+    outlives its round and a table written anywhere needs no invalidation."""
 
-    __slots__ = ("now", "reads", "deliveries")
+    __slots__ = ("now", "reads", "clean", "polluted")
 
     def __init__(self) -> None:
         self.start(None)
@@ -130,7 +133,8 @@ class RoundMemo:
     def start(self, now: Optional[int]) -> None:
         self.now = now
         self.reads: Dict[TrustState, Tuple[TrustComponents, bool]] = {}
-        self.deliveries: Dict[Tuple[TrustState, ChunkQuality], TrustState] = {}
+        self.clean: Dict[TrustState, TrustState] = {}
+        self.polluted: Dict[TrustState, TrustState] = {}
 
 
 class PeerRecord:
@@ -146,6 +150,8 @@ class PeerRecord:
     while the table entry they came from stands, so `World.write_entry`
     drops `views[b]` and `reports[b]` with each write to `trust_table[b]`.
     Emptied ones give the same values.
+    `reach` is the union of the table keys of the peers in its own table:
+    the subjects it can hear a report on, which `World.write_entry` keeps.
     `memo` is the `RoundMemo` of its params, which `World.add_peer` gives
     every record holding equal params."""
 
@@ -160,6 +166,7 @@ class PeerRecord:
         "delivery_index",
         "views",
         "reports",
+        "reach",
         "memo",
     )
 
@@ -183,6 +190,7 @@ class PeerRecord:
         self.delivery_index: Dict[int, int] = {}
         self.views: Dict[int, TrustComponents] = {}
         self.reports: Dict[int, float] = {}
+        self.reach: Set[int] = set()
         self.memo = memo
 
 
@@ -191,8 +199,9 @@ class World:
 
     `memos` holds one `RoundMemo` per params value its peers hold (equal
     records hold identical bits). `receivers[b]` is the set of peers whose
-    trust tables hold b, that is, that have received from b; it holds only
-    while every table is written through `write_entry`."""
+    trust tables hold b, that is, that have received from b: the index
+    `write_entry` keeps each `PeerRecord.reach` by, which no read uses.
+    Both hold only while every table is written through `write_entry`."""
 
     def __init__(
         self, seed: int, warmup_rounds: int = 0, ads_per_round: Optional[int] = None
@@ -257,11 +266,18 @@ class World:
     def write_entry(self, peer: int, subject: int, state: TrustState) -> None:
         """Set `peer`'s trust table entry for `subject` to `state`, the one
         way a table changes. It drops the peer's kept view and report of
-        the subject, which held only while the old entry stood, and at a
-        first entry adds the peer to `receivers[subject]`."""
+        the subject, which held only while the old entry stood. A first
+        entry puts `subject` in the peer's table, so the peer's reach gains
+        the subject's table keys and the reach of every peer that received
+        from the peer gains the subject; then the peer joins
+        `receivers[subject]`."""
         rec = self.peers[peer]
         table = rec.trust_table
         if subject not in table:
+            peers = self.peers
+            rec.reach.update(peers[subject].trust_table)
+            for receiver in self.receivers.get(peer, ()):
+                peers[receiver].reach.add(subject)
             self.receivers.setdefault(subject, set()).add(peer)
         table[subject] = state
         rec.views.pop(subject, None)
@@ -402,7 +418,8 @@ def score_candidates(
         raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     now = world.round
-    holders = _walk_recommenders(world, observer, subjects) if obs.trust_table else {}
+    walk = not obs.reach.isdisjoint(subjects)
+    holders = _walk_recommenders(world, observer, subjects) if walk else {}
     indirect = _sum_reports(world, holders, holders) if holders else {}
     views = obs.views
     scored: List[TrustComponents] = []
@@ -425,9 +442,9 @@ def _bounded_top(
         raise ValueError("a peer cannot evaluate trust of itself")
     req = world.peers[requester]
     now = world.round
-    known = req.trust_table.keys()
-    holders = _walk_recommenders(world, requester, candidates) if known else {}
-    receivers = world.receivers
+    reach = req.reach
+    walk = not reach.isdisjoint(candidates)
+    holders = _walk_recommenders(world, requester, candidates) if walk else {}
     views = req.views
     comps: Dict[int, TrustComponents] = {}
     exact: Dict[int, float] = {}  # trust of the candidates worked out so far
@@ -444,7 +461,7 @@ def _bounded_top(
     keys: List[Tuple[float, int]] = []  # (-upper bound, provider)
     for pid in candidates:
         d, _, a, t = comps[pid] = views.get(pid) or _read(req, pid, now)
-        if pid in holders and not known.isdisjoint(receivers.get(pid, ())):
+        if pid in holders and pid in reach:
             # combine_trust(d, ind, a) at ind 0 and 1, up to a zero's sign
             lower, upper = a * d, a * d + (1.0 - a)
         else:  # no report can reach pid: its view is its trust
@@ -522,18 +539,19 @@ def run_round(world: World) -> None:
         memo = req.memo
         if memo.now != r:
             memo.start(r)
-        delivered = memo.deliveries
+        clean, polluted = memo.clean, memo.polluted
         for pid, trust_at_selection in admitted[:budget]:
             provider = world.peers[pid]
             idx = req.delivery_index.get(pid, 0)
             quality = upload_quality(provider.behavior, pid, r, idx)
             if provider.loss_rate and provider.rng.random() < provider.loss_rate:
-                quality = ChunkQuality.POLLUTED  # the requester cannot tell loss from malice
+                quality = _POLLUTED  # the requester cannot tell loss from malice
             req.delivery_index[pid] = idx + 1
-            key = (req.trust_table.get(pid, EMPTY_STATE), quality)
-            state = delivered.get(key)
+            delivered = clean if quality is _CLEAN else polluted
+            before = req.trust_table.get(pid, EMPTY_STATE)
+            state = delivered.get(before)
             if state is None:
-                state = delivered[key] = record_delivery(*key, r, req.params)
+                state = delivered[before] = record_delivery(before, quality, r, req.params)
             world.write_entry(rid, pid, state)
             world.event_log.append(
                 _new_tuple(TransactionOutcome, (r, rid, pid, quality, trust_at_selection))

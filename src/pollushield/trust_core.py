@@ -9,7 +9,7 @@ records, live here because this is the lowest module.
 
 import math
 from enum import Enum
-from typing import Any, List, NamedTuple, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Tuple, Union
 
 
 def canonical(tp: Any, value: Any, where: str) -> Any:
@@ -61,9 +61,14 @@ class Record:
     order, and changed only through `replace`. Fields are read with getattr,
     never via the instance `__dict__`: on CPython 3.11 reading that dict stops
     the hot path's specialised attribute loads on the instance.
+
+    The hash is worked out on first use and kept on the record as `_hash`,
+    which is no field. Pickling leaves it out, since an Enum member hashes
+    by its name, and string hashes differ between processes.
     """
 
     _fields: Tuple[str, ...] = ()  # the field names, set per subclass
+    _hash = None  # the kept hash; no field, since it has no annotation
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
@@ -99,7 +104,14 @@ class Record:
         return True
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self._fields))
+        h = self._hash
+        if h is None:
+            h = hash(tuple(getattr(self, name) for name in self._fields))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

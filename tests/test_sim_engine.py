@@ -212,10 +212,11 @@ class TestScoreCandidates:
         # 3: only 3 gets a report
         assert [set(got) for got in sums] == [{3}]
         score_candidates(world, 0, (1, 2, 4, 5))
-        # no recommender received from any subject: nothing to sum
-        assert walks[1] == {} and len(sums) == 1
+        # no recommender received from any subject: the batch is outside
+        # 0's reach, {3}, so it is neither walked nor summed
+        assert len(walks) == 1 and len(sums) == 1
         score_candidates(world, 4, (0, 1, 2, 3))
-        assert len(walks) == 2  # 4 received from no one: no walk
+        assert len(walks) == 1  # 4 received from no one: no walk
 
     def test_trust_tables_are_the_only_state_a_read_uses(self):
         """Scoring a world that ran equals scoring a fresh world given only

@@ -405,6 +405,45 @@ def receivers_of(world):
     return inverted
 
 
+def reach_of(world):
+    """Each peer's reach from the tables themselves: the union of the table
+    keys of the peers in its own table. `PeerRecord.reach` must equal it,
+    or a batch that could hear a report goes unwalked."""
+    peers = world.peers
+    return {pid: set().union(*(peers[k].trust_table for k in rec.trust_table))
+            for pid, rec in peers.items()}
+
+
+def assert_reach_after_every_round(cfg):
+    run = Run(cfg)
+    for _ in range(cfg.rounds):
+        world = run.advance(1).world
+        assert {pid: rec.reach for pid, rec in world.peers.items()} == reach_of(world)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("exp, overrides", [
+    ("e1", {}),
+    ("e2", {}),
+    ("e3", {"rounds": 25}),
+    ("e4", {"rounds": 40}),
+    ("e5", {}),
+    ("e6", {"rounds": 25}),
+])
+def test_reach_matches_the_tables_after_every_round(exp, overrides, seed):
+    """Each peer's reach, kept by `World.write_entry` at first entries
+    only, is what its trust tables give after every round. A table written
+    anywhere but through `write_entry` would leave it behind. e3 and e6 are
+    cut to 25 rounds, their 24 warmup rounds and one more."""
+    assert_reach_after_every_round(build_experiment(exp, seed=seed, **overrides))
+
+
+@settings(deadline=None, max_examples=25)
+@given(cfg=small_worlds())
+def test_reach_matches_the_tables_after_every_round_in_small_worlds(cfg):
+    assert_reach_after_every_round(cfg)
+
+
 def test_bounded_selection_sums_only_candidates_in_reach(monkeypatch):
     """e4 rotating, group 12: each member takes its top 1 of 11, so its
     selections are bounded. Every sum one asks for is of a candidate that
@@ -512,8 +551,12 @@ def test_dense_collusion_work_counts(monkeypatch):
 
     The victim takes all 24 of its candidates, so its 40 selections and the
     40 observation batches score every subject with `score_candidates`.
-    Every batch but round 1's 25 selections ranks the requester's
-    recommenders: 975 selection rankings and the 40 observations. No
+    Every batch but round 1's 25 selections and one of round 2's holds a
+    subject in the requester's reach and ranks its recommenders: 974
+    selection rankings and the 40 observations. In round 2 member 1 has
+    received only from member 2, which has received only from 1, so none
+    of 1's candidates is in its reach and that selection is not walked
+    (1 015 walks when every requester that had received walked). No
     ranking exceeds `k_recommenders`, the group size, so none builds holder
     lists, and a subject sums every recommender it has, at most the 23
     members other than it.
@@ -523,12 +566,12 @@ def test_dense_collusion_work_counts(monkeypatch):
     victim's 39 ranked selections reach 15 456 over 683 subjects and the
     observations 920 over 40, as before. A bounded selection sums a
     candidate only when some peer in the requester's table has received
-    from it (`World.receivers`) and the ranking holds a peer of positive
+    from it (`PeerRecord.reach`) and the ranking holds a peer of positive
     credibility; any other candidate's view is its trust. Of the members'
     22 080 candidate checks, 15 159 find the candidate detected already.
     5 910 find a lower bound at or above the detection threshold: 574 as
     before, and 5 336 that no peer in the requester's table received from
-    (5 105 that the receiver index rules out, 231 whose requester ranks no
+    (5 105 that the reach set rules out, 231 whose requester ranks no
     peer), whose straddling bounds were summed before to find no report.
     20 find an upper bound below it: 1 as before, and 19 whose
     recommenders all have credibility 0, so their requester ranks no
@@ -580,7 +623,7 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["_bounded_top"] == 960        # 24 members x 40 rounds
     assert calls["score_candidates"] == 80     # the victim's 40 selections + 40 observations
     assert calls["scored"] == 1_000            # 24 candidates x 40 + 40 observed pairs
-    assert calls["_walk_recommenders"] == 1_015  # 975 selection rankings + 40 observations
+    assert calls["_walk_recommenders"] == 1_014  # 974 selection rankings + 40 observations
     assert calls["_sum_reports"] == 1_708      # 991 detections + 638 top 1 + 39 + 40
     assert calls["used"] == 36_506             # 313 651 summing every candidate
     assert calls["walked"] == 2_352            # 1 629 members' + 683 victim's + 40 observed
@@ -595,16 +638,17 @@ def test_dense_collusion_work_counts(monkeypatch):
 
 
 def test_sparse_mesh_work_counts(monkeypatch):
-    """e6 seed 1: every batch but round 1's 150, when no requester has
-    received yet, walks the requester's recommenders (8 250 of the 8 400).
-    Of the 84 000 scorings, 51 658 are of a subject that some peer has
-    received from, and only 1 419 of those of a subject that a peer the
-    requester has received from has itself received from; only those get
-    reports, in 1 369 walks, while the other 6 881 walks find no
-    recommender: 1 375 subjects one report and 44 two, 1 463 reports. Each
-    of the 1 419 subjects gets an indirect value. No ranking exceeds k, so
-    no walk builds holder lists. The kept reports serve 817
-    of the reports. `recommendation_value` runs for the 26
+    """e6 seed 1: of the 84 000 scorings, 51 658 are of a subject that
+    some peer has received from, and only 1 419 of those of a subject in
+    the requester's reach, one that a peer the requester has received from
+    has itself received from. Only those get reports: 1 375 subjects one
+    report and 44 two, 1 463 reports. Only the 1 369 batches that hold such
+    a subject walk the requester's recommenders. Before the reach test,
+    every batch but round 1's 150, when no requester has received yet,
+    walked (8 250 of the 8 400), and 6 881 of those walks found no
+    recommender. Each of the 1 419 subjects gets an indirect value. No
+    ranking exceeds k, so no walk builds holder lists. The kept reports
+    serve 817 of the reports. `recommendation_value` runs for the 26
     (recommender, subject) pairs first asked about, again for 367 kept
     reports that a delivery from the subject to the recommender dropped,
     and for 253 that are never kept because the recommender's view of
@@ -638,7 +682,7 @@ def test_sparse_mesh_work_counts(monkeypatch):
     run_scenario(build_experiment("e6", seed=1))
     assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
     assert calls["scored"] == 84_000
-    assert calls["_walk_recommenders"] == 8_250  # 1 369 with a report + 6 881 without
+    assert calls["_walk_recommenders"] == 1_369  # the batches with a subject in reach
     assert calls["walked"] == calls["valued"] == 1_419
     assert calls["used"] == 1_463
     assert calls["most_used"] == 2
@@ -652,15 +696,17 @@ def test_sparse_mesh_work_counts(monkeypatch):
 
 def test_newcomer_reads_work_counts(monkeypatch):
     """e5 seed 1: the newcomer observes the 100 providers in one batch per
-    round. Every selection after round 1 walks (1 519 of the 1 550) and
-    finds no recommender: a requester's table holds only providers, which
-    receive from no one, and the newcomer's candidates, the requesters,
-    have received from no one but providers. The 50 observation walks give
-    reports to the 4 711 (round, provider) pairs that some requester the
-    newcomer received from has itself received from. `k_recommenders` (10)
-    cuts 87 of those subjects' lists, by 191 reports in all. The walks give
-    4 703 of those pairs an indirect value; the other 8 hear only from
-    requesters of credibility 0 and keep cold start.
+    round. No selection walks: a requester's table holds only providers,
+    which receive from no one, so its reach is empty; the newcomer's table
+    holds requesters, which receive only from providers, so its reach
+    holds none of its candidates, the requesters. Before the reach test
+    every selection after round 1 walked (1 519 of the 1 550) and found no
+    recommender. The 50 observation walks give reports to the 4 711
+    (round, provider) pairs that some requester the newcomer received from
+    has itself received from. `k_recommenders` (10) cuts 87 of those
+    subjects' lists, by 191 reports in all. The walks give 4 703 of those
+    pairs an indirect value; the other 8 hear only from requesters of
+    credibility 0 and keep cold start.
     The 49 observation walks whose ranking exceeds k are the only walks of
     e1-e6 at seed 1 that build holder lists: their rankings and subjects
     make 139 100 (requester, provider) pairs, of which 24 630 are holders.
@@ -716,7 +762,7 @@ def test_newcomer_reads_work_counts(monkeypatch):
     run_scenario(build_experiment("e5", seed=1))
     assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
     assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
-    assert calls["_walk_recommenders"] == 1_569  # 1 519 selections + 50 observations
+    assert calls["_walk_recommenders"] == 50   # the observations; no selection is in reach
     assert calls["walked"] == 4_711
     assert calls["valued"] == 4_703           # 8 hear only from credibility 0
     assert calls["used"] == 24_457

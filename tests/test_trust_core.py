@@ -1,4 +1,5 @@
 import math
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as hs
 
 from pollushield import replace, trust_core
 from pollushield.behaviors import PeerBehavior, recommendation_value, upload_quality
-from pollushield.scenarios import build_experiment
+from pollushield.scenarios import ScenarioConfig, build_experiment, dump_config
 from pollushield.trust_core import (
     CFModel,
     ChunkQuality,
@@ -415,6 +416,31 @@ class TestRecord:
         assert TrustParams(chi=0.2) == TrustParams(chi=0.2) != TrustParams()
         assert hash(TrustParams(chi=0.2)) == hash(TrustParams(chi=0.2))
         assert hash(PeerBehavior.onoff(5)) == hash(PeerBehavior.onoff(5))
+
+    def test_kept_hash_is_no_field(self):
+        """A record keeps its hash from the first use on, but the hash is no
+        field: the field names, equality, repr and file encoding are those
+        of an equal record never hashed."""
+        cfg, fresh = build_experiment("e6"), build_experiment("e6")
+        h = hash(cfg)
+        assert cfg._hash == h == hash(cfg) and fresh._hash is None
+        assert "_hash" not in ScenarioConfig._fields and "_hash" not in TrustParams._fields
+        assert cfg == fresh and fresh == cfg and hash(fresh) == h
+        fresh = build_experiment("e6")
+        assert repr(cfg) == repr(fresh)
+        assert dump_config(cfg) == dump_config(fresh)
+
+    def test_pickle_leaves_the_kept_hash_out(self):
+        """An Enum member hashes by its name, and string hashes differ
+        between processes, so a pickled record carries its fields alone and
+        hashes anew where it is loaded."""
+        params = TrustParams(chi=0.2)
+        hash(params)
+        data = pickle.dumps(params)
+        assert data == pickle.dumps(TrustParams(chi=0.2))
+        loaded = pickle.loads(data)
+        assert loaded == params and loaded._hash is None
+        assert hash(loaded) == hash(params)
 
     def test_records_of_different_classes_never_equal(self):
         assert TrustParams() != PeerBehavior.persistent()
