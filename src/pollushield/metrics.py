@@ -64,10 +64,9 @@ def emit_csv(report: MetricsReport, out_dir: str) -> List[str]:
 
     traj_path = os.path.join(out_dir, f"{name}_trajectories.csv")
     lines = ["round,observer,subject,direct,indirect,alpha,trust\n"]
-    for (observer, subject) in sorted(report.trajectories):
-        for round_no, d, ind, alpha, trust in report.trajectories[(observer, subject)]:
-            lines.append("%d,%d,%d,%.6f,%.6f,%.6f,%.6f\n"
-                         % (round_no, observer, subject, d, ind, alpha, trust))
+    for (observer, subject), rows in sorted(report.trajectories.items()):
+        row_format = f"%d,{observer:d},{subject:d},%.6f,%.6f,%.6f,%.6f\n"
+        lines += [row_format % row for row in rows]
     with open(traj_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

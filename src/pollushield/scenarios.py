@@ -632,12 +632,12 @@ class Run:
         polluted_total: Dict[int, int] = {}
         served: Dict[int, int] = {}
         polluted = ChunkQuality.POLLUTED  # bound once: enum lookups are calls before Python 3.12
-        for ev in world.event_log:
-            served[ev.provider] = served.get(ev.provider, 0) + 1
-            if ev.quality is polluted:
-                polluted_total[ev.requester] = polluted_total.get(ev.requester, 0) + 1
-            elif ev.round_no > measure_from:
-                clean_measured[ev.requester] = clean_measured.get(ev.requester, 0) + 1
+        for round_no, requester, provider, quality, _ in world.event_log:
+            served[provider] = served.get(provider, 0) + 1
+            if quality is polluted:
+                polluted_total[requester] = polluted_total.get(requester, 0) + 1
+            elif round_no > measure_from:
+                clean_measured[requester] = clean_measured.get(requester, 0) + 1
         summary = [
             PeerSummary(
                 peer=pid,

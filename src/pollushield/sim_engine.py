@@ -35,9 +35,9 @@ oracle's aggregation (tests/test_trust_cache.py), bit for bit; a subject
 with no report of positive credibility takes cold-start trust as its
 indirect value. A subject the observer never received from reads as
 `EMPTY_STATE`, the entry a first delivery starts from. `score_candidates`
-sums every subject of its batch; `scenarios.Run` calls it once per observer
-and round, and `select_providers` once per requester with no more
-candidates than k_providers.
+sums every subject of its batch, for `scenarios.Run` once per observer and
+round. `select_providers` sums the same way for a requester with no more
+candidates than k_providers, and scores, flags and ranks them in one pass.
 
 A requester with more candidates sums only those that can change its
 detections or its top k_providers (`_bounded_top`), after Fagin, Lotem and
@@ -59,14 +59,17 @@ counts the chunk. Evaluating trust reads each entry decayed the same way
 with `decayed_counts` and stores nothing in the tables, so a run does not
 depend on how often trust is read. What a read works out that holds for the
 rest of the run, each peer keeps on its own record (`PeerRecord.views` and
-`.reports`); the kept values have no clock, so readers pass `world.round`.
+`.reports`), and a delivery keeps the view of the entry it writes unless
+that entry decays. The kept values have no clock, so readers pass
+`world.round`.
 
 Peers that hold equal params often hold equal table entries, so within a
 round they would work out the same arithmetic again and again. They share
 one `RoundMemo`, which maps a table state to its components and, one map
-per chunk quality, to the state a delivery leaves, for one round only: a
-read or delivery in another round finds it empty. Each is a pure function
-of the state, the params and the round, so a hit gives what a fill would.
+per chunk quality, to the state a delivery leaves with that state's kept
+view, for one round only: a read or delivery in another round finds it
+empty. Each is a pure function of the state, the params and the round, so
+a hit gives what a fill would.
 """
 
 from __future__ import annotations
@@ -121,9 +124,11 @@ class RoundMemo:
     table state to its components in round `now` and whether they hold for
     the rest of the run (`decays` is false), and `clean` and `polluted` map
     a state to what `record_delivery` returns in round `now` for a chunk of
-    that quality. A map per quality keys on the state alone, so a lookup
-    hashes no Enum. `start` empties all three for a new round, so nothing
-    outlives its round and a table written anywhere needs no invalidation."""
+    that quality, paired with that new state's components from `reads`, or
+    None when it decays. A map per quality keys on the state alone, so a
+    lookup hashes no Enum. `start` empties all three for a new round, so
+    nothing outlives its round and a table written anywhere needs no
+    invalidation."""
 
     __slots__ = ("now", "reads", "clean", "polluted")
 
@@ -133,8 +138,8 @@ class RoundMemo:
     def start(self, now: Optional[int]) -> None:
         self.now = now
         self.reads: Dict[TrustState, Tuple[TrustComponents, bool]] = {}
-        self.clean: Dict[TrustState, TrustState] = {}
-        self.polluted: Dict[TrustState, TrustState] = {}
+        self.clean: Dict[TrustState, Tuple[TrustState, Optional[TrustComponents]]] = {}
+        self.polluted: Dict[TrustState, Tuple[TrustState, Optional[TrustComponents]]] = {}
 
 
 class PeerRecord:
@@ -145,11 +150,12 @@ class PeerRecord:
     trust as the indirect value), and `reports[s]` what it reports about s,
     which `_report` keeps whenever it kept the view of s the report is built
     on. A subject b absent from `trust_table` reads as `EMPTY_STATE`, so
-    `views[b]` may hold the empty state's components. `_read` and `_report`
-    keep only values that hold for the rest of the run, and they hold only
-    while the table entry they came from stands, so `World.write_entry`
-    drops `views[b]` and `reports[b]` with each write to `trust_table[b]`.
-    Emptied ones give the same values.
+    `views[b]` may hold the empty state's components. `_read`, `_report` and
+    deliveries keep only values that hold for the rest of the run, and they
+    hold only while the table entry they came from stands, so each write to
+    `trust_table[b]` through `World.write_entry` drops `reports[b]` and
+    sets `views[b]` to the new entry's view, or drops it when the entry
+    decays. Emptied ones give the same values.
     `reach` is the union of the table keys of the peers in its own table:
     the subjects it can hear a report on, which `World.write_entry` keeps.
     `memo` is the `RoundMemo` of its params, which `World.add_peer` gives
@@ -263,14 +269,19 @@ class World:
             insort(self.requesters, pid)
         return rec
 
-    def write_entry(self, peer: int, subject: int, state: TrustState) -> None:
+    def write_entry(
+        self, peer: int, subject: int, state: TrustState,
+        view: Optional[TrustComponents] = None,
+    ) -> None:
         """Set `peer`'s trust table entry for `subject` to `state`, the one
-        way a table changes. It drops the peer's kept view and report of
-        the subject, which held only while the old entry stood. A first
-        entry puts `subject` in the peer's table, so the peer's reach gains
-        the subject's table keys and the reach of every peer that received
-        from the peer gains the subject; then the peer joins
-        `receivers[subject]`."""
+        way a table changes. The peer's kept report of the subject, which
+        held only while the old entry stood, is dropped, and its kept view
+        becomes `view`, or is dropped with none. A caller gives a view only
+        when it is the state's components with no report and they hold for
+        the rest of the run. A first entry puts `subject` in the peer's
+        table, so the peer's reach gains the subject's table keys and the
+        reach of every peer that received from the peer gains the subject;
+        then the peer joins `receivers[subject]`."""
         rec = self.peers[peer]
         table = rec.trust_table
         if subject not in table:
@@ -280,7 +291,10 @@ class World:
                 peers[receiver].reach.add(subject)
             self.receivers.setdefault(subject, set()).add(peer)
         table[subject] = state
-        rec.views.pop(subject, None)
+        if view is None:
+            rec.views.pop(subject, None)
+        else:
+            rec.views[subject] = view
         rec.reports.pop(subject, None)
 
 
@@ -293,25 +307,27 @@ def _components(nc: float, np_: float, n: float, params: TrustParams) -> TrustCo
     return _new_tuple(TrustComponents, (d, cold, alpha, combine_trust(d, cold, alpha)))
 
 
+def _fill(memo: RoundMemo, st: TrustState, params: TrustParams) -> Tuple[TrustComponents, bool]:
+    """Work out `memo.reads[st]` for round `memo.now`: the state's
+    components with no report, and whether they hold for the rest of the
+    run (`decays` is false, as for the empty state; PDTM with no clean chunk
+    holds at 0.0 while forgiving fades the polluted count)."""
+    nc, np_, n = decayed_counts(st, memo.now, params)
+    found = memo.reads[st] = (_components(nc, np_, n, params), not decays(st, params))
+    return found
+
+
 def _read(rec: PeerRecord, b: int, now: int) -> TrustComponents:
     """The components of b in round `now` with no report on b, for the peer
     whose record is `rec`, worked out once per state and round in the
     record's `RoundMemo`; a b absent from the record's table reads as
     `EMPTY_STATE`, as a delivery does. They are kept in `rec.views` when
-    their direct trust and confidence factor do not move with time
-    (`decays` is false, as for the empty state; PDTM with no clean chunk
-    holds at 0.0 while forgiving fades the polluted count). Callers look
-    there first."""
+    they hold for the rest of the run. Callers look there first."""
     st = rec.trust_table.get(b, EMPTY_STATE)
     memo = rec.memo
     if memo.now != now:
         memo.start(now)
-    found = memo.reads.get(st)
-    if found is None:
-        params = rec.params
-        nc, np_, n = decayed_counts(st, now, params)
-        found = memo.reads[st] = (_components(nc, np_, n, params), not decays(st, params))
-    entry, holds = found
+    entry, holds = memo.reads.get(st) or _fill(memo, st, rec.params)
     if holds:
         rec.views[b] = entry
     return entry
@@ -408,19 +424,27 @@ def _sum_reports(
     return indirect
 
 
+def _indirect(world: World, observer: int, subjects: Sequence[int]) -> Dict[int, float]:
+    """The indirect trust of each of `subjects` that hears a report of
+    positive credibility, from one ranking of the observer's recommenders;
+    a batch outside the observer's reach is not ranked."""
+    if observer in subjects:
+        raise ValueError("a peer cannot evaluate trust of itself")
+    if world.peers[observer].reach.isdisjoint(subjects):
+        return {}
+    holders = _walk_recommenders(world, observer, subjects)
+    return _sum_reports(world, holders, holders) if holders else {}
+
+
 def score_candidates(
     world: World, observer: int, subjects: Sequence[int]
 ) -> List[TrustComponents]:
     """Direct, indirect, confidence weight, and combined trust of each
     subject for one observer, in the order given, from one ranking and the
     sums of every subject, as the module docstring describes."""
-    if observer in subjects:
-        raise ValueError("a peer cannot evaluate trust of itself")
     obs = world.peers[observer]
     now = world.round
-    walk = not obs.reach.isdisjoint(subjects)
-    holders = _walk_recommenders(world, observer, subjects) if walk else {}
-    indirect = _sum_reports(world, holders, holders) if holders else {}
+    indirect = _indirect(world, observer, subjects)
     views = obs.views
     scored: List[TrustComponents] = []
     for subject in subjects:
@@ -487,18 +511,24 @@ def select_providers(
     each through its double-threshold rule, drawing gray-zone probes from its
     own stream. During warmup rounds the rule is bypassed. Returns
     (provider, trust) pairs, best trust first (ties: lowest id). With fewer
-    places than candidates, `_bounded_top` ranks them."""
+    places than candidates, `_bounded_top` ranks them; otherwise every
+    candidate is scored, flagged and keyed in one pass."""
     req = world.peers[requester]
     k_max = req.params.k_providers
     if k_max < len(candidates):
         ranked = _bounded_top(world, requester, candidates, k_max)
     else:
+        indirect = _indirect(world, requester, candidates)
+        now, views = world.round, req.views
         threshold, detections = DETECTION_THRESHOLD, world.detections
         ranked = []  # (-trust, provider)
-        for pid, comp in zip(candidates, score_candidates(world, requester, candidates)):
-            t = comp.combined
+        for pid in candidates:
+            d, _, a, t = views.get(pid) or _read(req, pid, now)
+            ind = indirect.get(pid)
+            if ind is not None:
+                t = combine_trust(d, ind, a)
             if t < threshold and pid not in detections:
-                detections[pid] = world.round
+                detections[pid] = now
             ranked.append((-t, pid))
         ranked.sort()
     gating = world.round > world.warmup_rounds
@@ -521,7 +551,8 @@ def run_round(world: World) -> None:
     its own budget if that is larger. Every delivery goes through
     `World.write_entry`, so what the peers keep stays valid. A delivery
     update is worked out once per (state, quality) in the round's
-    `RoundMemo`."""
+    `RoundMemo`, and the view of the state it leaves once per state,
+    through `RoundMemo.reads`."""
     if world.missing:
         raise ValueError(f"candidates {sorted(world.missing)} were never added as peers")
     world.round += 1
@@ -549,10 +580,15 @@ def run_round(world: World) -> None:
             req.delivery_index[pid] = idx + 1
             delivered = clean if quality is _CLEAN else polluted
             before = req.trust_table.get(pid, EMPTY_STATE)
-            state = delivered.get(before)
-            if state is None:
-                state = delivered[before] = record_delivery(before, quality, r, req.params)
-            world.write_entry(rid, pid, state)
+            found = delivered.get(before)
+            if found is None:
+                params = req.params
+                state = record_delivery(before, quality, r, params)
+                view = None if decays(state, params) else (
+                    memo.reads.get(state) or _fill(memo, state, params))[0]
+                found = delivered[before] = (state, view)
+            state, view = found
+            world.write_entry(rid, pid, state, view)
             world.event_log.append(
                 _new_tuple(TransactionOutcome, (r, rid, pid, quality, trust_at_selection))
             )

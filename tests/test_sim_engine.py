@@ -675,7 +675,8 @@ class TestRunRound:
 
     def test_delivery_mid_round_refreshes_what_a_recommender_reports(self, monkeypatch):
         # X=0 asks about P=1 through R=2, then R receives a polluted chunk
-        # from P, then Y=3 asks about P through R: Y must see R's new view
+        # from P, then Y=3 asks about P through R: Y must see R's new view.
+        # X and Y have no history with P, so alpha is 0 and trust is indirect
         world = World(seed=1)
         for pid in (0, 2, 3):
             world.add_peer(pid, PeerBehavior.honest(), forced_params(),
@@ -684,19 +685,20 @@ class TestRunRound:
         seed_history(world, 2, 1, n_clean=3)  # R's view of P before the round
         seed_history(world, 0, 2, n_clean=3)  # X and Y have received from R
         seed_history(world, 3, 2, n_clean=3)
-        score = sim_engine.score_candidates
-        indirect = {}
+        select = sim_engine.select_providers
+        trust = {}
 
-        def checked(world, observer, subjects):
-            got = score(world, observer, subjects)
-            assert got == fresh_scores(world, observer, subjects)
-            indirect[observer] = got[0].indirect
+        def checked(world, requester, candidates):
+            want = [comp.combined for comp in fresh_scores(world, requester, candidates)]
+            got = select(world, requester, candidates)
+            assert got == list(zip(candidates, want))  # thresholds zeroed: all admitted
+            trust[requester] = got[0][1]
             return got
 
-        monkeypatch.setattr(sim_engine, "score_candidates", checked)
+        monkeypatch.setattr(sim_engine, "select_providers", checked)
         run_round(world)
         assert [(ev.requester, ev.provider) for ev in world.event_log] == [(0, 1), (2, 1), (3, 1)]
-        assert indirect[3] < indirect[0]
+        assert trust[3] < trust[0]
 
     def test_evaluation_does_not_mutate_foreign_state(self):
         world = make_world(3)

@@ -15,9 +15,9 @@ it scores every candidate, where `sim_engine.select_providers` sums the
 reports of only the candidates whose trust bounds leave the detections or
 the top k_providers in doubt.
 
-A peer keeps the values its reads work out that hold for the rest of the
-run on its own record (`PeerRecord.views` and `.reports`), so a second call
-on the same world reads what the first kept. Peers holding equal params
+A peer keeps the values its reads and deliveries work out that hold for
+the rest of the run on its own record (`PeerRecord.views` and `.reports`),
+so a second call on the same world reads what the first kept. Peers holding equal params
 share a `RoundMemo` of what the current round's reads and deliveries
 worked out. `fresh_scores` scores with every record's kept values set aside
 and a memo of its own: the reference a call on kept values must equal.
@@ -53,6 +53,8 @@ from pollushield.trust_core import (
     DTModel,
     TrustParams,
     TrustState,
+    decayed_counts,
+    decays,
     transaction_probability,
 )
 
@@ -414,6 +416,18 @@ def reach_of(world):
             for pid, rec in peers.items()}
 
 
+# e1-e6 checked round by round; e3 and e6 are cut to 25 rounds, their 24
+# warmup rounds and one more, and e4 to 40
+ROUND_BY_ROUND = [
+    ("e1", {}),
+    ("e2", {}),
+    ("e3", {"rounds": 25}),
+    ("e4", {"rounds": 40}),
+    ("e5", {}),
+    ("e6", {"rounds": 25}),
+]
+
+
 def assert_reach_after_every_round(cfg):
     run = Run(cfg)
     for _ in range(cfg.rounds):
@@ -422,19 +436,11 @@ def assert_reach_after_every_round(cfg):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("exp, overrides", [
-    ("e1", {}),
-    ("e2", {}),
-    ("e3", {"rounds": 25}),
-    ("e4", {"rounds": 40}),
-    ("e5", {}),
-    ("e6", {"rounds": 25}),
-])
+@pytest.mark.parametrize("exp, overrides", ROUND_BY_ROUND)
 def test_reach_matches_the_tables_after_every_round(exp, overrides, seed):
     """Each peer's reach, kept by `World.write_entry` at first entries
     only, is what its trust tables give after every round. A table written
-    anywhere but through `write_entry` would leave it behind. e3 and e6 are
-    cut to 25 rounds, their 24 warmup rounds and one more."""
+    anywhere but through `write_entry` would leave it behind."""
     assert_reach_after_every_round(build_experiment(exp, seed=seed, **overrides))
 
 
@@ -442,6 +448,42 @@ def test_reach_matches_the_tables_after_every_round(exp, overrides, seed):
 @given(cfg=small_worlds())
 def test_reach_matches_the_tables_after_every_round_in_small_worlds(cfg):
     assert_reach_after_every_round(cfg)
+
+
+def stale_views(world):
+    """The kept views that are not what a fresh read gives now, bit for bit,
+    or whose table entry moves with time. A delivery keeps the view of the
+    entry it writes only when that entry does not decay, so this must be
+    empty."""
+    stale = []
+    for pid, rec in world.peers.items():
+        for b, view in rec.views.items():
+            st = rec.trust_table.get(b, EMPTY_STATE)
+            counts = decayed_counts(st, world.round, rec.params)
+            fresh = sim_engine._components(*counts, rec.params)
+            if decays(st, rec.params) or repr(view) != repr(fresh):
+                stale.append((pid, b))
+    return stale
+
+
+def assert_views_after_every_round(cfg):
+    run = Run(cfg)
+    for _ in range(cfg.rounds):
+        assert stale_views(run.advance(1).world) == []
+
+
+@pytest.mark.parametrize("exp, overrides", ROUND_BY_ROUND)
+def test_kept_views_equal_a_fresh_read_after_every_round(exp, overrides):
+    """Every view a peer keeps, whether a read or a delivery left it, is the
+    components of its table entry read afresh in the current round, and
+    that entry does not decay."""
+    assert_views_after_every_round(build_experiment(exp, seed=1, **overrides))
+
+
+@settings(deadline=None, max_examples=25)
+@given(cfg=small_worlds())
+def test_kept_views_equal_a_fresh_read_after_every_round_in_small_worlds(cfg):
+    assert_views_after_every_round(cfg)
 
 
 def test_bounded_selection_sums_only_candidates_in_reach(monkeypatch):
@@ -481,13 +523,23 @@ def test_bounded_selection_rejects_the_requester_as_candidate():
         select_providers(world, 0, (1, 0, 2))
 
 
+def test_unbounded_selection_rejects_the_requester_as_candidate():
+    world = World(seed=1)
+    for pid in range(3):
+        world.add_peer(pid, PeerBehavior.honest(), TrustParams(k_providers=3))
+    with pytest.raises(ValueError, match="a peer cannot evaluate trust of itself"):
+        select_providers(world, 0, (1, 0, 2))
+
+
 # --- work budget -------------------------------------------------------------
 
 def count_calls(monkeypatch, names):
     """Count calls of these names where `sim_engine` and `scenarios` look
-    them up. `scored` sums the batch sizes of `score_candidates`. The
-    ranking (`_walk_recommenders`) and the sums (`_sum_reports`) are counted
-    from the trust tables they read. `counted` counts the rankings (the
+    them up. `scored` sums the batch sizes of `score_candidates` and, when
+    `select_providers` is counted, of the selections that score every
+    candidate (no fewer places than candidates). The ranking
+    (`_walk_recommenders`) and the sums (`_sum_reports`) are counted from
+    the trust tables they read. `counted` counts the rankings (the
     observer's peers that received from some subject) that hold more than
     k_recommenders, which find each subject's recommenders by holder lists;
     over those, `pairs` counts (ranked peer, distinct subject) pairs and
@@ -509,6 +561,10 @@ def count_calls(monkeypatch, names):
             result = fn(*args, **kwargs)
             if name == "score_candidates":
                 calls["scored"] += len(args[2])
+            elif name == "select_providers":
+                world, requester, candidates = args[:3]
+                if world.peers[requester].params.k_providers >= len(candidates):
+                    calls["scored"] += len(candidates)
             elif name == "_walk_recommenders":
                 world, observer, subjects = args[:3]
                 obs = ranking["observer"] = world.peers[observer]
@@ -549,8 +605,10 @@ def test_dense_collusion_work_counts(monkeypatch):
     detection or the top place in doubt. The kept views and reports cut the
     decay, scoring and recommendation work, and serve every repeated report.
 
-    The victim takes all 24 of its candidates, so its 40 selections and the
-    40 observation batches score every subject with `score_candidates`.
+    The victim takes all 24 of its candidates, so its 40 selections score,
+    flag and rank every candidate in one pass, and the 40 observation
+    batches score every subject with `score_candidates` (80 calls when the
+    selections called it too).
     Every batch but round 1's 25 selections and one of round 2's holds a
     subject in the requester's reach and ranks its recommenders: 974
     selection rankings and the 40 observations. In round 2 member 1 has
@@ -585,43 +643,46 @@ def test_dense_collusion_work_counts(monkeypatch):
     which no ranking holds, so they keep cold start. The sums read 30 071
     holders that received from the subject, all of positive credibility;
     the 10 483 of credibility 0 they also read before added nothing.
-    Both decay rates are 0 and no one lies, so the peers keep every view
-    they work out: a view is worked out when first read and again after each
-    delivery that dropped it. `_read` counts the view fills: 576 reads of a
-    subject never received from, one per (observer, subject) pair it scores
-    before its first delivery from that subject (the victim's 24 and each
-    member's 23 others, 24 + 24 x 23), which read the empty state, then 576
-    first reads of a table entry and 1 341 refills: after each of the
-    victim's 936 deliveries after round 1, which drop an entry its
-    observation reads again, and after 405 of the members' 408 repeat
-    deliveries (552 of their 960 are first deliveries, which drop nothing);
-    summing every candidate read 2 more again.
-    A fill is worked out once per (params value, state, round), in the
-    round memo the peers holding that value share, and a delivery update
-    once per (params value, state, quality, round). The 24 members hold
-    one params value and fill their entries of one another alike, so in a
-    round their reads and deliveries meet few distinct states:
-    `decayed_counts` runs for 287 of the 2 493 fills, two of them the empty
-    state in round 1, and `record_delivery` for 275 of the 1 920
-    deliveries. Summing every candidate in reach of a ranking,
-    `decayed_counts` ran for 286 fills, and summing every candidate for
-    265 of 2 495: a fill that a skipped sum puts off to a later round
-    meets fewer peers filling the same state there. Before the round memo
-    both ran once per fill and delivery.
-    `direct_trust` runs once per worked-out fill. A record that built its
-    never-received-from components at construction took one more
-    evaluation per peer (288); built once per batch holding such a
-    subject, those components took 553 evaluations.
+    Both decay rates are 0, so no entry decays, and each delivery leaves
+    the requester the view of the entry it writes. So `_read`, which counts
+    the views filled by reads, runs only for the 576 reads of a subject
+    never received from, one per (observer, subject) pair it scores before
+    its first delivery from that subject (the victim's 24 and each
+    member's 23 others, 24 + 24 x 23), which read the empty state. When a
+    delivery dropped the view, reads filled it again: 576 first reads of a
+    table entry and 1 341 refills, after each of the victim's 936
+    deliveries after round 1 and after 405 of the members' 408 repeat
+    deliveries (2 493 in all; 2 495 summing every candidate).
+    A delivery update is worked out once per (params value, state,
+    quality, round), in the round memo the peers holding that value share,
+    and the view of the state it leaves once per (params value, state,
+    round), keyed by that state, so deliveries from different states that
+    leave one state share one view. The 24 members hold one params value
+    and fill their entries of one another alike, so in a round their
+    deliveries meet few distinct states: `record_delivery` runs for 275 of
+    the 1 920 deliveries, and `decayed_counts` for 228 views, the empty
+    state twice in round 1 (once per params value) and 226 states that
+    deliveries leave (275 with one view per delivery update). When
+    reads filled the views, `decayed_counts` ran for 287 of the 2 493
+    fills; summing every candidate in reach of a ranking, for 286, and
+    summing every candidate for 265 of 2 495: a fill that a skipped sum
+    puts off to a later round meets fewer peers filling the same state
+    there. Before the round memo both ran once per fill and delivery.
+    `direct_trust` runs once per worked-out view. When reads filled the
+    views (287), a record that built its never-received-from components
+    at construction took one more evaluation per peer (288); built once
+    per batch holding such a subject, those components took 553.
     `recommendation_value` runs once per member's report about another
     member (552) and once per report dropped by a repeat delivery and asked
     again (405; 407 summing every candidate). A memo kept for one round
     made 34 412, 34 965 and 16 124 calls."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "_bounded_top", "direct_trust", "decayed_counts",
-                                             "_read", "record_delivery"))
+                                             "select_providers", "_bounded_top", "direct_trust",
+                                             "decayed_counts", "_read", "record_delivery"))
     run_scenario(build_experiment("e4", mode="rotating", group_size=24, rounds=40, seed=1))
+    assert calls["select_providers"] == 1_000  # 25 requesters x 40 rounds
     assert calls["_bounded_top"] == 960        # 24 members x 40 rounds
-    assert calls["score_candidates"] == 80     # the victim's 40 selections + 40 observations
+    assert calls["score_candidates"] == 40     # the observations; 80 with the victim's selections
     assert calls["scored"] == 1_000            # 24 candidates x 40 + 40 observed pairs
     assert calls["_walk_recommenders"] == 1_014  # 974 selection rankings + 40 observations
     assert calls["_sum_reports"] == 1_708      # 991 detections + 638 top 1 + 39 + 40
@@ -631,9 +692,9 @@ def test_dense_collusion_work_counts(monkeypatch):
     assert calls["most_used"] == 23            # no cut: every other member
     assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 957  # 552 first reports + 405 after a delivery
-    assert calls["_read"] == 2_493             # 576 never received + 576 first + 1 341 after
-    assert calls["decayed_counts"] == 287      # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 287        # the worked-out fills
+    assert calls["_read"] == 576               # never received; 2 493 refilling after deliveries
+    assert calls["decayed_counts"] == 228      # 2 empty + 226 distinct states deliveries leave
+    assert calls["direct_trust"] == 228        # the worked-out views; 287 filled by reads
     assert calls["record_delivery"] == 275     # distinct (params, state, quality, round)
 
 
@@ -656,31 +717,39 @@ def test_sparse_mesh_work_counts(monkeypatch):
     (0.03) moves its direct trust every round (646). A view with polluted
     chunks alone has PDTM direct trust 0.0 in every round, so its report is
     kept; a memo that kept only entries whose counts do not decay made 911.
-    `_read` counts the view fills: 1 500 reads of a candidate never
-    received from, one per (requester, candidate) pair (150 x 10), which
-    read the empty state, 666 first reads of a table entry, 14 657 after a
-    delivery dropped a kept entry, and 8 606 reads of an entry whose direct
-    trust moves with time (25 429; 23 929 when a never-received subject
-    took components its record built, and before that 27 896 when entries
-    were kept only while their counts held). Every peer holds the one
-    params value, so they share one round memo, and a fill is worked out
-    once per (state, round): `decayed_counts` runs 3 895 times, once for
-    the empty state in round 1 (23 929 before the round memo).
-    Likewise a delivery update is worked out once per (state, quality,
-    round): `record_delivery` runs 917 times for the 15 600 deliveries, 29
-    of them first deliveries, of an empty entry.
-    `combine_trust` runs once per worked-out fill, since a view is the
+    e6 observes no pair, and every selection has no more candidates than
+    places, so it scores, flags and ranks them in one pass and never calls
+    `score_candidates` (8 400 calls when it did).
+    A delivery leaves the requester the view of the entry it writes unless
+    that entry decays, so `_read`, which counts the views filled by reads,
+    runs for 1 500 reads of a candidate never received from, one per
+    (requester, candidate) pair (150 x 10), which read the empty state, and
+    8 807 reads of an entry whose direct trust moves with time: 10 307.
+    When a delivery dropped the view, 15 122 more reads filled it again
+    (25 429; 23 929 when a never-received subject took components its
+    record built, and before that 27 896 when entries were kept only while
+    their counts held). Every peer holds the one params value, so they
+    share one round memo. A delivery update is worked out once per (state,
+    quality, round): `record_delivery` runs 917 times for the 15 600
+    deliveries, 29 of them first deliveries, of an empty entry. A view is
+    worked out once per (state, round): `decayed_counts` runs 3 841 times,
+    once for the empty state in round 1, 3 109 times for the moving entries
+    read, and 731 times for the states deliveries leave that do not decay
+    (742 with one view per delivery update). When reads filled every
+    view it ran 3 895 times, and 23 929 before the round memo.
+    `combine_trust` runs once per worked-out view, since a view is the
     finished score of a subject with no report, and once per subject whose
-    reports give an indirect value (1 419): 5 314 (25 848 with a fill per
-    read). Building each peer's never-received-from components with its
-    record added 500 calls, building them once per batch (every one of the
-    8 400 batches holds such a subject) 8 400, and combining at every
-    scoring made 84 000."""
+    reports give an indirect value (1 419): 5 260 (5 314 when reads filled
+    every view, 25 848 with a fill per read). Building each peer's
+    never-received-from components with its record added 500 calls,
+    building them once per batch (every one of the 8 400 batches holds such
+    a subject) 8 400, and combining at every scoring made 84 000."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "decayed_counts", "combine_trust", "_read",
-                                             "record_delivery"))
+                                             "select_providers", "decayed_counts",
+                                             "combine_trust", "_read", "record_delivery"))
     run_scenario(build_experiment("e6", seed=1))
-    assert calls["score_candidates"] == 8_400  # 150 requesters x 56 rounds
+    assert calls["select_providers"] == 8_400  # 150 requesters x 56 rounds, none bounded
+    assert calls["score_candidates"] == 0      # 8 400 when selections called it
     assert calls["scored"] == 84_000
     assert calls["_walk_recommenders"] == 1_369  # the batches with a subject in reach
     assert calls["walked"] == calls["valued"] == 1_419
@@ -688,9 +757,9 @@ def test_sparse_mesh_work_counts(monkeypatch):
     assert calls["most_used"] == 2
     assert calls["counted"] == 0               # no ranking exceeds k
     assert calls["recommendation_value"] == 646  # 26 first + 367 after a delivery + 253 moving
-    assert calls["_read"] == 25_429            # 1 500 never received + 666 first + 14 657 + 8 606
-    assert calls["decayed_counts"] == 3_895    # distinct (state, round) of the fills
-    assert calls["combine_trust"] == 5_314     # 3 895 fills + 1 419 reports
+    assert calls["_read"] == 10_307            # 1 500 never received + 8 807 moving
+    assert calls["decayed_counts"] == 3_841    # 1 empty + 3 109 moving + 731 left by deliveries
+    assert calls["combine_trust"] == 5_260     # 3 841 views + 1 419 reports
     assert calls["record_delivery"] == 917     # distinct (state, quality, round)
 
 
@@ -727,40 +796,47 @@ def test_newcomer_reads_work_counts(monkeypatch):
     requester, 9 of which kept a report a later ranked requester read.
     The kept reports serve the other 18 314 of the 24 398 summed (18 359
     of 24 457 with those of credibility 0, which `used` still counts).
-    `_read` counts the view fills, in selections and observations: 730
-    reads of a subject never received from, which read the empty state
-    (each requester's 20 candidates, and the newcomer's 100 providers and
-    30 candidates: 30 x 20 + 130), 629 first reads of a table entry, 2 681
-    after a delivery dropped a kept entry, and 4 338 reads of an entry
-    whose direct trust moves with time (8 378; 4 341 and 8 381 asking
-    requesters of credibility 0 too). Most
-    fills (6 035; 6 054 before) are the honest values of the reports
-    above; the rest are
-    the requesters' scorings of their providers and the newcomer's
+    A delivery leaves the requester the view of the entry it writes unless
+    that entry decays, so `_read`, which counts the views filled by reads,
+    in selections and observations, runs for 730 reads of a subject never
+    received from, which read the empty state (each requester's 20
+    candidates, and the newcomer's 100 providers and 30 candidates:
+    30 x 20 + 130), and 4 506 reads of an entry whose direct trust moves
+    with time: 5 236. When a delivery dropped the view, 3 142 more reads
+    filled it again (8 378; 8 381 asking requesters of credibility 0 too).
+    Most reads (3 256; 6 035 when deliveries dropped views, 6 054 before
+    that) are the honest values of the reports above; the rest are the
+    requesters' scorings of their providers and the newcomer's
     credibility of the requesters. A memo that kept only entries whose
     counts do not decay made 13 918 fills, 10 611 of them decaying reads,
     and one that also kept a decaying entry until the round moved made
     11 859.
-    A fill is worked out once per (params value, state, round), in the
+    A view is worked out once per (params value, state, round), in the
     round memo shared by the peers holding that value: the requesters
     share one, and the newcomer has its own. So `decayed_counts` runs
-    4 024 times (3 627 for the requesters, 397 for the newcomer; 3 624
-    asking requesters of credibility 0 too), 30 of
-    them for the empty state: in 19 rounds for the requesters' memo and 11
-    for the newcomer's, each a round in which some peer first scores a
-    subject it never received from.
-    Likewise `record_delivery` runs once per (params value, state,
-    quality, round): 2 274 times for the 3 632 deliveries.
-    `direct_trust` runs once per worked-out fill. A record that built its
-    never-received-from components at construction took one more
-    evaluation per peer (131); built once per batch holding such a
-    subject, 637 selections and the 50 observation batches, those
-    components took 687."""
+    3 883 times: 3 486 for the requesters (19 for the empty state, 3 003
+    for moving entries read, 464 for states deliveries leave that do not
+    decay) and 397 for the newcomer (11, 287 and 99). The 30 of the empty
+    state fall in 19 rounds for the requesters' memo and 11 for the
+    newcomer's, each a round in which some peer first scores a subject it
+    never received from. When reads filled every view, `decayed_counts`
+    ran 4 024 times (3 627 for the requesters; 3 624 asking requesters of
+    credibility 0 too), and one view per delivery update would work out
+    1 806 views of states deliveries leave, not 563.
+    A delivery update is worked out once per (params value, state,
+    quality, round): `record_delivery` runs 2 274 times for the 3 632
+    deliveries.
+    `direct_trust` runs once per worked-out view. When reads filled the
+    views (4 024), a record that built its never-received-from components
+    at construction took one more evaluation per peer (131 more); built
+    once per batch holding such a subject, 637 selections and the 50
+    observation batches, those components took 687."""
     calls = count_calls(monkeypatch, WALK + ("recommendation_value", "score_candidates",
-                                             "direct_trust", "decayed_counts", "_read",
-                                             "record_delivery"))
+                                             "select_providers", "direct_trust",
+                                             "decayed_counts", "_read", "record_delivery"))
     run_scenario(build_experiment("e5", seed=1))
-    assert calls["score_candidates"] == 1_600  # 31 requesters x 50 rounds + 50 observations
+    assert calls["select_providers"] == 1_550  # 31 requesters x 50 rounds, none bounded
+    assert calls["score_candidates"] == 50     # the observations; 1 600 with the selections
     assert calls["scored"] == 14_300           # 6 advertised x 1 550 + 100 x 50 observed
     assert calls["_walk_recommenders"] == 50   # the observations; no selection is in reach
     assert calls["walked"] == 4_711
@@ -771,9 +847,9 @@ def test_newcomer_reads_work_counts(monkeypatch):
     assert calls["pairs"] == 139_100
     assert calls["holders"] == 24_630
     assert calls["recommendation_value"] == 6_084  # 599 first + 2 389 + 3 096 moving
-    assert calls["_read"] == 8_378             # 730 never received + 629 first + 2 681 + 4 338
-    assert calls["decayed_counts"] == 4_024    # distinct (params, state, round) of the fills
-    assert calls["direct_trust"] == 4_024      # the worked-out fills
+    assert calls["_read"] == 5_236             # 730 never received + 4 506 moving
+    assert calls["decayed_counts"] == 3_883    # 30 empty + 3 290 moving + 563 left by deliveries
+    assert calls["direct_trust"] == 3_883      # the worked-out views; 4 024 filled by reads
     assert calls["record_delivery"] == 2_274   # distinct (params, state, quality, round)
 
 
@@ -863,8 +939,8 @@ def test_kept_views_of_strangers_are_the_empty_state(exp, overrides, any_kept):
 
 def test_first_delivery_replaces_a_strangers_kept_view():
     """Peer 0 scores 1 before receiving from it and keeps the empty state's
-    components. Its first delivery from 1 drops that view, so its next
-    score is worked out from the new table entry, as from scratch."""
+    components. Its first delivery from 1 replaces that view with the new
+    table entry's, so its next score is that entry's, as from scratch."""
     params = TrustParams()
     world = World(seed=1, warmup_rounds=1)  # round 1 admits without the thresholds
     world.add_peer(0, PeerBehavior.honest(), params, candidates=(1,))
