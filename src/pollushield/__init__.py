@@ -5,7 +5,7 @@ every peer runs its own trust manager, plus the adversary strategies and
 canned experiments used to evaluate the pipeline against pollution attacks.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .behaviors import (
     BehaviorKind,

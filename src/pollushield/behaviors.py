@@ -10,7 +10,7 @@ from each uploader's own stream.
 from enum import Enum
 from typing import Tuple
 
-from .trust_core import ChunkQuality, Record
+from .trust_core import ChunkQuality, Record, check_increasing
 
 
 class BehaviorKind(Enum):
@@ -46,9 +46,10 @@ class PeerBehavior(Record):
         if self.kind is _ONOFF and self.period < 2:  # period 1 would be persistent
             raise ValueError(f"period must be an int >= 2, got {self.period!r}")
         for name in ("target_set", "group"):
-            ids = getattr(self, name)
-            if self.kind in _READERS[name] and not (ids and list(ids) == sorted(set(ids))):
-                raise ValueError(f"{name} must be non-empty and strictly increasing, got {ids}")
+            if self.kind in _READERS[name]:
+                if not getattr(self, name):
+                    raise ValueError(f"{name} must be non-empty")
+                check_increasing(name, getattr(self, name))
 
     # --- constructors ---
 

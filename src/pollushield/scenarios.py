@@ -8,7 +8,6 @@ roles up front, so a config saved to disk reloads bit-identically and a
 
 import json
 import random
-from collections import Counter
 from enum import Enum
 from itertools import groupby, product
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ from .behaviors import LOSSY_KINDS, BehaviorKind, PeerBehavior
 from .metrics import MetricsReport, PeerSummary
 from .sim_engine import World, run_round, score_candidates
 from .trust_core import (CFModel, ChunkQuality, DTModel, FieldTypeError, Record, TrustParams,
-                         canonical, replace)
+                         canonical, check_increasing, replace)
 
 
 class ScenarioConfig(Record):
@@ -59,14 +58,16 @@ class ScenarioConfig(Record):
             raise ValueError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if any(count < 0 for _, count in self.behavior_mix):
-            raise ValueError("behavior mix counts must be non-negative ints")
+        if not self.behavior_mix:
+            raise ValueError("behavior_mix must be non-empty")
+        if any(count < 1 for _, count in self.behavior_mix):  # 0 spells no entry
+            raise ValueError("behavior mix counts must be positive")
         ids = range(self.n_peers)
-        if not ids:
-            raise ValueError("behavior mix counts must sum to a positive number of peers")
+        check_increasing("observed_pairs", self.observed_pairs)
         for observer, subject in self.observed_pairs:
             if observer not in ids or subject not in ids or observer == subject:
                 raise ValueError(f"invalid observed pair ({observer}, {subject})")
+        check_increasing("candidate_map", [pid for pid, _, _ in self.candidate_map])
         for pid, cands, budget in self.candidate_map:
             if pid not in ids:
                 raise ValueError(f"invalid requester id {pid}")
@@ -75,8 +76,10 @@ class ScenarioConfig(Record):
             for c in cands:
                 if c not in ids or c == pid:
                     raise ValueError(f"invalid candidate {c} for peer {pid}")
+            check_increasing(f"candidate_map[{pid}]", cands)
             if budget < 1:
                 raise ValueError(f"requester {pid} has request budget {budget}, expected >= 1")
+        check_increasing("param_overrides", [pid for pid, _ in self.param_overrides])
         for pid, _ in self.param_overrides:
             if pid not in ids:
                 raise ValueError(f"param override references unknown peer {pid}")
@@ -89,24 +92,12 @@ class ScenarioConfig(Record):
             raise ValueError("measure_from must lie in [0, rounds)")
         if self.ads_per_round is not None and self.ads_per_round < 1:
             raise ValueError("ads_per_round must be >= 1 when set")
-        # a repeated entry would be double-counted or silently overwritten
-        keyed = {"observed_pairs": self.observed_pairs}
-        for name in ("candidate_map", "param_overrides"):
-            keyed[name] = [entry[0] for entry in getattr(self, name)]
-        for pid, cands, _ in self.candidate_map:
-            keyed[f"candidate_map[{pid}]"] = cands
-        for name, keys in keyed.items():
-            if len(set(keys)) < len(keys):
-                repeated = sorted(k for k, n in Counter(keys).items() if n > 1)
-                raise ValueError(f"{name} repeats {repeated}")
         # build_world numbers the peers in mix order; a group's members are
         # the peers that carry it, so no peer is in two groups
         carriers: Dict[Tuple[int, ...], List[int]] = {}
         end = 0
         for b, count in self.behavior_mix:
             start, end = end, end + count
-            if not count:
-                continue
             for name in ("target_set", "group"):
                 strays = [pid for pid in getattr(b, name) if pid not in ids]
                 if strays:
@@ -547,10 +538,9 @@ _BUILDERS = {
 }
 EXPERIMENT_IDS = tuple(_BUILDERS)
 
-# experiment id -> {override name: type}, the types of the builders' keyword
-# defaults (a test checks them against the annotations)
-EXPERIMENT_OVERRIDES: Dict[str, Dict[str, type]] = {
-    exp: {name: type(default) for name, default in builder.__kwdefaults__.items()}
+# experiment id -> {override name: annotation}, in the builder's signature order
+EXPERIMENT_OVERRIDES: Dict[str, Dict[str, Any]] = {
+    exp: {name: builder.__annotations__[name] for name in builder.__kwdefaults__}
     for exp, builder in _BUILDERS.items()
 }
 

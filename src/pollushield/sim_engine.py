@@ -84,6 +84,7 @@ from .trust_core import (
     ChunkQuality,
     TrustParams,
     TrustState,
+    check_increasing,
     combine_trust,
     confidence_factor,
     decayed_counts,
@@ -237,9 +238,9 @@ class World:
         loss_rate: float = 0.0,
     ) -> PeerRecord:
         """Add peer `pid`; it requests, in id order, exactly when it has
-        candidates, each a peer by the next `run_round`. Loss corrupts each of
-        its uploads with probability `loss_rate`, drawn from its own stream,
-        so only `LOSSY_KINDS` take one."""
+        candidates, strictly increasing, each a peer by the next `run_round`.
+        Loss corrupts each of its uploads with probability `loss_rate`, drawn
+        from its own stream, so only `LOSSY_KINDS` take one."""
         if pid in self.peers:
             raise ValueError(f"duplicate peer id {pid}")
         if type(budget) is not int:
@@ -255,8 +256,7 @@ class World:
             raise ValueError(f"peer {pid} is not in its collusion group {list(behavior.group)}")
         if pid in candidates:
             raise ValueError(f"peer {pid} lists itself as a candidate")
-        if len(set(candidates)) < len(candidates):
-            raise ValueError(f"peer {pid} lists a candidate twice: {list(candidates)}")
+        check_increasing(f"candidates of peer {pid}", candidates)
         rng = random.Random(f"{self.seed}:{pid}")
         memo = self.memos.get(params)
         if memo is None:
@@ -466,9 +466,9 @@ def _bounded_top(
         raise ValueError("a peer cannot evaluate trust of itself")
     req = world.peers[requester]
     now = world.round
-    reach = req.reach
-    walk = not reach.isdisjoint(candidates)
+    walk = not req.reach.isdisjoint(candidates)
     holders = _walk_recommenders(world, requester, candidates) if walk else {}
+    known = req.reach if holders else ()  # a ranking keys every candidate
     views = req.views
     comps: Dict[int, TrustComponents] = {}
     exact: Dict[int, float] = {}  # trust of the candidates worked out so far
@@ -485,7 +485,7 @@ def _bounded_top(
     keys: List[Tuple[float, int]] = []  # (-upper bound, provider)
     for pid in candidates:
         d, _, a, t = comps[pid] = views.get(pid) or _read(req, pid, now)
-        if pid in holders and pid in reach:
+        if pid in known:
             # combine_trust(d, ind, a) at ind 0 and 1, up to a zero's sign
             lower, upper = a * d, a * d + (1.0 - a)
         else:  # no report can reach pid: its view is its trust

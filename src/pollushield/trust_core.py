@@ -3,13 +3,14 @@
 Every function here is pure: it reads its arguments, returns a value, and
 touches no global state. All trust-like quantities live in [0, 1].
 
-`Record` and `replace`, the base of the package's validated immutable
-records, live here because this is the lowest module.
+`Record` and `replace`, the base of validated immutable records, and
+`check_increasing`, the order rule of id lists, live in this lowest module.
 """
 
 import math
 from enum import Enum
-from typing import Any, Dict, List, NamedTuple, Tuple, Union
+from operator import lt
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 
 def canonical(tp: Any, value: Any, where: str) -> Any:
@@ -44,6 +45,14 @@ def canonical(tp: Any, value: Any, where: str) -> Any:
             if new is not item:
                 stored = stored[:i] + (new,) + stored[i + 1:]
     return stored
+
+
+def check_increasing(name: str, items: Sequence[Any]) -> None:
+    """Raise ValueError unless id list `name` is strictly increasing (one spelling,
+    no repeat), naming the first item out of order: `...: 2 follows 5`."""
+    if not all(map(lt, items, items[1:])):
+        prev, item = next((a, b) for a, b in zip(items, items[1:]) if not a < b)
+        raise ValueError(f"{name} must be strictly increasing: {item} follows {prev}")
 
 
 class FieldTypeError(ValueError):

@@ -138,11 +138,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             PeerBehavior.collab_rotating(())
 
-    @pytest.mark.parametrize("target_set", [(), (3, 1), (1, 1), (1, 3, 3)],
-                             ids=["empty", "unsorted", "repeated", "repeated_last"])
-    def test_target_set_must_be_non_empty_and_strictly_increasing(self, target_set):
+    @pytest.mark.parametrize("target_set, message", [
+        ((), "non-empty$"),
+        ((3, 1), "strictly increasing: 1 follows 3$"),
+        ((1, 1), "strictly increasing: 1 follows 1$"),
+        ((1, 3, 3), "strictly increasing: 3 follows 3$"),
+    ], ids=["empty", "unsorted", "repeated", "repeated_last"])
+    def test_target_set_must_be_non_empty_and_strictly_increasing(self, target_set, message):
         # an empty set slanders no one, and (3, 1) or (1, 3, 3) would spell (1, 3) again
-        with pytest.raises(ValueError, match="^target_set must be non-empty and strictly"):
+        with pytest.raises(ValueError, match=f"^target_set must be {message}"):
             PeerBehavior(kind=BehaviorKind.BADMOUTH, target_set=target_set)
 
     def test_badmouther_needs_a_target(self):
@@ -153,9 +157,9 @@ class TestValidation:
     @pytest.mark.parametrize("kind", [BehaviorKind.COLLAB_STATIC, BehaviorKind.COLLAB_ROTATING])
     def test_repeated_group_member_rejected(self, kind):
         # (1, 1, 2) is sorted, but a rotating group would give peer 1 two duty rounds in three
-        with pytest.raises(ValueError, match="^group must be non-empty and strictly increasing"):
+        with pytest.raises(ValueError, match="^group must be strictly increasing: 1 follows 1$"):
             PeerBehavior(kind=kind, group=(1, 1, 2))
-        with pytest.raises(ValueError, match="^group must be"):
+        with pytest.raises(ValueError, match="^group must be strictly increasing: 1 follows 2$"):
             PeerBehavior(kind=kind, group=(2, 1))
 
     @pytest.mark.parametrize("fields, message", [

@@ -191,6 +191,25 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("reorder, message", [
+        (lambda d: d["candidate_map"].reverse(),
+         "candidate_map must be strictly increasing: 9 follows 10"),
+        (lambda d: d["behavior_mix"].append([d["behavior_mix"][0][0], 0]),
+         "behavior mix counts must be positive"),
+    ], ids=["reversed_candidate_map", "count_0_mix_entry"])
+    def test_pre_0_8_0_scenario_rejected(self, tmp_path, capsys, reorder, message):
+        # format 0.8.0 lists every id list strictly increasing and no mix
+        # entry of count 0, so a run has one spelling
+        d = config_to_dict(build_experiment("e4"))
+        reorder(d)
+        path = tmp_path / "old.cfg"
+        path.write_text(json.dumps(d, sort_keys=True, indent=2))
+        assert run_command(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("value", ["NaN", "7.0", "-0.5", "null"])
     def test_bad_detection_threshold_rejected(self, tmp_path, capsys, value):
         # detection_threshold is no longer a field, so a file holding any

@@ -30,13 +30,8 @@ READ_CASES += [("e3", 1), ("e6", 1)]
 
 def observing_every_request(cfg):
     """cfg, also observing every requester -> candidate pair."""
-    extra = [
-        (rid, c)
-        for rid, cands, _ in cfg.candidate_map
-        for c in cands
-        if c != rid and (rid, c) not in cfg.observed_pairs
-    ]
-    return replace(cfg, observed_pairs=cfg.observed_pairs + tuple(extra))
+    extra = {(rid, c) for rid, cands, _ in cfg.candidate_map for c in cands}
+    return replace(cfg, observed_pairs=tuple(sorted(extra.union(cfg.observed_pairs))))
 
 
 @pytest.mark.parametrize("exp, seed", READ_CASES)

@@ -5,7 +5,6 @@ import random
 from collections.abc import Sequence
 from pollushield import replace
 from functools import partial
-from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -31,7 +30,7 @@ from pollushield.scenarios import (
     save_config,
 )
 from pollushield.sim_engine import World, run_round
-from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams
+from pollushield.trust_core import CFModel, ChunkQuality, DTModel, TrustParams, canonical
 
 
 class TestBuilders:
@@ -62,15 +61,17 @@ class TestBuilders:
 
     @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
     def test_override_types_are_the_annotations(self, exp):
-        # EXPERIMENT_OVERRIDES holds the defaults' types, which --sweep casts
-        # with: each must be the annotated type (a float override with an int
-        # default would refuse 0.5), and every parameter has a default
-        builder = _BUILDERS[exp]
-        hints = get_type_hints(builder)
-        del hints["return"]
-        assert list(EXPERIMENT_OVERRIDES[exp].items()) == list(hints.items())
-        for param in inspect.signature(builder).parameters.values():
-            assert param.kind is param.KEYWORD_ONLY and param.default is not param.empty, param
+        # EXPERIMENT_OVERRIDES holds each keyword's annotation, its one type
+        # declaration: every parameter is keyword-only and annotated, and
+        # `canonical` stores its default unchanged (an int default of a float
+        # keyword would not be)
+        params = inspect.signature(_BUILDERS[exp]).parameters.values()
+        assert list(EXPERIMENT_OVERRIDES[exp]) == [param.name for param in params]
+        for param in params:
+            assert param.kind is param.KEYWORD_ONLY, param
+            assert EXPERIMENT_OVERRIDES[exp][param.name] is param.annotation is not param.empty
+            stored = canonical(param.annotation, param.default, param.name)
+            assert type(stored) is type(param.default) and repr(stored) == repr(param.default)
 
     @pytest.mark.parametrize("exp, rounds", [
         ("e3", 24), ("e3", 10), ("e6", 24), ("e6", 0), ("e5", 10), ("e5", 0)])
@@ -334,7 +335,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("mix", [(), ((PeerBehavior.honest(), 0),)])
     def test_empty_mix_rejected(self, mix):
-        with pytest.raises(ValueError, match="^behavior mix counts must sum to a positive"):
+        # a mix of one count-0 entry fails on the count, which must be at least 1
+        message = ("behavior mix counts must be positive" if mix
+                   else "behavior_mix must be non-empty")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             tiny_config(behavior_mix=mix, candidate_map=(), observed_pairs=())
 
     def test_self_observation_rejected(self):
@@ -354,23 +358,64 @@ class TestValidation:
             tiny_config(candidate_map=((0, (0,), 1),)).validate()
 
     @pytest.mark.parametrize(
-        "field, value, name",
+        "field, value, message",
         [
-            ("observed_pairs", ((0, 1), (0, 1)), "observed_pairs"),
+            ("observed_pairs", ((0, 1), (0, 1)),
+             r"observed_pairs must be strictly increasing: \(0, 1\) follows \(0, 1\)"),
             # the same entry twice
-            ("candidate_map", ((0, (1, 2), 1), (0, (1, 2), 1)), "candidate_map"),
-            ("candidate_map", ((0, (1, 2, 1), 1),), r"candidate_map\[0\]"),
-            ("candidate_map", ((0, (1,), 1), (0, (2,), 1)), "candidate_map"),
-            ("candidate_map", ((0, (1, 2), 2), (0, (1, 2), 3)), "candidate_map"),
+            ("candidate_map", ((0, (1, 2), 1), (0, (1, 2), 1)),
+             "candidate_map must be strictly increasing: 0 follows 0"),
+            ("candidate_map", ((0, (1, 2, 1), 1),),
+             r"candidate_map\[0\] must be strictly increasing: 1 follows 2"),
+            ("candidate_map", ((0, (1,), 1), (0, (2,), 1)),
+             "candidate_map must be strictly increasing: 0 follows 0"),
+            ("candidate_map", ((0, (1, 2), 2), (0, (1, 2), 3)),
+             "candidate_map must be strictly increasing: 0 follows 0"),
             ("param_overrides", ((1, TrustParams()), (1, TrustParams(chi=0.1))),
-             "param_overrides"),
+             "param_overrides must be strictly increasing: 1 follows 1"),
+            # each list reversed: the same run, spelled another way
+            ("observed_pairs", ((0, 2), (0, 1)),
+             r"observed_pairs must be strictly increasing: \(0, 1\) follows \(0, 2\)"),
+            ("candidate_map", ((1, (0, 2), 1), (0, (1, 2), 1)),
+             "candidate_map must be strictly increasing: 0 follows 1"),
+            ("candidate_map", ((0, (2, 1), 1),),
+             r"candidate_map\[0\] must be strictly increasing: 1 follows 2"),
+            ("param_overrides", ((2, TrustParams()), (1, TrustParams(chi=0.1))),
+             "param_overrides must be strictly increasing: 1 follows 2"),
+            # the same population as the mix without the entry
+            ("behavior_mix", ((PeerBehavior.honest(), 3), (PeerBehavior.persistent(), 0)),
+             "behavior mix counts must be positive"),
         ],
         ids=["observed_pair", "requester", "candidate", "candidate_map_key",
-             "two_budgets", "param_overrides_key"],
+             "two_budgets", "param_overrides_key", "reversed_observed_pairs",
+             "reversed_requesters", "reversed_candidates", "reversed_param_overrides",
+             "count_0_mix_entry"],
     )
-    def test_repeated_entry_rejected(self, field, value, name):
-        with pytest.raises(ValueError, match=f"^{name} repeats"):
-            tiny_config(**{field: value}).validate()
+    def test_repeated_entry_rejected(self, field, value, message):
+        # one order rule for every id list: a repeat is an item that does not
+        # rise above the one before it, like any other out of order
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("exp", ["e1", "e4", "e5", "e2"])
+    def test_permuted_builder_config_rejected(self, exp):
+        # e1, e4 and e5 with their keyed lists reversed, or e2 with one
+        # candidate list reversed, run as the builder's config does; sorting
+        # the lists again gives back the builder's config and its digest
+        cfg = build_experiment(exp)
+        d = config_to_dict(cfg)
+        if exp == "e2":
+            lists, name = [d["candidate_map"][0][1]], r"candidate_map\[0\]"
+        else:
+            lists = [d[field] for field in ("observed_pairs", "candidate_map", "param_overrides")]
+            name = "observed_pairs" if len(cfg.observed_pairs) > 1 else "candidate_map"
+        for items in lists:
+            items.reverse()
+        with pytest.raises(ValueError, match=f"^{name} must be strictly increasing: "):
+            config_from_dict(d)
+        for items in lists:
+            items.sort()
+        assert config_digest(config_from_dict(d)) == config_digest(cfg)
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -473,7 +518,7 @@ class TestValidation:
     @pytest.mark.parametrize("count", [2.0, True, -1])
     def test_mix_count_must_be_a_non_negative_int(self, count):
         # 2.0 was a bare TypeError, and True would be saved as `true`
-        message = "^behavior mix counts must be non-negative ints$"
+        message = "^behavior mix counts must be positive$"
         if count != -1:
             message = rf"^behavior_mix\[1\]\[1\]: expected int, got {count!r}$"
         with pytest.raises(ValueError, match=message):

@@ -539,12 +539,14 @@ class TestRunRound:
         assert world.peers == {} and world.requesters == []
 
     def test_repeated_candidate_rejected(self):
-        # selection would rank the candidate twice and take two chunks from
-        # it in one round
+        # a repeat would rank the candidate twice and take two chunks from it
+        # in one round; candidates are strictly increasing, like every id list
         world = World(seed=1)
-        with pytest.raises(ValueError, match="lists a candidate twice"):
-            world.add_peer(0, PeerBehavior.honest(), forced_params(k_providers=3),
-                           budget=3, candidates=(1, 1))
+        for candidates, message in (((1, 1), "1 follows 1"), ((2, 1), "1 follows 2")):
+            with pytest.raises(ValueError, match="^candidates of peer 0 must be strictly "
+                                                 f"increasing: {message}$"):
+                world.add_peer(0, PeerBehavior.honest(), forced_params(k_providers=3),
+                               budget=3, candidates=candidates)
         assert world.peers == {} and world.requesters == []
 
     @pytest.mark.parametrize("budget", [0, -1])

@@ -295,7 +295,8 @@ def small_worlds(draw):
         )
 
     base = params()
-    overridden = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+    # every id list of a config is strictly increasing
+    overridden = sorted(draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)))
     if draw(st.booleans()):
         # a full mesh: every peer may receive from every other in a round, so
         # rankings hold up to n - 1 recommenders and a subject up to n - 2
@@ -304,8 +305,8 @@ def small_worlds(draw):
     else:
         requesters = tuple(sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
         cand_map = tuple(
-            (rid, tuple(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
-                                      min_size=1, unique=True))),
+            (rid, tuple(sorted(draw(st.lists(st.sampled_from([x for x in ids if x != rid]),
+                                             min_size=1, unique=True)))),
              draw(st.integers(1, 3)))
             for rid in requesters
         )
@@ -319,7 +320,8 @@ def small_worlds(draw):
         params=base,
         param_overrides=tuple((pid, params()) for pid in overridden),
         loss_rate_range=draw(st.sampled_from([(0.0, 0.0), (0.0, 0.3), (0.2, 0.2)])),
-        observed_pairs=tuple(draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))),
+        observed_pairs=tuple(sorted(draw(st.lists(st.sampled_from(pairs), max_size=6,
+                                                  unique=True)))),
         candidate_map=cand_map,
         warmup_rounds=draw(st.integers(0, rounds - 1)),
         measure_from=draw(st.integers(0, rounds - 1)),
@@ -467,17 +469,28 @@ def stale_views(world):
 
 
 def assert_views_after_every_round(cfg):
+    """Checks `stale_views` after every round; returns whether some peer
+    kept a view of a subject it never received from at a round's end."""
     run = Run(cfg)
+    any_kept = False
     for _ in range(cfg.rounds):
-        assert stale_views(run.advance(1).world) == []
+        world = run.advance(1).world
+        assert stale_views(world) == []
+        any_kept = any_kept or any(b not in rec.trust_table
+                                   for rec in world.peers.values() for b in rec.views)
+    return any_kept
 
 
 @pytest.mark.parametrize("exp, overrides", ROUND_BY_ROUND)
 def test_kept_views_equal_a_fresh_read_after_every_round(exp, overrides):
     """Every view a peer keeps, whether a read or a delivery left it, is the
     components of its table entry read afresh in the current round, and
-    that entry does not decay."""
-    assert_views_after_every_round(build_experiment(exp, seed=1, **overrides))
+    that entry does not decay. So a view of a subject the peer never
+    received from is, bit for bit, the empty state's components under its
+    own params. e1 and e2 keep no such view at a round's end: every subject
+    their peers score delivers to them in round 1; e3-e6 keep some."""
+    any_kept = assert_views_after_every_round(build_experiment(exp, seed=1, **overrides))
+    assert any_kept == (exp not in ("e1", "e2"))
 
 
 @settings(deadline=None, max_examples=25)
@@ -911,30 +924,6 @@ def test_never_received_from_components_use_the_scorers_params():
         comp = score_candidates(world, observer, (2, stranger))[1]
         assert comp == sim_engine._components(0.0, 0.0, 0.0, rec.params)
         assert comp.alpha == alpha
-
-
-@pytest.mark.parametrize("exp, overrides, any_kept", [
-    ("e1", {}, False),
-    ("e4", {"mode": "rotating", "group_size": 12, "rounds": 40}, True),
-    ("e5", {}, True),
-    ("e6", {}, True),
-])
-def test_kept_views_of_strangers_are_the_empty_state(exp, overrides, any_kept):
-    """After every round, each view a peer keeps of a subject it never
-    received from is, bit for bit, the components of the empty state under
-    its own params. e1 keeps none at a round's end: every subject its
-    peers score delivers to them in round 1."""
-    cfg = build_experiment(exp, seed=1, **overrides)
-    run = Run(cfg)
-    kept = 0
-    for _ in range(cfg.rounds):
-        run.advance(1)
-        for rec in run.world.peers.values():
-            empty = repr(sim_engine._components(0.0, 0.0, 0.0, rec.params))
-            views = [v for b, v in rec.views.items() if b not in rec.trust_table]
-            assert [repr(v) for v in views] == [empty] * len(views)
-            kept += len(views)
-    assert bool(kept) == any_kept
 
 
 def test_first_delivery_replaces_a_strangers_kept_view():
